@@ -6,8 +6,8 @@ from .lexicon import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
                       init_label_matrix, load_seed_lexicon,
                       seed_to_distribution, write_lexicon_json,
                       write_lexicon_tsv, write_seed_lexicon)
-from .graph import (PropagationParams, TransitionMatrix, build_transition,
-                    edge_weight, mst_sigma, smooth_transition)
+from .graph import (PropagationParams, TransitionOperator, build_transition,
+                    edge_weight)
 from .solver import (ExpansionResult, SolveReport, expand,
                      propagate_closed_form, propagate_iterative)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
@@ -22,13 +22,13 @@ __version__ = "0.1.0"
 __all__ = [
     "EKMAN_SIX", "EmbeddingStore", "EmotionSet", "EvalReport",
     "ExpansionResult", "LabelMatrix", "OptTrace", "OptimizerConfig",
-    "PropagationParams", "SeedLexicon", "SolveReport", "TransitionMatrix",
+    "PropagationParams", "SeedLexicon", "SolveReport", "TransitionOperator",
     "Vocabulary", "baseline_expander", "build_transition",
     "corpus_lexicon_stats", "count_classify", "cross_validate",
     "edge_weight", "entropy", "entropy_gradient", "expand", "fit_batched",
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
-    "micro_prf", "mst_sigma", "propagate_closed_form", "propagate_iterative",
-    "seed_to_distribution", "smooth_transition", "unrolled_entropy",
+    "micro_prf", "propagate_closed_form", "propagate_iterative",
+    "seed_to_distribution", "unrolled_entropy",
     "write_lexicon_json", "write_lexicon_tsv", "write_seed_lexicon",
 ]

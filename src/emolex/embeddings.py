@@ -1,4 +1,4 @@
-"""Word vector storage: vocabulary, unit-normalized vectors, cosine similarities."""
+"""Word vector storage: vocabulary and unit-normalized vectors."""
 
 import numpy as np
 
@@ -71,28 +71,6 @@ class EmbeddingStore:
         if self._unit is None:
             self._unit = self.vectors / self._norms[:, None]
         return self._unit
-
-    def cosine(self, i, j):
-        """Cosine similarity between word rows i and j (exact 1.0 on i == j up to
-        normalization tolerance)."""
-        u = self.unit_vectors
-        n = len(self)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError("word index out of range")
-        # Single-entry block keeps the reduction path identical to cosine_block.
-        return float((u[i:i + 1] @ u[j:j + 1].T)[0, 0])
-
-    def cosine_block(self, rows, cols):
-        """Dense block of pairwise cosines, block[r, c] = cosine(rows[r], cols[c])."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if rows.size == 0 or cols.size == 0:
-            raise ValueError("empty index range")
-        n = len(self)
-        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-            raise IndexError("word index out of range")
-        u = self.unit_vectors
-        return u[rows] @ u[cols].T
 
 
 def _parse_header(line, line_no):

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import COSINE_LOGISTIC, PropagationParams, logistic
+from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
+                    PropagationParams, TransitionOperator, logistic,
+                    raw_weights, row_blocks)
 from .lexicon import init_label_matrix
 
 # Full-graph fitting of a d-vector alpha is refused above this node count;
@@ -93,70 +95,73 @@ def _logit(p):
     return math.log(p) - math.log1p(-p)
 
 
-def _forward_backward(unit, n_labeled, y_l, alpha, b, epsilon, unroll_steps,
+def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
                       want_grad=True, per_row=False):
     """Entropy of the K-step unrolled propagation and its analytic gradient.
 
-    `unit` holds unit vectors in labeled-first order. Returns
-    (H, {"alpha", "b", "eps_logit"}) with gradients matching alpha's shape;
-    the gradient dict is None when want_grad is false. With per_row the
-    objective is the mean entropy per unlabeled row, which leaves the
-    full-graph minimizer unchanged but makes batch-subgraph gradients
+    `unit` holds unit vectors and `y` label rows in the same node order;
+    the rows where `labeled` is true are clamped to `y`, the others start
+    uniform. Returns (H, {"alpha", "b", "eps_logit"}) with gradients matching
+    alpha's shape; the gradient dict is None when want_grad is false. With
+    per_row the objective is the mean entropy per unlabeled row, which leaves
+    the full-graph minimizer unchanged but makes batch-subgraph gradients
     scale-comparable to full-graph ones.
     """
-    n = unit.shape[0]
-    u_count = n - n_labeled
-    m = y_l.shape[1]
-    alpha = np.asarray(alpha, dtype=np.float64)
-    vector_alpha = alpha.ndim == 1
+    n, m = y.shape
+    unlabeled = ~labeled
+    weights = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
+    # A graph with an empty row or column at these parameters means the
+    # descent diverged; fit_full recovers from that by halving the rate.
+    try:
+        tm = TransitionOperator(weights, epsilon)
+    except NumericalDegeneracyError as exc:
+        raise GradientError(str(exc)) from exc
 
-    if vector_alpha:
-        left = unit * alpha
-    else:
-        left = unit * float(alpha)
-    z = left @ unit.T + b
-    w = logistic(z)
-    col = w.sum(axis=0)
-    t1 = w / col[None, :]
-    row = t1.sum(axis=1)
-    t2 = t1 / row[:, None]
-    tt = epsilon / n + (1.0 - epsilon) * t2
-
-    a = tt[n_labeled:, n_labeled:]
-    b_mat = tt[n_labeled:, :n_labeled]
-    iterates = [np.full((u_count, m), 1.0 / m)]
+    seeds = y[labeled]
+    state = y.copy()
+    state[unlabeled] = 1.0 / m
+    iterates = [state]
     for _ in range(unroll_steps):
-        iterates.append(a @ iterates[-1] + b_mat @ y_l)
-    y_final = iterates[-1]
-    scale = 1.0 / u_count if per_row else 1.0
+        state = tm.apply(state)
+        state[labeled] = seeds
+        iterates.append(state)
+    y_final = state[unlabeled]
+    scale = 1.0 / len(y_final) if per_row else 1.0
     h = entropy(y_final) * scale
 
     if not want_grad:
         return h, None
 
-    g = -scale * (np.log(np.maximum(y_final, 1e-300)) + 1.0)
-    g_a = np.zeros_like(a)
-    g_b_mat = np.zeros_like(b_mat)
-    for t in range(unroll_steps, 0, -1):
-        g_a += g @ iterates[t - 1].T
-        g_b_mat += g @ y_l.T
-        g = a.T @ g
+    # dH/dY of each iterate after the first, labeled rows zero: the clamp
+    # cuts them off.
+    g = np.zeros((n, m))
+    g[unlabeled] = -scale * (np.log(np.maximum(y_final, 1e-300)) + 1.0)
+    g_iterates = [g]
+    for _ in range(unroll_steps - 1):
+        g = tm.apply_transpose(g)
+        g[labeled] = 0.0
+        g_iterates.append(g)
+    # dH/dT = sum_t g_t Y_{t-1}^T as one GEMM; it is reduced in place to
+    # dH/dz through T = (1-eps) D_r^-1 W D_c^-1 + (eps/n) 11^T.
+    grad = np.hstack(g_iterates[::-1]) @ np.hstack(iterates[:-1]).T
+    w, col, row = tm.w, tm.col, tm.row
+    g_eps = grad.sum() / n
+    grad /= col
+    s = np.einsum("ij,ij->i", grad, w) / row
+    g_eps -= s.sum()
+    grad *= ((1.0 - epsilon) / row)[:, None]
+    a = (1.0 - epsilon) * s / row
+    q = np.einsum("ij,ij->j", grad, w) - (w.T @ a) / col
+    for rows in row_blocks(n):
+        block = grad[rows]
+        block -= (a[rows, None] + q) / col
+        block *= w[rows]
+        block *= 1.0 - w[rows]
 
-    g_tt = np.zeros((n, n))
-    g_tt[n_labeled:, n_labeled:] = g_a
-    g_tt[n_labeled:, :n_labeled] = g_b_mat
-
-    g_eps = float(np.sum(g_tt * (1.0 / n - t2)))
-    g_t2 = (1.0 - epsilon) * g_tt
-    g_t1 = (g_t2 - np.sum(g_t2 * t2, axis=1, keepdims=True)) / row[:, None]
-    g_w = (g_t1 - np.sum(g_t1 * t1, axis=0, keepdims=True)) / col[None, :]
-    g_z = g_w * w * (1.0 - w)
-
-    if vector_alpha:
-        g_alpha = np.sum((g_z @ unit) * unit, axis=0)
-    else:
-        g_alpha = float(np.sum(g_z * (unit @ unit.T)))
-    g_b = float(np.sum(g_z))
+    g_alpha = np.sum((grad @ unit) * unit, axis=0)
+    if np.ndim(alpha) == 0:
+        g_alpha = float(np.sum(g_alpha))
+    g_b = float(np.sum(grad))
     g_eps_logit = g_eps * epsilon * (1.0 - epsilon)
 
     grads = {"alpha": g_alpha, "b": g_b, "eps_logit": g_eps_logit}
@@ -174,23 +179,16 @@ def entropy_gradient(store, label_matrix, params, unroll_steps=10):
     """
     if params.kernel != COSINE_LOGISTIC:
         raise ValueError("gradients are defined for the cosine-logistic kernel")
-    order = np.concatenate([np.flatnonzero(label_matrix.labeled_mask),
-                            np.flatnonzero(~label_matrix.labeled_mask)])
-    unit = store.unit_vectors[order]
-    y_l = label_matrix.labeled_rows
-    return _forward_backward(unit, label_matrix.n_labeled, y_l, params.alpha,
-                             params.b, params.epsilon, unroll_steps)
+    return _forward_backward(store.unit_vectors, label_matrix.labeled_mask,
+                             label_matrix.rows, params.alpha, params.b,
+                             params.epsilon, unroll_steps)
 
 
 def unrolled_entropy(store, label_matrix, params, unroll_steps=10):
     """Objective value only (used by tests for finite differencing)."""
-    order = np.concatenate([np.flatnonzero(label_matrix.labeled_mask),
-                            np.flatnonzero(~label_matrix.labeled_mask)])
-    unit = store.unit_vectors[order]
-    h, _ = _forward_backward(unit, label_matrix.n_labeled,
-                             label_matrix.labeled_rows, params.alpha,
-                             params.b, params.epsilon, unroll_steps,
-                             want_grad=False)
+    h, _ = _forward_backward(store.unit_vectors, label_matrix.labeled_mask,
+                             label_matrix.rows, params.alpha, params.b,
+                             params.epsilon, unroll_steps, want_grad=False)
     return h
 
 
@@ -245,11 +243,6 @@ def fit_full(store, seed, config, init=None):
         raise ValueError(
             "vector-alpha full-graph fitting is refused above %d nodes; "
             "use batch mode" % VECTOR_ALPHA_FULL_GRAPH_LIMIT)
-    order = np.concatenate([np.flatnonzero(label_matrix.labeled_mask),
-                            np.flatnonzero(~label_matrix.labeled_mask)])
-    unit = store.unit_vectors[order]
-    y_l = label_matrix.labeled_rows
-
     lr0 = config.learning_rate
     last_error = None
     for attempt in range(4):
@@ -258,10 +251,10 @@ def fit_full(store, seed, config, init=None):
         best = (math.inf, state.snapshot())
         try:
             for epoch in range(config.epochs):
-                h, grads = _forward_backward(unit, label_matrix.n_labeled, y_l,
-                                             state.alpha, state.b,
-                                             state.epsilon, config.unroll_steps,
-                                             per_row=True)
+                h, grads = _forward_backward(
+                    store.unit_vectors, label_matrix.labeled_mask,
+                    label_matrix.rows, state.alpha, state.b, state.epsilon,
+                    config.unroll_steps, per_row=True)
                 if not math.isfinite(h):
                     raise GradientError("entropy diverged")
                 trace.record(h, _grad_norm(grads), state.alpha, state.b,
@@ -281,14 +274,14 @@ def fit_full(store, seed, config, init=None):
 
 
 def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
-    """Labeled-first batch indices preserving the global labeled fraction."""
+    """Sorted batch indices preserving the global labeled fraction."""
     n_lab = math.ceil(batch_size * len(labeled_idx) / total)
     n_unl = batch_size - n_lab
     if n_lab < 1 or n_unl < 1:
         raise ValueError("batch has no labeled or no unlabeled nodes")
     lab = rng.choice(labeled_idx, size=n_lab, replace=False)
     unl = rng.choice(unlabeled_idx, size=n_unl, replace=False)
-    return np.concatenate([np.sort(lab), np.sort(unl)]), n_lab
+    return np.sort(np.concatenate([lab, unl]))
 
 
 def fit_batched(store, seed, config, init=None):
@@ -315,16 +308,17 @@ def fit_batched(store, seed, config, init=None):
     for _ in range(config.num_batches):
         for attempt in range(10):
             try:
-                batch, n_lab = _sample_batch(rng, labeled_idx, unlabeled_idx,
-                                             config.batch_size, len(store))
+                batch = _sample_batch(rng, labeled_idx, unlabeled_idx,
+                                      config.batch_size, len(store))
                 break
             except ValueError:
                 if attempt == 9:
                     raise
         unit = store.unit_vectors[batch]
-        y_l = label_matrix.rows[batch[:n_lab]]
+        labeled = label_matrix.labeled_mask[batch]
+        rows = label_matrix.rows[batch]
         for _ in range(config.epochs_per_batch):
-            h, grads = _forward_backward(unit, n_lab, y_l, state.alpha,
+            h, grads = _forward_backward(unit, labeled, rows, state.alpha,
                                          state.b, state.epsilon,
                                          config.unroll_steps, per_row=True)
             trace.record(h, _grad_norm(grads), state.alpha, state.b,

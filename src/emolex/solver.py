@@ -27,74 +27,72 @@ class SolveReport:
                 "converged": self.converged}
 
 
-def _residual(a, b_mat, y_u, y_l):
-    return float(np.max(np.abs(y_u - a @ y_u - b_mat @ y_l))) if y_u.size else 0.0
-
-
-def _assemble(tm, y_l, y_u, labels):
-    """Put solved rows back into vocabulary order."""
-    n, m = tm.n, y_l.shape[1]
-    rows = np.empty((n, m))
-    graph_rows = np.vstack([y_l, y_u]) if y_u.size else y_l
-    rows[tm.order] = graph_rows
-    mask = np.zeros(n, dtype=bool)
-    mask[tm.order[:tm.n_labeled]] = True
-    return LabelMatrix(rows, mask)
+def _residual(tm, y, unlabeled):
+    """Max-abs violation of Y_U = (T Y)_U."""
+    if not np.any(unlabeled):
+        return 0.0
+    return float(np.max(np.abs(y[unlabeled] - tm.apply(y)[unlabeled])))
 
 
 def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
-    """Repeat Y_U <- T_uu Y_U + T_ul Y_L with labeled rows clamped.
+    """Repeat Y <- T Y, then clamp the labeled rows again.
 
-    Stops when the max-abs change of a sweep drops below tol. Rows are
-    re-normalized each sweep to cap floating-point drift (a guard, not an
-    algorithm change). Labeled rows are returned bit-equal to the input.
+    The labeled/unlabeled partition is the LabelMatrix's mask; the operator
+    does not depend on it. Stops when the max-abs change of a sweep drops
+    below tol. Rows are re-normalized each sweep to cap floating-point drift
+    (a guard, not an algorithm change). Labeled rows are returned bit-equal
+    to the input.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if tm.n_labeled < 1:
+    labeled = label_matrix.labeled_mask
+    if not np.any(labeled):
         raise ValueError("need at least one labeled row")
-    y = label_matrix.rows[tm.order]
-    y_l = y[:tm.n_labeled].copy()
-    y_u = y[tm.n_labeled:].copy()
-    a, b_mat = tm.t_uu, tm.t_ul
+    seeds = label_matrix.labeled_rows
+    y = label_matrix.rows.copy()
 
     iterations = 0
     delta = np.inf
     converged = False
     while iterations < max_iter:
-        new = a @ y_u + b_mat @ y_l
+        new = tm.apply(y)
         new /= new.sum(axis=1, keepdims=True)
-        delta = float(np.max(np.abs(new - y_u))) if new.size else 0.0
-        y_u = new
+        new[labeled] = seeds
+        delta = float(np.max(np.abs(new - y)))
+        y = new
         iterations += 1
         if delta < tol:
             converged = True
             break
 
     report = SolveReport("iterative", iterations, delta,
-                         _residual(a, b_mat, y_u, y_l), converged)
-    return _assemble(tm, y_l, y_u, label_matrix), report
+                         _residual(tm, y, ~labeled), converged)
+    return LabelMatrix(y, labeled), report
 
 
 def propagate_closed_form(tm, label_matrix):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
-    Fails with a diagnostic when (I - T_uu) is singular or the solve is
-    numerically degenerate (possible only at epsilon = 0 with a component
-    disconnected in probability from the labeled set).
+    The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
+    gathered from the operator by that mask. Fails with a diagnostic when
+    (I - T_uu) is singular or the solve is numerically degenerate (possible
+    only at epsilon = 0 with a component disconnected in probability from
+    the labeled set).
     """
-    if tm.n_labeled < 1:
+    labeled = label_matrix.labeled_mask
+    if not np.any(labeled):
         raise ValueError("need at least one labeled row")
-    y = label_matrix.rows[tm.order]
-    y_l = y[:tm.n_labeled].copy()
-    a, b_mat = tm.t_uu, tm.t_ul
-    u = tm.n_unlabeled
-    if u == 0:
-        report = SolveReport("closed-form", 0, 0.0, 0.0)
-        return _assemble(tm, y_l, np.empty((0, y_l.shape[1])), label_matrix), report
-    system = np.eye(u) - a
+    unlabeled = np.flatnonzero(~labeled)
+    y = label_matrix.rows.copy()
+    if unlabeled.size == 0:
+        return LabelMatrix(y, labeled), SolveReport("closed-form", 0, 0.0, 0.0)
+    y[unlabeled] = 0.0
+    rhs = tm.apply(y)[unlabeled]
+    system = tm.submatrix(unlabeled)
+    np.negative(system, out=system)
+    system[np.diag_indices_from(system)] += 1.0
     try:
-        y_u = np.linalg.solve(system, b_mat @ y_l)
+        y_u = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(
             "(I - T_uu) is singular; epsilon = 0 with a component disconnected "
@@ -102,8 +100,9 @@ def propagate_closed_form(tm, label_matrix):
     if not np.all(np.isfinite(y_u)) or np.linalg.cond(system) > 1e12:
         raise NumericalDegeneracyError(
             "(I - T_uu) is ill-conditioned; consider epsilon smoothing")
-    report = SolveReport("closed-form", 1, 0.0, _residual(a, b_mat, y_u, y_l))
-    return _assemble(tm, y_l, y_u, label_matrix), report
+    y[unlabeled] = y_u
+    report = SolveReport("closed-form", 1, 0.0, _residual(tm, y, ~labeled))
+    return LabelMatrix(y, labeled), report
 
 
 @dataclass
@@ -131,13 +130,12 @@ class ExpansionResult:
 
 
 def expand(store, seed, emotions=None, params=None, solver="auto",
-           tol=1e-6, max_iter=1000, transition=None):
-    """End-to-end expansion: init Y, build the transition matrix, solve,
+           tol=1e-6, max_iter=1000):
+    """End-to-end expansion: init Y, build the transition operator, solve,
     and return token -> distribution for every vocabulary word.
 
     Seed rows pass through unchanged. `solver` is "iterative", "closed", or
-    "auto" (closed form when the unlabeled count is small). A prebuilt
-    `transition` may be passed to share work across calls.
+    "auto" (closed form when the unlabeled count is small).
     """
     if emotions is None:
         emotions = seed.emotions
@@ -153,11 +151,10 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
         return ExpansionResult(store.vocab, emotions, label_matrix.rows,
                                label_matrix.labeled_mask, params, report, missing)
 
-    tm = transition
-    if tm is None:
-        tm = build_transition(store, params, label_matrix.labeled_mask)
+    tm = build_transition(store, params, label_matrix.labeled_mask)
     if solver == "auto":
-        solver = "closed" if tm.n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "iterative"
+        n_unlabeled = len(store.vocab) - label_matrix.n_labeled
+        solver = "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "iterative"
     if solver == "closed":
         solved, report = propagate_closed_form(tm, label_matrix)
     elif solver == "iterative":

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from emolex.graph import (COSINE_LOGISTIC, EUCLIDEAN_RBF, PropagationParams,
-                          TransitionMatrix, build_transition, edge_weight,
-                          logistic, mst_sigma, normalize_transition,
-                          raw_weights, smooth_matrix, smooth_transition)
+import emolex.graph as graph
+from emolex.graph import (EUCLIDEAN_RBF, PropagationParams, build_transition,
+                          edge_weight, logistic, raw_weights)
 
 from conftest import make_store
 
@@ -14,6 +13,22 @@ from conftest import make_store
 def cos_pair(c):
     """Two unit vectors with the requested cosine."""
     return np.array([1.0, 0.0]), np.array([c, math.sqrt(1 - c * c)])
+
+
+def dense(tm):
+    """The operator's matrix, recovered by applying it to the identity."""
+    return tm.apply(np.eye(tm.n))
+
+
+def normalized_oracle(store, params):
+    """Independent scalar recomputation of col-then-row normalization."""
+    n = len(store)
+    w = [[edge_weight(store.vectors[i], store.vectors[j], params)
+          for j in range(n)] for i in range(n)]
+    t = [[w[i][j] / sum(w[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    return np.array([[t[i][j] / sum(t[i][k] for k in range(n))
+                      for j in range(n)] for i in range(n)])
 
 
 class TestEdgeWeight:
@@ -76,7 +91,6 @@ class TestParams:
         params = PropagationParams(alpha=np.array([1.0, 2.0]), b=0.3, epsilon=0.1)
         again = PropagationParams.from_dict(params.to_dict())
         assert again.to_dict() == params.to_dict()
-        assert again.digest() == params.digest()
 
 
 class TestBuildTransition:
@@ -84,23 +98,15 @@ class TestBuildTransition:
         store = make_store([[1.0, 0.0], [0.0, 1.0]])
         params = PropagationParams(alpha=0.0, b=0.0)
         tm = build_transition(store, params, [True, False])
-        assert np.allclose(tm.matrix, 0.5)
+        assert np.allclose(dense(tm), 0.5)
 
     def test_three_node_hand_oracle(self):
         rng = np.random.default_rng(5)
         store = make_store(rng.normal(size=(3, 4)))
         params = PropagationParams(alpha=2.0, b=-0.5)
         tm = build_transition(store, params, [True, False, False])
-
-        # independent scalar recomputation of col-then-row normalization
-        order = [0, 1, 2]
-        w = [[edge_weight(store.vectors[i], store.vectors[j], params)
-              for j in order] for i in order]
-        t = [[w[i][j] / sum(w[k][j] for k in range(3)) for j in range(3)]
-             for i in range(3)]
-        tbar = [[t[i][j] / sum(t[i][k] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        assert np.allclose(tm.matrix, tbar, atol=1e-12)
+        assert np.allclose(dense(tm), normalized_oracle(store, params),
+                           atol=1e-12)
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(6)
@@ -108,27 +114,48 @@ class TestBuildTransition:
         mask = np.zeros(12, dtype=bool)
         mask[[2, 7]] = True
         params = PropagationParams(alpha=5.0, b=-2.0, epsilon=0.05)
-        tm = build_transition(store, params, mask)
-        assert np.allclose(tm.matrix.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(tm.matrix >= 0)
+        t = dense(build_transition(store, params, mask))
+        assert np.allclose(t.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(t >= 0)
 
-    def test_labeled_first_ordering(self):
+    def test_independent_of_labeled_mask(self):
         rng = np.random.default_rng(7)
         store = make_store(rng.normal(size=(5, 3)))
-        mask = np.array([False, True, False, True, False])
-        tm = build_transition(store, PropagationParams(alpha=1.0, b=0.0), mask)
-        assert list(tm.order) == [1, 3, 0, 2, 4]
-        assert tm.n_labeled == 2
-        assert tm.t_uu.shape == (3, 3)
+        params = PropagationParams(alpha=1.0, b=0.0)
+        a = build_transition(store, params, [False, True, False, True, False])
+        b = build_transition(store, params, [True, False, False, False, False])
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.col, b.col)
+        assert np.array_equal(a.row, b.row)
+        for i in range(5):
+            for j in range(5):
+                assert a.w[i, j] == pytest.approx(
+                    edge_weight(store.vectors[i], store.vectors[j], params),
+                    rel=1e-12)
 
-    def test_blocked_matches_unblocked(self):
+    def test_transpose_and_submatrix_match_dense(self):
+        rng = np.random.default_rng(14)
+        store = make_store(rng.normal(size=(7, 4)))
+        params = PropagationParams(alpha=3.0, b=-1.0, epsilon=0.2)
+        tm = build_transition(store, params, [True] + [False] * 6)
+        t = dense(tm)
+        assert np.allclose(tm.apply_transpose(np.eye(7)), t.T, atol=1e-15)
+        index = np.array([1, 4, 5])
+        assert np.allclose(tm.submatrix(index), t[np.ix_(index, index)],
+                           atol=1e-15)
+
+    def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(8)
         store = make_store(rng.normal(size=(9, 4)))
-        params = PropagationParams(alpha=np.linspace(0.5, 2.0, 4), b=-0.2)
-        order = np.arange(9)
-        full = raw_weights(store, params, order, block_size=9)
-        blocked = raw_weights(store, params, order, block_size=2)
-        assert np.array_equal(full, blocked)
+        for x, params in (
+                (store.unit_vectors,
+                 PropagationParams(alpha=np.linspace(0.5, 2.0, 4), b=-0.2)),
+                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.5))):
+            full = raw_weights(x, params)
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 18)  # 2 rows a block
+            blocked = raw_weights(x, params)
+            monkeypatch.undo()
+            assert np.array_equal(full, blocked)
 
     def test_all_labeled_rejected(self):
         store = make_store(np.eye(2))
@@ -136,109 +163,46 @@ class TestBuildTransition:
             build_transition(store, PropagationParams(alpha=1.0, b=0.0),
                              [True, True])
 
-    def test_cache_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        store = make_store(rng.normal(size=(6, 3)))
-        mask = np.array([True, False, False, True, False, False])
-        tm = build_transition(store, PropagationParams(alpha=2.0, b=0.0,
-                                                       epsilon=0.1), mask)
-        path = str(tmp_path / "cache.npz")
-        tm.save(path)
-        again = TransitionMatrix.load(path)
-        assert np.array_equal(again.matrix, tm.matrix)
-        assert again.n_labeled == tm.n_labeled
-        assert list(again.order) == list(tm.order)
-        assert again.params_digest == tm.params_digest
-
 
 class TestSmoothing:
     def test_epsilon_zero_is_identity(self):
-        t = np.array([[0.2, 0.8], [0.6, 0.4]])
-        assert np.array_equal(smooth_matrix(t, 0.0), t)
+        rng = np.random.default_rng(10)
+        store = make_store(rng.normal(size=(4, 3)))
+        params = PropagationParams(alpha=2.0, b=0.5, epsilon=0.0)
+        tm = build_transition(store, params, [True, False, False, False])
+        assert np.allclose(dense(tm), normalized_oracle(store, params),
+                           atol=1e-12)
 
     def test_epsilon_near_one_is_uniform(self):
-        t = np.eye(2)
-        smoothed = smooth_matrix(t, 1 - 1e-15)
-        assert np.allclose(smoothed, 0.5, atol=1e-12)
+        store = make_store(np.eye(2))
+        params = PropagationParams(alpha=1.0, b=0.0, epsilon=1 - 1e-15)
+        tm = build_transition(store, params, [True, False])
+        assert np.allclose(dense(tm), 0.5, atol=1e-12)
 
     def test_half_on_identity(self):
-        smoothed = smooth_matrix(np.eye(2), 0.5)
-        assert np.allclose(smoothed, [[0.75, 0.25], [0.25, 0.75]])
+        # orthogonal pair, steep kernel: off-diagonal weights are ~1e-217, so
+        # the normalized matrix is the identity to double precision
+        store = make_store(np.eye(2))
+        params = PropagationParams(alpha=1000.0, b=-500.0, epsilon=0.5)
+        tm = build_transition(store, params, [True, False])
+        assert np.allclose(dense(tm), [[0.75, 0.25], [0.25, 0.75]])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            smooth_matrix(np.eye(2), -0.1)
+            PropagationParams(alpha=1.0, b=0.0, epsilon=-0.1)
         with pytest.raises(ValueError):
-            smooth_matrix(np.eye(2), 1.0)
+            PropagationParams(alpha=1.0, b=0.0, epsilon=1.0)
 
     def test_affine_in_epsilon(self):
         rng = np.random.default_rng(10)
-        t = rng.dirichlet(np.ones(4), size=4)
-        s1 = smooth_matrix(t, 0.2)
-        s2 = smooth_matrix(t, 0.6)
-        mid = smooth_matrix(t, 0.4)
-        assert np.allclose(mid, (s1 + s2) / 2, atol=1e-12)
-
-    def test_preserves_partition(self):
-        rng = np.random.default_rng(11)
         store = make_store(rng.normal(size=(4, 3)))
-        tm = build_transition(store, PropagationParams(alpha=1.0, b=0.0),
-                              [True, False, False, False])
-        smoothed = smooth_transition(tm, 0.3)
-        assert smoothed.n_labeled == tm.n_labeled
-        assert np.allclose(smoothed.matrix.sum(axis=1), 1.0, atol=1e-9)
 
+        def smoothed(eps):
+            params = PropagationParams(alpha=1.5, b=0.0, epsilon=eps)
+            return dense(build_transition(store, params, [True, False, False, False]))
 
-def brute_force_d0(x, node_label):
-    """Replay Kruskal accept events explicitly over all sorted edges."""
-    n = x.shape[0]
-    edges = sorted((np.linalg.norm(x[i] - x[j]), i, j)
-                   for i in range(n) for j in range(i + 1, n))
-    comps = [{i} for i in range(n)]
-    for dist, i, j in edges:
-        ci = next(c for c in comps if i in c)
-        cj = next(c for c in comps if j in c)
-        if ci is cj:
-            continue
-        li = {node_label[k] for k in ci if k in node_label}
-        lj = {node_label[k] for k in cj if k in node_label}
-        if li and lj and len(li | lj) > 1:
-            return dist
-        comps.remove(ci)
-        comps.remove(cj)
-        comps.append(ci | cj)
-    raise AssertionError("no joining edge found")
-
-
-class TestMstSigma:
-    def test_two_points(self):
-        store = make_store([[1.0, 0.0], [2.0, 0.0]])
-        assert mst_sigma(store, [0, 1], ["joy", "anger"]) == pytest.approx(1 / 3)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(12)
-        x = np.vstack([rng.normal(0, 0.5, size=(5, 3)) + [4, 0, 0],
-                       rng.normal(0, 0.5, size=(5, 3)) - [4, 0, 0]])
-        store = make_store(x)
-        labeled = [0, 1, 5, 6]
-        labels = ["joy", "joy", "anger", "anger"]
-        sigma = mst_sigma(store, labeled, labels)
-        d0 = brute_force_d0(x, dict(zip(labeled, labels)))
-        assert sigma == pytest.approx(d0 / 3, rel=1e-9)
-
-    def test_scaling_homogeneity(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(8, 3))
-        labeled = [0, 1, 2]
-        labels = ["a", "b", "a"]
-        s1 = mst_sigma(make_store(x), labeled, labels)
-        s2 = mst_sigma(make_store(2 * x), labeled, labels)
-        assert s2 == pytest.approx(2 * s1, rel=1e-9)
-
-    def test_single_label_rejected(self):
-        store = make_store(np.eye(3))
-        with pytest.raises(ValueError, match="distinct"):
-            mst_sigma(store, [0, 1], ["joy", "joy"])
+        mid = smoothed(0.4)
+        assert np.allclose(mid, (smoothed(0.2) + smoothed(0.6)) / 2, atol=1e-12)
 
 
 class TestLogistic:
@@ -250,3 +214,20 @@ class TestLogistic:
     def test_matches_naive_in_safe_range(self):
         z = np.linspace(-30, 30, 61)
         assert np.allclose(logistic(z), 1 / (1 + np.exp(-z)), atol=1e-15)
+
+    def test_bit_equal_to_masked_form(self):
+        z = np.concatenate([np.linspace(-800, 800, 4001), [-745.0, -40.0, 0.0]])
+        masked = np.empty_like(z)
+        pos = z >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        masked[~pos] = ez / (1.0 + ez)
+        assert np.array_equal(logistic(z), masked)
+        out = z.copy()
+        logistic(out, out=out)
+        assert np.array_equal(out, masked)
+
+    def test_deep_negative_tail(self):
+        assert logistic(-40.0) == pytest.approx(
+            math.exp(-40.0) / (1.0 + math.exp(-40.0)), rel=1e-15)
+        assert logistic(-745.0) > 0.0

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from emolex import (EmotionSet, LabelMatrix, PropagationParams, SeedLexicon,
-                    TransitionMatrix, Vocabulary, expand,
-                    propagate_closed_form, propagate_iterative)
+                    expand, propagate_closed_form, propagate_iterative)
 from emolex.graph import build_transition
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
 
+def half_transition():
+    """Two-node operator whose matrix is 0.5 everywhere."""
+    store = make_store([[1.0, 0.0], [0.0, 1.0]])
+    return build_transition(store, PropagationParams(alpha=0.0, b=0.0),
+                            [True, False])
+
+
 def two_node_instance():
-    tm = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), 1, [0, 1])
     lm = LabelMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), [True, False])
-    return tm, lm
+    return half_transition(), lm
 
 
 def random_instance(rng, n, n_labeled, m=6, epsilon=0.01):
@@ -41,7 +46,7 @@ class TestIterative:
         assert np.array_equal(solved.rows[0], lm.rows[0])
 
     def test_fixed_point_single_sweep(self):
-        tm = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), 1, [0, 1])
+        tm = half_transition()
         lm = LabelMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), [True, False])
         _, report = propagate_iterative(tm, lm, tol=1e-9)
         assert report.iterations == 1
@@ -96,6 +101,26 @@ class TestClosedForm:
         tm, lm = random_instance(rng, 15, 4)
         solved, _ = propagate_closed_form(tm, lm)
         assert np.allclose(solved.rows.sum(axis=1), 1.0, atol=1e-8)
+
+
+class TestPartition:
+    @pytest.mark.parametrize("solve", [propagate_closed_form,
+                                       propagate_iterative])
+    def test_each_label_matrix_keeps_its_own_partition(self, solve):
+        rng = np.random.default_rng(4)
+        store = make_store(rng.normal(size=(6, 3)))
+        first = np.array([True, False, False, False, False, False])
+        tm = build_transition(store, PropagationParams(alpha=2.0, b=0.0,
+                                                       epsilon=0.1), first)
+        for labeled, seed_row in ((first, [1.0, 0.0]),
+                                  (np.roll(first, 3), [0.0, 1.0])):
+            rows = np.full((6, 2), 0.5)
+            rows[labeled] = seed_row
+            lm = LabelMatrix(rows, labeled)
+            solved, _ = solve(tm, lm)
+            assert np.array_equal(solved.labeled_mask, labeled)
+            assert np.array_equal(solved.rows[labeled], lm.rows[labeled])
+            assert np.all(solved.rows[~labeled] != 0.5)
 
 
 class TestPermutationInvariance:

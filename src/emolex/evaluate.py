@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import expand
+from .solver import OperatorCache, expand
 
 PREDICTION_FLOOR = 1e-12
 
@@ -74,14 +74,22 @@ class EvalReport:
 
 
 def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
-    """Expander closure running label propagation with fixed parameters."""
+    """Expander closure running label propagation with fixed parameters.
+
+    The graph does not depend on the seeds, so the operator built on the
+    first call serves every later call on the same store; `run.release`
+    drops it (cross_validate calls it when its folds are done).
+    """
+    cache = OperatorCache()
+
     def run(store, seed, emotions):
         result = expand(store, seed, emotions, params, solver=solver,
-                        tol=tol, max_iter=max_iter)
+                        tol=tol, max_iter=max_iter, cache=cache)
         return {token: result.distributions[i]
                 for i, token in enumerate(store.vocab)}
     run.label = "label-propagation"
     run.params = params.to_dict()
+    run.release = cache.clear
     return run
 
 
@@ -118,23 +126,31 @@ def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
     tokens' predictions against their gold distributions with KL divergence.
 
     Only seed tokens present in the vocabulary participate. Reports per-fold
-    means, the mean of fold means, and the pooled per-word mean.
+    means, the mean of fold means, and the pooled per-word mean. An expander
+    may carry a `release` callable that frees what it keeps between folds;
+    it is called when the folds are done.
     """
     eligible = [t for t in seed.entries if t in store.vocab]
     plan = make_folds(eligible, k, rng_seed)
     per_fold = []
     pooled = []
-    for fold in range(k):
-        held_out = plan.fold_tokens(fold)
-        train = seed.subset(set(eligible) - set(held_out))
-        try:
-            predictions = expander(store, train, emotions)
-        except Exception as exc:
-            raise RuntimeError("expander failed on fold %d: %s" % (fold, exc)) from exc
-        scores = [kl_divergence(seed.distribution(t), predictions[t])
-                  for t in held_out]
-        per_fold.append(float(np.mean(scores)))
-        pooled.extend(scores)
+    try:
+        for fold in range(k):
+            held_out = plan.fold_tokens(fold)
+            train = seed.subset(set(eligible) - set(held_out))
+            try:
+                predictions = expander(store, train, emotions)
+            except Exception as exc:
+                raise RuntimeError("expander failed on fold %d: %s"
+                                   % (fold, exc)) from exc
+            scores = [kl_divergence(seed.distribution(t), predictions[t])
+                      for t in held_out]
+            per_fold.append(float(np.mean(scores)))
+            pooled.extend(scores)
+    finally:
+        release = getattr(expander, "release", None)
+        if release is not None:
+            release()
     return EvalReport(getattr(expander, "label", "custom"), per_fold,
                       float(np.mean(per_fold)), float(np.mean(pooled)),
                       k, rng_seed, getattr(expander, "params", {}))

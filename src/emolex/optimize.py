@@ -18,10 +18,6 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     raw_weights, row_blocks)
 from .lexicon import init_label_matrix
 
-# Full-graph fitting of a d-vector alpha is refused above this node count;
-# batch mode is mandatory there (the memory cost grows with n^2 d).
-VECTOR_ALPHA_FULL_GRAPH_LIMIT = 8192
-
 
 class GradientError(RuntimeError):
     """A non-finite gradient, annotated with the parameter at fault."""
@@ -72,6 +68,12 @@ class OptTrace:
         self.alphas.append(float(alpha.mean()))
         self.bs.append(float(b))
         self.epsilons.append(float(epsilon))
+
+    def truncate(self, length):
+        """Drop the records after the first `length`."""
+        for values in (self.entropies, self.grad_norms, self.alphas, self.bs,
+                       self.epsilons):
+            del values[length:]
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -239,10 +241,6 @@ def fit_full(store, seed, config, init=None):
     init = dict(_DEFAULT_INIT, **(init or {}))
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     alpha0 = np.asarray(init["alpha"], dtype=np.float64)
-    if alpha0.ndim == 1 and len(store) > VECTOR_ALPHA_FULL_GRAPH_LIMIT:
-        raise ValueError(
-            "vector-alpha full-graph fitting is refused above %d nodes; "
-            "use batch mode" % VECTOR_ALPHA_FULL_GRAPH_LIMIT)
     lr0 = config.learning_rate
     last_error = None
     for attempt in range(4):
@@ -289,7 +287,11 @@ def fit_batched(store, seed, config, init=None):
 
     Each batch fixes the labeled/unlabeled proportion of the full graph,
     builds only its own submatrix, and applies config.epochs_per_batch
-    descent steps to the shared parameters.
+    descent steps to the shared parameters. If a batch diverges, the
+    parameters are restored to their values before it and the batch is
+    retried at half the learning rate, up to three halvings in the whole
+    fit. The last iterate is returned: entropies of different subgraphs do
+    not rank parameters.
     """
     init = dict(_DEFAULT_INIT, **(init or {}))
     if config.batch_size >= len(store):
@@ -304,6 +306,7 @@ def fit_batched(store, seed, config, init=None):
     state = _State(init["alpha"], init["b"], init["epsilon"])
     trace = OptTrace()
     lr0 = config.learning_rate
+    halvings = 0
     step = 0
     for _ in range(config.num_batches):
         for attempt in range(10):
@@ -317,13 +320,31 @@ def fit_batched(store, seed, config, init=None):
         unit = store.unit_vectors[batch]
         labeled = label_matrix.labeled_mask[batch]
         rows = label_matrix.rows[batch]
-        for _ in range(config.epochs_per_batch):
-            h, grads = _forward_backward(unit, labeled, rows, state.alpha,
-                                         state.b, state.epsilon,
-                                         config.unroll_steps, per_row=True)
-            trace.record(h, _grad_norm(grads), state.alpha, state.b,
-                         state.epsilon)
-            lr = lr0 / (1.0 + config.decay * step)
-            state.step(grads, lr)
-            step += 1
+        before = (state.snapshot(), len(trace.entropies), step)
+        while True:
+            try:
+                for _ in range(config.epochs_per_batch):
+                    h, grads = _forward_backward(unit, labeled, rows,
+                                                 state.alpha, state.b,
+                                                 state.epsilon,
+                                                 config.unroll_steps,
+                                                 per_row=True)
+                    if not math.isfinite(h):
+                        raise GradientError("entropy diverged")
+                    trace.record(h, _grad_norm(grads), state.alpha, state.b,
+                                 state.epsilon)
+                    lr = lr0 / (1.0 + config.decay * step)
+                    state.step(grads, lr)
+                    step += 1
+                break
+            except GradientError as exc:
+                if halvings == 3:
+                    raise GradientError(
+                        "entropy diverged after 3 learning-rate halvings: %s"
+                        % exc) from exc
+                halvings += 1
+                lr0 /= 2.0
+                snapshot, recorded, step = before
+                state.restore(snapshot)
+                trace.truncate(recorded)
     return state.params(), trace

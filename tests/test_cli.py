@@ -36,7 +36,9 @@ class TestExpand:
         assert len(lines) == 1 + 10  # header + one row per vocabulary word
         report = json.loads(read(out, "expand_report.json"))
         assert report["params"]["alpha"] == 6.0
-        assert report["solve"]["method"] in ("closed-form", "iterative")
+        assert report["solve"]["method"] == "closed-form"
+        assert 0.0 < report["solve"]["min_labeled_mass"] <= 1.0
+        assert 1.0 <= report["solve"]["cond_bound"] <= 1e12
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, seed=3)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import emolex.solver as solver_module
 from emolex import (EmotionSet, PropagationParams, baseline_expander,
                     corpus_lexicon_stats, count_classify, cross_validate,
-                    kl_divergence, label_prop_expander, load_corpus,
+                    expand, kl_divergence, label_prop_expander, load_corpus,
                     load_seed_lexicon, make_folds, micro_prf)
 from emolex.evaluate import CorpusFormatError
 
@@ -149,6 +150,39 @@ class TestCrossValidate:
         uni = cross_validate(store, seed, ekman, baseline_expander("uniform"),
                              k=4, rng_seed=0)
         assert lp.overall < uni.overall
+
+    def test_label_prop_builds_one_operator_per_run(self, ekman, monkeypatch):
+        store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 10)
+        params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
+        builds = []
+        build = solver_module.build_transition
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(solver_module, "build_transition", counting_build)
+        expander = label_prop_expander(params, solver="closed")
+        report = cross_validate(store, seed, ekman, expander, k=10, rng_seed=0)
+        assert len(builds) == 1
+
+        # The same folds, each expanded on its own build.
+        eligible = sorted(seed.entries)
+        plan = make_folds(eligible, 10, 0)
+        per_fold = []
+        for fold in range(10):
+            held_out = plan.fold_tokens(fold)
+            train = seed.subset(set(eligible) - set(held_out))
+            result = expand(store, train, ekman, params, solver="closed")
+            per_fold.append(float(np.mean(
+                [kl_divergence(seed.distribution(t), result.distribution(t))
+                 for t in held_out])))
+        assert report.per_fold == per_fold
+        assert len(builds) == 11
+
+        # The operator is released with its run: the next run builds again.
+        cross_validate(store, seed, ekman, expander, k=10, rng_seed=0)
+        assert len(builds) == 12
 
     def test_expander_failure_names_fold(self, ekman):
         store = two_cluster_store(6, dim=4, seed=6)

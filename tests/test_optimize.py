@@ -6,7 +6,7 @@ import pytest
 from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
                     entropy_gradient, fit_batched, fit_full, init_label_matrix,
                     unrolled_entropy)
-from emolex.optimize import OptimizerConfig, _sample_batch
+from emolex.optimize import GradientError, OptimizerConfig, _sample_batch
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
@@ -149,20 +149,6 @@ class TestFitFull:
         assert all(a >= b - 1e-12
                    for a, b in zip(trace.entropies, trace.entropies[1:]))
 
-    def test_vector_alpha_refused_on_large_graph(self, ekman):
-        store = two_cluster_store(5, dim=3, seed=7)
-        seed = two_cluster_seed(store, ekman, 1)
-        config = OptimizerConfig(mode="full", epochs=1)
-        import emolex.optimize as opt
-        old = opt.VECTOR_ALPHA_FULL_GRAPH_LIMIT
-        opt.VECTOR_ALPHA_FULL_GRAPH_LIMIT = 5
-        try:
-            with pytest.raises(ValueError, match="batch mode"):
-                fit_full(store, seed, config,
-                         init={"alpha": np.zeros(3)})
-        finally:
-            opt.VECTOR_ALPHA_FULL_GRAPH_LIMIT = old
-
 
 class TestFitBatched:
     def test_proportion_arithmetic(self):
@@ -201,6 +187,29 @@ class TestFitBatched:
         config = OptimizerConfig(mode="batch", batch_size=8, num_batches=1)
         with pytest.raises(ValueError, match="smaller"):
             fit_batched(store, seed, config)
+
+    # At these rates a batch drives every column mass of the graph to zero.
+    # From 3e5 three halvings of the rate recover; from 1e8 they do not.
+    def test_divergence_halves_rate(self, ekman):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        config = OptimizerConfig(mode="batch", learning_rate=3e5,
+                                 batch_size=12, num_batches=5,
+                                 epochs_per_batch=2, rng_seed=42)
+        params, trace = fit_batched(store, seed, config,
+                                    init={"alpha": 5.0, "b": 0.0})
+        assert len(trace.entropies) == 10
+        assert np.all(np.isfinite(trace.entropies))
+        assert np.isfinite(params.alpha) and np.isfinite(params.b)
+
+    def test_divergence_gives_up_after_three_halvings(self, ekman):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        config = OptimizerConfig(mode="batch", learning_rate=1e8,
+                                 batch_size=12, num_batches=5,
+                                 epochs_per_batch=2, rng_seed=42)
+        with pytest.raises(GradientError, match="3 learning-rate halvings"):
+            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
     def test_approximates_full_fit(self, ekman):
         # init must sit inside the shared descent basin; alpha=0 is a

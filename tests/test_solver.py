@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import emolex.solver as solver_module
 from emolex import (EmotionSet, LabelMatrix, PropagationParams, SeedLexicon,
                     expand, propagate_closed_form, propagate_iterative)
-from emolex.graph import build_transition
+from emolex.graph import NumericalDegeneracyError, build_transition
+from emolex.solver import MAX_CONDITION, solve
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
@@ -101,6 +103,58 @@ class TestClosedForm:
         tm, lm = random_instance(rng, 15, 4)
         solved, _ = propagate_closed_form(tm, lm)
         assert np.allclose(solved.rows.sum(axis=1), 1.0, atol=1e-8)
+
+
+    def test_condition_bound_reported(self):
+        rng = np.random.default_rng(5)
+        for trial in range(5):
+            n = int(rng.integers(8, 24))
+            tm, lm = random_instance(rng, n, max(2, n // 5))
+            _, report = propagate_closed_form(tm, lm)
+            u = ~lm.labeled_mask
+            t_uu = tm.apply(np.eye(n))[np.ix_(u, u)]
+            mass = np.min(1.0 - t_uu.sum(axis=1))
+            assert report.min_labeled_mass == pytest.approx(mass, rel=1e-9)
+            system = np.eye(int(u.sum())) - t_uu
+            assert report.cond_bound >= np.linalg.cond(system, np.inf) * (1 - 1e-9)
+            assert report.to_dict()["cond_bound"] == report.cond_bound
+
+    def test_ill_conditioned_system_refused(self):
+        # epsilon = 0 and a steep kernel: the unlabeled cluster opposite the
+        # seeds sends them about 1e-26 of its mass in one step.
+        rng = np.random.default_rng(6)
+        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        store = make_store(np.vstack([near, far]))
+        mask = np.array([True, True] + [False] * 6)
+        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
+        tm = build_transition(store, params, mask)
+        rows = np.full((8, 2), 0.5)
+        rows[0], rows[1] = [1.0, 0.0], [0.0, 1.0]
+        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
+            propagate_closed_form(tm, LabelMatrix(rows, mask))
+
+    def test_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("O(u^3) condition number computed")
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        tm, lm = random_instance(np.random.default_rng(7), 20, 4)
+        _, report = propagate_closed_form(tm, lm)
+        assert report.cond_bound <= MAX_CONDITION
+
+
+class TestSolve:
+    def test_auto_switches_on_unlabeled_count(self, monkeypatch):
+        tm, lm = random_instance(np.random.default_rng(8), 12, 3)
+        assert solve(tm, lm)[1].method == "closed-form"
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
+        assert solve(tm, lm)[1].method == "iterative"
+
+    def test_unknown_solver(self):
+        tm, lm = two_node_instance()
+        with pytest.raises(ValueError, match="unknown solver"):
+            solve(tm, lm, "cg")
 
 
 class TestPartition:
@@ -202,4 +256,5 @@ class TestExpand:
         result = expand(store, seed, emotions, params, solver="iterative")
         sidecar = result.sidecar()
         assert sidecar["solve"]["method"] == "iterative"
+        assert "cond_bound" not in sidecar["solve"]
         assert sidecar["params"]["epsilon"] == 0.1

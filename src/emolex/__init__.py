@@ -11,7 +11,7 @@ from .graph import (PropagationParams, TransitionOperator, build_transition,
 from .solver import (ExpansionResult, SolveReport, expand,
                      propagate_closed_form, propagate_iterative, solve)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
-                       fit_batched, fit_full, unrolled_entropy)
+                       fit_batched, fit_full)
 from .evaluate import (EvalReport, baseline_expander, corpus_lexicon_stats,
                        count_classify, cross_validate, kl_divergence,
                        label_prop_expander, load_corpus, make_folds,
@@ -29,6 +29,6 @@ __all__ = [
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
     "micro_prf", "propagate_closed_form", "propagate_iterative",
-    "seed_to_distribution", "solve", "unrolled_entropy",
-    "write_lexicon_json", "write_lexicon_tsv", "write_seed_lexicon",
+    "seed_to_distribution", "solve", "write_lexicon_json",
+    "write_lexicon_tsv", "write_seed_lexicon",
 ]

@@ -24,11 +24,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _atomic_write(path, text):
+def _replace(path, write):
+    """Call write(tmp) on a sibling temporary file, then move it to path."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write(tmp)
     os.replace(tmp, path)
+
+
+def _atomic_write(path, text):
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _replace(path, write)
 
 
 def _write_json(path, payload):
@@ -88,14 +95,17 @@ class RunConfig:
             return None
         if not has_params:
             raise ConfigError("fixed 'params' or a 'params_file' is required")
-        if "params_file" in self.data:
-            with open(self.data["params_file"], encoding="utf-8") as fh:
-                raw = json.load(fh)
-        else:
-            raw = self.data["params"]
+        raw = self._params_dict("params")
         if self.data.get("kernel"):
             raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
         return PropagationParams.from_dict(raw)
+
+    def _params_dict(self, key):
+        """The dict at `key`, or parsed from the file at `key`_file if given."""
+        if key + "_file" in self.data:
+            with open(self.data[key + "_file"], encoding="utf-8") as fh:
+                return json.load(fh)
+        return self.data[key]
 
     def optimizer_config(self):
         fit = dict(self.data.get("fit", {}))
@@ -111,6 +121,12 @@ def _kernel_name(short):
     return {"cosine": "cosine-logistic", "euclidean": "euclidean-rbf"}.get(short, short)
 
 
+def _solver_options(cfg):
+    return {"solver": cfg.get("solver", "auto"),
+            "tol": float(cfg.get("tol", 1e-6)),
+            "max_iter": int(cfg.get("max_iter", 1000))}
+
+
 def _load_inputs(cfg):
     emotions = cfg.emotions()
     store = load_embeddings(cfg.require_path("embeddings"))
@@ -122,20 +138,13 @@ def cmd_expand(cfg):
     store, seed, emotions = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
-    result = expand(store, seed, emotions, params,
-                    solver=cfg.get("solver", "auto"),
-                    tol=float(cfg.get("tol", 1e-6)),
-                    max_iter=int(cfg.get("max_iter", 1000)))
-    tsv = os.path.join(out, "expanded_lexicon.tsv")
-    tmp = tsv + ".tmp"
-    write_lexicon_tsv(tmp, store.vocab, result.distributions, emotions,
-                      result.labeled_mask)
-    os.replace(tmp, tsv)
-    jsn = os.path.join(out, "expanded_lexicon.json")
-    tmp = jsn + ".tmp"
-    write_lexicon_json(tmp, store.vocab, result.distributions, emotions,
-                       result.labeled_mask)
-    os.replace(tmp, jsn)
+    result = expand(store, seed, emotions, params, **_solver_options(cfg))
+    lexicon = (store.vocab, result.distributions, emotions,
+               result.labeled_mask)
+    _replace(os.path.join(out, "expanded_lexicon.tsv"),
+             lambda tmp: write_lexicon_tsv(tmp, *lexicon))
+    _replace(os.path.join(out, "expanded_lexicon.json"),
+             lambda tmp: write_lexicon_json(tmp, *lexicon))
     _write_json(os.path.join(out, "expand_report.json"), result.sidecar())
     return 0
 
@@ -150,9 +159,7 @@ def cmd_optimize(cfg):
     else:
         params, trace = fit_full(store, seed, config, init=init)
     _write_json(os.path.join(out, "params.json"), params.to_dict())
-    tmp = os.path.join(out, "trace.csv.tmp")
-    trace.to_csv(tmp)
-    os.replace(tmp, os.path.join(out, "trace.csv"))
+    _replace(os.path.join(out, "trace.csv"), trace.to_csv)
     _write_json(os.path.join(out, "optimize_meta.json"),
                 {"optimizer": config.to_dict(),
                  "final_entropy": trace.entropies[-1] if trace.entropies else None})
@@ -182,19 +189,14 @@ def cmd_evaluate(cfg):
                  ev.baseline_expander("majority", counts),
                  ev.baseline_expander("prior", counts)]
     labels = ["uniform", "majority", "prior"]
-    params = cfg.propagation_params()
-    expanders.append(ev.label_prop_expander(
-        params, solver=cfg.get("solver", "auto"),
-        tol=float(cfg.get("tol", 1e-6)), max_iter=int(cfg.get("max_iter", 1000))))
+    params = [cfg.propagation_params()]
     labels.append("label-propagation")
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
-        raw = cfg.get("batch_params")
-        if raw is None:
-            with open(cfg.get("batch_params_file"), encoding="utf-8") as fh:
-                raw = json.load(fh)
-        expanders.append(ev.label_prop_expander(
-            PropagationParams.from_dict(raw), solver=cfg.get("solver", "auto")))
+        params.append(PropagationParams.from_dict(
+            cfg._params_dict("batch_params")))
         labels.append("batch-label-propagation")
+    expanders += [ev.label_prop_expander(p, **_solver_options(cfg))
+                  for p in params]
 
     rows = []
     for label, expander in zip(labels, expanders):

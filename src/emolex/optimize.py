@@ -98,22 +98,21 @@ def _logit(p):
 
 
 def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
-                      want_grad=True, per_row=False):
+                      per_row=False):
     """Entropy of the K-step unrolled propagation and its analytic gradient.
 
     `unit` holds unit vectors and `y` label rows in the same node order;
     the rows where `labeled` is true are clamped to `y`, the others start
     uniform. Returns (H, {"alpha", "b", "eps_logit"}) with gradients matching
-    alpha's shape; the gradient dict is None when want_grad is false. With
-    per_row the objective is the mean entropy per unlabeled row, which leaves
-    the full-graph minimizer unchanged but makes batch-subgraph gradients
-    scale-comparable to full-graph ones.
+    alpha's shape. With per_row the objective is the mean entropy per
+    unlabeled row, which leaves the full-graph minimizer unchanged but makes
+    batch-subgraph gradients scale-comparable to full-graph ones.
     """
     n, m = y.shape
     unlabeled = ~labeled
     weights = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
     # A graph with an empty row or column at these parameters means the
-    # descent diverged; fit_full recovers from that by halving the rate.
+    # descent diverged; _descend recovers from that by halving the rate.
     try:
         tm = TransitionOperator(weights, epsilon)
     except NumericalDegeneracyError as exc:
@@ -130,9 +129,6 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     y_final = state[unlabeled]
     scale = 1.0 / len(y_final) if per_row else 1.0
     h = entropy(y_final) * scale
-
-    if not want_grad:
-        return h, None
 
     # dH/dY of each iterate after the first, labeled rows zero: the clamp
     # cuts them off.
@@ -186,14 +182,6 @@ def entropy_gradient(store, label_matrix, params, unroll_steps=10):
                              params.epsilon, unroll_steps)
 
 
-def unrolled_entropy(store, label_matrix, params, unroll_steps=10):
-    """Objective value only (used by tests for finite differencing)."""
-    h, _ = _forward_backward(store.unit_vectors, label_matrix.labeled_mask,
-                             label_matrix.rows, params.alpha, params.b,
-                             params.epsilon, unroll_steps, want_grad=False)
-    return h
-
-
 class _State:
     """Mutable (alpha, b, eps_logit) triple shared across descent steps."""
 
@@ -210,6 +198,9 @@ class _State:
         self.alpha = self.alpha - lr * grads["alpha"]
         self.b -= lr * grads["b"]
         self.eps_logit -= lr * grads["eps_logit"]
+        if not self.epsilon < 1.0:
+            raise GradientError("epsilon rounds to 1 at logit %g"
+                                % self.eps_logit)
 
     def params(self):
         return PropagationParams(COSINE_LOGISTIC, alpha=self.alpha.copy(),
@@ -231,44 +222,72 @@ def _grad_norm(grads):
 _DEFAULT_INIT = {"alpha": 0.0, "b": 0.0, "epsilon": 0.1}
 
 
+def _descend(store, label_matrix, batches, steps, config, init):
+    """Gradient descent on the per-row unrolled entropy, batch by batch.
+
+    Each batch (an index into the vocabulary) takes `steps` descent steps on
+    its own subgraph, the learning rate decaying with the global step count.
+    A step diverges when the entropy or a gradient is non-finite, the graph
+    is degenerate, or epsilon rounds to 1; the parameters, trace and step
+    count are then restored to their values before the batch and the batch
+    is retried at half the rate, up to three halvings in the whole descent.
+    Returns the state after the last step, a snapshot of the lowest-entropy
+    iterate of the last batch, and the trace.
+    """
+    init = dict(_DEFAULT_INIT, **(init or {}))
+    state = _State(init["alpha"], init["b"], init["epsilon"])
+    trace = OptTrace()
+    lr0 = config.learning_rate
+    halvings = 0
+    step = 0
+    for batch in batches:
+        unit = store.unit_vectors[batch]
+        labeled = label_matrix.labeled_mask[batch]
+        rows = label_matrix.rows[batch]
+        before = (state.snapshot(), len(trace.entropies), step)
+        while True:
+            best = (math.inf, state.snapshot())
+            try:
+                for _ in range(steps):
+                    epsilon = state.epsilon
+                    h, grads = _forward_backward(unit, labeled, rows,
+                                                 state.alpha, state.b, epsilon,
+                                                 config.unroll_steps,
+                                                 per_row=True)
+                    if not math.isfinite(h):
+                        raise GradientError("entropy diverged")
+                    trace.record(h, _grad_norm(grads), state.alpha, state.b,
+                                 epsilon)
+                    if h < best[0]:
+                        best = (h, state.snapshot())
+                    state.step(grads, lr0 / (1.0 + config.decay * step))
+                    step += 1
+                break
+            except GradientError as exc:
+                if halvings == 3:
+                    raise GradientError(
+                        "entropy diverged after 3 learning-rate halvings: %s"
+                        % exc) from exc
+                halvings += 1
+                lr0 /= 2.0
+                snapshot, recorded, step = before
+                state.restore(snapshot)
+                trace.truncate(recorded)
+    return state, best[1], trace
+
+
 def fit_full(store, seed, config, init=None):
     """Plain gradient descent on the full-graph unrolled entropy.
 
-    Runs config.epochs steps with multiplicative learning-rate decay,
-    tracking the best-entropy parameters. If the objective diverges the rate
-    is halved and the fit restarted, up to three times.
+    One batch of the whole vocabulary taking config.epochs steps, so a
+    divergence restarts the fit from `init` at half the rate. Returns the
+    lowest-entropy iterate.
     """
-    init = dict(_DEFAULT_INIT, **(init or {}))
     label_matrix, _ = init_label_matrix(store.vocab, seed)
-    alpha0 = np.asarray(init["alpha"], dtype=np.float64)
-    lr0 = config.learning_rate
-    last_error = None
-    for attempt in range(4):
-        state = _State(alpha0, init["b"], init["epsilon"])
-        trace = OptTrace()
-        best = (math.inf, state.snapshot())
-        try:
-            for epoch in range(config.epochs):
-                h, grads = _forward_backward(
-                    store.unit_vectors, label_matrix.labeled_mask,
-                    label_matrix.rows, state.alpha, state.b, state.epsilon,
-                    config.unroll_steps, per_row=True)
-                if not math.isfinite(h):
-                    raise GradientError("entropy diverged")
-                trace.record(h, _grad_norm(grads), state.alpha, state.b,
-                             state.epsilon)
-                if h < best[0]:
-                    best = (h, state.snapshot())
-                lr = lr0 / (1.0 + config.decay * epoch)
-                state.step(grads, lr)
-        except GradientError as exc:
-            last_error = exc
-            lr0 /= 2.0
-            continue
-        state.restore(best[1])
-        return state.params(), trace
-    raise GradientError("entropy diverged after 3 learning-rate halvings: %s"
-                        % last_error)
+    state, best, trace = _descend(store, label_matrix, [slice(None)],
+                                  config.epochs, config, init)
+    state.restore(best)
+    return state.params(), trace
 
 
 def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
@@ -286,14 +305,10 @@ def fit_batched(store, seed, config, init=None):
     """Shared-parameter descent over random vocabulary subsamples.
 
     Each batch fixes the labeled/unlabeled proportion of the full graph,
-    builds only its own submatrix, and applies config.epochs_per_batch
-    descent steps to the shared parameters. If a batch diverges, the
-    parameters are restored to their values before it and the batch is
-    retried at half the learning rate, up to three halvings in the whole
-    fit. The last iterate is returned: entropies of different subgraphs do
-    not rank parameters.
+    builds only its own submatrix, and takes config.epochs_per_batch
+    descent steps on the shared parameters. The last iterate is returned:
+    entropies of different subgraphs do not rank parameters.
     """
-    init = dict(_DEFAULT_INIT, **(init or {}))
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
     label_matrix, _ = init_label_matrix(store.vocab, seed)
@@ -301,50 +316,10 @@ def fit_batched(store, seed, config, init=None):
     unlabeled_idx = np.flatnonzero(~label_matrix.labeled_mask)
     if labeled_idx.size == 0 or unlabeled_idx.size == 0:
         raise ValueError("need at least one labeled and one unlabeled node")
-
     rng = np.random.default_rng(config.rng_seed)
-    state = _State(init["alpha"], init["b"], init["epsilon"])
-    trace = OptTrace()
-    lr0 = config.learning_rate
-    halvings = 0
-    step = 0
-    for _ in range(config.num_batches):
-        for attempt in range(10):
-            try:
-                batch = _sample_batch(rng, labeled_idx, unlabeled_idx,
-                                      config.batch_size, len(store))
-                break
-            except ValueError:
-                if attempt == 9:
-                    raise
-        unit = store.unit_vectors[batch]
-        labeled = label_matrix.labeled_mask[batch]
-        rows = label_matrix.rows[batch]
-        before = (state.snapshot(), len(trace.entropies), step)
-        while True:
-            try:
-                for _ in range(config.epochs_per_batch):
-                    h, grads = _forward_backward(unit, labeled, rows,
-                                                 state.alpha, state.b,
-                                                 state.epsilon,
-                                                 config.unroll_steps,
-                                                 per_row=True)
-                    if not math.isfinite(h):
-                        raise GradientError("entropy diverged")
-                    trace.record(h, _grad_norm(grads), state.alpha, state.b,
-                                 state.epsilon)
-                    lr = lr0 / (1.0 + config.decay * step)
-                    state.step(grads, lr)
-                    step += 1
-                break
-            except GradientError as exc:
-                if halvings == 3:
-                    raise GradientError(
-                        "entropy diverged after 3 learning-rate halvings: %s"
-                        % exc) from exc
-                halvings += 1
-                lr0 /= 2.0
-                snapshot, recorded, step = before
-                state.restore(snapshot)
-                trace.truncate(recorded)
+    batches = (_sample_batch(rng, labeled_idx, unlabeled_idx,
+                             config.batch_size, len(store))
+               for _ in range(config.num_batches))
+    state, _, trace = _descend(store, label_matrix, batches,
+                               config.epochs_per_batch, config, init)
     return state.params(), trace

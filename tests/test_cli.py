@@ -4,6 +4,7 @@ import os
 import jsonschema
 import pytest
 
+from emolex import evaluate as ev
 from emolex.cli import main
 
 from conftest import data_path
@@ -154,6 +155,28 @@ class TestEvaluate:
             jsonschema.validate(report, json.load(fh))
         table = read(out, "eval_table.txt")
         assert "label-propagation" in table
+
+    def test_both_propagation_rows_use_configured_solver(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        build = ev.label_prop_expander
+
+        def recording_build(params, **kwargs):
+            calls.append((params.alpha, kwargs))
+            return build(params, **kwargs)
+
+        monkeypatch.setattr(ev, "label_prop_expander", recording_build)
+        batch_file = tmp_path / "batch_params.json"
+        batch_file.write_text(json.dumps(dict(PARAMS, alpha=5.0)),
+                              encoding="utf-8")
+        config = write_config(tmp_path, params=PARAMS,
+                              batch_params_file=str(batch_file),
+                              corpus=data_path("mini_corpus.tsv"),
+                              k_folds=3, solver="iterative", tol=1e-9,
+                              max_iter=5000)
+        assert main(["evaluate", "--config", config]) == 0
+        options = {"solver": "iterative", "tol": 1e-9, "max_iter": 5000}
+        assert calls == [(6.0, options), (5.0, options)]
 
     def test_class_counts_inline(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, k_folds=3,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import emolex.optimize
 from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
-                    entropy_gradient, fit_batched, fit_full, init_label_matrix,
-                    unrolled_entropy)
+                    entropy_gradient, fit_batched, fit_full, init_label_matrix)
 from emolex.optimize import GradientError, OptimizerConfig, _sample_batch
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
@@ -57,7 +57,7 @@ def fd_gradient(store, lm, params, unroll_steps, h=1e-5):
         eps = 1.0 / (1.0 + math.exp(-rho))
         a = float(alpha_v[0]) if scalar else alpha_v
         p = PropagationParams(alpha=a, b=b, epsilon=eps)
-        return unrolled_entropy(store, lm, p, unroll_steps)
+        return entropy_gradient(store, lm, p, unroll_steps)[0]
 
     g_alpha = np.zeros_like(alpha)
     for k in range(alpha.size):
@@ -130,10 +130,10 @@ class TestFitFull:
         config = OptimizerConfig(mode="full", learning_rate=0.05, epochs=40)
         params, trace = fit_full(store, seed, config)
         lm, _ = init_label_matrix(store.vocab, seed, ekman)
-        h_init = unrolled_entropy(
+        h_init = entropy_gradient(
             store, lm, PropagationParams(alpha=0.0, b=0.0, epsilon=0.1),
-            config.unroll_steps)
-        h_fit = unrolled_entropy(store, lm, params, config.unroll_steps)
+            config.unroll_steps)[0]
+        h_fit = entropy_gradient(store, lm, params, config.unroll_steps)[0]
         assert h_fit < h_init
 
     def test_zero_epochs_rejected(self):
@@ -148,6 +148,34 @@ class TestFitFull:
         _, trace = fit_full(store, seed, config)
         assert all(a >= b - 1e-12
                    for a, b in zip(trace.entropies, trace.entropies[1:]))
+
+    # At these rates a step drives every column mass of the graph to zero.
+    # From 1e6 the fit restarts twice from init and then finishes; from 1e7
+    # three halvings of the rate do not recover.
+    def test_divergence_restarts_at_half_rate(self, ekman):
+        store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
+        seed = two_cluster_seed(store, ekman, 10)
+        config = OptimizerConfig(mode="full", learning_rate=1e6, epochs=6)
+        init = {"alpha": 5.0, "b": 0.0}
+        params, trace = fit_full(store, seed, config, init=init)
+        assert len(trace.entropies) == config.epochs
+        assert np.all(np.isfinite(trace.entropies))
+        lm, _ = init_label_matrix(store.vocab, seed, ekman)
+        h_init = entropy_gradient(
+            store, lm, PropagationParams(alpha=5.0, b=0.0, epsilon=0.1),
+            config.unroll_steps)[0]
+        n_unlabeled = int(np.sum(~lm.labeled_mask))
+        assert trace.entropies[0] == pytest.approx(h_init / n_unlabeled,
+                                                   rel=1e-12)
+        assert np.isfinite(params.alpha) and np.isfinite(params.b)
+        assert 0.0 <= params.epsilon < 1.0
+
+    def test_divergence_gives_up_after_three_halvings(self, ekman):
+        store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
+        seed = two_cluster_seed(store, ekman, 10)
+        config = OptimizerConfig(mode="full", learning_rate=1e7, epochs=6)
+        with pytest.raises(GradientError, match="3 learning-rate halvings"):
+            fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
 
 class TestFitBatched:
@@ -210,6 +238,33 @@ class TestFitBatched:
                                  epochs_per_batch=2, rng_seed=42)
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
             fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+
+    # A step of 1e6 pushes the epsilon logit past ~37, where its logistic
+    # rounds to exactly 1; that counts as divergence like any other.
+    def test_saturated_epsilon_is_divergence(self, ekman):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        config = OptimizerConfig(mode="batch", learning_rate=1e6,
+                                 batch_size=12, num_batches=5,
+                                 epochs_per_batch=2, rng_seed=42)
+        with pytest.raises(GradientError, match="3 learning-rate halvings"):
+            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 5.0})
+
+    def test_batch_of_one_fails_on_first_draw(self, ekman, monkeypatch):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        draws = []
+        sample = emolex.optimize._sample_batch
+
+        def counting_sample(*args):
+            draws.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(emolex.optimize, "_sample_batch", counting_sample)
+        config = OptimizerConfig(mode="batch", batch_size=1, num_batches=5)
+        with pytest.raises(ValueError, match="no labeled or no unlabeled"):
+            fit_batched(store, seed, config)
+        assert len(draws) == 1
 
     def test_approximates_full_fit(self, ekman):
         # init must sit inside the shared descent basin; alpha=0 is a

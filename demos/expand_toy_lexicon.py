@@ -32,9 +32,9 @@ def main():
     params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.02)
 
     result = expand(store, seed, emotions, params)
-    print("solver: %s, iterations: %s, residual: %.2e" % (
+    print("solver: %s, iterations: %s, residual: %.2e, error bound: %.2e" % (
         result.report.method, result.report.iterations,
-        result.report.residual))
+        result.report.residual, result.report.error_bound))
     print()
     print("%-10s %-10s %s" % ("word", "argmax", "distribution"))
     for word in ("sunny_0", "sunny_7", "sunny_15", "grim_0", "grim_7",

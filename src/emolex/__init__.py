@@ -9,7 +9,8 @@ from .lexicon import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
 from .graph import (PropagationParams, TransitionOperator, build_transition,
                     edge_weight)
 from .solver import (ExpansionResult, SolveReport, expand,
-                     propagate_closed_form, propagate_iterative, solve)
+                     propagate_cg, propagate_closed_form,
+                     propagate_iterative, solve)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
                        fit_batched, fit_full)
 from .evaluate import (EvalReport, baseline_expander, corpus_lexicon_stats,
@@ -28,7 +29,7 @@ __all__ = [
     "edge_weight", "entropy", "entropy_gradient", "expand", "fit_batched",
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
-    "micro_prf", "propagate_closed_form", "propagate_iterative",
-    "seed_to_distribution", "solve", "write_lexicon_json",
-    "write_lexicon_tsv", "write_seed_lexicon",
+    "micro_prf", "propagate_cg", "propagate_closed_form",
+    "propagate_iterative", "seed_to_distribution", "solve",
+    "write_lexicon_json", "write_lexicon_tsv", "write_seed_lexicon",
 ]

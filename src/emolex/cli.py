@@ -24,6 +24,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ConvergenceError(RuntimeError):
+    """The solve ended without certifying its result within tol."""
+
+
 def _replace(path, write):
     """Call write(tmp) on a sibling temporary file, then move it to path."""
     tmp = path + ".tmp"
@@ -138,7 +142,14 @@ def cmd_expand(cfg):
     store, seed, emotions = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
-    result = expand(store, seed, emotions, params, **_solver_options(cfg))
+    options = _solver_options(cfg)
+    result = expand(store, seed, emotions, params, **options)
+    report = result.report
+    if not report.converged:
+        raise ConvergenceError(
+            "%s solve did not converge in %d iterations: error bound %.3g "
+            "exceeds tol %g" % (report.method, report.iterations,
+                                report.error_bound, options["tol"]))
     lexicon = (store.vocab, result.distributions, emotions,
                result.labeled_mask)
     _replace(os.path.join(out, "expanded_lexicon.tsv"),
@@ -162,7 +173,8 @@ def cmd_optimize(cfg):
     _replace(os.path.join(out, "trace.csv"), trace.to_csv)
     _write_json(os.path.join(out, "optimize_meta.json"),
                 {"optimizer": config.to_dict(),
-                 "final_entropy": trace.entropies[-1] if trace.entropies else None})
+                 "final_entropy": trace.entropies[-1] if trace.entropies else None,
+                 "params_epoch": trace.params_epoch})
     return 0
 
 
@@ -262,7 +274,7 @@ def build_parser():
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--seed", type=int, help="override the run rng seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--solver", choices=["iterative", "closed", "auto"])
+        p.add_argument("--solver", choices=["iterative", "closed", "cg", "auto"])
         p.add_argument("--kernel", choices=["cosine", "euclidean"])
         p.add_argument("--mode", choices=["full", "batch"])
     return parser

@@ -55,11 +55,15 @@ class OptimizerConfig:
 
 @dataclass
 class OptTrace:
+    """One row per descent step. `params_epoch` is the row whose
+    parameters the fit returned, when it returns a recorded iterate."""
+
     entropies: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     bs: list = field(default_factory=list)
     epsilons: list = field(default_factory=list)
+    params_epoch: int = None
 
     def record(self, entropy_value, grad_norm, alpha, b, epsilon):
         self.entropies.append(float(entropy_value))
@@ -198,9 +202,10 @@ class _State:
         self.alpha = self.alpha - lr * grads["alpha"]
         self.b -= lr * grads["b"]
         self.eps_logit -= lr * grads["eps_logit"]
-        if not self.epsilon < 1.0:
-            raise GradientError("epsilon rounds to 1 at logit %g"
-                                % self.eps_logit)
+        epsilon = self.epsilon
+        if not 0.0 < epsilon < 1.0:
+            raise GradientError("epsilon rounds to %g at logit %g"
+                                % (epsilon, self.eps_logit))
 
     def params(self):
         return PropagationParams(COSINE_LOGISTIC, alpha=self.alpha.copy(),
@@ -228,11 +233,12 @@ def _descend(store, label_matrix, batches, steps, config, init):
     Each batch (an index into the vocabulary) takes `steps` descent steps on
     its own subgraph, the learning rate decaying with the global step count.
     A step diverges when the entropy or a gradient is non-finite, the graph
-    is degenerate, or epsilon rounds to 1; the parameters, trace and step
-    count are then restored to their values before the batch and the batch
-    is retried at half the rate, up to three halvings in the whole descent.
-    Returns the state after the last step, a snapshot of the lowest-entropy
-    iterate of the last batch, and the trace.
+    is degenerate, or epsilon rounds to 0 or 1; the parameters, trace and
+    step count are then restored to their values before the batch and the
+    batch is retried at half the rate, up to three halvings in the whole
+    descent. Returns the state after the last step, the trace row and a
+    snapshot of the lowest-entropy iterate of the last batch, and the
+    trace.
     """
     init = dict(_DEFAULT_INIT, **(init or {}))
     state = _State(init["alpha"], init["b"], init["epsilon"])
@@ -246,7 +252,7 @@ def _descend(store, label_matrix, batches, steps, config, init):
         rows = label_matrix.rows[batch]
         before = (state.snapshot(), len(trace.entropies), step)
         while True:
-            best = (math.inf, state.snapshot())
+            best = (math.inf, None, state.snapshot())
             try:
                 for _ in range(steps):
                     epsilon = state.epsilon
@@ -259,7 +265,7 @@ def _descend(store, label_matrix, batches, steps, config, init):
                     trace.record(h, _grad_norm(grads), state.alpha, state.b,
                                  epsilon)
                     if h < best[0]:
-                        best = (h, state.snapshot())
+                        best = (h, len(trace.entropies) - 1, state.snapshot())
                     state.step(grads, lr0 / (1.0 + config.decay * step))
                     step += 1
                 break
@@ -273,7 +279,7 @@ def _descend(store, label_matrix, batches, steps, config, init):
                 snapshot, recorded, step = before
                 state.restore(snapshot)
                 trace.truncate(recorded)
-    return state, best[1], trace
+    return state, best[1:], trace
 
 
 def fit_full(store, seed, config, init=None):
@@ -281,12 +287,13 @@ def fit_full(store, seed, config, init=None):
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from `init` at half the rate. Returns the
-    lowest-entropy iterate.
+    lowest-entropy iterate; the trace's `params_epoch` is its row.
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
-    state, best, trace = _descend(store, label_matrix, [slice(None)],
-                                  config.epochs, config, init)
+    state, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
+                                           config.epochs, config, init)
     state.restore(best)
+    trace.params_epoch = epoch
     return state.params(), trace
 
 

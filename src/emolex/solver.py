@@ -1,5 +1,6 @@
-"""Label propagation solvers: clamped fixed-point iteration and the
-closed-form linear solve, plus the end-to-end expansion entry point."""
+"""Label propagation solvers: clamped fixed-point iteration, the
+closed-form linear solve and preconditioned conjugate gradients, plus the
+end-to-end expansion entry point."""
 
 from dataclasses import dataclass, field
 
@@ -19,25 +20,32 @@ MAX_CONDITION = 1e12
 
 @dataclass
 class SolveReport:
-    """How a solve went. `cond_bound` and `min_labeled_mass` are set by the
-    closed form only: the condition bound it checked and the smallest
-    one-step probability mass of an unlabeled row onto the seeds."""
+    """How a solve went.
+
+    `error_bound` bounds the max-abs error of the returned unlabeled rows:
+    their residual divided by `min_labeled_mass`, the smallest one-step
+    probability mass of an unlabeled row onto the seeds. `converged` means
+    that bound is within the solve's tol. `cond_bound`, the condition bound
+    the closed form checks before it factors, is set by that method only.
+    """
 
     method: str
     iterations: int
     final_delta: float
     residual: float
     converged: bool = True
-    cond_bound: float = None
+    error_bound: float = 0.0
     min_labeled_mass: float = None
+    cond_bound: float = None
 
     def to_dict(self):
         d = {"method": self.method, "iterations": self.iterations,
              "final_delta": self.final_delta, "residual": self.residual,
-             "converged": self.converged}
+             "converged": self.converged, "error_bound": self.error_bound}
+        if self.min_labeled_mass is not None:
+            d["min_labeled_mass"] = self.min_labeled_mass
         if self.cond_bound is not None:
             d["cond_bound"] = self.cond_bound
-            d["min_labeled_mass"] = self.min_labeled_mass
         return d
 
 
@@ -48,26 +56,59 @@ def _residual(tm, y, unlabeled):
     return float(np.max(np.abs(y[unlabeled] - tm.apply(y)[unlabeled])))
 
 
+def _labeled_mass(tm, labeled):
+    """The smallest one-step mass m_i = (T 1_L)_i of an unlabeled row onto
+    the seeds.
+
+    T is row-stochastic, so m_i = 1 - sum_j (T_uu)_ij and
+    ||(I - T_uu)^{-1}||_inf <= 1 / min m: a solution of the unlabeled system
+    with residual r is within r / min m of the exact one, and the fixed-point
+    sweep contracts by 1 - min m. Raises when min m is not positive, since
+    then no bound holds. With no unlabeled row it is 1.
+    """
+    if np.all(labeled):
+        return 1.0
+    mass = float(np.min(tm.apply(labeled[:, None].astype(np.float64))[~labeled]))
+    if not mass > 0:
+        raise NumericalDegeneracyError(
+            "(I - T_uu) is ill-conditioned: an unlabeled row sends %.3g of its "
+            "mass to the seeds; consider epsilon smoothing" % mass)
+    return mass
+
+
+def _certified(method, iterations, delta, residual, mass, tol, **extra):
+    bound = residual / mass
+    return SolveReport(method, iterations, delta, residual, bound <= tol,
+                       bound, mass, **extra)
+
+
+def _check_inputs(label_matrix, tol):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not np.any(label_matrix.labeled_mask):
+        raise ValueError("need at least one labeled row")
+
+
 def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     """Repeat Y <- T Y, then clamp the labeled rows again.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; the operator
-    does not depend on it. Stops when the max-abs change of a sweep drops
-    below tol. Rows are re-normalized each sweep to cap floating-point drift
-    (a guard, not an algorithm change). Labeled rows are returned bit-equal
-    to the input.
+    does not depend on it. The sweep contracts the error by rho = 1 - min m
+    (see `_labeled_mass`), so a sweep that changes Y by delta leaves it
+    within delta * rho / (1 - rho) of the fixed point; the loop stops once
+    that is at most tol. Rows are re-normalized each sweep to cap
+    floating-point drift (a guard, not an algorithm change). Labeled rows
+    are returned bit-equal to the input.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_inputs(label_matrix, tol)
     labeled = label_matrix.labeled_mask
-    if not np.any(labeled):
-        raise ValueError("need at least one labeled row")
     seeds = label_matrix.labeled_rows
     y = label_matrix.rows.copy()
+    mass = _labeled_mass(tm, labeled)
+    contraction = (1.0 - mass) / mass
 
     iterations = 0
     delta = np.inf
-    converged = False
     while iterations < max_iter:
         new = tm.apply(y)
         new /= new.sum(axis=1, keepdims=True)
@@ -75,37 +116,35 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
         delta = float(np.max(np.abs(new - y)))
         y = new
         iterations += 1
-        if delta < tol:
-            converged = True
+        if delta * contraction <= tol:
             break
 
-    report = SolveReport("iterative", iterations, delta,
-                         _residual(tm, y, ~labeled), converged)
+    report = _certified("iterative", iterations, delta,
+                        _residual(tm, y, ~labeled), mass, tol)
     return LabelMatrix(y, labeled), report
 
 
-def propagate_closed_form(tm, label_matrix):
+def propagate_closed_form(tm, label_matrix, tol=1e-6):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
     gathered from the operator by that mask. The system is checked in O(n^2)
-    before it is factored: T is row-stochastic, so the mass m_i = (T 1_L)_i
-    an unlabeled row sends to the seeds in one step is 1 - sum_j (T_uu)_ij,
-    ||(I - T_uu)^{-1}||_inf <= 1 / min m and the infinity-norm condition
-    number is at most (2 - min m) / min m. Fails with a diagnostic when that
-    bound exceeds MAX_CONDITION, when (I - T_uu) is singular, or when the
-    solution is not finite (possible only at epsilon = 0 with a component
-    disconnected in probability from the labeled set).
+    before it is factored: with m = T 1_L (see `_labeled_mass`) the
+    infinity-norm condition number is at most (2 - min m) / min m. Fails
+    with a diagnostic when that bound exceeds MAX_CONDITION, when
+    (I - T_uu) is singular, or when the solution is not finite (possible
+    only at epsilon = 0 with a component disconnected in probability from
+    the labeled set). `tol` only decides whether the error bound of the
+    solution counts as converged.
     """
+    _check_inputs(label_matrix, tol)
     labeled = label_matrix.labeled_mask
-    if not np.any(labeled):
-        raise ValueError("need at least one labeled row")
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
     if unlabeled.size == 0:
         return LabelMatrix(y, labeled), SolveReport("closed-form", 0, 0.0, 0.0)
-    mass = float(np.min(tm.apply(labeled[:, None].astype(np.float64))[unlabeled]))
-    cond_bound = (2.0 - mass) / mass if mass > 0 else np.inf
+    mass = _labeled_mass(tm, labeled)
+    cond_bound = (2.0 - mass) / mass
     if not cond_bound <= MAX_CONDITION:
         raise NumericalDegeneracyError(
             "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
@@ -125,24 +164,127 @@ def propagate_closed_form(tm, label_matrix):
         raise NumericalDegeneracyError(
             "(I - T_uu) is ill-conditioned; consider epsilon smoothing")
     y[unlabeled] = y_u
-    report = SolveReport("closed-form", 1, 0.0, _residual(tm, y, ~labeled),
-                         cond_bound=cond_bound, min_labeled_mass=mass)
+    report = _certified("closed-form", 1, 0.0, _residual(tm, y, ~labeled),
+                        mass, tol, cond_bound=cond_bound)
+    return LabelMatrix(y, labeled), report
+
+
+def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
+    """Solve (I - T_uu) Y_U = T_ul Y_L by Jacobi-preconditioned conjugate
+    gradients, without gathering T_uu.
+
+    With B = I - (1 - eps) D_r^-1 W_uu D_c^-1 the system is
+    B y - (eps/n) 1 1^T y = rhs. Substituting y = D_c x and multiplying by
+    D_r turns B y = b into A x = D_r b with A = D_r D_c - (1 - eps) W_uu,
+    symmetric positive definite. The rank-one term is handled by
+    Sherman-Morrison: with B y1 = rhs and B s = 1, the solution is
+    y1 + sigma s, sigma = (eps/n) 1^T y1 / (1 - (eps/n) 1^T s). All m + 1
+    columns run in lockstep, each with its own step, so one iteration is
+    one product with W. A column whose residual is zero (an emotion no seed
+    carries) is converged, not a breakdown.
+
+    The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
+    once that estimate divided by min m (see `_labeled_mass`) is within tol,
+    the rows are clipped at 0 and re-normalized, and one true product with
+    T confirms the bound before the solve counts as converged.
+    """
+    _check_inputs(label_matrix, tol)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    labeled = label_matrix.labeled_mask
+    unlabeled = np.flatnonzero(~labeled)
+    y = label_matrix.rows.copy()
+    if unlabeled.size == 0:
+        return LabelMatrix(y, labeled), SolveReport("cg", 0, 0.0, 0.0)
+    mass = _labeled_mass(tm, labeled)
+    n, m = y.shape
+    row, col = tm.row[unlabeled], tm.col[unlabeled]
+    keep = 1.0 - tm.epsilon
+    smooth = tm.epsilon / n
+    scale = (row * col)[:, None]
+    y[unlabeled] = 0.0
+    b = np.empty((unlabeled.size, m + 1))
+    b[:, :m] = tm.apply(y)[unlabeled]
+    b[:, m] = 1.0
+    b *= row[:, None]
+    precondition = 1.0 / (row * col - keep * tm.w[unlabeled, unlabeled])[:, None]
+    pad = np.zeros((n, m + 1))
+
+    def apply_a(p):
+        # W_uu p through the whole of W (symmetric), never gathered.
+        pad[unlabeled] = p
+        out = (pad.T @ tm.w).T[unlabeled]
+        out *= -keep
+        out += scale * p
+        return out
+
+    def combine(x):
+        y1 = x * col[:, None]
+        sigma = smooth * y1[:, :m].sum(axis=0) / (1.0 - smooth * y1[:, m].sum())
+        return y1[:, :m] + y1[:, m:] * sigma, sigma
+
+    def settle(y_u):
+        # Clip, re-normalize and place the rows; return their true residual.
+        rows = np.maximum(y_u, 0.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        y[unlabeled] = rows
+        return _residual(tm, y, ~labeled)
+
+    x = np.zeros_like(b)
+    res = b.copy()
+    z = res * precondition
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", res, z)
+    y_u = np.zeros((unlabeled.size, m))
+    iterations = 0
+    delta = np.inf
+    residual = None
+    while iterations < max_iter:
+        q = apply_a(p)
+        pq = np.einsum("ij,ij->j", p, q)
+        live = rz > 0
+        if np.any(pq[live] <= 0):
+            raise NumericalDegeneracyError(
+                "(I - T_uu) is not positive definite; consider epsilon smoothing")
+        step = np.divide(rz, pq, out=np.zeros_like(rz), where=live)
+        x += step * p
+        res -= step * q
+        iterations += 1
+        new, sigma = combine(x)
+        delta = float(np.max(np.abs(new - y_u)))
+        y_u = new
+        residual = None
+        estimate = np.max(np.abs(res[:, :m] + res[:, m:] * sigma) / row[:, None])
+        if estimate / mass <= tol:
+            residual = settle(y_u)
+            if residual / mass <= tol:
+                break
+        z = res * precondition
+        rz_next = np.einsum("ij,ij->j", res, z)
+        p *= np.divide(rz_next, rz, out=np.zeros_like(rz), where=live)
+        p += z
+        rz = rz_next
+    if residual is None:
+        residual = settle(y_u)
+    report = _certified("cg", iterations, delta, residual, mass, tol)
     return LabelMatrix(y, labeled), report
 
 
 def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
     """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
 
-    `solver` is "iterative", "closed", or "auto": the closed form up to
-    CLOSED_FORM_MAX_UNLABELED unlabeled rows, the iterative solver above.
+    `solver` is "iterative", "closed", "cg", or "auto": the closed form up
+    to CLOSED_FORM_MAX_UNLABELED unlabeled rows, conjugate gradients above.
     """
     if solver == "auto":
         n_unlabeled = tm.n - label_matrix.n_labeled
-        solver = "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "iterative"
+        solver = "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg"
     if solver == "closed":
-        return propagate_closed_form(tm, label_matrix)
+        return propagate_closed_form(tm, label_matrix, tol=tol)
     if solver == "iterative":
         return propagate_iterative(tm, label_matrix, tol=tol, max_iter=max_iter)
+    if solver == "cg":
+        return propagate_cg(tm, label_matrix, tol=tol, max_iter=max_iter)
     raise ValueError("unknown solver %r" % solver)
 
 

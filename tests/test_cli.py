@@ -40,6 +40,39 @@ class TestExpand:
         assert report["solve"]["method"] == "closed-form"
         assert 0.0 < report["solve"]["min_labeled_mass"] <= 1.0
         assert 1.0 <= report["solve"]["cond_bound"] <= 1e12
+        assert report["solve"]["converged"]
+        assert report["solve"]["error_bound"] <= 1e-6
+
+    def test_cg_solver_flag(self, tmp_path):
+        def rows(out):
+            lines = read(out, "expanded_lexicon.tsv").strip().split("\n")
+            return [line.split("\t") for line in lines[1:]]
+
+        config = write_config(tmp_path, params=PARAMS)
+        assert main(["expand", "--config", config]) == 0
+        other = str(tmp_path / "cg")
+        assert main(["expand", "--config", config, "--out", other,
+                     "--solver", "cg"]) == 0
+        report = json.loads(read(other, "expand_report.json"))
+        assert report["solve"]["method"] == "cg"
+        assert report["solve"]["converged"]
+        for closed, cg in zip(rows(str(tmp_path / "out")), rows(other),
+                              strict=True):
+            assert cg[0] == closed[0] and cg[-1] == closed[-1]
+            assert [float(v) for v in cg[1:-1]] == pytest.approx(
+                [float(v) for v in closed[1:-1]], abs=1e-6)
+
+    @pytest.mark.parametrize("solver", ["iterative", "cg"])
+    def test_unconverged_solve_fails_without_artifacts(self, tmp_path, capsys,
+                                                       solver):
+        config = write_config(tmp_path, params=PARAMS, solver=solver,
+                              max_iter=1)
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+        assert "error bound" in err["message"]
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, seed=3)
@@ -91,7 +124,13 @@ class TestOptimize:
         assert len(trace) == 6
         meta = json.loads(read(out, "optimize_meta.json"))
         assert meta["optimizer"]["epochs"] == 5
-        assert meta["final_entropy"] is not None
+        assert meta["final_entropy"] == float(trace[-1].split(",")[1])
+        # params.json holds the lowest-entropy iterate, which params_epoch
+        # names in the trace.
+        row = trace[1 + meta["params_epoch"]].split(",")
+        assert float(row[1]) == min(float(r.split(",")[1]) for r in trace[1:])
+        assert params["b"] == float(row[4])
+        assert params["epsilon"] == float(row[5])
 
     def test_batch_mode_echoes_config(self, tmp_path):
         config = write_config(tmp_path,
@@ -101,6 +140,7 @@ class TestOptimize:
         assert main(["optimize", "--config", config]) == 0
         meta = json.loads(read(str(tmp_path / "out"), "optimize_meta.json"))
         assert meta["optimizer"]["mode"] == "batch"
+        assert meta["params_epoch"] is None
         assert meta["optimizer"]["batch_size"] == 6
         assert meta["optimizer"]["rng_seed"] == 11
 

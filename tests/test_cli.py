@@ -1,9 +1,11 @@
 import json
 import os
+import weakref
 
 import jsonschema
 import pytest
 
+import emolex.solver as solver_module
 from emolex import evaluate as ev
 from emolex.cli import main
 
@@ -217,6 +219,35 @@ class TestEvaluate:
         assert main(["evaluate", "--config", config]) == 0
         options = {"solver": "iterative", "tol": 1e-9, "max_iter": 5000}
         assert calls == [(6.0, options), (5.0, options)]
+
+    def test_unconverged_fold_fails_without_artifacts(self, tmp_path, capsys):
+        config = write_config(tmp_path, params=PARAMS,
+                              corpus=data_path("mini_corpus.tsv"),
+                              k_folds=3, solver="iterative", max_iter=1)
+        assert main(["evaluate", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "fold 0" in err["message"]
+        assert "did not converge" in err["message"]
+        out = tmp_path / "out"
+        assert not (out / "eval_report.json").exists()
+        assert not (out / "eval_table.txt").exists()
+
+    def test_one_graph_operator_alive_at_a_time(self, tmp_path, monkeypatch):
+        built = []
+        build = solver_module.build_transition
+
+        def tracking_build(*args, **kwargs):
+            assert all(ref() is None for ref in built)
+            tm = build(*args, **kwargs)
+            built.append(weakref.ref(tm))
+            return tm
+
+        monkeypatch.setattr(solver_module, "build_transition", tracking_build)
+        config = write_config(tmp_path, params=PARAMS,
+                              batch_params=dict(PARAMS, alpha=5.0),
+                              corpus=data_path("mini_corpus.tsv"), k_folds=3)
+        assert main(["evaluate", "--config", config]) == 0
+        assert len(built) == 2
 
     def test_class_counts_inline(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, k_folds=3,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import emolex.solver as solver_module
-from emolex import (EmotionSet, PropagationParams, baseline_expander,
-                    corpus_lexicon_stats, count_classify, cross_validate,
-                    expand, kl_divergence, label_prop_expander, load_corpus,
-                    load_seed_lexicon, make_folds, micro_prf)
+from emolex import (ConvergenceError, EmotionSet, PropagationParams,
+                    baseline_expander, corpus_lexicon_stats, count_classify,
+                    cross_validate, expand, kl_divergence,
+                    label_prop_expander, load_corpus, load_seed_lexicon,
+                    make_folds, micro_prf)
 from emolex.evaluate import CorpusFormatError
 
 from conftest import data_path, make_store, two_cluster_seed, two_cluster_store
@@ -39,6 +40,28 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [1.5, -0.5])
 
+    @pytest.mark.parametrize("m", [6, 12])
+    def test_rows_match_single_calls_bit_for_bit(self, m):
+        rng = np.random.default_rng(1)
+        gold = rng.dirichlet(np.ones(m), size=8)
+        gold[::2, 1:4] = 0.0
+        gold /= gold.sum(axis=1, keepdims=True)
+        predicted = rng.dirichlet(np.ones(m), size=8)
+        predicted[1::3, :2] = 0.0  # floored where gold has mass
+        predicted /= predicted.sum(axis=1, keepdims=True)
+        rows = kl_divergence(gold, predicted)
+        assert rows.shape == (8,)
+        assert rows.tolist() == [kl_divergence(g, p)
+                                 for g, p in zip(gold, predicted)]
+        assert np.all(np.isfinite(rows))
+
+    def test_one_non_stochastic_row_rejected(self):
+        gold = np.full((3, 2), 0.5)
+        predicted = np.full((3, 2), 0.5)
+        predicted[1] = [0.7, 0.7]
+        with pytest.raises(ValueError):
+            kl_divergence(gold, predicted)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -69,20 +92,20 @@ class TestBaselineExpander:
     def test_majority_is_one_hot_joy(self, ekman):
         store = make_store([[1.0, 0.0]], ["x"])
         run = baseline_expander("majority", HASHTAG_COUNTS)
-        dist = run(store, None, ekman)["x"]
-        assert np.array_equal(dist, [0, 0, 0, 1, 0, 0])
+        assert np.array_equal(run(store, None, ekman), [[0, 0, 0, 1, 0, 0]])
 
     def test_prior_joy_component(self, ekman):
         store = make_store([[1.0, 0.0]], ["x"])
         run = baseline_expander("prior", HASHTAG_COUNTS)
-        dist = run(store, None, ekman)["x"]
+        dist = run(store, None, ekman)[0]
         assert dist[3] == pytest.approx(8240 / 21051, abs=1e-4)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform(self, ekman):
-        store = make_store([[1.0, 0.0]], ["x"])
-        dist = baseline_expander("uniform")(store, None, ekman)["x"]
-        assert np.allclose(dist, 1 / 6)
+        store = make_store([[1.0, 0.0], [0.0, 1.0]], ["x", "y"])
+        dists = baseline_expander("uniform")(store, None, ekman)
+        assert dists.shape == (2, 6)
+        assert np.allclose(dists, 1 / 6)
 
     def test_counts_required(self):
         for kind in ("majority", "prior"):
@@ -102,7 +125,11 @@ class TestCrossValidate:
         seed = two_cluster_seed(store, ekman, 6)
 
         def oracle(store_, train, emotions_):
-            return {t: seed.distribution(t) for t in seed.entries}
+            dists = np.full((len(store_.vocab), len(emotions_)),
+                            1.0 / len(emotions_))
+            for t in seed.entries:
+                dists[store_.vocab.index[t]] = seed.distribution(t)
+            return dists
         report = cross_validate(store, seed, ekman, oracle, k=4, rng_seed=0)
         assert report.overall == 0.0
         assert report.pooled == 0.0
@@ -180,9 +207,19 @@ class TestCrossValidate:
         assert report.per_fold == per_fold
         assert len(builds) == 11
 
-        # The operator is released with its run: the next run builds again.
+        # The operator lives as long as the expander: a second run on the
+        # same expander builds nothing.
         cross_validate(store, seed, ekman, expander, k=10, rng_seed=0)
-        assert len(builds) == 12
+        assert len(builds) == 11
+
+    def test_unconverged_fold_fails(self, ekman):
+        store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 8)
+        params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
+        expander = label_prop_expander(params, solver="iterative", max_iter=1)
+        with pytest.raises(RuntimeError, match="fold 0") as err:
+            cross_validate(store, seed, ekman, expander, k=4, rng_seed=0)
+        assert isinstance(err.value.__cause__, ConvergenceError)
 
     def test_expander_failure_names_fold(self, ekman):
         store = two_cluster_store(6, dim=4, seed=6)

@@ -40,7 +40,9 @@ def _atomic_write(path, text):
 
 
 def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False: NaN and Infinity are not JSON, so no artifact holds them.
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 class RunConfig:
@@ -57,8 +59,8 @@ class RunConfig:
                 raise ConfigError("config file not found: %s" % args.config)
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        for key in ("seed", "out", "solver", "kernel", "mode"):
-            value = getattr(args, key, None)
+        for key in COMMANDS[args.command][1]:
+            value = getattr(args, key)
             if value is not None:
                 data[key] = value
         return cls(data)
@@ -247,9 +249,17 @@ def cmd_baseline(cfg):
     return 0
 
 
-COMMANDS = {"expand": cmd_expand, "optimize": cmd_optimize,
-            "evaluate": cmd_evaluate, "stats": cmd_stats,
-            "baseline": cmd_baseline}
+# The config overrides, and which of them each command reads.
+FLAGS = {"seed": {"type": int, "help": "override the run rng seed"},
+         "out": {"help": "override the output directory"},
+         "solver": {"choices": ["iterative", "closed", "cg", "auto"]},
+         "kernel": {"choices": ["cosine", "euclidean"]},
+         "mode": {"choices": ["full", "batch"]}}
+COMMANDS = {"expand": (cmd_expand, ("out", "solver", "kernel")),
+            "optimize": (cmd_optimize, ("seed", "out", "mode")),
+            "evaluate": (cmd_evaluate, ("seed", "out", "solver", "kernel")),
+            "stats": (cmd_stats, ("out",)),
+            "baseline": (cmd_baseline, ("out",))}
 
 
 def build_parser():
@@ -257,21 +267,18 @@ def build_parser():
         prog="emolex",
         description="Semi-supervised emotion lexicon expansion")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=int, help="override the run rng seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--solver", choices=["iterative", "closed", "cg", "auto"])
-        p.add_argument("--kernel", choices=["cosine", "euclidean"])
-        p.add_argument("--mode", choices=["full", "batch"])
+        for flag in flags:
+            p.add_argument("--" + flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](RunConfig.from_args(args))
+        return COMMANDS[args.command][0](RunConfig.from_args(args))
     except Exception as exc:  # machine-readable failure for any module error
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -3,14 +3,18 @@
 import numpy as np
 
 
-class EmbeddingFormatError(ValueError):
-    """Raised for malformed embedding files, with the offending line number."""
+class FormatError(ValueError):
+    """A malformed input file, with the offending line number."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
             message = "line %d: %s" % (line_no, message)
         super().__init__(message)
         self.line_no = line_no
+
+
+class EmbeddingFormatError(FormatError):
+    """A malformed embedding file."""
 
 
 class Vocabulary:
@@ -59,7 +63,6 @@ class EmbeddingStore:
             raise ValueError("zero vector for token %r" % vocab[bad])
         self.vocab = vocab
         self.vectors = vectors
-        self.dim = vectors.shape[1]
         self._norms = norms
         self._unit = None
 

@@ -2,21 +2,18 @@
 classifier, and corpus/lexicon statistics."""
 
 import collections
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .embeddings import FormatError
 from .solver import OperatorCache, expand
 
 PREDICTION_FLOOR = 1e-12
 
 
-class CorpusFormatError(ValueError):
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = "line %d: %s" % (line_no, message)
-        super().__init__(message)
-        self.line_no = line_no
+class CorpusFormatError(FormatError):
+    """A malformed corpus file."""
 
 
 def kl_divergence(gold, predicted, floor=PREDICTION_FLOOR):
@@ -42,9 +39,7 @@ def kl_divergence(gold, predicted, floor=PREDICTION_FLOOR):
 
 @dataclass
 class FoldPlan:
-    k: int
     assignments: dict
-    rng_seed: int
 
     def fold_tokens(self, fold):
         return [t for t, f in self.assignments.items() if f == fold]
@@ -58,7 +53,7 @@ def make_folds(tokens, k, rng_seed):
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(tokens))
     assignments = {tokens[j]: int(i % k) for i, j in enumerate(order)}
-    return FoldPlan(k, assignments, rng_seed)
+    return FoldPlan(assignments)
 
 
 @dataclass
@@ -72,9 +67,7 @@ class EvalReport:
     params: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"method": self.method, "per_fold": self.per_fold,
-                "overall": self.overall, "pooled": self.pooled,
-                "k": self.k, "rng_seed": self.rng_seed, "params": self.params}
+        return asdict(self)
 
 
 def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
@@ -95,7 +88,7 @@ def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     return run
 
 
-def baseline_expander(kind, class_counts=None, emotions=None):
+def baseline_expander(kind, class_counts=None):
     """Constant-distribution expanders: uniform, majority class, or prior.
 
     class_counts (per-emotion counts in emotion order) is required for the
@@ -108,8 +101,8 @@ def baseline_expander(kind, class_counts=None, emotions=None):
             raise ValueError("%s baseline requires class counts" % kind)
         class_counts = np.asarray(class_counts, dtype=np.float64)
 
-    def run(store, seed, emotions_):
-        m = len(emotions_)
+    def run(store, seed, emotions):
+        m = len(emotions)
         if kind == "uniform":
             dist = np.full(m, 1.0 / m)
         elif kind == "majority":

@@ -4,15 +4,13 @@ import json
 
 import numpy as np
 
+from .embeddings import FormatError
+
 EKMAN_SIX = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
 
 
-class LexiconFormatError(ValueError):
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = "line %d: %s" % (line_no, message)
-        super().__init__(message)
-        self.line_no = line_no
+class LexiconFormatError(FormatError):
+    """A malformed seed lexicon file."""
 
 
 class EmotionSet:

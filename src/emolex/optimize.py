@@ -9,7 +9,7 @@ so it stays in (0, 1).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,7 @@ class OptimizerConfig:
                 raise ValueError("%s must be >= 1" % name)
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "mode", "learning_rate", "decay", "epochs", "unroll_steps",
-            "batch_size", "num_batches", "epochs_per_batch", "rng_seed")}
+        return asdict(self)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 closed-form linear solve and preconditioned conjugate gradients, plus the
 end-to-end expansion entry point."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class SolveReport:
 
     method: str
     iterations: int
-    final_delta: float
     residual: float
     converged: bool = True
     error_bound: float = 0.0
@@ -43,20 +42,11 @@ class SolveReport:
     cond_bound: float = None
 
     def to_dict(self):
-        d = {"method": self.method, "iterations": self.iterations,
-             "final_delta": self.final_delta, "residual": self.residual,
-             "converged": self.converged, "error_bound": self.error_bound}
-        if self.min_labeled_mass is not None:
-            d["min_labeled_mass"] = self.min_labeled_mass
-        if self.cond_bound is not None:
-            d["cond_bound"] = self.cond_bound
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _residual(tm, y, unlabeled):
     """Max-abs violation of Y_U = (T Y)_U."""
-    if not np.any(unlabeled):
-        return 0.0
     return float(np.max(np.abs(y[unlabeled] - tm.apply(y)[unlabeled])))
 
 
@@ -68,10 +58,8 @@ def _labeled_mass(tm, labeled):
     ||(I - T_uu)^{-1}||_inf <= 1 / min m: a solution of the unlabeled system
     with residual r is within r / min m of the exact one, and the fixed-point
     sweep contracts by 1 - min m. Raises when min m is not positive, since
-    then no bound holds. With no unlabeled row it is 1.
+    then no bound holds.
     """
-    if np.all(labeled):
-        return 1.0
     mass = float(np.min(tm.apply(labeled[:, None].astype(np.float64))[~labeled]))
     if not mass > 0:
         raise NumericalDegeneracyError(
@@ -80,17 +68,22 @@ def _labeled_mass(tm, labeled):
     return mass
 
 
-def _certified(method, iterations, delta, residual, mass, tol, **extra):
+def _certified(method, iterations, residual, mass, tol, **extra):
     bound = residual / mass
-    return SolveReport(method, iterations, delta, residual, bound <= tol,
-                       bound, mass, **extra)
+    return SolveReport(method, iterations, residual, bound <= tol, bound,
+                       mass, **extra)
 
 
-def _check_inputs(label_matrix, tol):
+def _check_inputs(label_matrix, tol, max_iter=1):
+    """The input contract of every solver: a positive tol, at least one
+    iteration for the solvers that iterate, and at least one labeled and one
+    unlabeled row."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not np.any(label_matrix.labeled_mask):
-        raise ValueError("need at least one labeled row")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not 0 < label_matrix.n_labeled < len(label_matrix.rows):
+        raise ValueError("need at least one labeled and one unlabeled row")
 
 
 def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
@@ -104,7 +97,7 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     floating-point drift (a guard, not an algorithm change). Labeled rows
     are returned bit-equal to the input.
     """
-    _check_inputs(label_matrix, tol)
+    _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
     seeds = label_matrix.labeled_rows
     y = label_matrix.rows.copy()
@@ -112,7 +105,6 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     contraction = (1.0 - mass) / mass
 
     iterations = 0
-    delta = np.inf
     while iterations < max_iter:
         new = tm.apply(y)
         new /= new.sum(axis=1, keepdims=True)
@@ -123,8 +115,8 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
         if delta * contraction <= tol:
             break
 
-    report = _certified("iterative", iterations, delta,
-                        _residual(tm, y, ~labeled), mass, tol)
+    report = _certified("iterative", iterations, _residual(tm, y, ~labeled),
+                        mass, tol)
     return LabelMatrix(y, labeled), report
 
 
@@ -145,8 +137,6 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    if unlabeled.size == 0:
-        return LabelMatrix(y, labeled), SolveReport("closed-form", 0, 0.0, 0.0)
     mass = _labeled_mass(tm, labeled)
     cond_bound = (2.0 - mass) / mass
     if not cond_bound <= MAX_CONDITION:
@@ -168,8 +158,8 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
         raise NumericalDegeneracyError(
             "(I - T_uu) is ill-conditioned; consider epsilon smoothing")
     y[unlabeled] = y_u
-    report = _certified("closed-form", 1, 0.0, _residual(tm, y, ~labeled),
-                        mass, tol, cond_bound=cond_bound)
+    report = _certified("closed-form", 1, _residual(tm, y, ~labeled), mass,
+                        tol, cond_bound=cond_bound)
     return LabelMatrix(y, labeled), report
 
 
@@ -192,14 +182,10 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     the rows are clipped at 0 and re-normalized, and one true product with
     T confirms the bound before the solve counts as converged.
     """
-    _check_inputs(label_matrix, tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    if unlabeled.size == 0:
-        return LabelMatrix(y, labeled), SolveReport("cg", 0, 0.0, 0.0)
     mass = _labeled_mass(tm, labeled)
     n, m = y.shape
     row, col = tm.row[unlabeled], tm.col[unlabeled]
@@ -239,9 +225,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     z = res * precondition
     p = z.copy()
     rz = np.einsum("ij,ij->j", res, z)
-    y_u = np.zeros((unlabeled.size, m))
     iterations = 0
-    delta = np.inf
     residual = None
     while iterations < max_iter:
         q = apply_a(p)
@@ -254,9 +238,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
         x += step * p
         res -= step * q
         iterations += 1
-        new, sigma = combine(x)
-        delta = float(np.max(np.abs(new - y_u)))
-        y_u = new
+        y_u, sigma = combine(x)
         residual = None
         estimate = np.max(np.abs(res[:, :m] + res[:, m:] * sigma) / row[:, None])
         if estimate / mass <= tol:
@@ -270,7 +252,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
         rz = rz_next
     if residual is None:
         residual = settle(y_u)
-    report = _certified("cg", iterations, delta, residual, mass, tol)
+    report = _certified("cg", iterations, residual, mass, tol)
     return LabelMatrix(y, labeled), report
 
 
@@ -358,7 +340,7 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
 
     if label_matrix.n_labeled == len(store.vocab):
         # Empty U: nothing to propagate, pass seed rows through.
-        report = SolveReport("closed-form", 0, 0.0, 0.0)
+        report = SolveReport("closed-form", 0, 0.0)
         return ExpansionResult(store.vocab, emotions, label_matrix.rows,
                                label_matrix.labeled_mask, params, report, missing)
 

@@ -7,7 +7,7 @@ import pytest
 
 import emolex.solver as solver_module
 from emolex import evaluate as ev
-from emolex.cli import main
+from emolex.cli import RunConfig, _write_json, build_parser, main
 
 from conftest import data_path
 
@@ -297,3 +297,63 @@ class TestBaseline:
         config = write_config(tmp_path, corpus=str(empty))
         assert main(["baseline", "--config", config]) == 0
         assert read(str(tmp_path / "out"), "classifications.tsv") == ""
+
+
+class TestFlags:
+    FLAG_VALUES = {"--seed": "3", "--out": "o", "--solver": "cg",
+                   "--kernel": "euclidean", "--mode": "batch"}
+
+    @pytest.mark.parametrize("command, flags", [
+        ("expand", ["--out", "--solver", "--kernel"]),
+        ("optimize", ["--seed", "--out", "--mode"]),
+        ("evaluate", ["--seed", "--out", "--solver", "--kernel"]),
+        ("stats", ["--out"]),
+        ("baseline", ["--out"]),
+    ])
+    def test_each_command_takes_only_its_flags(self, command, flags):
+        argv = [command]
+        for flag in flags:
+            argv += [flag, self.FLAG_VALUES[flag]]
+        data = RunConfig.from_args(build_parser().parse_args(argv)).data
+        assert data == {flag[2:]: (3 if flag == "--seed"
+                                   else self.FLAG_VALUES[flag])
+                        for flag in flags}
+        for flag in set(self.FLAG_VALUES) - set(flags):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag,
+                                           self.FLAG_VALUES[flag]])
+            assert exc.value.code == 2
+
+    def test_stats_refuses_solver_flag(self, tmp_path):
+        config = write_config(tmp_path, corpus=data_path("mini_corpus.tsv"))
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--config", config, "--solver", "cg"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+
+class TestFiniteArtifacts:
+    def test_write_json_refuses_infinity(self, tmp_path):
+        path = str(tmp_path / "x.json")
+        with pytest.raises(ValueError):
+            _write_json(path, {"bound": float("inf")})
+        assert not os.path.exists(path)
+
+    # The seed's six flags are all set, so every row starts uniform: a solve
+    # of zero sweeps would leave a zero residual and count as converged.
+    def test_zero_iterations_refused_without_artifacts(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("4 2\na 1 0\nb 0 1\nc 1 1\nd 1 -1\n",
+                           encoding="utf-8")
+        seed = tmp_path / "seed.tsv"
+        seed.write_text("".join("a\t%s\t1\n" % e for e in (
+            "anger", "disgust", "fear", "joy", "sadness", "surprise")),
+            encoding="utf-8")
+        config = write_config(tmp_path, embeddings=str(vectors),
+                              seed_lexicon=str(seed), params=PARAMS,
+                              solver="iterative", max_iter=0)
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "max_iter must be at least 1"
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []

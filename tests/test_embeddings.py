@@ -19,7 +19,7 @@ class TestLoad:
     def test_basic_parse(self, tmp_path):
         store = load_embeddings(write_file(tmp_path, BASIC))
         assert list(store.vocab) == ["a", "b", "c"]
-        assert store.dim == 2
+        assert store.vectors.shape[1] == 2
         assert np.array_equal(store.vectors[2], [1.0, 1.0])
 
     def test_vocab_filter(self, tmp_path):

@@ -54,7 +54,7 @@ class TestIterative:
         lm = LabelMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), [True, False])
         _, report = propagate_iterative(tm, lm, tol=1e-9)
         assert report.iterations == 1
-        assert report.final_delta < 1e-9
+        assert report.converged
 
     def test_near_uniform_transition_gives_label_mean(self):
         rng = np.random.default_rng(0)
@@ -179,6 +179,29 @@ class TestSolve:
         lm = LabelMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), [True, False])
         with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
             solve(tm, lm, solver)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("solve", [propagate_closed_form,
+                                       propagate_iterative, propagate_cg])
+    @pytest.mark.parametrize("labeled", [[True, True], [False, False]])
+    def test_both_partitions_required(self, solve, labeled):
+        lm = LabelMatrix(np.full((2, 2), 0.5), labeled)
+        with pytest.raises(ValueError, match="one labeled and one unlabeled"):
+            solve(half_transition(), lm)
+
+    @pytest.mark.parametrize("solve", [propagate_iterative, propagate_cg])
+    def test_zero_iterations_refused(self, solve):
+        tm, lm = two_node_instance()
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve(tm, lm, max_iter=0)
+
+    def test_report_dict_drops_unset_fields(self):
+        tm, lm = two_node_instance()
+        _, report = propagate_iterative(tm, lm)
+        assert set(report.to_dict()) == {
+            "method", "iterations", "residual", "converged", "error_bound",
+            "min_labeled_mass"}
 
 
 class TestCG:

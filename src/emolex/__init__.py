@@ -5,7 +5,7 @@ from .embeddings import EmbeddingStore, Vocabulary, load_embeddings
 from .lexicon import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
                       init_label_matrix, load_seed_lexicon,
                       seed_to_distribution, write_lexicon_json,
-                      write_lexicon_tsv, write_seed_lexicon)
+                      write_lexicon_tsv)
 from .graph import (PropagationParams, TransitionOperator, build_transition,
                     edge_weight)
 from .solver import (ConvergenceError, ExpansionResult, SolveReport, expand,
@@ -32,5 +32,5 @@ __all__ = [
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
     "micro_prf", "propagate_cg", "propagate_closed_form",
     "propagate_iterative", "seed_to_distribution", "solve",
-    "write_lexicon_json", "write_lexicon_tsv", "write_seed_lexicon",
+    "write_lexicon_json", "write_lexicon_tsv",
 ]

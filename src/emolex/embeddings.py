@@ -89,28 +89,18 @@ def _parse_header(line, line_no):
     return count, dim
 
 
-def load_embeddings(path, frequency_floor=None, vocab_filter=None,
-                    frequencies=None, normalize_token=None):
+def load_embeddings(path):
     """Load a word2vec-style text embedding file.
 
     The file starts with a "<count> <dim>" header, followed by one line per
     word: the token and dim whitespace-separated decimals. UTF-8, LF or CRLF.
+    Tokens are taken as written.
 
-    frequency_floor, together with a token -> count mapping in `frequencies`,
-    drops words below the floor. vocab_filter keeps only the listed tokens.
-    normalize_token, if given, is applied to every token before filtering
-    (case folding etc. is the caller's choice, never implicit).
-
-    Returns an EmbeddingStore whose `vocab` holds the surviving words in file
-    order. Malformed rows, duplicates, non-finite components, and zero vectors
-    are errors reported with their line number.
+    Returns an EmbeddingStore whose `vocab` holds every word in file order.
+    Malformed rows, duplicates, non-finite components, and zero vectors are
+    errors reported with their line number. For a subset, build
+    `EmbeddingStore(Vocabulary(words), store.vectors[keep])`.
     """
-    if frequency_floor is not None:
-        if frequency_floor < 0:
-            raise ValueError("frequency_floor must be non-negative")
-        if frequencies is None:
-            raise ValueError("frequency_floor requires a frequencies mapping")
-
     words = []
     rows = []
     seen = set()
@@ -130,16 +120,9 @@ def load_embeddings(path, frequency_floor=None, vocab_filter=None,
                     "expected token + %d components, got %d fields"
                     % (dim, len(parts)), line_no)
             token = parts[0]
-            if normalize_token is not None:
-                token = normalize_token(token)
             if token in seen:
                 raise EmbeddingFormatError("duplicate token %r" % token, line_no)
             seen.add(token)
-            if vocab_filter is not None and token not in vocab_filter:
-                continue
-            if frequency_floor is not None:
-                if frequencies.get(token, 0) < frequency_floor:
-                    continue
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:

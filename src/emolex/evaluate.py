@@ -16,8 +16,8 @@ class CorpusFormatError(FormatError):
     """A malformed corpus file."""
 
 
-def kl_divergence(gold, predicted, floor=PREDICTION_FLOOR):
-    """KL(gold || predicted) with a floor on predicted components.
+def kl_divergence(gold, predicted):
+    """KL(gold || predicted) with PREDICTION_FLOOR under predicted components.
 
     Works row-wise over the last axis: a float for one distribution, an
     array of per-row values for a stack of them. Gold-first direction
@@ -31,29 +31,23 @@ def kl_divergence(gold, predicted, floor=PREDICTION_FLOOR):
     for dist in (gold, predicted):
         if np.any(dist < 0) or np.any(abs(dist.sum(axis=-1) - 1.0) > 1e-6):
             raise ValueError("inputs must be probability distributions")
-    ratio = np.divide(gold, np.maximum(predicted, floor),
+    ratio = np.divide(gold, np.maximum(predicted, PREDICTION_FLOOR),
                       out=np.ones_like(gold), where=gold > 0)
     kl = np.sum(gold * np.log(ratio), axis=-1)
     return float(kl) if kl.ndim == 0 else kl
 
 
-@dataclass
-class FoldPlan:
-    assignments: dict
-
-    def fold_tokens(self, fold):
-        return [t for t, f in self.assignments.items() if f == fold]
-
-
 def make_folds(tokens, k, rng_seed):
-    """Seeded shuffle into k folds whose sizes differ by at most one."""
+    """Seeded shuffle into k token lists whose sizes differ by at most one.
+
+    Fold f holds the sorted tokens at positions f, f + k, f + 2k, ... of one
+    seeded permutation, in that order.
+    """
     tokens = sorted(tokens)
     if len(tokens) < k:
         raise ValueError("need at least k seed tokens")
-    rng = np.random.default_rng(rng_seed)
-    order = rng.permutation(len(tokens))
-    assignments = {tokens[j]: int(i % k) for i, j in enumerate(order)}
-    return FoldPlan(assignments)
+    order = np.random.default_rng(rng_seed).permutation(len(tokens))
+    return [[tokens[j] for j in order[f::k]] for f in range(k)]
 
 
 @dataclass
@@ -126,11 +120,9 @@ def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
     means, and the pooled per-word mean.
     """
     eligible = [t for t in seed.entries if t in store.vocab]
-    plan = make_folds(eligible, k, rng_seed)
     per_fold = []
     pooled = []
-    for fold in range(k):
-        held_out = plan.fold_tokens(fold)
+    for fold, held_out in enumerate(make_folds(eligible, k, rng_seed)):
         train = seed.subset(set(eligible) - set(held_out))
         try:
             predictions = expander(store, train, emotions)

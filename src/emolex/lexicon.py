@@ -119,16 +119,6 @@ def load_seed_lexicon(path, emotions):
     return SeedLexicon(entries, emotions, neutral)
 
 
-def write_seed_lexicon(path, seed):
-    """Serialize back to the NRC-style TSV; round-trips flags exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in sorted(set(seed.entries) | seed.neutral_tokens):
-            flags = seed.entries.get(token)
-            for i, emotion in enumerate(seed.emotions):
-                value = 0 if flags is None else int(flags[i])
-                fh.write("%s\t%s\t%d\n" % (token, emotion, value))
-
-
 class LabelMatrix:
     """(l+u) x m distributions in vocabulary order, with a labeled-row mask."""
 

@@ -27,7 +27,6 @@ class GradientError(RuntimeError):
 class OptimizerConfig:
     mode: str = "full"
     learning_rate: float = 0.1
-    decay: float = 0.0
     epochs: int = 100
     unroll_steps: int = 10
     batch_size: int = 5000
@@ -40,8 +39,6 @@ class OptimizerConfig:
             raise ValueError("mode must be 'full' or 'batch'")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.decay < 0:
-            raise ValueError("decay must be non-negative")
         for name in ("epochs", "unroll_steps", "batch_size", "num_batches",
                      "epochs_per_batch"):
             if getattr(self, name) < 1:
@@ -184,36 +181,25 @@ def entropy_gradient(store, label_matrix, params, unroll_steps=10):
                              params.epsilon, unroll_steps)
 
 
-class _State:
-    """Mutable (alpha, b, eps_logit) triple shared across descent steps."""
+def _epsilon(eps_logit):
+    return float(logistic(np.asarray(eps_logit)))
 
-    def __init__(self, alpha, b, epsilon):
-        self.alpha = np.asarray(alpha, dtype=np.float64).copy()
-        self.b = float(b)
-        self.eps_logit = _logit(epsilon)
 
-    @property
-    def epsilon(self):
-        return float(logistic(np.asarray(self.eps_logit)))
+def _step(state, grads, lr):
+    """The (alpha, b, eps_logit) triple one descent step after `state`."""
+    alpha, b, eps_logit = state
+    eps_logit = eps_logit - lr * grads["eps_logit"]
+    epsilon = _epsilon(eps_logit)
+    if not 0.0 < epsilon < 1.0:
+        raise GradientError("epsilon rounds to %g at logit %g"
+                            % (epsilon, eps_logit))
+    return alpha - lr * grads["alpha"], b - lr * grads["b"], eps_logit
 
-    def step(self, grads, lr):
-        self.alpha = self.alpha - lr * grads["alpha"]
-        self.b -= lr * grads["b"]
-        self.eps_logit -= lr * grads["eps_logit"]
-        epsilon = self.epsilon
-        if not 0.0 < epsilon < 1.0:
-            raise GradientError("epsilon rounds to %g at logit %g"
-                                % (epsilon, self.eps_logit))
 
-    def params(self):
-        return PropagationParams(COSINE_LOGISTIC, alpha=self.alpha.copy(),
-                                 b=self.b, epsilon=self.epsilon)
-
-    def snapshot(self):
-        return (self.alpha.copy(), self.b, self.eps_logit)
-
-    def restore(self, snap):
-        self.alpha, self.b, self.eps_logit = snap[0].copy(), snap[1], snap[2]
+def _params(state):
+    alpha, b, eps_logit = state
+    return PropagationParams(COSINE_LOGISTIC, alpha=alpha, b=b,
+                             epsilon=_epsilon(eps_logit))
 
 
 def _grad_norm(grads):
@@ -228,44 +214,42 @@ _DEFAULT_INIT = {"alpha": 0.0, "b": 0.0, "epsilon": 0.1}
 def _descend(store, label_matrix, batches, steps, config, init):
     """Gradient descent on the per-row unrolled entropy, batch by batch.
 
-    Each batch (an index into the vocabulary) takes `steps` descent steps on
-    its own subgraph, the learning rate decaying with the global step count.
-    A step diverges when the entropy or a gradient is non-finite, the graph
-    is degenerate, or epsilon rounds to 0 or 1; the parameters, trace and
-    step count are then restored to their values before the batch and the
-    batch is retried at half the rate, up to three halvings in the whole
-    descent. Returns the state after the last step, the trace row and a
-    snapshot of the lowest-entropy iterate of the last batch, and the
-    trace.
+    The parameters are an (alpha, b, eps_logit) triple that no step
+    modifies in place. Each batch (an index into the vocabulary) takes
+    `steps` descent steps on its own subgraph. A step diverges when the
+    entropy or a gradient is non-finite, the graph is degenerate, or epsilon
+    rounds to 0 or 1; the parameters and trace are then restored to their
+    values before the batch and the batch is retried at half the rate, up
+    to three halvings in the whole descent. Returns the triple after the
+    last step, the trace row and triple of the lowest-entropy iterate of
+    the last batch, and the trace.
     """
     init = dict(_DEFAULT_INIT, **(init or {}))
-    state = _State(init["alpha"], init["b"], init["epsilon"])
+    state = (np.array(init["alpha"], dtype=np.float64), float(init["b"]),
+             _logit(init["epsilon"]))
     trace = OptTrace()
-    lr0 = config.learning_rate
+    lr = config.learning_rate
     halvings = 0
-    step = 0
     for batch in batches:
         unit = store.unit_vectors[batch]
         labeled = label_matrix.labeled_mask[batch]
         rows = label_matrix.rows[batch]
-        before = (state.snapshot(), len(trace.entropies), step)
+        start, recorded = state, len(trace.entropies)
         while True:
-            best = (math.inf, None, state.snapshot())
+            best = (math.inf, None, state)
             try:
                 for _ in range(steps):
-                    epsilon = state.epsilon
-                    h, grads = _forward_backward(unit, labeled, rows,
-                                                 state.alpha, state.b, epsilon,
-                                                 config.unroll_steps,
+                    alpha, b, eps_logit = state
+                    epsilon = _epsilon(eps_logit)
+                    h, grads = _forward_backward(unit, labeled, rows, alpha, b,
+                                                 epsilon, config.unroll_steps,
                                                  per_row=True)
                     if not math.isfinite(h):
                         raise GradientError("entropy diverged")
-                    trace.record(h, _grad_norm(grads), state.alpha, state.b,
-                                 epsilon)
+                    trace.record(h, _grad_norm(grads), alpha, b, epsilon)
                     if h < best[0]:
-                        best = (h, len(trace.entropies) - 1, state.snapshot())
-                    state.step(grads, lr0 / (1.0 + config.decay * step))
-                    step += 1
+                        best = (h, len(trace.entropies) - 1, state)
+                    state = _step(state, grads, lr)
                 break
             except GradientError as exc:
                 if halvings == 3:
@@ -273,9 +257,8 @@ def _descend(store, label_matrix, batches, steps, config, init):
                         "entropy diverged after 3 learning-rate halvings: %s"
                         % exc) from exc
                 halvings += 1
-                lr0 /= 2.0
-                snapshot, recorded, step = before
-                state.restore(snapshot)
+                lr /= 2.0
+                state = start
                 trace.truncate(recorded)
     return state, best[1:], trace
 
@@ -288,11 +271,10 @@ def fit_full(store, seed, config, init=None):
     lowest-entropy iterate; the trace's `params_epoch` is its row.
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
-    state, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
-                                           config.epochs, config, init)
-    state.restore(best)
+    _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
+                                       config.epochs, config, init)
     trace.params_epoch = epoch
-    return state.params(), trace
+    return _params(best), trace
 
 
 def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
@@ -327,4 +309,4 @@ def fit_batched(store, seed, config, init=None):
                for _ in range(config.num_batches))
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config, init)
-    return state.params(), trace
+    return _params(state), trace

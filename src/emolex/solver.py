@@ -36,9 +36,9 @@ class SolveReport:
     method: str
     iterations: int
     residual: float
-    converged: bool = True
-    error_bound: float = 0.0
-    min_labeled_mass: float = None
+    converged: bool
+    error_bound: float
+    min_labeled_mass: float
     cond_bound: float = None
 
     def to_dict(self):
@@ -337,13 +337,6 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     label_matrix, missing = init_label_matrix(store.vocab, seed, emotions)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
-
-    if label_matrix.n_labeled == len(store.vocab):
-        # Empty U: nothing to propagate, pass seed rows through.
-        report = SolveReport("closed-form", 0, 0.0)
-        return ExpansionResult(store.vocab, emotions, label_matrix.rows,
-                               label_matrix.labeled_mask, params, report, missing)
-
     if cache is None:
         tm = build_transition(store, params, label_matrix.labeled_mask)
     else:

@@ -76,6 +76,21 @@ class TestExpand:
         out = tmp_path / "out"
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_all_seeded_vocabulary_fails_without_artifacts(self, tmp_path,
+                                                           capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\na 1 0\nb 0 1\n", encoding="utf-8")
+        seed = tmp_path / "seed.tsv"
+        seed.write_text("a\tjoy\t1\nb\tfear\t1\n", encoding="utf-8")
+        config = write_config(tmp_path, embeddings=str(vectors),
+                              seed_lexicon=str(seed), params=PARAMS)
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "unlabeled" in err["message"]
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, seed=3)
         assert main(["expand", "--config", config]) == 0
@@ -156,6 +171,13 @@ class TestOptimize:
                                out=str(tmp_path / "out2"))
         assert main(["expand", "--config", config2]) == 0
         assert os.path.exists(str(tmp_path / "out2" / "expanded_lexicon.tsv"))
+
+    def test_unknown_fit_key_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, fit={"mode": "full", "epochs": 2,
+                                             "decay": 0.1})
+        assert main(["optimize", "--config", config]) == 1
+        assert "decay" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out" / "params.json").exists()
 
     def test_conflicting_params_and_fit(self, tmp_path, capsys):
         config = write_config(tmp_path, params=PARAMS,

@@ -22,10 +22,6 @@ class TestLoad:
         assert store.vectors.shape[1] == 2
         assert np.array_equal(store.vectors[2], [1.0, 1.0])
 
-    def test_vocab_filter(self, tmp_path):
-        store = load_embeddings(write_file(tmp_path, BASIC), vocab_filter={"a", "c"})
-        assert list(store.vocab) == ["a", "c"]
-
     def test_arity_error_has_line_number(self, tmp_path):
         path = write_file(tmp_path, "2 2\na 1 0\nb 1 2 3\n")
         with pytest.raises(EmbeddingFormatError) as err:
@@ -52,19 +48,6 @@ class TestLoad:
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"2 2\r\na 1 0\r\nb 0 1\r\n")
         store = load_embeddings(str(path))
-        assert list(store.vocab) == ["a", "b"]
-
-    def test_frequency_floor(self, tmp_path):
-        path = write_file(tmp_path, BASIC)
-        store = load_embeddings(path, frequency_floor=2,
-                                frequencies={"a": 5, "b": 1, "c": 2})
-        assert list(store.vocab) == ["a", "c"]
-        with pytest.raises(ValueError, match="frequencies"):
-            load_embeddings(path, frequency_floor=2)
-
-    def test_token_normalization_hook(self, tmp_path):
-        store = load_embeddings(write_file(tmp_path, "2 2\nA 1 0\nb 0 1\n"),
-                                normalize_token=str.lower)
         assert list(store.vocab) == ["a", "b"]
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emolex import (EmotionSet, Vocabulary, init_label_matrix,
-                    load_seed_lexicon, seed_to_distribution,
-                    write_seed_lexicon)
+                    load_seed_lexicon, seed_to_distribution)
 from emolex.lexicon import LexiconFormatError
 
 
@@ -48,18 +47,6 @@ class TestLoadSeedLexicon:
         with pytest.raises(LexiconFormatError) as err:
             load_seed_lexicon(str(path), ekman)
         assert err.value.line_no == 1
-
-    def test_round_trip(self, tmp_path, ekman):
-        path = write_tsv(tmp_path, [("hate", "anger", 1), ("hate", "disgust", 1),
-                                    ("love", "joy", 1), ("meh", "joy", 0)])
-        seed = load_seed_lexicon(path, ekman)
-        out = tmp_path / "roundtrip.tsv"
-        write_seed_lexicon(str(out), seed)
-        again = load_seed_lexicon(str(out), ekman)
-        assert set(again.entries) == set(seed.entries)
-        for token in seed.entries:
-            assert np.array_equal(again.entries[token], seed.entries[token])
-        assert again.neutral_tokens == seed.neutral_tokens
 
 
 class TestSeedToDistribution:

@@ -329,14 +329,18 @@ class TestExpand:
             assert result.argmax_label("c0_%d" % i) == "joy"
             assert result.argmax_label("c1_%d" % i) == "anger"
 
-    def test_empty_unlabeled_passthrough(self):
+    def test_all_labeled_vocabulary_is_error(self):
+        # No unlabeled word means no solve, so no report: even invalid solver
+        # options must not pass through as a "converged" expansion.
         emotions = EmotionSet(("a", "b"))
         store = make_store([[1.0, 0.0], [0.0, 1.0]], ["x", "y"])
         seed = SeedLexicon({"x": [1, 0], "y": [0, 1]}, emotions)
         params = PropagationParams(alpha=1.0, b=0.0)
-        result = expand(store, seed, emotions, params)
-        assert np.array_equal(result.distributions, [[1, 0], [0, 1]])
-        assert result.report.method == "closed-form"
+        with pytest.raises(ValueError, match="unlabeled"):
+            expand(store, seed, emotions, params)
+        with pytest.raises(ValueError):
+            expand(store, seed, emotions, params, solver="cg", tol=-1,
+                   max_iter=0)
 
     def test_identical_embeddings_give_label_average(self):
         emotions = EmotionSet(("a", "b"))

@@ -9,7 +9,7 @@ from .lexicon import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
 from .graph import (PropagationParams, TransitionOperator, build_transition,
                     edge_weight)
 from .solver import (ConvergenceError, ExpansionResult, SolveReport, expand,
-                     propagate_cg, propagate_closed_form,
+                     propagate_cg, propagate_closed_form, propagate_folds,
                      propagate_iterative, solve)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
                        fit_batched, fit_full)
@@ -30,7 +30,7 @@ __all__ = [
     "edge_weight", "entropy", "entropy_gradient", "expand", "fit_batched",
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
-    "micro_prf", "propagate_cg", "propagate_closed_form",
+    "micro_prf", "propagate_cg", "propagate_closed_form", "propagate_folds",
     "propagate_iterative", "seed_to_distribution", "solve",
     "write_lexicon_json", "write_lexicon_tsv",
 ]

@@ -7,7 +7,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import FormatError
-from .solver import OperatorCache, expand
+from .lexicon import init_label_matrix
+from .solver import (OperatorCache, choose_solver, expand, propagate_folds,
+                     require_converged)
 
 PREDICTION_FLOOR = 1e-12
 
@@ -43,6 +45,8 @@ def make_folds(tokens, k, rng_seed):
     Fold f holds the sorted tokens at positions f, f + k, f + 2k, ... of one
     seeded permutation, in that order.
     """
+    if k < 2:
+        raise ValueError("k must be at least 2")
     tokens = sorted(tokens)
     if len(tokens) < k:
         raise ValueError("need at least k seed tokens")
@@ -65,18 +69,38 @@ class EvalReport:
 
 
 def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
-    """Expander closure running label propagation with fixed parameters.
+    """Expander running label propagation with fixed parameters.
 
-    Returns `expand`'s distributions, so a fold whose solve is not certified
-    within tol raises ConvergenceError. The graph does not depend on the
-    seeds, so the operator built on the first call serves every later call
-    on the same store, and lives as long as the closure.
+    The graph does not depend on the seeds, so the operator built on first
+    use serves every fold of every run on the same store, and lives as long
+    as the closure. When the solver is the closed form for every fold (as
+    `solve` decides, on the largest fold), all folds come from one
+    factorization by `propagate_folds`; otherwise each fold is its own
+    `expand`. Either way a fold whose solve is not certified within tol
+    raises ConvergenceError.
     """
     cache = OperatorCache()
 
-    def run(store, seed, emotions):
-        return expand(store, seed, emotions, params, solver=solver, tol=tol,
-                      max_iter=max_iter, cache=cache).distributions
+    def run(store, seed, emotions, folds):
+        label_matrix, _ = init_label_matrix(store.vocab, seed, emotions)
+        n_unlabeled = (len(store) - label_matrix.n_labeled
+                       + max(len(held_out) for held_out in folds))
+        if choose_solver(solver, n_unlabeled) != "closed":
+            for held_out in folds:
+                train = seed.subset(set(seed.entries) - set(held_out))
+                yield expand(store, train, emotions, params, solver=solver,
+                             tol=tol, max_iter=max_iter,
+                             cache=cache).distributions
+            return
+        hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
+        # Any fold's training mask validates the build; the operator itself
+        # does not depend on it.
+        train_mask = label_matrix.labeled_mask.copy()
+        train_mask[hidden[0]] = False
+        tm = cache.get(store, params, train_mask)
+        for solved, report in propagate_folds(tm, label_matrix, hidden, tol):
+            require_converged(report, tol)
+            yield solved.rows
     run.label = "label-propagation"
     run.params = params.to_dict()
     return run
@@ -95,7 +119,7 @@ def baseline_expander(kind, class_counts=None):
             raise ValueError("%s baseline requires class counts" % kind)
         class_counts = np.asarray(class_counts, dtype=np.float64)
 
-    def run(store, seed, emotions):
+    def run(store, seed, emotions, folds):
         m = len(emotions)
         if kind == "uniform":
             dist = np.full(m, 1.0 / m)
@@ -104,7 +128,9 @@ def baseline_expander(kind, class_counts=None):
             dist[int(np.argmax(class_counts))] = 1.0
         else:
             dist = class_counts / class_counts.sum()
-        return np.broadcast_to(dist, (len(store.vocab), m))
+        dists = np.broadcast_to(dist, (len(store.vocab), m))
+        for _ in folds:
+            yield dists
     run.label = kind
     run.params = {}
     return run
@@ -114,26 +140,43 @@ def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
     """Hide each fold's seed labels in turn, expand, and score the hidden
     tokens' predictions against their gold distributions with KL divergence.
 
-    An expander maps (store, train seed, emotions) to a (len(store), m)
-    array of distributions in vocabulary order. Only seed tokens present in
-    the vocabulary participate. Reports per-fold means, the mean of fold
-    means, and the pooled per-word mean.
+    An expander is called once per run, as expander(store, seed, emotions,
+    folds) with the k lists of held-out tokens of `make_folds`, and yields
+    one (len(store), m) array of distributions in vocabulary order per fold,
+    in fold order: fold f's array must not depend on the labels of its
+    held-out tokens. Only seed tokens present in the vocabulary
+    participate. Reports per-fold means, the mean of fold means, and the
+    pooled per-word mean; an expander that fails, or yields too few or too
+    many arrays or one of the wrong shape, raises RuntimeError naming the
+    fold.
     """
     eligible = [t for t in seed.entries if t in store.vocab]
+    folds = make_folds(eligible, k, rng_seed)
+    shape = (len(store), len(emotions))
     per_fold = []
     pooled = []
-    for fold, held_out in enumerate(make_folds(eligible, k, rng_seed)):
-        train = seed.subset(set(eligible) - set(held_out))
+    for fold, held_out in enumerate(folds):
         try:
-            predictions = expander(store, train, emotions)
+            if fold == 0:
+                arrays = iter(expander(store, seed, emotions, folds))
+            predictions = next(arrays, None)
         except Exception as exc:
             raise RuntimeError("expander failed on fold %d: %s"
                                % (fold, exc)) from exc
+        if predictions is None:
+            raise RuntimeError("expander yielded no array for fold %d" % fold)
+        if np.shape(predictions) != shape:
+            raise RuntimeError("expander yielded a %s array for fold %d, "
+                               "expected %s" % (np.shape(predictions), fold,
+                                                shape))
         rows = [store.vocab.index[t] for t in held_out]
         scores = kl_divergence([seed.distribution(t) for t in held_out],
                                predictions[rows])
         per_fold.append(float(np.mean(scores)))
         pooled.extend(scores)
+    if next(arrays, None) is not None:
+        raise RuntimeError("expander yielded an array for fold %d of a "
+                           "%d-fold run" % (k, k))
     return EvalReport(getattr(expander, "label", "custom"), per_fold,
                       float(np.mean(per_fold)), float(np.mean(pooled)),
                       k, rng_seed, getattr(expander, "params", {}))

@@ -185,11 +185,14 @@ class TransitionOperator:
         out += (self.epsilon / self.n) * y.sum(axis=0)
         return out
 
-    def submatrix(self, index):
-        """Dense T[index][:, index] for an index array."""
-        t = self.w[np.ix_(index, index)]
-        t /= self.col[index]
-        t *= ((1.0 - self.epsilon) / self.row[index])[:, None]
+    def submatrix(self, rows, cols=None):
+        """Dense T[rows][:, cols] for index arrays; `cols` defaults to
+        `rows`."""
+        if cols is None:
+            cols = rows
+        t = self.w[np.ix_(rows, cols)]
+        t /= self.col[cols]
+        t *= ((1.0 - self.epsilon) / self.row[rows])[:, None]
         t += self.epsilon / self.n
         return t
 

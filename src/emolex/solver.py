@@ -120,6 +120,36 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     return LabelMatrix(y, labeled), report
 
 
+def _conditioned_mass(tm, labeled):
+    """min m (see `_labeled_mass`) and the bound (2 - min m) / min m on the
+    infinity-norm condition number of (I - T_uu); refuses the system when
+    that bound exceeds MAX_CONDITION."""
+    mass = _labeled_mass(tm, labeled)
+    cond_bound = (2.0 - mass) / mass
+    if not cond_bound <= MAX_CONDITION:
+        raise NumericalDegeneracyError(
+            "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
+            "labeled mass %.3g; consider epsilon smoothing" % (cond_bound, mass))
+    return mass, cond_bound
+
+
+def _solve_clamped(block, rhs):
+    """Solve (I - block) x = rhs, overwriting `block`; fails with a
+    diagnostic when the system is singular or the solution not finite."""
+    np.negative(block, out=block)
+    block[np.diag_indices_from(block)] += 1.0
+    try:
+        x = np.linalg.solve(block, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(
+            "(I - T_uu) is singular; epsilon = 0 with a component disconnected "
+            "in probability from the labeled set") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalDegeneracyError(
+            "(I - T_uu) is ill-conditioned; consider epsilon smoothing")
+    return x
+
+
 def propagate_closed_form(tm, label_matrix, tol=1e-6):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
@@ -137,30 +167,65 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    mass = _labeled_mass(tm, labeled)
-    cond_bound = (2.0 - mass) / mass
-    if not cond_bound <= MAX_CONDITION:
-        raise NumericalDegeneracyError(
-            "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
-            "labeled mass %.3g; consider epsilon smoothing" % (cond_bound, mass))
+    mass, cond_bound = _conditioned_mass(tm, labeled)
     y[unlabeled] = 0.0
     rhs = tm.apply(y)[unlabeled]
-    system = tm.submatrix(unlabeled)
-    np.negative(system, out=system)
-    system[np.diag_indices_from(system)] += 1.0
-    try:
-        y_u = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(
-            "(I - T_uu) is singular; epsilon = 0 with a component disconnected "
-            "in probability from the labeled set") from exc
-    if not np.all(np.isfinite(y_u)):
-        raise NumericalDegeneracyError(
-            "(I - T_uu) is ill-conditioned; consider epsilon smoothing")
-    y[unlabeled] = y_u
+    y[unlabeled] = _solve_clamped(tm.submatrix(unlabeled), rhs)
     report = _certified("closed-form", 1, _residual(tm, y, ~labeled), mass,
                         tol, cond_bound=cond_bound)
     return LabelMatrix(y, labeled), report
+
+
+def propagate_folds(tm, label_matrix, folds, tol=1e-6):
+    """The closed-form solution of every fold of a cross-validation, from
+    one factorization; yields (LabelMatrix, SolveReport) per fold, in order.
+
+    `label_matrix` labels all seeds L; each fold is an index array of the
+    seed rows H it hides, and trains on the rest, S = L \\ H. With U the
+    rows no seed labels, Z = (I - T_UU)^{-1} T_UL is factored once, and
+    G = T_LL + T_LU Z holds the probabilities that a walk leaving a seed is
+    next absorbed at each seed. Eliminating U from a fold's system (the
+    block form of the harmonic update of Zhu, Ghahramani & Lafferty 2003,
+    section 5) leaves
+
+        (I - G_HH) Y_H = G_HS Y_S,  an |H| x |H| solve, and
+        Y_U = Z_S Y_S + Z_H Y_H.
+
+    Each fold is the solution `propagate_closed_form` finds on its mask and
+    is checked the same way: its condition bound is refused above
+    MAX_CONDITION before its system is solved, and its report carries its
+    own residual, minimum labeled mass and error bound. A fold's min m is
+    at most that of the all-seeds system, so the check of the first fold
+    also covers the factorization of (I - T_UU).
+    """
+    labeled = label_matrix.labeled_mask
+    seeds = np.flatnonzero(labeled)
+    unlabeled = np.flatnonzero(~labeled)
+    position = np.full(tm.n, -1)
+    position[seeds] = np.arange(seeds.size)
+    z = g = None
+    for hidden in folds:
+        hidden = np.asarray(hidden, dtype=np.intp)
+        if np.any(position[hidden] < 0):
+            raise ValueError("a fold may hide only labeled rows")
+        mask = labeled.copy()
+        mask[hidden] = False
+        fold = LabelMatrix(label_matrix.rows.copy(), mask)
+        _check_inputs(fold, tol)
+        mass, cond_bound = _conditioned_mass(tm, mask)
+        if z is None:
+            z = _solve_clamped(tm.submatrix(unlabeled),
+                               tm.submatrix(unlabeled, seeds))
+            g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
+        h = position[hidden]
+        s = position[mask]
+        y_s = fold.rows[mask]
+        y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
+        fold.rows[hidden] = y_h
+        fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
+        report = _certified("closed-form", 1, _residual(tm, fold.rows, ~mask),
+                            mass, tol, cond_bound=cond_bound)
+        yield fold, report
 
 
 def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
@@ -256,15 +321,32 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     return LabelMatrix(y, labeled), report
 
 
+def choose_solver(solver, n_unlabeled):
+    """The solver `solve` runs for `solver` on a system with `n_unlabeled`
+    unlabeled rows: "auto" is the closed form up to
+    CLOSED_FORM_MAX_UNLABELED of them and conjugate gradients above."""
+    if solver == "auto":
+        return "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg"
+    return solver
+
+
+def require_converged(report, tol):
+    """Raise ConvergenceError unless the solve certified its result within
+    tol."""
+    if not report.converged:
+        raise ConvergenceError(
+            "%s solve did not converge in %d iterations: error bound %.3g "
+            "exceeds tol %g" % (report.method, report.iterations,
+                                report.error_bound, tol))
+
+
 def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
     """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
 
     `solver` is "iterative", "closed", "cg", or "auto": the closed form up
     to CLOSED_FORM_MAX_UNLABELED unlabeled rows, conjugate gradients above.
     """
-    if solver == "auto":
-        n_unlabeled = tm.n - label_matrix.n_labeled
-        solver = "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg"
+    solver = choose_solver(solver, tm.n - label_matrix.n_labeled)
     if solver == "closed":
         return propagate_closed_form(tm, label_matrix, tol=tol)
     if solver == "iterative":
@@ -342,10 +424,6 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     else:
         tm = cache.get(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
-    if not report.converged:
-        raise ConvergenceError(
-            "%s solve did not converge in %d iterations: error bound %.3g "
-            "exceeds tol %g" % (report.method, report.iterations,
-                                report.error_bound, tol))
+    require_converged(report, tol)
     return ExpansionResult(store.vocab, emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import weakref
 
 import jsonschema
@@ -253,6 +254,18 @@ class TestEvaluate:
         out = tmp_path / "out"
         assert not (out / "eval_report.json").exists()
         assert not (out / "eval_table.txt").exists()
+
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_fewer_than_two_folds_refused(self, tmp_path, capsys, k):
+        config = write_config(tmp_path, params=PARAMS,
+                              corpus=data_path("mini_corpus.tsv"), k_folds=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "k must be at least 2"}
+        assert os.listdir(tmp_path / "out") == []
 
     def test_one_graph_operator_alive_at_a_time(self, tmp_path, monkeypatch):
         built = []

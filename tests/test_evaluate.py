@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import emolex.evaluate as evaluate_module
 import emolex.solver as solver_module
 from emolex import (ConvergenceError, EmotionSet, PropagationParams,
-                    baseline_expander, corpus_lexicon_stats, count_classify,
-                    cross_validate, expand, kl_divergence,
-                    label_prop_expander, load_corpus, load_seed_lexicon,
-                    make_folds, micro_prf)
+                    SeedLexicon, TransitionOperator, baseline_expander,
+                    corpus_lexicon_stats, count_classify, cross_validate,
+                    expand, kl_divergence, label_prop_expander, load_corpus,
+                    load_seed_lexicon, make_folds, micro_prf)
 from emolex.evaluate import CorpusFormatError
+from emolex.graph import NumericalDegeneracyError
 
 from conftest import data_path, make_store, two_cluster_seed, two_cluster_store
 
@@ -94,25 +96,35 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             make_folds(["a", "b"], 3, rng_seed=0)
 
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_fewer_than_two_folds_refused(self, k):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            make_folds(["t%d" % i for i in range(5)], k, rng_seed=0)
+
 
 class TestBaselineExpander:
     def test_majority_is_one_hot_joy(self, ekman):
         store = make_store([[1.0, 0.0]], ["x"])
         run = baseline_expander("majority", HASHTAG_COUNTS)
-        assert np.array_equal(run(store, None, ekman), [[0, 0, 0, 1, 0, 0]])
+        (dists,) = run(store, None, ekman, [["x"]])
+        assert np.array_equal(dists, [[0, 0, 0, 1, 0, 0]])
 
     def test_prior_joy_component(self, ekman):
         store = make_store([[1.0, 0.0]], ["x"])
         run = baseline_expander("prior", HASHTAG_COUNTS)
-        dist = run(store, None, ekman)[0]
+        (dists,) = run(store, None, ekman, [["x"]])
+        dist = dists[0]
         assert dist[3] == pytest.approx(8240 / 21051, abs=1e-4)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform(self, ekman):
         store = make_store([[1.0, 0.0], [0.0, 1.0]], ["x", "y"])
-        dists = baseline_expander("uniform")(store, None, ekman)
-        assert dists.shape == (2, 6)
-        assert np.allclose(dists, 1 / 6)
+        folds = [["x"], ["y"]]
+        arrays = list(baseline_expander("uniform")(store, None, ekman, folds))
+        assert len(arrays) == 2
+        for dists in arrays:
+            assert dists.shape == (2, 6)
+            assert np.allclose(dists, 1 / 6)
 
     def test_counts_required(self):
         for kind in ("majority", "prior"):
@@ -131,12 +143,13 @@ class TestCrossValidate:
         store = two_cluster_store(10, dim=4, seed=1)
         seed = two_cluster_seed(store, ekman, 6)
 
-        def oracle(store_, train, emotions_):
+        def oracle(store_, seed_, emotions_, folds):
             dists = np.full((len(store_.vocab), len(emotions_)),
                             1.0 / len(emotions_))
             for t in seed.entries:
                 dists[store_.vocab.index[t]] = seed.distribution(t)
-            return dists
+            for _ in folds:
+                yield dists
         report = cross_validate(store, seed, ekman, oracle, k=4, rng_seed=0)
         assert report.overall == 0.0
         assert report.pooled == 0.0
@@ -209,7 +222,8 @@ class TestCrossValidate:
             per_fold.append(float(np.mean(
                 [kl_divergence(seed.distribution(t), result.distribution(t))
                  for t in held_out])))
-        assert report.per_fold == per_fold
+        # One factorization for all folds differs from ten in rounding only.
+        assert np.max(np.abs(np.subtract(report.per_fold, per_fold))) <= 1e-12
         assert len(builds) == 11
 
         # The operator lives as long as the expander: a second run on the
@@ -230,10 +244,158 @@ class TestCrossValidate:
         store = two_cluster_store(6, dim=4, seed=6)
         seed = two_cluster_seed(store, ekman, 4)
 
-        def broken(store_, train, emotions_):
+        def broken(store_, seed_, emotions_, folds):
             raise ValueError("boom")
         with pytest.raises(RuntimeError, match="fold 0"):
             cross_validate(store, seed, ekman, broken, k=4, rng_seed=0)
+
+    def test_failure_mid_run_names_fold(self, ekman):
+        store = two_cluster_store(6, dim=4, seed=6)
+        seed = two_cluster_seed(store, ekman, 4)
+
+        def broken(store_, seed_, emotions_, folds):
+            yield from baseline_expander("uniform")(store_, seed_, emotions_,
+                                                    folds[:2])
+            raise ValueError("boom")
+        with pytest.raises(RuntimeError, match="fold 2: boom"):
+            cross_validate(store, seed, ekman, broken, k=4, rng_seed=0)
+
+    @pytest.mark.parametrize("count, fold", [(0, 0), (3, 3), (5, 4)])
+    def test_wrong_number_of_arrays_names_fold(self, ekman, count, fold):
+        store = two_cluster_store(6, dim=4, seed=6)
+        seed = two_cluster_seed(store, ekman, 4)
+        uniform = baseline_expander("uniform")
+
+        def miscounted(store_, seed_, emotions_, folds):
+            return uniform(store_, seed_, emotions_, [[]] * count)
+        with pytest.raises(RuntimeError, match="fold %d" % fold):
+            cross_validate(store, seed, ekman, miscounted, k=4, rng_seed=0)
+
+    @pytest.mark.parametrize("shape", [(12, 7), (11, 6), (6,)])
+    def test_wrong_shape_names_fold(self, ekman, shape):
+        store = two_cluster_store(6, dim=4, seed=6)
+        seed = two_cluster_seed(store, ekman, 4)
+
+        def misshaped(store_, seed_, emotions_, folds):
+            for fold in range(len(folds)):
+                good = fold != 1
+                yield np.full((12, 6) if good else shape,
+                              1.0 / (6 if good else shape[-1]))
+        with pytest.raises(RuntimeError, match="fold 1"):
+            cross_validate(store, seed, ekman, misshaped, k=4, rng_seed=0)
+
+    def test_folds_passed_in_order(self, ekman):
+        store = two_cluster_store(6, dim=4, seed=6)
+        seed = two_cluster_seed(store, ekman, 4)
+        seen = []
+
+        def recording(store_, seed_, emotions_, folds):
+            assert seed_ is seed
+            seen.extend(folds)
+            return baseline_expander("uniform")(store_, seed_, emotions_, folds)
+        cross_validate(store, seed, ekman, recording, k=4, rng_seed=2)
+        assert seen == make_folds(sorted(seed.entries), 4, 2)
+
+
+class TestFactorizedFolds:
+    """Label-propagation CV solves every fold from one factorization when
+    every fold takes the closed form, and each fold by `expand` otherwise."""
+
+    @staticmethod
+    def setup_run(n_per_cluster=15):
+        ekman = EmotionSet()
+        store = two_cluster_store(n_per_cluster, dim=6, separation=5.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 10)
+        params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
+        return store, seed, ekman, params
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("solver", ["closed", "auto"])
+    def test_one_gather_and_one_factorization(self, monkeypatch, solver):
+        # u = 30 exceeds every other block: l = 20 seeds, |H| = 2.
+        store, seed, ekman, params = self.setup_run(n_per_cluster=25)
+        u = len(store) - len(seed.entries)
+        gathers = []
+        gather = TransitionOperator.submatrix
+
+        def counting_gather(self, rows, cols=None):
+            block = gather(self, rows, cols)
+            gathers.append(block.shape)
+            return block
+        monkeypatch.setattr(TransitionOperator, "submatrix", counting_gather)
+        solves = self.count_calls(monkeypatch, np.linalg, "solve")
+        cross_validate(store, seed, ekman,
+                       label_prop_expander(params, solver=solver),
+                       k=10, rng_seed=0)
+        assert [s for s in gathers if s[0] == s[1] and s[0] >= u] == [(u, u)]
+        shapes = [a.shape for a, _ in solves]
+        assert [s for s in shapes if s[0] >= u] == [(u, u)]
+        # The other solves are the folds' |H| x |H| systems.
+        assert sorted(s[0] for s in shapes if s[0] < u) == [2] * 10
+
+    def test_ill_conditioned_fold_refused(self):
+        # The setup of TestClosedForm::test_ill_conditioned_system_refused:
+        # epsilon = 0 and a steep kernel, so the cluster opposite the seeds
+        # sends them about 1e-26 of its mass in one step.
+        rng = np.random.default_rng(6)
+        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        store = make_store(np.vstack([near, far]))
+        emotions = EmotionSet(["a", "b"])
+        seed = SeedLexicon({"w0": np.array([1, 0]), "w1": np.array([0, 1])},
+                           emotions)
+        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
+        with pytest.raises(RuntimeError, match="fold 0") as err:
+            cross_validate(store, seed, emotions, label_prop_expander(params),
+                           k=2, rng_seed=0)
+        assert isinstance(err.value.__cause__, NumericalDegeneracyError)
+
+    @pytest.mark.parametrize("solver", ["cg", "iterative"])
+    def test_iterating_solvers_expand_each_fold(self, monkeypatch, solver):
+        store, seed, ekman, params = self.setup_run()
+        builds = self.count_calls(monkeypatch, solver_module,
+                                  "build_transition")
+        expands = self.count_calls(monkeypatch, evaluate_module, "expand")
+        factorized = self.count_calls(monkeypatch, evaluate_module,
+                                      "propagate_folds")
+        report = cross_validate(store, seed, ekman,
+                                label_prop_expander(params, solver=solver),
+                                k=10, rng_seed=0)
+        assert len(expands) == 10
+        assert len(builds) == 1
+        assert factorized == []
+        closed = cross_validate(store, seed, ekman,
+                                label_prop_expander(params, solver="closed"),
+                                k=10, rng_seed=0)
+        assert np.allclose(report.per_fold, closed.per_fold, atol=1e-5)
+
+    def test_auto_split_follows_threshold(self, monkeypatch):
+        store, seed, ekman, params = self.setup_run()
+        largest = len(store) - len(seed.entries) + 2
+        expands = self.count_calls(monkeypatch, evaluate_module, "expand")
+        factorized = self.count_calls(monkeypatch, evaluate_module,
+                                      "propagate_folds")
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
+                            largest)
+        at = cross_validate(store, seed, ekman, label_prop_expander(params),
+                            k=10, rng_seed=0)
+        assert (len(factorized), len(expands)) == (1, 0)
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
+                            largest - 1)
+        above = cross_validate(store, seed, ekman, label_prop_expander(params),
+                               k=10, rng_seed=0)
+        assert (len(factorized), len(expands)) == (1, 10)
+        assert np.allclose(at.per_fold, above.per_fold, atol=1e-5)
 
 
 class TestCountClassify:

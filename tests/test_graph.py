@@ -143,6 +143,9 @@ class TestBuildTransition:
         index = np.array([1, 4, 5])
         assert np.allclose(tm.submatrix(index), t[np.ix_(index, index)],
                            atol=1e-15)
+        cols = np.array([0, 6])
+        assert np.allclose(tm.submatrix(index, cols), t[np.ix_(index, cols)],
+                           atol=1e-15)
 
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(8)

@@ -3,7 +3,8 @@ import pytest
 
 import emolex.solver as solver_module
 from emolex import (EmotionSet, LabelMatrix, PropagationParams, SeedLexicon,
-                    expand, propagate_cg, propagate_closed_form,
+                    expand, kl_divergence, propagate_cg,
+                    propagate_closed_form, propagate_folds,
                     propagate_iterative)
 from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
                           build_transition)
@@ -157,6 +158,95 @@ class TestClosedForm:
         tm, lm = random_instance(np.random.default_rng(7), 20, 4)
         _, report = propagate_closed_form(tm, lm)
         assert report.cond_bound <= MAX_CONDITION
+
+
+def fold_instance(epsilon, k, seed, n_per_cluster=15, n_seeds=20, m=6):
+    """A two-cluster graph with random seed rows and the seeds split into k
+    folds."""
+    rng = np.random.default_rng(seed)
+    store = two_cluster_store(n_per_cluster, dim=6, separation=3.0, seed=seed)
+    n = len(store)
+    seeds = rng.choice(n, size=n_seeds, replace=False)
+    mask = np.zeros(n, dtype=bool)
+    mask[seeds] = True
+    params = PropagationParams(alpha=6.0, b=-2.0, epsilon=epsilon)
+    tm = build_transition(store, params, mask)
+    rows = np.full((n, m), 1.0 / m)
+    rows[mask] = rng.dirichlet(np.ones(m), size=n_seeds)
+    return tm, LabelMatrix(rows, mask), np.array_split(seeds, k)
+
+
+class TestFolds:
+    @pytest.mark.parametrize("epsilon, k, seed", [
+        (1e-4, 4, 0), (0.01, 5, 1), (0.3, 10, 2), (0.01, 10, 3), (1e-4, 5, 4),
+        (0.3, 4, 5)])
+    def test_matches_closed_form_per_fold(self, epsilon, k, seed):
+        tm, lm, folds = fold_instance(epsilon, k, seed)
+        solved = list(propagate_folds(tm, lm, folds, tol=1e-9))
+        assert len(solved) == k
+        for hidden, (fold, report) in zip(folds, solved):
+            mask = lm.labeled_mask.copy()
+            mask[hidden] = False
+            expected, expected_report = propagate_closed_form(
+                tm, LabelMatrix(lm.rows, mask), tol=1e-9)
+            assert np.array_equal(fold.labeled_mask, mask)
+            assert np.max(np.abs(fold.rows - expected.rows)) <= 1e-12
+            assert np.array_equal(fold.rows[mask], lm.rows[mask])
+            gold = lm.rows[hidden]
+            assert np.max(np.abs(kl_divergence(gold, fold.rows[hidden])
+                                 - kl_divergence(gold, expected.rows[hidden]))
+                          ) <= 1e-12
+            assert report.min_labeled_mass == pytest.approx(
+                expected_report.min_labeled_mass, abs=1e-12)
+            assert report.cond_bound == pytest.approx(
+                expected_report.cond_bound, rel=1e-12)
+            assert report.method == "closed-form"
+            assert report.converged
+            assert report.error_bound <= 1e-9
+            assert (report.error_bound
+                    == report.residual / report.min_labeled_mass)
+
+    def test_all_seeded_vocabulary(self):
+        # No row is unlabeled in the all-seeds system, so Z is empty and the
+        # folds' hidden seeds are the whole unknown.
+        tm, _, _ = fold_instance(0.01, 3, 7, n_per_cluster=4, n_seeds=7)
+        lm = LabelMatrix(np.random.default_rng(7).dirichlet(np.ones(6), size=8),
+                         np.ones(8, dtype=bool))
+        folds = [np.array([0, 5]), np.array([1, 2, 6]), np.array([3, 4, 7])]
+        for hidden, (fold, report) in zip(folds,
+                                          propagate_folds(tm, lm, folds)):
+            mask = ~np.isin(np.arange(8), hidden)
+            expected, _ = propagate_closed_form(tm, LabelMatrix(lm.rows, mask))
+            assert np.max(np.abs(fold.rows - expected.rows)) <= 1e-12
+            assert report.converged
+
+    def test_ill_conditioned_fold_refused(self):
+        rng = np.random.default_rng(6)
+        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        store = make_store(np.vstack([near, far]))
+        mask = np.array([True, True] + [False] * 6)
+        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
+        tm = build_transition(store, params, mask)
+        rows = np.full((8, 2), 0.5)
+        rows[0], rows[1] = [1.0, 0.0], [0.0, 1.0]
+        folds = propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1]])
+        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
+            next(folds)
+
+    def test_only_labeled_rows_hidden(self):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+        unlabeled = np.flatnonzero(~lm.labeled_mask)[:1]
+        with pytest.raises(ValueError, match="only labeled rows"):
+            list(propagate_folds(tm, lm, folds[:1] + [unlabeled]))
+
+    def test_input_contract(self):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            next(propagate_folds(tm, lm, folds, tol=0.0))
+        every_seed = [np.flatnonzero(lm.labeled_mask)]
+        with pytest.raises(ValueError, match="one labeled and one unlabeled"):
+            next(propagate_folds(tm, lm, every_seed))
 
 
 class TestSolve:

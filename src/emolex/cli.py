@@ -26,7 +26,12 @@ class ConfigError(ValueError):
 
 
 def _replace(path, write):
-    """Call write(tmp) on a sibling temporary file, then move it to path."""
+    """Call write(tmp) on a sibling temporary file, then move it to path.
+
+    The directory is created here, at the first artifact write, so a command
+    that fails before it writes leaves no output directory behind.
+    """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     write(tmp)
     os.replace(tmp, path)
@@ -77,10 +82,11 @@ class RunConfig:
         return path
 
     def out_dir(self):
+        """The configured output directory; not created until an artifact is
+        written."""
         out = self.data.get("out")
         if not out:
             raise ConfigError("an output directory ('out') is required")
-        os.makedirs(out, exist_ok=True)
         return out
 
     def emotions(self):

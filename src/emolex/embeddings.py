@@ -98,7 +98,9 @@ def load_embeddings(path):
 
     Returns an EmbeddingStore whose `vocab` holds every word in file order.
     Malformed rows, duplicates, non-finite components, and zero vectors are
-    errors reported with their line number. For a subset, build
+    errors reported with their line number. So is a word count other than
+    the header's: too few rows are reported at the header, too many at the
+    first extra row. For a subset, build
     `EmbeddingStore(Vocabulary(words), store.vectors[keep])`.
     """
     words = []
@@ -109,11 +111,14 @@ def load_embeddings(path):
         header = fh.readline()
         if not header:
             raise EmbeddingFormatError("empty file", 1)
-        _, dim = _parse_header(header, 1)
+        count, dim = _parse_header(header, 1)
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
+            if len(words) == count:
+                raise EmbeddingFormatError(
+                    "more rows than the header's %d words" % count, line_no)
             parts = line.split()
             if len(parts) != dim + 1:
                 raise EmbeddingFormatError(
@@ -133,6 +138,9 @@ def load_embeddings(path):
                 raise EmbeddingFormatError("zero vector for token %r" % token, line_no)
             words.append(token)
             rows.append(vec)
+    if len(words) != count:
+        raise EmbeddingFormatError("header declares %d words, the file has %d"
+                                   % (count, len(words)), 1)
 
     vocab = Vocabulary(words)
     vectors = np.vstack(rows) if rows else np.empty((0, dim))

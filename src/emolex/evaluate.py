@@ -7,9 +7,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import FormatError
-from .lexicon import init_label_matrix
-from .solver import (OperatorCache, choose_solver, expand, propagate_folds,
-                     require_converged)
+from .lexicon import check_emotions, init_label_matrix
+from .solver import OperatorCache, choose_solver, expand, propagate_folds
 
 PREDICTION_FLOOR = 1e-12
 
@@ -76,8 +75,8 @@ def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     as the closure. When the solver is the closed form for every fold (as
     `solve` decides, on the largest fold), all folds come from one
     factorization by `propagate_folds`; otherwise each fold is its own
-    `expand`. Either way a fold whose solve is not certified within tol
-    raises ConvergenceError.
+    `expand`. Either way the solver raises ConvergenceError on a fold whose
+    solve is not certified within tol.
     """
     cache = OperatorCache()
 
@@ -98,8 +97,7 @@ def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
         train_mask = label_matrix.labeled_mask.copy()
         train_mask[hidden[0]] = False
         tm = cache.get(store, params, train_mask)
-        for solved, report in propagate_folds(tm, label_matrix, hidden, tol):
-            require_converged(report, tol)
+        for solved, _ in propagate_folds(tm, label_matrix, hidden, tol):
             yield solved.rows
     run.label = "label-propagation"
     run.params = params.to_dict()
@@ -148,8 +146,9 @@ def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
     participate. Reports per-fold means, the mean of fold means, and the
     pooled per-word mean; an expander that fails, or yields too few or too
     many arrays or one of the wrong shape, raises RuntimeError naming the
-    fold.
+    fold. `emotions` must be the seed's own emotion set (ValueError).
     """
+    check_emotions(seed, emotions)
     eligible = [t for t in seed.entries if t in store.vocab]
     folds = make_folds(eligible, k, rng_seed)
     shape = (len(store), len(emotions))

@@ -143,14 +143,25 @@ class LabelMatrix:
         return self.rows[self.labeled_mask]
 
 
+def check_emotions(seed, emotions):
+    """Raise ValueError unless `emotions` is the seed lexicon's own emotion
+    set: another order or another set would relabel the seeds' flags."""
+    if emotions != seed.emotions:
+        raise ValueError("emotion set %s does not match the seed lexicon's %s"
+                         % (list(emotions), list(seed.emotions)))
+
+
 def init_label_matrix(vocab, seed, emotions=None):
     """Initial Y: seed distributions on labeled rows, uniform 1/m elsewhere.
 
     Returns (LabelMatrix, missing) where `missing` counts seed tokens absent
     from the vocabulary (reported, not fatal: they cannot be graph nodes).
+    `emotions`, when given, must be the seed's own emotion set, since it
+    fixes the meaning of each column.
     """
     if emotions is None:
         emotions = seed.emotions
+    check_emotions(seed, emotions)
     m = len(emotions)
     n = len(vocab)
     rows = np.full((n, m), 1.0 / m)

@@ -263,6 +263,15 @@ def _descend(store, label_matrix, batches, steps, config, init):
     return state, best[1:], trace
 
 
+def _label_matrix(store, seed):
+    """The seeds' LabelMatrix over the whole vocabulary; raises unless it
+    has at least one labeled and one unlabeled node."""
+    label_matrix, _ = init_label_matrix(store.vocab, seed)
+    if not 0 < label_matrix.n_labeled < len(store):
+        raise ValueError("need at least one labeled and one unlabeled node")
+    return label_matrix
+
+
 def fit_full(store, seed, config, init=None):
     """Plain gradient descent on the full-graph unrolled entropy.
 
@@ -270,7 +279,7 @@ def fit_full(store, seed, config, init=None):
     divergence restarts the fit from `init` at half the rate. Returns the
     lowest-entropy iterate; the trace's `params_epoch` is its row.
     """
-    label_matrix, _ = init_label_matrix(store.vocab, seed)
+    label_matrix = _label_matrix(store, seed)
     _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
                                        config.epochs, config, init)
     trace.params_epoch = epoch
@@ -298,11 +307,9 @@ def fit_batched(store, seed, config, init=None):
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
-    label_matrix, _ = init_label_matrix(store.vocab, seed)
+    label_matrix = _label_matrix(store, seed)
     labeled_idx = np.flatnonzero(label_matrix.labeled_mask)
     unlabeled_idx = np.flatnonzero(~label_matrix.labeled_mask)
-    if labeled_idx.size == 0 or unlabeled_idx.size == 0:
-        raise ValueError("need at least one labeled and one unlabeled node")
     rng = np.random.default_rng(config.rng_seed)
     batches = (_sample_batch(rng, labeled_idx, unlabeled_idx,
                              config.batch_size, len(store))

@@ -13,7 +13,7 @@ from .lexicon import LabelMatrix, init_label_matrix
 # u x u factorization becomes the expensive path.
 CLOSED_FORM_MAX_UNLABELED = 2000
 
-# The closed form refuses (I - T_uu) when the bound on its infinity-norm
+# Every solver refuses (I - T_uu) when the bound on its infinity-norm
 # condition number exceeds this.
 MAX_CONDITION = 1e12
 
@@ -28,9 +28,10 @@ class SolveReport:
 
     `error_bound` bounds the max-abs error of the returned unlabeled rows:
     their residual divided by `min_labeled_mass`, the smallest one-step
-    probability mass of an unlabeled row onto the seeds. `converged` means
-    that bound is within the solve's tol. `cond_bound`, the condition bound
-    the closed form checks before it factors, is set by that method only.
+    probability mass of an unlabeled row onto the seeds. `cond_bound` is
+    the bound (2 - min m) / min m on the condition number of the system.
+    A solver returns a report only when that system was accepted and the
+    error bound is within its tol, so `converged` is always true.
     """
 
     method: str
@@ -39,10 +40,10 @@ class SolveReport:
     converged: bool
     error_bound: float
     min_labeled_mass: float
-    cond_bound: float = None
+    cond_bound: float
 
     def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return asdict(self)
 
 
 def _residual(tm, y, unlabeled):
@@ -51,27 +52,37 @@ def _residual(tm, y, unlabeled):
 
 
 def _labeled_mass(tm, labeled):
-    """The smallest one-step mass m_i = (T 1_L)_i of an unlabeled row onto
-    the seeds.
+    """(min m, cond_bound): the smallest one-step mass m_i = (T 1_L)_i of an
+    unlabeled row onto the seeds, and the condition bound it gives.
 
     T is row-stochastic, so m_i = 1 - sum_j (T_uu)_ij and
     ||(I - T_uu)^{-1}||_inf <= 1 / min m: a solution of the unlabeled system
-    with residual r is within r / min m of the exact one, and the fixed-point
-    sweep contracts by 1 - min m. Raises when min m is not positive, since
-    then no bound holds.
+    with residual r is within r / min m of the exact one, the fixed-point
+    sweep contracts by 1 - min m, and the infinity-norm condition number of
+    (I - T_uu) is at most (2 - min m) / min m. The condition belongs to the
+    system, not to the method that solves it, so every solver refuses the
+    system here, before its first sweep or factorization, when that bound
+    exceeds MAX_CONDITION or min m is not positive.
     """
     mass = float(np.min(tm.apply(labeled[:, None].astype(np.float64))[~labeled]))
-    if not mass > 0:
+    cond_bound = (2.0 - mass) / mass if mass > 0 else np.inf
+    if not cond_bound <= MAX_CONDITION:
         raise NumericalDegeneracyError(
-            "(I - T_uu) is ill-conditioned: an unlabeled row sends %.3g of its "
-            "mass to the seeds; consider epsilon smoothing" % mass)
-    return mass
+            "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
+            "labeled mass %.3g; consider epsilon smoothing" % (cond_bound, mass))
+    return mass, cond_bound
 
 
-def _certified(method, iterations, residual, mass, tol, **extra):
+def _certified(method, iterations, residual, mass, cond_bound, tol):
+    """The report of a solve whose error bound residual / min m is within
+    tol; raises ConvergenceError otherwise."""
     bound = residual / mass
-    return SolveReport(method, iterations, residual, bound <= tol, bound,
-                       mass, **extra)
+    if not bound <= tol:
+        raise ConvergenceError(
+            "%s solve did not converge in %d iterations: error bound %.3g "
+            "exceeds tol %g" % (method, iterations, bound, tol))
+    return SolveReport(method, iterations, residual, True, bound, mass,
+                       cond_bound)
 
 
 def _check_inputs(label_matrix, tol, max_iter=1):
@@ -95,13 +106,14 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     within delta * rho / (1 - rho) of the fixed point; the loop stops once
     that is at most tol. Rows are re-normalized each sweep to cap
     floating-point drift (a guard, not an algorithm change). Labeled rows
-    are returned bit-equal to the input.
+    are returned bit-equal to the input. Raises ConvergenceError when
+    max_iter sweeps leave the error bound above tol.
     """
     _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
     seeds = label_matrix.labeled_rows
     y = label_matrix.rows.copy()
-    mass = _labeled_mass(tm, labeled)
+    mass, cond_bound = _labeled_mass(tm, labeled)
     contraction = (1.0 - mass) / mass
 
     iterations = 0
@@ -116,21 +128,8 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
             break
 
     report = _certified("iterative", iterations, _residual(tm, y, ~labeled),
-                        mass, tol)
+                        mass, cond_bound, tol)
     return LabelMatrix(y, labeled), report
-
-
-def _conditioned_mass(tm, labeled):
-    """min m (see `_labeled_mass`) and the bound (2 - min m) / min m on the
-    infinity-norm condition number of (I - T_uu); refuses the system when
-    that bound exceeds MAX_CONDITION."""
-    mass = _labeled_mass(tm, labeled)
-    cond_bound = (2.0 - mass) / mass
-    if not cond_bound <= MAX_CONDITION:
-        raise NumericalDegeneracyError(
-            "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
-            "labeled mass %.3g; consider epsilon smoothing" % (cond_bound, mass))
-    return mass, cond_bound
 
 
 def _solve_clamped(block, rhs):
@@ -154,25 +153,23 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
-    gathered from the operator by that mask. The system is checked in O(n^2)
-    before it is factored: with m = T 1_L (see `_labeled_mass`) the
-    infinity-norm condition number is at most (2 - min m) / min m. Fails
-    with a diagnostic when that bound exceeds MAX_CONDITION, when
-    (I - T_uu) is singular, or when the solution is not finite (possible
-    only at epsilon = 0 with a component disconnected in probability from
-    the labeled set). `tol` only decides whether the error bound of the
-    solution counts as converged.
+    gathered from the operator by that mask, after `_labeled_mass` has
+    checked its condition in O(n^2). Fails with a diagnostic when
+    (I - T_uu) is singular or the solution is not finite (possible only at
+    epsilon = 0 with a component disconnected in probability from the
+    labeled set), and with ConvergenceError when rounding leaves the error
+    bound of the solution above tol.
     """
     _check_inputs(label_matrix, tol)
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    mass, cond_bound = _conditioned_mass(tm, labeled)
+    mass, cond_bound = _labeled_mass(tm, labeled)
     y[unlabeled] = 0.0
     rhs = tm.apply(y)[unlabeled]
     y[unlabeled] = _solve_clamped(tm.submatrix(unlabeled), rhs)
     report = _certified("closed-form", 1, _residual(tm, y, ~labeled), mass,
-                        tol, cond_bound=cond_bound)
+                        cond_bound, tol)
     return LabelMatrix(y, labeled), report
 
 
@@ -212,7 +209,7 @@ def propagate_folds(tm, label_matrix, folds, tol=1e-6):
         mask[hidden] = False
         fold = LabelMatrix(label_matrix.rows.copy(), mask)
         _check_inputs(fold, tol)
-        mass, cond_bound = _conditioned_mass(tm, mask)
+        mass, cond_bound = _labeled_mass(tm, mask)
         if z is None:
             z = _solve_clamped(tm.submatrix(unlabeled),
                                tm.submatrix(unlabeled, seeds))
@@ -224,7 +221,7 @@ def propagate_folds(tm, label_matrix, folds, tol=1e-6):
         fold.rows[hidden] = y_h
         fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
         report = _certified("closed-form", 1, _residual(tm, fold.rows, ~mask),
-                            mass, tol, cond_bound=cond_bound)
+                            mass, cond_bound, tol)
         yield fold, report
 
 
@@ -245,13 +242,14 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
     once that estimate divided by min m (see `_labeled_mass`) is within tol,
     the rows are clipped at 0 and re-normalized, and one true product with
-    T confirms the bound before the solve counts as converged.
+    T confirms the bound; raises ConvergenceError when max_iter iterations
+    end without that confirmation.
     """
     _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    mass = _labeled_mass(tm, labeled)
+    mass, cond_bound = _labeled_mass(tm, labeled)
     n, m = y.shape
     row, col = tm.row[unlabeled], tm.col[unlabeled]
     keep = 1.0 - tm.epsilon
@@ -317,7 +315,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
         rz = rz_next
     if residual is None:
         residual = settle(y_u)
-    report = _certified("cg", iterations, residual, mass, tol)
+    report = _certified("cg", iterations, residual, mass, cond_bound, tol)
     return LabelMatrix(y, labeled), report
 
 
@@ -328,16 +326,6 @@ def choose_solver(solver, n_unlabeled):
     if solver == "auto":
         return "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg"
     return solver
-
-
-def require_converged(report, tol):
-    """Raise ConvergenceError unless the solve certified its result within
-    tol."""
-    if not report.converged:
-        raise ConvergenceError(
-            "%s solve did not converge in %d iterations: error bound %.3g "
-            "exceeds tol %g" % (report.method, report.iterations,
-                                report.error_bound, tol))
 
 
 def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
@@ -407,8 +395,9 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     """End-to-end expansion: init Y, build the transition operator, solve,
     and return the distributions of every vocabulary word in vocabulary order.
 
-    Seed rows pass through unchanged. `solver` is passed to `solve`; raises
-    ConvergenceError when the solve does not certify its result within tol.
+    Seed rows pass through unchanged. `solver` is passed to `solve`, which
+    raises ConvergenceError when the solve does not certify its result
+    within tol.
     With an OperatorCache as `cache`, the operator comes from it, and is
     built only if the cache holds none for this store and params.
     """
@@ -424,6 +413,5 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     else:
         tm = cache.get(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
-    require_converged(report, tol)
     return ExpansionResult(store.vocab, emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)

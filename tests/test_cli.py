@@ -74,8 +74,7 @@ class TestExpand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceError"
         assert "error bound" in err["message"]
-        out = tmp_path / "out"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_all_seeded_vocabulary_fails_without_artifacts(self, tmp_path,
                                                            capsys):
@@ -89,8 +88,7 @@ class TestExpand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "unlabeled" in err["message"]
-        out = tmp_path / "out"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, seed=3)
@@ -180,6 +178,28 @@ class TestOptimize:
         assert "decay" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out" / "params.json").exists()
 
+    # With the only seed token absent from the vocabulary the fit used to
+    # exit 0 with params.json equal to init; with every word a seed it
+    # raised ZeroDivisionError.
+    @pytest.mark.parametrize("seeded", ["none", "all"])
+    def test_needs_labeled_and_unlabeled_words(self, tmp_path, capsys,
+                                               seeded):
+        if seeded == "none":
+            words = ["absent"]
+        else:
+            with open(data_path("mini_vectors.txt"), encoding="utf-8") as fh:
+                words = [line.split()[0] for line in fh.readlines()[1:]]
+        seed = tmp_path / "seed.tsv"
+        seed.write_text("".join("%s\tjoy\t1\n" % w for w in words),
+                        encoding="utf-8")
+        config = write_config(tmp_path, seed_lexicon=str(seed),
+                              fit={"mode": "full", "epochs": 2})
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "need at least one "
+                       "labeled and one unlabeled node"}
+        assert not (tmp_path / "out").exists()
+
     def test_conflicting_params_and_fit(self, tmp_path, capsys):
         config = write_config(tmp_path, params=PARAMS,
                               fit={"mode": "full", "epochs": 2})
@@ -251,9 +271,7 @@ class TestEvaluate:
         err = json.loads(capsys.readouterr().err)
         assert "fold 0" in err["message"]
         assert "did not converge" in err["message"]
-        out = tmp_path / "out"
-        assert not (out / "eval_report.json").exists()
-        assert not (out / "eval_table.txt").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [0, 1, -2])
     def test_fewer_than_two_folds_refused(self, tmp_path, capsys, k):
@@ -265,7 +283,7 @@ class TestEvaluate:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": "k must be at least 2"}
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_one_graph_operator_alive_at_a_time(self, tmp_path, monkeypatch):
         built = []
@@ -390,5 +408,4 @@ class TestFiniteArtifacts:
         assert main(["expand", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "max_iter must be at least 1"
-        out = tmp_path / "out"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not (tmp_path / "out").exists()

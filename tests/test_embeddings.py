@@ -44,6 +44,18 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError):
             load_embeddings(write_file(tmp_path, "banana\na 1 0\n"))
 
+    # A truncated file used to load the rows it had without a word.
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("5 2\na 1 0\nb 0 1\nc 1 1\n", 1, "declares 5 words, the file has 3"),
+        ("2 2\na 1 0\n\nb 0 1\nc 1 1\nd 1 2\n", 5, "more rows than"),
+        ("0 2\na 1 0\n", 2, "more rows than the header's 0 words"),
+    ])
+    def test_word_count_must_match_header(self, tmp_path, text, line_no,
+                                          message):
+        with pytest.raises(EmbeddingFormatError, match=message) as err:
+            load_embeddings(write_file(tmp_path, text))
+        assert err.value.line_no == line_no
+
     def test_crlf_tolerated(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"2 2\r\na 1 0\r\nb 0 1\r\n")

@@ -139,6 +139,14 @@ class TestBaselineExpander:
 
 
 class TestCrossValidate:
+    def test_mismatched_emotion_set_refused(self, ekman):
+        store = two_cluster_store(10, dim=4, seed=1)
+        seed = two_cluster_seed(store, ekman, 6)
+        reordered = EmotionSet(ekman.names[::-1])
+        with pytest.raises(ValueError, match="does not match the seed"):
+            cross_validate(store, seed, reordered, baseline_expander("uniform"),
+                           k=4, rng_seed=0)
+
     def test_perfect_expander_scores_zero(self, ekman):
         store = two_cluster_store(10, dim=4, seed=1)
         seed = two_cluster_seed(store, ekman, 6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from emolex import (EmotionSet, Vocabulary, init_label_matrix,
+from emolex import (EKMAN_SIX, EmotionSet, Vocabulary, init_label_matrix,
                     load_seed_lexicon, seed_to_distribution)
 from emolex.lexicon import LexiconFormatError
 
@@ -115,6 +115,19 @@ class TestInitLabelMatrix:
         seed = load_seed_lexicon(path, ekman)
         lm, _ = init_label_matrix(vocab, seed, ekman)
         assert np.allclose(lm.rows.sum(axis=1), 1.0, atol=1e-9)
+
+    # The reversed set used to relabel an anger seed as surprise, and a set
+    # of another length failed with a broadcast error.
+    @pytest.mark.parametrize("names", [EKMAN_SIX[::-1], EKMAN_SIX[:5],
+                                       EKMAN_SIX + ("trust",)])
+    def test_mismatched_emotion_set_refused(self, tmp_path, ekman, names):
+        vocab = Vocabulary(["a", "b"])
+        seed = load_seed_lexicon(write_tsv(tmp_path, [("a", "anger", 1)]),
+                                 ekman)
+        with pytest.raises(ValueError, match="does not match the seed"):
+            init_label_matrix(vocab, seed, EmotionSet(names))
+        lm, _ = init_label_matrix(vocab, seed, EmotionSet(EKMAN_SIX))
+        assert np.array_equal(lm.rows[0], [1, 0, 0, 0, 0, 0])
 
 
 class TestEmotionSet:

@@ -206,6 +206,17 @@ class TestFitFull:
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
             fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
+    # With no seed in the vocabulary the fit used to return `init` after a
+    # flat descent; with every word a seed it divided by zero unlabeled rows.
+    @pytest.mark.parametrize("seeded", ["none", "all"])
+    def test_needs_labeled_and_unlabeled_nodes(self, ekman, seeded):
+        store = two_cluster_store(3, dim=3, seed=9)
+        flags = np.eye(len(ekman), dtype=np.int64)[ekman.index["joy"]]
+        words = ["absent"] if seeded == "none" else list(store.vocab)
+        seed = SeedLexicon({word: flags for word in words}, ekman)
+        with pytest.raises(ValueError, match="one labeled and one unlabeled"):
+            fit_full(store, seed, OptimizerConfig(mode="full", epochs=2))
+
 
 class TestFitBatched:
     def test_proportion_arithmetic(self):

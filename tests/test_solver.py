@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import emolex.solver as solver_module
-from emolex import (EmotionSet, LabelMatrix, PropagationParams, SeedLexicon,
-                    expand, kl_divergence, propagate_cg,
-                    propagate_closed_form, propagate_folds,
+from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
+                    PropagationParams, SeedLexicon, expand, kl_divergence,
+                    propagate_cg, propagate_closed_form, propagate_folds,
                     propagate_iterative)
 from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
                           build_transition)
@@ -34,6 +34,21 @@ def random_instance(rng, n, n_labeled, m=6, epsilon=0.01):
     tm = build_transition(store, params, mask)
     rows = rng.dirichlet(np.ones(m), size=n)
     rows[~mask] = 1.0 / m
+    return tm, LabelMatrix(rows, mask)
+
+
+def ill_conditioned_instance():
+    """epsilon = 0 and a steep kernel: the unlabeled cluster opposite the
+    seeds sends them about 1e-26 of its mass in one step."""
+    rng = np.random.default_rng(6)
+    near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+    far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+    store = make_store(np.vstack([near, far]))
+    mask = np.array([True, True] + [False] * 6)
+    params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
+    tm = build_transition(store, params, mask)
+    rows = np.full((8, 2), 0.5)
+    rows[0], rows[1] = [1.0, 0.0], [0.0, 1.0]
     return tm, LabelMatrix(rows, mask)
 
 
@@ -75,9 +90,9 @@ class TestIterative:
 
     def test_non_convergence_flagged(self):
         tm, lm = two_node_instance()
-        _, report = propagate_iterative(tm, lm, tol=1e-15, max_iter=3)
-        assert not report.converged
-        assert report.iterations == 3
+        with pytest.raises(ConvergenceError,
+                           match="in 3 iterations: error bound"):
+            propagate_iterative(tm, lm, tol=1e-15, max_iter=3)
 
     def test_bad_tol(self):
         tm, lm = two_node_instance()
@@ -136,19 +151,9 @@ class TestClosedForm:
                     == report.residual / report.min_labeled_mass)
 
     def test_ill_conditioned_system_refused(self):
-        # epsilon = 0 and a steep kernel: the unlabeled cluster opposite the
-        # seeds sends them about 1e-26 of its mass in one step.
-        rng = np.random.default_rng(6)
-        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
-        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
-        store = make_store(np.vstack([near, far]))
-        mask = np.array([True, True] + [False] * 6)
-        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
-        tm = build_transition(store, params, mask)
-        rows = np.full((8, 2), 0.5)
-        rows[0], rows[1] = [1.0, 0.0], [0.0, 1.0]
+        tm, lm = ill_conditioned_instance()
         with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
-            propagate_closed_form(tm, LabelMatrix(rows, mask))
+            propagate_closed_form(tm, lm)
 
     def test_no_svd(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -221,16 +226,8 @@ class TestFolds:
             assert report.converged
 
     def test_ill_conditioned_fold_refused(self):
-        rng = np.random.default_rng(6)
-        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
-        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
-        store = make_store(np.vstack([near, far]))
-        mask = np.array([True, True] + [False] * 6)
-        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
-        tm = build_transition(store, params, mask)
-        rows = np.full((8, 2), 0.5)
-        rows[0], rows[1] = [1.0, 0.0], [0.0, 1.0]
-        folds = propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1]])
+        tm, lm = ill_conditioned_instance()
+        folds = propagate_folds(tm, lm, [[0], [1]])
         with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
             next(folds)
 
@@ -286,12 +283,58 @@ class TestInputContract:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             solve(tm, lm, max_iter=0)
 
-    def test_report_dict_drops_unset_fields(self):
+    def test_report_dict_has_every_field(self):
         tm, lm = two_node_instance()
         _, report = propagate_iterative(tm, lm)
         assert set(report.to_dict()) == {
             "method", "iterations", "residual", "converged", "error_bound",
-            "min_labeled_mass"}
+            "min_labeled_mass", "cond_bound"}
+
+
+def first_fold(tm, label_matrix):
+    """propagate_folds on one fold that hides the first seed."""
+    hidden = np.flatnonzero(label_matrix.labeled_mask)[:1]
+    return next(propagate_folds(tm, label_matrix, [hidden]))
+
+
+SOLVERS = {"iterative": propagate_iterative, "closed": propagate_closed_form,
+           "cg": propagate_cg, "auto": solve, "folds": first_fold}
+
+
+class TestSolveContract:
+    """Which systems are refused, and what a returned report means, do not
+    depend on the solver."""
+
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_every_solver_refuses_ill_conditioned_system(self, method):
+        tm, lm = ill_conditioned_instance()
+        with pytest.raises(NumericalDegeneracyError,
+                           match="ill-conditioned: condition bound"):
+            SOLVERS[method](tm, lm)
+
+    @pytest.mark.parametrize("method", ["iterative", "cg"])
+    def test_refused_before_first_iteration(self, monkeypatch, method):
+        calls = []
+        apply = TransitionOperator.apply
+
+        def counting_apply(self, y):
+            calls.append(y.shape)
+            return apply(self, y)
+        monkeypatch.setattr(TransitionOperator, "apply", counting_apply)
+        tm, lm = ill_conditioned_instance()
+        with pytest.raises(NumericalDegeneracyError):
+            SOLVERS[method](tm, lm)
+        # The one product is the labeled-mass check's.
+        assert calls == [(8, 1)]
+
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_cond_bound_reported_by_every_solver(self, method):
+        tm, lm = random_instance(np.random.default_rng(14), 30, 6)
+        _, report = SOLVERS[method](tm, lm)
+        mass = report.min_labeled_mass
+        assert report.cond_bound == (2.0 - mass) / mass
+        assert 1.0 <= report.cond_bound <= MAX_CONDITION
+        assert report.converged and report.error_bound <= 1e-6
 
 
 class TestCG:
@@ -338,10 +381,10 @@ class TestCG:
 
     def test_non_convergence_flagged(self):
         tm, lm = random_instance(np.random.default_rng(12), 200, 2)
-        _, report = propagate_cg(tm, lm, tol=1e-6, max_iter=1)
-        assert report.iterations == 1
-        assert not report.converged
-        assert report.error_bound > 1e-6
+        with pytest.raises(ConvergenceError,
+                           match="cg solve did not converge in 1 iterations: "
+                                 "error bound .* exceeds tol 1e-06"):
+            propagate_cg(tm, lm, tol=1e-6, max_iter=1)
 
     def test_no_unlabeled_gather(self, monkeypatch):
         def refuse(self, index):
@@ -448,6 +491,13 @@ class TestExpand:
         with pytest.raises(ValueError, match="no seed token"):
             expand(store, seed, emotions, PropagationParams(alpha=1.0, b=0.0))
 
+    def test_mismatched_emotion_set_refused(self, ekman):
+        store = two_cluster_store(4, dim=4, seed=4)
+        seed = two_cluster_seed(store, ekman, 1)
+        params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.1)
+        with pytest.raises(ValueError, match="does not match the seed"):
+            expand(store, seed, EmotionSet(ekman.names[::-1]), params)
+
     def test_sidecar_contents(self):
         emotions = EmotionSet(("a", "b"))
         store = make_store([[1.0, 0.0], [0.5, 0.5]], ["x", "y"])
@@ -456,5 +506,6 @@ class TestExpand:
         result = expand(store, seed, emotions, params, solver="iterative")
         sidecar = result.sidecar()
         assert sidecar["solve"]["method"] == "iterative"
-        assert "cond_bound" not in sidecar["solve"]
+        mass = sidecar["solve"]["min_labeled_mass"]
+        assert sidecar["solve"]["cond_bound"] == (2.0 - mass) / mass
         assert sidecar["params"]["epsilon"] == 0.1

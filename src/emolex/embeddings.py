@@ -103,45 +103,70 @@ def load_embeddings(path):
     first extra row. For a subset, build
     `EmbeddingStore(Vocabulary(words), store.vectors[keep])`.
     """
+    with open(path, encoding="utf-8", newline=None) as fh:
+        text = fh.read()
+    if not text:
+        raise EmbeddingFormatError("empty file", 1)
+    lines = text.split("\n")
+    count, dim = _parse_header(lines[0], 1)
+    parsed = _parse_fast(lines, count, dim)
+    words, vectors = parsed if parsed else _parse_checked(lines, count, dim)
+    return EmbeddingStore(Vocabulary(words), vectors)
+
+
+def _parse_fast(lines, count, dim):
+    """(words, vectors) read by numpy's C parser, or None when any row
+    fails a check; `_parse_checked` then finds and reports it."""
+    pairs = [line.split(None, 1) for line in lines[1:] if line]
+    if not pairs or len(pairs) != count or any(len(p) != 2 for p in pairs):
+        return None
+    words = [token for token, _ in pairs]
+    if len(set(words)) != count:
+        return None
+    try:
+        # Without usecols, loadtxt refuses rows whose field counts differ.
+        vectors = np.loadtxt([rest for _, rest in pairs], dtype=np.float64,
+                             comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (vectors.shape != (count, dim) or not np.all(np.isfinite(vectors))
+            or not np.all(np.any(vectors, axis=1))):
+        return None
+    return words, vectors
+
+
+def _parse_checked(lines, count, dim):
+    """(words, vectors) parsed line by line; raises EmbeddingFormatError
+    with the line number of the first malformed row."""
     words = []
     rows = []
     seen = set()
-    dim = None
-    with open(path, encoding="utf-8", newline=None) as fh:
-        header = fh.readline()
-        if not header:
-            raise EmbeddingFormatError("empty file", 1)
-        count, dim = _parse_header(header, 1)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if len(words) == count:
-                raise EmbeddingFormatError(
-                    "more rows than the header's %d words" % count, line_no)
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    "expected token + %d components, got %d fields"
-                    % (dim, len(parts)), line_no)
-            token = parts[0]
-            if token in seen:
-                raise EmbeddingFormatError("duplicate token %r" % token, line_no)
-            seen.add(token)
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFormatError("unparseable vector component", line_no) from None
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError("non-finite vector component", line_no)
-            if not np.any(vec):
-                raise EmbeddingFormatError("zero vector for token %r" % token, line_no)
-            words.append(token)
-            rows.append(vec)
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        if len(words) == count:
+            raise EmbeddingFormatError(
+                "more rows than the header's %d words" % count, line_no)
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise EmbeddingFormatError(
+                "expected token + %d components, got %d fields"
+                % (dim, len(parts)), line_no)
+        token = parts[0]
+        if token in seen:
+            raise EmbeddingFormatError("duplicate token %r" % token, line_no)
+        seen.add(token)
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise EmbeddingFormatError("unparseable vector component", line_no) from None
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingFormatError("non-finite vector component", line_no)
+        if not np.any(vec):
+            raise EmbeddingFormatError("zero vector for token %r" % token, line_no)
+        words.append(token)
+        rows.append(vec)
     if len(words) != count:
         raise EmbeddingFormatError("header declares %d words, the file has %d"
                                    % (count, len(words)), 1)
-
-    vocab = Vocabulary(words)
-    vectors = np.vstack(rows) if rows else np.empty((0, dim))
-    return EmbeddingStore(vocab, vectors)
+    return words, np.vstack(rows) if rows else np.empty((0, dim))

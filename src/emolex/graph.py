@@ -66,13 +66,19 @@ def logistic(z, out=None):
 
     With e = exp(-|z|) this is 1 / (1 + e) for z >= 0 and e / (1 + e) below,
     so exp never overflows and the negative tail keeps its relative
-    precision. `out` may be `z` itself.
+    precision. `out` may be `z` itself. The numerator is max(z >= 0, e),
+    since 0 <= e <= 1: a branch-free select, and every pass runs in place
+    on `out` and one scratch array. A 0-d input returns a scalar.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    num = np.where(z >= 0, 1.0, e)
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
+    np.maximum(num, e, out=num)
     e += 1.0
-    return np.divide(num, e, out=out)
+    np.divide(num, e, out=num)
+    return num if out is not None or num.ndim else num[()]
 
 
 def edge_weight(x_i, x_j, params):
@@ -105,15 +111,14 @@ def row_blocks(n):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def raw_weights(x, params):
-    """Dense symmetric edge weights between the rows of `x`.
+def weight_rows(x, params):
+    """The weight kernel over the rows of `x`: returns fill(rows, out),
+    which writes the rows `rows` (a slice) of the dense symmetric weight
+    matrix into `out`, a (rows, n) array.
 
     `x` holds unit vectors under cosine-logistic and raw vectors under
-    euclidean-rbf. Rows are filled in fixed-size blocks, each transformed in
-    place, so the only n x n array is the result.
+    euclidean-rbf. Each block is transformed in place.
     """
-    n = x.shape[0]
-    w = np.empty((n, n))
     rbf = params.kernel == EUCLIDEAN_RBF
     if rbf:
         left = -2.0 * x
@@ -125,18 +130,34 @@ def raw_weights(x, params):
         left = x * params.alpha
     else:
         left = x * float(params.alpha)
-    for rows in row_blocks(n):
-        block = w[rows]
-        np.matmul(left[rows], x.T, out=block)
+
+    def fill(rows, out):
+        np.matmul(left[rows], x.T, out=out)
         if rbf:
-            block += sq[rows, None]
-            block += sq[None, :]
-            np.maximum(block, 0.0, out=block)
-            block /= -params.sigma ** 2
-            np.exp(block, out=block)
+            out += sq[rows, None]
+            out += sq[None, :]
+            np.maximum(out, 0.0, out=out)
+            out /= -params.sigma ** 2
+            np.exp(out, out=out)
         else:
-            block += params.b
-            logistic(block, out=block)
+            out += params.b
+            logistic(out, out=out)
+        return out
+    return fill
+
+
+def raw_weights(x, params, out=None):
+    """Dense symmetric edge weights between the rows of `x`, written into
+    `out` (an n x n array) when it is given.
+
+    Rows are filled in fixed-size blocks by `weight_rows`, so the only
+    n x n array is the result.
+    """
+    n = x.shape[0]
+    w = np.empty((n, n)) if out is None else out
+    fill = weight_rows(x, params)
+    for rows in row_blocks(n):
+        fill(rows, w[rows])
     return w
 
 

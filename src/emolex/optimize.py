@@ -15,8 +15,9 @@ import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     PropagationParams, TransitionOperator, logistic,
-                    raw_weights, row_blocks)
+                    raw_weights, row_blocks, weight_rows)
 from .lexicon import init_label_matrix
+from .solver import MAX_CONDITION
 
 
 class GradientError(RuntimeError):
@@ -97,7 +98,7 @@ def _logit(p):
 
 
 def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
-                      per_row=False):
+                      per_row=False, weights=None):
     """Entropy of the K-step unrolled propagation and its analytic gradient.
 
     `unit` holds unit vectors and `y` label rows in the same node order;
@@ -105,15 +106,16 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     uniform. Returns (H, {"alpha", "b", "eps_logit"}) with gradients matching
     alpha's shape. With per_row the objective is the mean entropy per
     unlabeled row, which leaves the full-graph minimizer unchanged but makes
-    batch-subgraph gradients scale-comparable to full-graph ones.
+    batch-subgraph gradients scale-comparable to full-graph ones. The weight
+    matrix is written into `weights`, an n x n buffer, when it is given.
     """
     n, m = y.shape
     unlabeled = ~labeled
-    weights = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
+    w = raw_weights(unit, PropagationParams(alpha=alpha, b=b), out=weights)
     # A graph with an empty row or column at these parameters means the
     # descent diverged; _descend recovers from that by halving the rate.
     try:
-        tm = TransitionOperator(weights, epsilon)
+        tm = TransitionOperator(w, epsilon)
     except NumericalDegeneracyError as exc:
         raise GradientError(str(exc)) from exc
 
@@ -138,27 +140,58 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
         g = tm.apply_transpose(g)
         g[labeled] = 0.0
         g_iterates.append(g)
-    # dH/dT = sum_t g_t Y_{t-1}^T as one GEMM; it is reduced in place to
-    # dH/dz through T = (1-eps) D_r^-1 W D_c^-1 + (eps/n) 11^T.
-    grad = np.hstack(g_iterates[::-1]) @ np.hstack(iterates[:-1]).T
-    w, col, row = tm.w, tm.col, tm.row
-    g_eps = grad.sum() / n
-    grad /= col
-    s = np.einsum("ij,ij->i", grad, w) / row
-    g_eps -= s.sum()
-    grad *= ((1.0 - epsilon) / row)[:, None]
-    a = (1.0 - epsilon) * s / row
-    q = np.einsum("ij,ij->j", grad, w) - (w.T @ a) / col
-    for rows in row_blocks(n):
-        block = grad[rows]
-        block -= (a[rows, None] + q) / col
-        block *= w[rows]
-        block *= 1.0 - w[rows]
+    # dH/dT = sum_t g_t Y_{t-1}^T = G Y^T has rank K m, so it is never
+    # formed whole: each of two passes over the row blocks recomputes a
+    # block into one buffer, and the blocks are reduced through
+    # T = (1-eps) D_r^-1 W D_c^-1 + (eps/n) 11^T and dW/dz = W (1 - W).
+    big_g = np.hstack(g_iterates[::-1])
+    big_y = np.hstack(iterates[:-1])
+    col, row = tm.col, tm.row
+    scale_rows = (1.0 - epsilon) / row
+    blocks = row_blocks(n)
+    buf = np.empty((blocks[0].stop, n))
+    scratch = np.empty_like(buf)
 
-    g_alpha = np.sum((grad @ unit) * unit, axis=0)
+    def grad_rows(rows):
+        return np.matmul(big_g[rows], big_y.T, out=buf[:rows.stop - rows.start])
+
+    # Pass 1: s_i = sum_j dH/dT_ij W_ij / (col_j row_i), the column sums q_j
+    # of (1-eps) dH/dT_ij W_ij / (row_i col_j), and dH/deps = sum_i d_i - s_i
+    # with d_i the row sums of dH/dT over n. Summing each row of the block
+    # keeps more digits of that difference of nearly equal terms than the
+    # rank-K m product (1^T G)(Y^T 1) does.
+    d = np.empty(n)
+    s = np.empty(n)
+    q = np.zeros(n)
+    for rows in blocks:
+        block = grad_rows(rows)
+        d[rows] = block.sum(axis=1) / n
+        block /= col
+        block *= w[rows]
+        s[rows] = block.sum(axis=1) / row[rows]
+        q += scale_rows[rows] @ block
+    g_eps = float(np.sum(d - s))
+    a = scale_rows * s
+    q -= (w.T @ a) / col
+
+    # Pass 2: dH/dz block by block, reduced into the b and alpha gradients.
+    g_b = 0.0
+    g_alpha = np.zeros(unit.shape[1])
+    for rows in blocks:
+        block = grad_rows(rows)
+        block *= scale_rows[rows, None]
+        block -= a[rows, None]
+        block -= q
+        block /= col
+        w_rows = w[rows]
+        block *= w_rows
+        one_minus = np.subtract(1.0, w_rows, out=scratch[:len(block)])
+        block *= one_minus
+        g_b += float(block.sum())
+        g_alpha += np.sum((block @ unit) * unit[rows], axis=0)
+
     if np.ndim(alpha) == 0:
         g_alpha = float(np.sum(g_alpha))
-    g_b = float(np.sum(grad))
     g_eps_logit = g_eps * epsilon * (1.0 - epsilon)
 
     grads = {"alpha": g_alpha, "b": g_b, "eps_logit": g_eps_logit}
@@ -216,7 +249,8 @@ def _descend(store, label_matrix, batches, steps, config, init):
 
     The parameters are an (alpha, b, eps_logit) triple that no step
     modifies in place. Each batch (an index into the vocabulary) takes
-    `steps` descent steps on its own subgraph. A step diverges when the
+    `steps` descent steps on its own subgraph, every step writing its
+    weights into one buffer per batch size. A step diverges when the
     entropy or a gradient is non-finite, the graph is degenerate, or epsilon
     rounds to 0 or 1; the parameters and trace are then restored to their
     values before the batch and the batch is retried at half the rate, up
@@ -230,8 +264,11 @@ def _descend(store, label_matrix, batches, steps, config, init):
     trace = OptTrace()
     lr = config.learning_rate
     halvings = 0
+    weights = None
     for batch in batches:
         unit = store.unit_vectors[batch]
+        if weights is None or len(weights) != len(unit):
+            weights = np.empty((len(unit), len(unit)))
         labeled = label_matrix.labeled_mask[batch]
         rows = label_matrix.rows[batch]
         start, recorded = state, len(trace.entropies)
@@ -243,7 +280,7 @@ def _descend(store, label_matrix, batches, steps, config, init):
                     epsilon = _epsilon(eps_logit)
                     h, grads = _forward_backward(unit, labeled, rows, alpha, b,
                                                  epsilon, config.unroll_steps,
-                                                 per_row=True)
+                                                 per_row=True, weights=weights)
                     if not math.isfinite(h):
                         raise GradientError("entropy diverged")
                     trace.record(h, _grad_norm(grads), alpha, b, epsilon)
@@ -297,13 +334,54 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
     return np.sort(np.concatenate([lab, unl]))
 
 
+def _check_condition(store, labeled, params):
+    """Raise GradientError unless `expand` accepts `params` on the whole
+    vocabulary: every row and column of W has positive mass, and the
+    condition bound (2 - min m) / min m of (I - T_uu), with m = T 1_L on
+    the unlabeled rows, is at most MAX_CONDITION.
+
+    W is streamed in row blocks through `weight_rows`, so no n x n array is
+    built: one pass takes its column sums, a second its row sums and the
+    mass each row sends to the seeds.
+    """
+    n = len(store)
+    fill = weight_rows(store.unit_vectors, params)
+    blocks = row_blocks(n)
+    buf = np.empty((blocks[0].stop, n))
+    col = np.zeros(n)
+    for rows in blocks:
+        col += fill(rows, buf[:rows.stop - rows.start]).sum(axis=0)
+    if not np.all(col > 0) or not np.all(np.isfinite(col)):
+        raise GradientError("fitted parameters give a graph with a zero or "
+                            "non-finite column mass")
+    sums = np.column_stack([1.0 / col, labeled / col])
+    row, to_seeds = np.empty(n), np.empty(n)
+    for rows in blocks:
+        row[rows], to_seeds[rows] = (fill(rows, buf[:rows.stop - rows.start])
+                                     @ sums).T
+    if not np.all(row > 0) or not np.all(np.isfinite(row)):
+        raise GradientError("fitted parameters give a graph with a zero or "
+                            "non-finite row mass")
+    eps = params.epsilon
+    mass = (1.0 - eps) * to_seeds / row + eps * np.count_nonzero(labeled) / n
+    min_mass = float(np.min(mass[~labeled]))
+    cond_bound = (2.0 - min_mass) / min_mass if min_mass > 0 else math.inf
+    if not cond_bound <= MAX_CONDITION:
+        raise GradientError(
+            "fitted parameters give an ill-conditioned graph that expand "
+            "refuses: condition bound %.3g exceeds %.3g (minimum labeled mass "
+            "%.3g)" % (cond_bound, MAX_CONDITION, min_mass))
+
+
 def fit_batched(store, seed, config, init=None):
     """Shared-parameter descent over random vocabulary subsamples.
 
     Each batch fixes the labeled/unlabeled proportion of the full graph,
     builds only its own submatrix, and takes config.epochs_per_batch
     descent steps on the shared parameters. The last iterate is returned:
-    entropies of different subgraphs do not rank parameters.
+    entropies of different subgraphs do not rank parameters. It is checked
+    on the full graph, and a GradientError is raised when `expand` would
+    refuse it.
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
@@ -316,4 +394,6 @@ def fit_batched(store, seed, config, init=None):
                for _ in range(config.num_batches))
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config, init)
-    return _params(state), trace
+    params = _params(state)
+    _check_condition(store, label_matrix.labeled_mask, params)
+    return params, trace

@@ -160,6 +160,16 @@ class TestBuildTransition:
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
+    def test_weights_written_into_out(self):
+        rng = np.random.default_rng(9)
+        store = make_store(rng.normal(size=(7, 3)))
+        for x, params in (
+                (store.unit_vectors, PropagationParams(alpha=2.0, b=-0.5)),
+                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.5))):
+            buf = np.full((7, 7), np.nan)
+            assert raw_weights(x, params, out=buf) is buf
+            assert np.array_equal(buf, raw_weights(x, params))
+
     def test_all_labeled_rejected(self):
         store = make_store(np.eye(2))
         with pytest.raises(ValueError):
@@ -234,3 +244,7 @@ class TestLogistic:
         assert logistic(-40.0) == pytest.approx(
             math.exp(-40.0) / (1.0 + math.exp(-40.0)), rel=1e-15)
         assert logistic(-745.0) > 0.0
+
+    def test_scalar_input_returns_scalar(self):
+        assert type(logistic(-40.0)) is np.float64
+        assert type(logistic(np.array(0.0))) is np.float64

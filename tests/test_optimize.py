@@ -7,7 +7,9 @@ import emolex.optimize
 from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
                     entropy_gradient, expand, fit_batched, fit_full,
                     init_label_matrix)
-from emolex.optimize import GradientError, OptimizerConfig, _sample_batch
+from emolex.graph import TransitionOperator, logistic, row_blocks
+from emolex.optimize import (GradientError, OptimizerConfig,
+                             _forward_backward, _sample_batch)
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
@@ -135,6 +137,79 @@ class TestGradient:
         params = PropagationParams(kernel="euclidean-rbf", sigma=1.0)
         with pytest.raises(ValueError):
             entropy_gradient(store, lm, params)
+
+
+def dense_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
+    """The unrolled entropy and its gradient with dH/dT formed as one n x n
+    array and reduced densely to dH/dz, the reference for the blocked
+    reduction."""
+    n, m = y.shape
+    w = logistic((unit * alpha) @ unit.T + b)
+    tm = TransitionOperator(w, epsilon)
+    iterates = [y.copy()]
+    iterates[0][~labeled] = 1.0 / m
+    for _ in range(steps):
+        state = tm.apply(iterates[-1])
+        state[labeled] = y[labeled]
+        iterates.append(state)
+    y_final = iterates[-1][~labeled]
+    g = np.zeros((n, m))
+    g[~labeled] = -(np.log(y_final) + 1.0)
+    g_iterates = [g]
+    for _ in range(steps - 1):
+        g = tm.apply_transpose(g_iterates[-1])
+        g[labeled] = 0.0
+        g_iterates.append(g)
+    # dH/dT = sum_t dH/dY_t Y_{t-1}^T
+    grad = sum(g_t @ y_prev.T
+               for g_t, y_prev in zip(g_iterates[::-1], iterates[:-1]))
+    col, row = tm.col, tm.row
+    g_eps = grad.sum() / n
+    grad /= col
+    s = np.einsum("ij,ij->i", grad, w) / row
+    g_eps -= s.sum()
+    grad *= ((1.0 - epsilon) / row)[:, None]
+    a = (1.0 - epsilon) * s / row
+    q = np.einsum("ij,ij->j", grad, w) - (w.T @ a) / col
+    grad -= (a[:, None] + q) / col
+    grad *= w * (1.0 - w)
+    g_alpha = np.sum((grad @ unit) * unit, axis=0)
+    if np.ndim(alpha) == 0:
+        g_alpha = np.sum(g_alpha)
+    return entropy(y_final), {"alpha": g_alpha, "b": grad.sum(),
+                              "eps_logit": g_eps * epsilon * (1.0 - epsilon)}
+
+
+class TestBlockedReduction:
+    # The gradient checks above run on one row block; these graphs span
+    # five or more, so every block's share of q and s must be accumulated.
+    @pytest.mark.parametrize("alpha", [2.5, np.linspace(0.5, 4.0, 8)])
+    def test_matches_dense_reduction(self, alpha):
+        n, m = 1100, 4
+        assert len(row_blocks(n)) >= 5
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, 8))
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        labeled = np.zeros(n, dtype=bool)
+        labeled[rng.choice(n, 110, replace=False)] = True
+        y = np.full((n, m), 1.0 / m)
+        y[labeled] = np.eye(m)[rng.integers(0, m, size=110)]
+        args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
+        h, grads = _forward_backward(*args)
+        h_ref, ref = dense_forward_backward(*args)
+        assert h == pytest.approx(h_ref, rel=1e-10)
+        assert np.shape(grads["alpha"]) == np.shape(alpha)
+        for name in ("alpha", "b", "eps_logit"):
+            assert np.allclose(grads[name], ref[name], rtol=1e-10, atol=0)
+
+    def test_weights_written_into_buffer(self):
+        store, _, lm = small_instance(n=12)
+        args = (store.unit_vectors, lm.labeled_mask, lm.rows, 1.5, -0.4, 0.2, 3)
+        buf = np.full((12, 12), np.nan)
+        h, grads = _forward_backward(*args, weights=buf)
+        assert np.array_equal(buf, logistic(1.5 * store.unit_vectors
+                                            @ store.unit_vectors.T - 0.4))
+        assert (h, grads) == _forward_backward(*args)
 
 
 class TestFitFull:
@@ -273,6 +348,17 @@ class TestFitBatched:
         assert np.all(np.isfinite(trace.entropies))
         assert np.isfinite(params.alpha) and np.isfinite(params.b)
         assert expand(store, seed, ekman, params).report.converged
+
+    # At 1e4 the last batch ends at alpha 175, b -221 and a subnormal
+    # epsilon 3.8e-255, a graph whose condition bound 2.43e12 expand refuses.
+    def test_params_expand_refuses_raise(self, ekman):
+        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
+        seed = two_cluster_seed(store, ekman, 4)
+        config = OptimizerConfig(mode="batch", learning_rate=1e4,
+                                 batch_size=12, num_batches=5,
+                                 epochs_per_batch=2, rng_seed=42)
+        with pytest.raises(GradientError, match="condition bound 2.43e"):
+            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
     # Before epsilon rounding to 0 counted as divergence, this fit "recovered"
     # to epsilon = 0.0 with alpha 2834, b -3312, a graph on which expand

@@ -61,17 +61,18 @@ class PropagationParams:
                    b=d.get("b"), epsilon=d.get("epsilon", 0.0), sigma=d.get("sigma"))
 
 
-def logistic(z, out=None):
+def logistic(z, out=None, scratch=None):
     """Numerically safe logistic, exact in both saturation tails.
 
     With e = exp(-|z|) this is 1 / (1 + e) for z >= 0 and e / (1 + e) below,
     so exp never overflows and the negative tail keeps its relative
     precision. `out` may be `z` itself. The numerator is max(z >= 0, e),
     since 0 <= e <= 1: a branch-free select, and every pass runs in place
-    on `out` and one scratch array. A 0-d input returns a scalar.
+    on `out` and one scratch array, `scratch` (of z's shape) when it is
+    given. A 0-d input returns a scalar.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.abs(z, out=np.empty_like(z))
+    e = np.abs(z, out=np.empty_like(z) if scratch is None else scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
     num = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
@@ -105,19 +106,25 @@ def edge_weight(x_i, x_j, params):
     return w
 
 
+def _block_rows(n):
+    return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
 def row_blocks(n):
     """Slices that cover the rows of an n x n array in fixed-size blocks."""
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    step = _block_rows(n)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def weight_rows(x, params):
     """The weight kernel over the rows of `x`: returns fill(rows, out),
-    which writes the rows `rows` (a slice) of the dense symmetric weight
-    matrix into `out`, a (rows, n) array.
+    which writes the rows `rows` (a slice of at most one of `row_blocks`'
+    blocks) of the dense symmetric weight matrix into `out`, a (rows, n)
+    array.
 
     `x` holds unit vectors under cosine-logistic and raw vectors under
-    euclidean-rbf. Each block is transformed in place.
+    euclidean-rbf. Each block is transformed in place; the logistic's
+    scratch is one block-sized array shared by every block.
     """
     rbf = params.kernel == EUCLIDEAN_RBF
     if rbf:
@@ -130,6 +137,8 @@ def weight_rows(x, params):
         left = x * params.alpha
     else:
         left = x * float(params.alpha)
+    if not rbf:
+        scratch = np.empty((min(_block_rows(len(x)), len(x)), len(x)))
 
     def fill(rows, out):
         np.matmul(left[rows], x.T, out=out)
@@ -141,7 +150,7 @@ def weight_rows(x, params):
             np.exp(out, out=out)
         else:
             out += params.b
-            logistic(out, out=out)
+            logistic(out, out=out, scratch=scratch[:len(out)])
         return out
     return fill
 
@@ -192,16 +201,22 @@ class TransitionOperator:
     # Both products are formed transposed, (y^T W^T)^T and (y^T W)^T: with
     # a few columns OpenBLAS runs that form 1.5-2x faster than W y or W^T y
     # (n = 4000, m = 6, two cores).
-    def apply(self, y):
-        """T @ y for an n x m array."""
+    def apply(self, y, product=None):
+        """T @ y for an n x m array. W D_c^-1 y is also written into
+        `product`, an n x m array, when it is given."""
         out = ((y / self.col[:, None]).T @ self.w.T).T
+        if product is not None:
+            product[...] = out
         out *= ((1.0 - self.epsilon) / self.row)[:, None]
         out += (self.epsilon / self.n) * y.sum(axis=0)
         return out
 
-    def apply_transpose(self, y):
-        """T^T @ y for an n x m array."""
+    def apply_transpose(self, y, product=None):
+        """T^T @ y for an n x m array. W^T (1 - eps) D_r^-1 y is also
+        written into `product`, an n x m array, when it is given."""
         out = ((y * ((1.0 - self.epsilon) / self.row)[:, None]).T @ self.w).T
+        if product is not None:
+            product[...] = out
         out /= self.col[:, None]
         out += (self.epsilon / self.n) * y.sum(axis=0)
         return out

@@ -119,74 +119,80 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     except NumericalDegeneracyError as exc:
         raise GradientError(str(exc)) from exc
 
+    # dH/dT = sum_t G_t Y_{t-1}^T = G Y^T has rank K m and is never formed
+    # whole. The sweeps write the iterates Y_{t-1} into `right` and the
+    # products F_t = W D_c^-1 Y_{t-1} into `forward`; column block t-1 of
+    # `left` takes G_t, the gradient of H by Y_t with the labeled rows zero.
+    km = unroll_steps * m
+    left = np.empty((n, km + 2))
+    right = np.empty((n, km + 2))
+    forward = np.empty((n, km))
     seeds = y[labeled]
     state = y.copy()
     state[unlabeled] = 1.0 / m
-    iterates = [state]
-    for _ in range(unroll_steps):
-        state = tm.apply(state)
+    for t in range(unroll_steps):
+        cols = slice(t * m, (t + 1) * m)
+        right[:, cols] = state
+        state = tm.apply(state, product=forward[:, cols])
         state[labeled] = seeds
-        iterates.append(state)
     y_final = state[unlabeled]
     scale = 1.0 / len(y_final) if per_row else 1.0
     h = entropy(y_final) * scale
 
-    # dH/dY of each iterate after the first, labeled rows zero: the clamp
-    # cuts them off.
+    # Every row of Y_{t-1} sums to 1, so adding a constant to a row of G_t
+    # adds it to a whole row of dH/dT, which T's row normalization cancels
+    # exactly in every gradient below. Each G_t is therefore centered over
+    # the emotions: that drops the +1 of dH/dY and keeps the differences
+    # below small. yb accumulates the row sums of Y_{t-1} * B_t with
+    # B_t = W^T (1-eps) D_r^-1 G_t, the product the backward sweep forms.
     g = np.zeros((n, m))
-    g[unlabeled] = -scale * (np.log(np.maximum(y_final, 1e-300)) + 1.0)
-    g_iterates = [g]
-    for _ in range(unroll_steps - 1):
-        g = tm.apply_transpose(g)
-        g[labeled] = 0.0
-        g_iterates.append(g)
-    # dH/dT = sum_t g_t Y_{t-1}^T = G Y^T has rank K m, so it is never
-    # formed whole: each of two passes over the row blocks recomputes a
-    # block into one buffer, and the blocks are reduced through
-    # T = (1-eps) D_r^-1 W D_c^-1 + (eps/n) 11^T and dW/dz = W (1 - W).
-    big_g = np.hstack(g_iterates[::-1])
-    big_y = np.hstack(iterates[:-1])
+    g[unlabeled] = -scale * np.log(np.maximum(y_final, 1e-300))
+    back = np.empty((n, m + 1))
+    yb = np.zeros(n)
+    for t in range(unroll_steps, 0, -1):
+        g -= g.mean(axis=1)[:, None]
+        cols = slice((t - 1) * m, t * m)
+        left[:, cols] = g
+        if t > 1:
+            g = tm.apply_transpose(g, product=back[:, :m])
+            g[labeled] = 0.0
+            yb += np.einsum("ij,ij->i", right[:, cols], back[:, :m])
+
+    # Through T = (1-eps) D_r^-1 W D_c^-1 + (eps/n) 11^T, with r = (1-eps)
+    # / row and c the column sums of Y:
+    #   s_i = sum_j dH/dT_ij W_ij / (row_i col_j) = sum (G * F)_i / row_i,
+    #   dH/deps = sum_i (G c / n)_i - s_i,
+    #   a = r s, q_j = (yb - W^T a)_j / col_j, and
+    #   dH/dW_ij = (r_i dH/dT_ij - a_i - q_j) / col_j.
+    # The last product with W, of m + 1 columns, gives B_1 and W^T a.
     col, row = tm.col, tm.row
-    scale_rows = (1.0 - epsilon) / row
+    big_g = left[:, :km]
+    s = np.einsum("ij,ij->i", big_g, forward) / row
+    del forward  # freed before the pass over W allocates its buffers
+    c = right[:, :km].sum(axis=0)
+    g_eps = float(np.sum(big_g @ (c / n) - s))
+    tm.apply_transpose(np.column_stack([left[:, :m], s]), product=back)
+    yb += np.einsum("ij,ij->i", right[:, :m], back[:, :m])
+    r = (1.0 - epsilon) / row
+    big_g *= r[:, None]
+    left[:, km] = -r * s
+    left[:, km + 1] = -1.0
+    right[:, km] = 1.0
+    right[:, km + 1] = (yb - back[:, m]) / col
+    right /= col[:, None]
+
+    # One pass over W: the rows of dH/dW from one GEMM, times dW/dz =
+    # W (1 - W), reduced into the b and alpha gradients.
     blocks = row_blocks(n)
     buf = np.empty((blocks[0].stop, n))
     scratch = np.empty_like(buf)
-
-    def grad_rows(rows):
-        return np.matmul(big_g[rows], big_y.T, out=buf[:rows.stop - rows.start])
-
-    # Pass 1: s_i = sum_j dH/dT_ij W_ij / (col_j row_i), the column sums q_j
-    # of (1-eps) dH/dT_ij W_ij / (row_i col_j), and dH/deps = sum_i d_i - s_i
-    # with d_i the row sums of dH/dT over n. Summing each row of the block
-    # keeps more digits of that difference of nearly equal terms than the
-    # rank-K m product (1^T G)(Y^T 1) does.
-    d = np.empty(n)
-    s = np.empty(n)
-    q = np.zeros(n)
-    for rows in blocks:
-        block = grad_rows(rows)
-        d[rows] = block.sum(axis=1) / n
-        block /= col
-        block *= w[rows]
-        s[rows] = block.sum(axis=1) / row[rows]
-        q += scale_rows[rows] @ block
-    g_eps = float(np.sum(d - s))
-    a = scale_rows * s
-    q -= (w.T @ a) / col
-
-    # Pass 2: dH/dz block by block, reduced into the b and alpha gradients.
     g_b = 0.0
     g_alpha = np.zeros(unit.shape[1])
     for rows in blocks:
-        block = grad_rows(rows)
-        block *= scale_rows[rows, None]
-        block -= a[rows, None]
-        block -= q
-        block /= col
+        block = np.matmul(left[rows], right.T, out=buf[:rows.stop - rows.start])
         w_rows = w[rows]
         block *= w_rows
-        one_minus = np.subtract(1.0, w_rows, out=scratch[:len(block)])
-        block *= one_minus
+        block *= np.subtract(1.0, w_rows, out=scratch[:len(block)])
         g_b += float(block.sum())
         g_alpha += np.sum((block @ unit) * unit[rows], axis=0)
 

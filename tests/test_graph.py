@@ -147,6 +147,20 @@ class TestBuildTransition:
         assert np.allclose(tm.submatrix(index, cols), t[np.ix_(index, cols)],
                            atol=1e-15)
 
+    def test_products_written_beside_the_result(self):
+        rng = np.random.default_rng(15)
+        store = make_store(rng.normal(size=(7, 4)))
+        params = PropagationParams(alpha=3.0, b=-1.0, epsilon=0.2)
+        tm = build_transition(store, params, [True] + [False] * 6)
+        y = rng.random((7, 3))
+        product = np.full((7, 3), np.nan)
+        assert np.array_equal(tm.apply(y, product=product), tm.apply(y))
+        assert np.allclose(product, tm.w @ (y / tm.col[:, None]), rtol=1e-14)
+        assert np.array_equal(tm.apply_transpose(y, product=product),
+                              tm.apply_transpose(y))
+        assert np.allclose(product, tm.w.T @ (y * (0.8 / tm.row)[:, None]),
+                           rtol=1e-14)
+
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(8)
         store = make_store(rng.normal(size=(9, 4)))
@@ -237,8 +251,31 @@ class TestLogistic:
         masked[~pos] = ez / (1.0 + ez)
         assert np.array_equal(logistic(z), masked)
         out = z.copy()
-        logistic(out, out=out)
+        logistic(out, out=out, scratch=np.full_like(z, np.nan))
         assert np.array_equal(out, masked)
+
+    def test_weight_blocks_share_one_scratch(self, monkeypatch):
+        scratches = []
+        kernel = graph.logistic
+
+        def recording(z, out=None, scratch=None):
+            scratches.append(scratch)
+            return kernel(z, out=out, scratch=scratch)
+
+        def fresh(z, out=None, scratch=None):
+            return kernel(z, out=out)
+
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(9, 4))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        params = PropagationParams(alpha=3.0, b=-1.0)
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 36)  # 4 rows a block
+        monkeypatch.setattr(graph, "logistic", fresh)
+        unshared = raw_weights(x, params)
+        monkeypatch.setattr(graph, "logistic", recording)
+        assert np.array_equal(raw_weights(x, params), unshared)
+        assert [len(s) for s in scratches] == [4, 4, 1]
+        assert all(np.shares_memory(s, scratches[0]) for s in scratches)
 
     def test_deep_negative_tail(self):
         assert logistic(-40.0) == pytest.approx(

@@ -7,7 +7,8 @@ import emolex.optimize
 from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
                     entropy_gradient, expand, fit_batched, fit_full,
                     init_label_matrix)
-from emolex.graph import TransitionOperator, logistic, row_blocks
+from emolex.graph import (TransitionOperator, logistic, raw_weights,
+                          row_blocks)
 from emolex.optimize import (GradientError, OptimizerConfig,
                              _forward_backward, _sample_batch)
 
@@ -139,27 +140,35 @@ class TestGradient:
             entropy_gradient(store, lm, params)
 
 
-def dense_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
-    """The unrolled entropy and its gradient with dH/dT formed as one n x n
-    array and reduced densely to dH/dz, the reference for the blocked
-    reduction."""
-    n, m = y.shape
-    w = logistic((unit * alpha) @ unit.T + b)
-    tm = TransitionOperator(w, epsilon)
+def sweeps(tm, labeled, y, steps):
+    """The iterates Y_0..Y_K of K clamped `tm.apply` sweeps and the
+    gradients G_K..G_1 of their entropy, from `tm.apply_transpose`."""
+    m = y.shape[1]
     iterates = [y.copy()]
     iterates[0][~labeled] = 1.0 / m
     for _ in range(steps):
         state = tm.apply(iterates[-1])
         state[labeled] = y[labeled]
         iterates.append(state)
-    y_final = iterates[-1][~labeled]
-    g = np.zeros((n, m))
-    g[~labeled] = -(np.log(y_final) + 1.0)
+    g = np.zeros(y.shape)
+    g[~labeled] = -(np.log(iterates[-1][~labeled]) + 1.0)
     g_iterates = [g]
     for _ in range(steps - 1):
         g = tm.apply_transpose(g_iterates[-1])
         g[labeled] = 0.0
         g_iterates.append(g)
+    return iterates, g_iterates
+
+
+def dense_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
+    """The unrolled entropy and its gradient with dH/dT formed as one n x n
+    array and reduced densely to dH/dz, the reference for the blocked
+    reduction."""
+    n = len(y)
+    w = logistic((unit * alpha) @ unit.T + b)
+    tm = TransitionOperator(w, epsilon)
+    iterates, g_iterates = sweeps(tm, labeled, y, steps)
+    y_final = iterates[-1][~labeled]
     # dH/dT = sum_t dH/dY_t Y_{t-1}^T
     grad = sum(g_t @ y_prev.T
                for g_t, y_prev in zip(g_iterates[::-1], iterates[:-1]))
@@ -180,20 +189,51 @@ def dense_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
                               "eps_logit": g_eps * epsilon * (1.0 - epsilon)}
 
 
+def blocked_instance():
+    """1100 nodes over five or more row blocks, 10% of them labeled."""
+    n, m = 1100, 4
+    assert len(row_blocks(n)) >= 5
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(n, 8))
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    labeled = np.zeros(n, dtype=bool)
+    labeled[rng.choice(n, 110, replace=False)] = True
+    y = np.full((n, m), 1.0 / m)
+    y[labeled] = np.eye(m)[rng.integers(0, m, size=110)]
+    return unit, labeled, y
+
+
+def longdouble_reduction(unit, w, epsilon, iterates, g_iterates, alpha):
+    """dH/dT = G Y^T formed whole in long double from float64 G, Y and W,
+    and reduced to the gradients of alpha, b and the epsilon logit."""
+    ld = np.longdouble
+    n = len(w)
+    p = np.hstack(g_iterates[::-1]).astype(ld) @ np.hstack(iterates[:-1]).astype(ld).T
+    w = w.astype(ld)
+    eps = ld(epsilon)
+    col = w.sum(axis=0)
+    row = (w / col).sum(axis=1)
+    pw = p * w / col
+    s = pw.sum(axis=1) / row
+    r = (1 - eps) / row
+    q = (r[:, None] * pw).sum(axis=0) - (w.T @ (r * s)) / col
+    dz = (r[:, None] * p - (r * s)[:, None] - q) / col * w * (1 - w)
+    unit = unit.astype(ld)
+    g_alpha = np.sum((dz @ unit) * unit, axis=0)
+    if np.ndim(alpha) == 0:
+        g_alpha = np.sum(g_alpha)
+    g_eps = np.sum(p.sum(axis=1) / n - s)
+    return {"alpha": g_alpha, "b": dz.sum(),
+            "eps_logit": g_eps * eps * (1 - eps)}
+
+
 class TestBlockedReduction:
     # The gradient checks above run on one row block; these graphs span
-    # five or more, so every block's share of q and s must be accumulated.
+    # five or more, so the one GEMM per block must see the whole of the
+    # row and column terms (s, a and q) that the sweeps' products give.
     @pytest.mark.parametrize("alpha", [2.5, np.linspace(0.5, 4.0, 8)])
     def test_matches_dense_reduction(self, alpha):
-        n, m = 1100, 4
-        assert len(row_blocks(n)) >= 5
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(n, 8))
-        unit = x / np.linalg.norm(x, axis=1)[:, None]
-        labeled = np.zeros(n, dtype=bool)
-        labeled[rng.choice(n, 110, replace=False)] = True
-        y = np.full((n, m), 1.0 / m)
-        y[labeled] = np.eye(m)[rng.integers(0, m, size=110)]
+        unit, labeled, y = blocked_instance()
         args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
         h, grads = _forward_backward(*args)
         h_ref, ref = dense_forward_backward(*args)
@@ -201,6 +241,33 @@ class TestBlockedReduction:
         assert np.shape(grads["alpha"]) == np.shape(alpha)
         for name in ("alpha", "b", "eps_logit"):
             assert np.allclose(grads[name], ref[name], rtol=1e-10, atol=0)
+
+    # dH/deps is a sum of differences of nearly equal terms; at this
+    # small-gradient point the float64 reduction must keep 11 digits of
+    # it and 12 of the alpha and b gradients.
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_within_long_double_reference(self):
+        unit, labeled, y = blocked_instance()
+        alpha, b, epsilon, steps = 3.0, 0.0, 0.1, 4
+        _, grads = _forward_backward(unit, labeled, y, alpha, b, epsilon,
+                                     steps)
+        w = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
+        tm = TransitionOperator(w, epsilon)
+        ref = longdouble_reduction(unit, w, epsilon,
+                                   *sweeps(tm, labeled, y, steps), alpha)
+        for name, rel in (("alpha", 1e-12), ("b", 1e-12), ("eps_logit", 1e-11)):
+            error = abs(np.longdouble(grads[name]) - ref[name])
+            assert error <= rel * abs(ref[name]), name
+
+    def test_entropy_is_that_of_the_sweeps(self):
+        unit, labeled, y = blocked_instance()
+        alpha, b, epsilon, steps = 2.5, -1.0, 0.05, 4
+        h, _ = _forward_backward(unit, labeled, y, alpha, b, epsilon, steps)
+        tm = TransitionOperator(
+            raw_weights(unit, PropagationParams(alpha=alpha, b=b)), epsilon)
+        iterates, _ = sweeps(tm, labeled, y, steps)
+        assert h == entropy(iterates[-1][~labeled])
 
     def test_weights_written_into_buffer(self):
         store, _, lm = small_instance(n=12)

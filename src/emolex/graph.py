@@ -6,8 +6,9 @@ import numpy as np
 COSINE_LOGISTIC = "cosine-logistic"
 EUCLIDEAN_RBF = "euclidean-rbf"
 
-# Weights are computed this many entries at a time, so the temporaries of the
-# block GEMM and the elementwise kernel stay a few megabytes at every n.
+# Weights are transformed (and, when streamed, computed) this many entries at
+# a time, so the temporaries of the elementwise kernel stay a few megabytes
+# at every n.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -116,15 +117,14 @@ def row_blocks(n):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def weight_rows(x, params):
-    """The weight kernel over the rows of `x`: returns fill(rows, out),
-    which writes the rows `rows` (a slice of at most one of `row_blocks`'
-    blocks) of the dense symmetric weight matrix into `out`, a (rows, n)
-    array.
+def _weight_kernel(x, params):
+    """(left, transform) of the weight kernel over the rows of `x`: the
+    rows `rows` of W are transform(rows, left[rows] @ x.T), where
+    transform(rows, out) works in place on `out` and returns it.
 
     `x` holds unit vectors under cosine-logistic and raw vectors under
-    euclidean-rbf. Each block is transformed in place; the logistic's
-    scratch is one block-sized array shared by every block.
+    euclidean-rbf. The logistic's scratch is one array of `row_blocks`'
+    block size, shared by every block.
     """
     rbf = params.kernel == EUCLIDEAN_RBF
     if rbf:
@@ -140,8 +140,7 @@ def weight_rows(x, params):
     if not rbf:
         scratch = np.empty((min(_block_rows(len(x)), len(x)), len(x)))
 
-    def fill(rows, out):
-        np.matmul(left[rows], x.T, out=out)
+    def transform(rows, out):
         if rbf:
             out += sq[rows, None]
             out += sq[None, :]
@@ -152,6 +151,20 @@ def weight_rows(x, params):
             out += params.b
             logistic(out, out=out, scratch=scratch[:len(out)])
         return out
+    return left, transform
+
+
+def weight_rows(x, params):
+    """The weight kernel over the rows of `x`: returns fill(rows, out),
+    which writes the rows `rows` (a slice of at most one of `row_blocks`'
+    blocks) of the dense symmetric weight matrix into `out`, a (rows, n)
+    array, so W can be streamed without an n x n array.
+    """
+    left, transform = _weight_kernel(x, params)
+
+    def fill(rows, out):
+        np.matmul(left[rows], x.T, out=out)
+        return transform(rows, out)
     return fill
 
 
@@ -159,14 +172,16 @@ def raw_weights(x, params, out=None):
     """Dense symmetric edge weights between the rows of `x`, written into
     `out` (an n x n array) when it is given.
 
-    Rows are filled in fixed-size blocks by `weight_rows`, so the only
-    n x n array is the result.
+    One GEMM writes every inner product into the result, which is then
+    transformed in place in fixed-size row blocks, so the only n x n array
+    is the result and the kernel's temporaries stay a few megabytes.
     """
     n = x.shape[0]
     w = np.empty((n, n)) if out is None else out
-    fill = weight_rows(x, params)
+    left, transform = _weight_kernel(x, params)
+    np.matmul(left, x.T, out=w)
     for rows in row_blocks(n):
-        fill(rows, w[rows])
+        transform(rows, w[rows])
     return w
 
 

@@ -177,35 +177,53 @@ def init_label_matrix(vocab, seed, emotions=None):
     return LabelMatrix(rows, mask), missing
 
 
+def _lexicon_rows(vocab, distributions, labeled_mask):
+    """(token, probabilities, source) per vocabulary row, the probabilities
+    as Python floats; raises ValueError naming the first token with a NaN
+    or infinite probability, so no artifact holds one."""
+    distributions = np.asarray(distributions, dtype=np.float64)
+    finite = np.isfinite(distributions).all(axis=1)
+    tokens = list(vocab)
+    if not finite.all():
+        raise ValueError("non-finite probability for token %r"
+                         % tokens[int(np.argmin(finite))])
+    sources = ["labeled" if flag else "propagated" for flag in labeled_mask]
+    return zip(tokens, distributions.tolist(), sources)
+
+
 def write_lexicon_tsv(path, vocab, distributions, emotions, labeled_mask):
     """Expanded-lexicon TSV: header naming the emotion order, one row per token.
 
     Seed rows pass through unchanged and are flagged "labeled"; the rest are
-    flagged "propagated".
+    flagged "propagated". Probabilities are written as "%.17g", so they
+    read back exactly.
     """
-    distributions = np.asarray(distributions)
+    rows = _lexicon_rows(vocab, distributions, labeled_mask)
+    template = "%s\t" + "\t".join(["%.17g"] * len(emotions)) + "\t%s\n"
+    lines = [template % (token, *probs, source)
+             for token, probs, source in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("token\t" + "\t".join(emotions.names) + "\tsource\n")
-        for i, token in enumerate(vocab):
-            probs = "\t".join("%.17g" % p for p in distributions[i])
-            source = "labeled" if labeled_mask[i] else "propagated"
-            fh.write("%s\t%s\t%s\n" % (token, probs, source))
+        fh.write("".join(lines))
 
 
 def write_lexicon_json(path, vocab, distributions, emotions, labeled_mask):
-    """JSON export mirroring the TSV fields."""
-    distributions = np.asarray(distributions)
-    payload = {
-        "emotions": list(emotions.names),
-        "entries": [
-            {
-                "token": token,
-                "distribution": [float(p) for p in distributions[i]],
-                "source": "labeled" if labeled_mask[i] else "propagated",
-            }
-            for i, token in enumerate(vocab)
-        ],
-    }
+    """JSON export mirroring the TSV fields.
+
+    The bytes are those of json.dump(payload, indent=2, sort_keys=True) and
+    a final newline, payload being {"emotions": [names], "entries": [
+    {"distribution", "source", "token"} per row]}, but each entry is
+    formatted by one template: floats as their repr, strings by json's own
+    ASCII escaping.
+    """
+    rows = _lexicon_rows(vocab, distributions, labeled_mask)
+    string = json.encoder.encode_basestring_ascii
+    template = ('    {\n      "distribution": [\n        '
+                + ",\n        ".join(["%r"] * len(emotions))
+                + '\n      ],\n      "source": "%s",\n      "token": %s\n    }')
+    entries = ",\n".join([template % (*probs, source, string(token))
+                          for token, probs, source in rows])
+    names = ",\n".join("    " + string(name) for name in emotions.names)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "emotions": [\n%s\n  ],\n  "entries": [' % names)
+        fh.write("\n%s\n  ]\n}\n" % entries if entries else "]\n}\n")

@@ -51,9 +51,10 @@ def _residual(tm, y, unlabeled):
     return float(np.max(np.abs(y[unlabeled] - tm.apply(y)[unlabeled])))
 
 
-def _labeled_mass(tm, labeled):
-    """(min m, cond_bound): the smallest one-step mass m_i = (T 1_L)_i of an
-    unlabeled row onto the seeds, and the condition bound it gives.
+def _condition(mass):
+    """(min m, cond_bound) for `mass`, the smallest one-step mass
+    m_i = (T 1_L)_i of an unlabeled row onto the seeds: the condition bound
+    it gives.
 
     T is row-stochastic, so m_i = 1 - sum_j (T_uu)_ij and
     ||(I - T_uu)^{-1}||_inf <= 1 / min m: a solution of the unlabeled system
@@ -64,13 +65,25 @@ def _labeled_mass(tm, labeled):
     system here, before its first sweep or factorization, when that bound
     exceeds MAX_CONDITION or min m is not positive.
     """
-    mass = float(np.min(tm.apply(labeled[:, None].astype(np.float64))[~labeled]))
+    mass = float(mass)
     cond_bound = (2.0 - mass) / mass if mass > 0 else np.inf
     if not cond_bound <= MAX_CONDITION:
         raise NumericalDegeneracyError(
             "(I - T_uu) is ill-conditioned: condition bound %.3g, minimum "
             "labeled mass %.3g; consider epsilon smoothing" % (cond_bound, mass))
     return mass, cond_bound
+
+
+def _opening_product(tm, y, labeled):
+    """(T y, min m, cond_bound) for an n x m array y: one product with
+    T [y, 1_L] gives the solve its first product and the labeled mass of
+    `_condition`, which refuses the system before anything else is done."""
+    cols = np.empty((tm.n, y.shape[1] + 1))
+    cols[:, :-1] = y
+    cols[:, -1] = labeled
+    product = tm.apply(cols)
+    mass, cond_bound = _condition(np.min(product[~labeled, -1]))
+    return product[:, :-1], mass, cond_bound
 
 
 def _certified(method, iterations, residual, mass, cond_bound, tol):
@@ -102,7 +115,7 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
 
     The labeled/unlabeled partition is the LabelMatrix's mask; the operator
     does not depend on it. The sweep contracts the error by rho = 1 - min m
-    (see `_labeled_mass`), so a sweep that changes Y by delta leaves it
+    (see `_condition`), so a sweep that changes Y by delta leaves it
     within delta * rho / (1 - rho) of the fixed point; the loop stops once
     that is at most tol. Rows are re-normalized each sweep to cap
     floating-point drift (a guard, not an algorithm change). Labeled rows
@@ -112,20 +125,20 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
     _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
     seeds = label_matrix.labeled_rows
-    y = label_matrix.rows.copy()
-    mass, cond_bound = _labeled_mass(tm, labeled)
+    y = label_matrix.rows
+    new, mass, cond_bound = _opening_product(tm, y, labeled)
     contraction = (1.0 - mass) / mass
 
     iterations = 0
-    while iterations < max_iter:
-        new = tm.apply(y)
+    while True:
         new /= new.sum(axis=1, keepdims=True)
         new[labeled] = seeds
         delta = float(np.max(np.abs(new - y)))
         y = new
         iterations += 1
-        if delta * contraction <= tol:
+        if delta * contraction <= tol or iterations == max_iter:
             break
+        new = tm.apply(y)
 
     report = _certified("iterative", iterations, _residual(tm, y, ~labeled),
                         mass, cond_bound, tol)
@@ -153,7 +166,7 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
-    gathered from the operator by that mask, after `_labeled_mass` has
+    gathered from the operator by that mask, after `_condition` has
     checked its condition in O(n^2). Fails with a diagnostic when
     (I - T_uu) is singular or the solution is not finite (possible only at
     epsilon = 0 with a component disconnected in probability from the
@@ -164,10 +177,9 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    mass, cond_bound = _labeled_mass(tm, labeled)
     y[unlabeled] = 0.0
-    rhs = tm.apply(y)[unlabeled]
-    y[unlabeled] = _solve_clamped(tm.submatrix(unlabeled), rhs)
+    rhs, mass, cond_bound = _opening_product(tm, y, labeled)
+    y[unlabeled] = _solve_clamped(tm.submatrix(unlabeled), rhs[unlabeled])
     report = _certified("closed-form", 1, _residual(tm, y, ~labeled), mass,
                         cond_bound, tol)
     return LabelMatrix(y, labeled), report
@@ -194,35 +206,64 @@ def propagate_folds(tm, label_matrix, folds, tol=1e-6):
     own residual, minimum labeled mass and error bound. A fold's min m is
     at most that of the all-seeds system, so the check of the first fold
     also covers the factorization of (I - T_UU).
+
+    Every fold is solved before the first is yielded, so that one product
+    with T gives all their labeled masses and one more all their
+    residuals. A fold that is refused or fails has its error raised in its
+    place, after the folds before it have been yielded.
     """
     labeled = label_matrix.labeled_mask
     seeds = np.flatnonzero(labeled)
     unlabeled = np.flatnonzero(~labeled)
     position = np.full(tm.n, -1)
     position[seeds] = np.arange(seeds.size)
-    z = g = None
-    for hidden in folds:
-        hidden = np.asarray(hidden, dtype=np.intp)
-        if np.any(position[hidden] < 0):
-            raise ValueError("a fold may hide only labeled rows")
-        mask = labeled.copy()
-        mask[hidden] = False
-        fold = LabelMatrix(label_matrix.rows.copy(), mask)
-        _check_inputs(fold, tol)
-        mass, cond_bound = _labeled_mass(tm, mask)
-        if z is None:
-            z = _solve_clamped(tm.submatrix(unlabeled),
-                               tm.submatrix(unlabeled, seeds))
-            g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
-        h = position[hidden]
-        s = position[mask]
-        y_s = fold.rows[mask]
-        y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
-        fold.rows[hidden] = y_h
-        fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
-        report = _certified("closed-form", 1, _residual(tm, fold.rows, ~mask),
-                            mass, cond_bound, tol)
-        yield fold, report
+    error = None
+    set_up = []
+    try:
+        for hidden in folds:
+            hidden = np.asarray(hidden, dtype=np.intp)
+            if np.any(position[hidden] < 0):
+                raise ValueError("a fold may hide only labeled rows")
+            mask = labeled.copy()
+            mask[hidden] = False
+            fold = LabelMatrix(label_matrix.rows.copy(), mask)
+            _check_inputs(fold, tol)
+            set_up.append((hidden, fold))
+    except (ValueError, IndexError) as exc:
+        error = exc
+    solved = []
+    if set_up:
+        masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
+                                   dtype=np.float64).T)
+        z = g = None
+        try:
+            for f, (hidden, fold) in enumerate(set_up):
+                mask = fold.labeled_mask
+                mass, cond_bound = _condition(np.min(masses[~mask, f]))
+                if z is None:
+                    z = _solve_clamped(tm.submatrix(unlabeled),
+                                       tm.submatrix(unlabeled, seeds))
+                    g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
+                h = position[hidden]
+                s = position[mask]
+                y_s = fold.rows[mask]
+                y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
+                fold.rows[hidden] = y_h
+                fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
+                solved.append((fold, mass, cond_bound))
+        except NumericalDegeneracyError as exc:
+            error = exc
+    m = label_matrix.rows.shape[1]
+    if solved:
+        stacked = np.hstack([fold.rows for fold, _, _ in solved])
+        violation = np.abs(stacked - tm.apply(stacked))
+    for f, (fold, mass, cond_bound) in enumerate(solved):
+        cols = slice(f * m, (f + 1) * m)
+        residual = float(np.max(violation[~fold.labeled_mask, cols]))
+        yield fold, _certified("closed-form", 1, residual, mass, cond_bound,
+                               tol)
+    if error is not None:
+        raise error
 
 
 def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
@@ -240,7 +281,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     carries) is converged, not a breakdown.
 
     The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
-    once that estimate divided by min m (see `_labeled_mass`) is within tol,
+    once that estimate divided by min m (see `_condition`) is within tol,
     the rows are clipped at 0 and re-normalized, and one true product with
     T confirms the bound; raises ConvergenceError when max_iter iterations
     end without that confirmation.
@@ -249,15 +290,15 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     labeled = label_matrix.labeled_mask
     unlabeled = np.flatnonzero(~labeled)
     y = label_matrix.rows.copy()
-    mass, cond_bound = _labeled_mass(tm, labeled)
+    y[unlabeled] = 0.0
+    rhs, mass, cond_bound = _opening_product(tm, y, labeled)
     n, m = y.shape
     row, col = tm.row[unlabeled], tm.col[unlabeled]
     keep = 1.0 - tm.epsilon
     smooth = tm.epsilon / n
     scale = (row * col)[:, None]
-    y[unlabeled] = 0.0
     b = np.empty((unlabeled.size, m + 1))
-    b[:, :m] = tm.apply(y)[unlabeled]
+    b[:, :m] = rhs[unlabeled]
     b[:, m] = 1.0
     b *= row[:, None]
     precondition = 1.0 / (row * col - keep * tm.w[unlabeled, unlabeled])[:, None]

@@ -11,7 +11,9 @@ from emolex import (ConvergenceError, EmotionSet, PropagationParams,
                     expand, kl_divergence, label_prop_expander, load_corpus,
                     load_seed_lexicon, make_folds, micro_prf)
 from emolex.evaluate import CorpusFormatError
-from emolex.graph import NumericalDegeneracyError
+from emolex.graph import NumericalDegeneracyError, build_transition
+from emolex.lexicon import init_label_matrix
+from emolex.solver import propagate_folds
 
 from conftest import data_path, make_store, two_cluster_seed, two_cluster_store
 
@@ -367,6 +369,41 @@ class TestFactorizedFolds:
             cross_validate(store, seed, emotions, label_prop_expander(params),
                            k=2, rng_seed=0)
         assert isinstance(err.value.__cause__, NumericalDegeneracyError)
+
+    def test_refused_fold_named_by_its_index(self):
+        # As above, with a third seed in the far cluster: only the fold that
+        # hides it, fold 2 at rng_seed 1, leaves that cluster without mass.
+        rng = np.random.default_rng(6)
+        near = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        far = np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(4, 3))
+        store = make_store(np.vstack([near, far]))
+        emotions = EmotionSet(["a", "b"])
+        seed = SeedLexicon({"w0": np.array([1, 0]), "w1": np.array([0, 1]),
+                            "w4": np.array([1, 0])}, emotions)
+        assert make_folds(list(seed.entries), 3, 1)[2] == ["w4"]
+        params = PropagationParams(alpha=40.0, b=-20.0, epsilon=0.0)
+        with pytest.raises(RuntimeError, match="on fold 2: ") as err:
+            cross_validate(store, seed, emotions, label_prop_expander(params),
+                           k=3, rng_seed=1)
+        assert isinstance(err.value.__cause__, NumericalDegeneracyError)
+
+    def test_uncertified_fold_named_by_its_index(self):
+        # A tol between the folds' error bounds certifies every fold before
+        # the first whose bound exceeds those before it.
+        store, seed, ekman, params = self.setup_run()
+        label_matrix, _ = init_label_matrix(store.vocab, seed, ekman)
+        hidden = [[store.vocab.index[t] for t in held_out]
+                  for held_out in make_folds(list(seed.entries), 10, 0)]
+        tm = build_transition(store, params, label_matrix.labeled_mask)
+        bounds = [report.error_bound for _, report in
+                  propagate_folds(tm, label_matrix, hidden, tol=1.0)]
+        fold = next(f for f in range(1, 10) if bounds[f] > max(bounds[:f]))
+        with pytest.raises(RuntimeError, match="on fold %d: closed-form solve "
+                                               "did not converge" % fold) as err:
+            cross_validate(store, seed, ekman,
+                           label_prop_expander(params, tol=max(bounds[:fold])),
+                           k=10, rng_seed=0)
+        assert isinstance(err.value.__cause__, ConvergenceError)
 
     @pytest.mark.parametrize("solver", ["cg", "iterative"])
     def test_iterating_solvers_expand_each_fold(self, monkeypatch, solver):

@@ -174,6 +174,23 @@ class TestBuildTransition:
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
+    def test_one_gemm_matches_block_fill(self, monkeypatch):
+        # raw_weights takes every inner product from one GEMM; weight_rows'
+        # fill, which streams W, takes them block by block.
+        rng = np.random.default_rng(16)
+        store = make_store(rng.normal(size=(23, 5)))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 69)  # 3 rows a block
+        for x, params in (
+                (store.unit_vectors, PropagationParams(alpha=4.0, b=-1.5)),
+                (store.unit_vectors,
+                 PropagationParams(alpha=np.linspace(0.5, 6.0, 5), b=-1.0)),
+                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=2.5))):
+            fill = graph.weight_rows(x, params)
+            blocks = np.vstack([fill(rows, np.empty((rows.stop - rows.start, 23)))
+                                for rows in graph.row_blocks(23)])
+            assert np.allclose(raw_weights(x, params), blocks, rtol=1e-14,
+                               atol=0)
+
     def test_weights_written_into_out(self):
         rng = np.random.default_rng(9)
         store = make_store(rng.normal(size=(7, 3)))

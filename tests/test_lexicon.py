@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from emolex import (EKMAN_SIX, EmotionSet, Vocabulary, init_label_matrix,
-                    load_seed_lexicon, seed_to_distribution)
+                    load_seed_lexicon, seed_to_distribution,
+                    write_lexicon_json, write_lexicon_tsv)
 from emolex.lexicon import LexiconFormatError
 
 
@@ -142,3 +145,71 @@ class TestEmotionSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmotionSet(())
+
+
+def reference_tsv(fh, tokens, distributions, emotions, labeled):
+    fh.write("token\t" + "\t".join(emotions.names) + "\tsource\n")
+    for token, row, flag in zip(tokens, distributions, labeled):
+        fh.write("%s\t%s\t%s\n" % (token, "\t".join("%.17g" % p for p in row),
+                                   "labeled" if flag else "propagated"))
+
+
+def reference_json(fh, tokens, distributions, emotions, labeled):
+    json.dump({"emotions": list(emotions.names),
+               "entries": [{"token": token,
+                            "distribution": [float(p) for p in row],
+                            "source": "labeled" if flag else "propagated"}
+                           for token, row, flag
+                           in zip(tokens, distributions, labeled)]},
+              fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+WRITERS = [(write_lexicon_tsv, reference_tsv),
+           (write_lexicon_json, reference_json)]
+# Tokens and emotion names with quotes, backslashes, control characters
+# and non-ASCII text; probabilities with 0, 1 and subnormals.
+NAMES = (st.text(min_size=1, max_size=6)
+         | st.sampled_from(['"', "\\", '\\"x', "\u00e9\u4e2d", "\U0001f600",
+                            "\x00\x1f"]))
+PROBABILITIES = (st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072009e-308,
+                                  1e-310, 0.1, 1.0 / 3.0])
+                 | st.floats(0.0, 1.0))
+
+
+@st.composite
+def lexicons(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    tokens = draw(st.lists(NAMES, min_size=0, max_size=6, unique=True))
+    values = draw(st.lists(PROBABILITIES, min_size=len(tokens) * len(names),
+                           max_size=len(tokens) * len(names)))
+    labeled = draw(st.lists(st.booleans(), min_size=len(tokens),
+                            max_size=len(tokens)))
+    return (tokens, np.array(values).reshape(len(tokens), len(names)),
+            EmotionSet(names), labeled)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("writer, reference", WRITERS)
+    @given(lexicon=lexicons())
+    def test_bytes_of_the_reference_format(self, tmp_path_factory, writer,
+                                           reference, lexicon):
+        tokens, distributions, emotions, labeled = lexicon
+        directory = tmp_path_factory.mktemp("lexicon")
+        written, expected = directory / "written", directory / "expected"
+        writer(str(written), Vocabulary(tokens), distributions, emotions,
+               labeled)
+        with open(expected, "w", encoding="utf-8") as fh:
+            reference(fh, tokens, distributions, emotions, labeled)
+        assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("writer", [w for w, _ in WRITERS])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, tmp_path, writer, value):
+        path = tmp_path / "lexicon"
+        distributions = np.array([[0.5, 0.5], [0.25, 0.75], [value, 0.5]])
+        with pytest.raises(ValueError, match="non-finite probability for "
+                                             "token 'storm'"):
+            writer(str(path), Vocabulary(["calm", "wind", "storm"]),
+                   distributions, EmotionSet(["a", "b"]), [True, False, False])
+        assert not path.exists()

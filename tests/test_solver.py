@@ -246,6 +246,47 @@ class TestFolds:
             next(propagate_folds(tm, lm, every_seed))
 
 
+    def test_batched_reports_match_fold_by_fold(self):
+        # One product gives every fold's labeled mass and one more every
+        # fold's residual; each is the fold's own product with T.
+        tm, lm, folds = fold_instance(0.01, 10, 9)
+        for fold, report in propagate_folds(tm, lm, folds, tol=1e-9):
+            mask = fold.labeled_mask
+            mass = np.min(tm.apply(mask[:, None].astype(np.float64))[~mask])
+            residual = np.max(np.abs(fold.rows - tm.apply(fold.rows))[~mask])
+            assert report.min_labeled_mass == pytest.approx(mass, abs=1e-12)
+            assert report.cond_bound == pytest.approx((2.0 - mass) / mass,
+                                                      rel=1e-12)
+            assert report.residual == pytest.approx(residual, abs=1e-12)
+            assert report.error_bound == report.residual / report.min_labeled_mass
+
+    def test_refused_fold_raised_after_earlier_folds(self):
+        # A seed in the far cluster too: only hiding it leaves that cluster
+        # without mass onto the seeds.
+        tm, lm = ill_conditioned_instance()
+        mask = lm.labeled_mask.copy()
+        mask[4] = True
+        rows = lm.rows.copy()
+        rows[4] = [1.0, 0.0]
+        folds = propagate_folds(tm, LabelMatrix(rows, mask), [[0], [4], [1]])
+        fold, report = next(folds)
+        assert not fold.labeled_mask[0] and report.converged
+        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
+            next(folds)
+
+    def test_uncertified_fold_raised_after_earlier_folds(self):
+        tm, lm, folds = fold_instance(0.01, 10, 3)
+        bounds = [report.error_bound
+                  for _, report in propagate_folds(tm, lm, folds, tol=1.0)]
+        fold = next(f for f in range(1, 10) if bounds[f] > max(bounds[:f]))
+        solved = propagate_folds(tm, lm, folds, tol=max(bounds[:fold]))
+        assert [report.error_bound for _, report in
+                (next(solved) for _ in range(fold))] == bounds[:fold]
+        with pytest.raises(ConvergenceError,
+                           match="closed-form solve did not converge"):
+            next(solved)
+
+
 class TestSolve:
     def test_auto_switches_on_unlabeled_count(self, monkeypatch):
         tm, lm = random_instance(np.random.default_rng(8), 12, 3)
@@ -324,8 +365,9 @@ class TestSolveContract:
         tm, lm = ill_conditioned_instance()
         with pytest.raises(NumericalDegeneracyError):
             SOLVERS[method](tm, lm)
-        # The one product is the labeled-mass check's.
-        assert calls == [(8, 1)]
+        # The one product is the opening one: the first product's m columns
+        # and, beside them, the labeled-mass column the check reads.
+        assert calls == [(8, lm.rows.shape[1] + 1)]
 
     @pytest.mark.parametrize("method", sorted(SOLVERS))
     def test_cond_bound_reported_by_every_solver(self, method):

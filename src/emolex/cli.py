@@ -208,7 +208,7 @@ def cmd_evaluate(cfg):
 
     rows = [row(ev.baseline_expander(kind, counts), kind)
             for kind in ("uniform", "majority", "prior")]
-    # Each expander is a temporary of its own row, so its graph operator is
+    # A run's graph operator lives for one cross_validate call, so it is
     # freed before the next row builds one.
     rows += [row(ev.label_prop_expander(p, **_solver_options(cfg)), method)
              for method, p in params]

@@ -7,8 +7,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import FormatError
-from .lexicon import check_emotions, init_label_matrix
-from .solver import OperatorCache, choose_solver, expand, propagate_folds
+from .lexicon import check_emotions
+# `expand` is not called here; the bench hooks it until it reads a run log.
+from .solver import expand, expand_folds
 
 PREDICTION_FLOOR = 1e-12
 
@@ -70,35 +71,13 @@ class EvalReport:
 def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     """Expander running label propagation with fixed parameters.
 
-    The graph does not depend on the seeds, so the operator built on first
-    use serves every fold of every run on the same store, and lives as long
-    as the closure. When the solver is the closed form for every fold (as
-    `solve` decides, on the largest fold), all folds come from one
-    factorization by `propagate_folds`; otherwise each fold is its own
-    `expand`. Either way the solver raises ConvergenceError on a fold whose
-    solve is not certified within tol.
+    Each run is `expand_folds`: one graph operator serves every fold of the
+    run and is freed with it. The solver raises ConvergenceError on a fold
+    whose solve is not certified within tol.
     """
-    cache = OperatorCache()
-
     def run(store, seed, emotions, folds):
-        label_matrix, _ = init_label_matrix(store.vocab, seed, emotions)
-        n_unlabeled = (len(store) - label_matrix.n_labeled
-                       + max(len(held_out) for held_out in folds))
-        if choose_solver(solver, n_unlabeled) != "closed":
-            for held_out in folds:
-                train = seed.subset(set(seed.entries) - set(held_out))
-                yield expand(store, train, emotions, params, solver=solver,
-                             tol=tol, max_iter=max_iter,
-                             cache=cache).distributions
-            return
-        hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
-        # Any fold's training mask validates the build; the operator itself
-        # does not depend on it.
-        train_mask = label_matrix.labeled_mask.copy()
-        train_mask[hidden[0]] = False
-        tm = cache.get(store, params, train_mask)
-        for solved, _ in propagate_folds(tm, label_matrix, hidden, tol):
-            yield solved.rows
+        return expand_folds(store, seed, emotions, params, folds, solver, tol,
+                            max_iter)
     run.label = "label-propagation"
     run.params = params.to_dict()
     return run

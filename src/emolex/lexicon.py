@@ -68,11 +68,6 @@ class SeedLexicon:
     def distribution(self, token):
         return seed_to_distribution(self.entries[token])
 
-    def subset(self, tokens):
-        """A new lexicon restricted to `tokens` (used for cross-validation folds)."""
-        keep = {t: f for t, f in self.entries.items() if t in tokens}
-        return SeedLexicon(keep, self.emotions, self.neutral_tokens)
-
 
 def seed_to_distribution(flags):
     """Spread probability mass uniformly over the positive flags."""

@@ -17,7 +17,7 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     PropagationParams, TransitionOperator, logistic,
                     raw_weights, row_blocks, weight_rows)
 from .lexicon import init_label_matrix
-from .solver import MAX_CONDITION
+from .solver import condition
 
 
 class GradientError(RuntimeError):
@@ -342,9 +342,9 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
 
 def _check_condition(store, labeled, params):
     """Raise GradientError unless `expand` accepts `params` on the whole
-    vocabulary: every row and column of W has positive mass, and the
-    condition bound (2 - min m) / min m of (I - T_uu), with m = T 1_L on
-    the unlabeled rows, is at most MAX_CONDITION.
+    vocabulary: every row and column of W has positive mass, and
+    `condition` accepts the condition bound of (I - T_uu) that m = T 1_L
+    gives on the unlabeled rows.
 
     W is streamed in row blocks through `weight_rows`, so no n x n array is
     built: one pass takes its column sums, a second its row sums and the
@@ -370,13 +370,11 @@ def _check_condition(store, labeled, params):
                             "non-finite row mass")
     eps = params.epsilon
     mass = (1.0 - eps) * to_seeds / row + eps * np.count_nonzero(labeled) / n
-    min_mass = float(np.min(mass[~labeled]))
-    cond_bound = (2.0 - min_mass) / min_mass if min_mass > 0 else math.inf
-    if not cond_bound <= MAX_CONDITION:
-        raise GradientError(
-            "fitted parameters give an ill-conditioned graph that expand "
-            "refuses: condition bound %.3g exceeds %.3g (minimum labeled mass "
-            "%.3g)" % (cond_bound, MAX_CONDITION, min_mass))
+    try:
+        condition(np.min(mass[~labeled]))
+    except NumericalDegeneracyError as exc:
+        raise GradientError("fitted parameters give a graph that expand "
+                            "refuses: %s" % exc) from exc
 
 
 def fit_batched(store, seed, config, init=None):

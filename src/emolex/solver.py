@@ -1,6 +1,6 @@
 """Label propagation solvers: clamped fixed-point iteration, the
 closed-form linear solve and preconditioned conjugate gradients, plus the
-end-to-end expansion entry point."""
+end-to-end expansion entry point and its cross-validation folds."""
 
 from dataclasses import asdict, dataclass
 
@@ -51,7 +51,7 @@ def _residual(tm, y, unlabeled):
     return float(np.max(np.abs(y[unlabeled] - tm.apply(y)[unlabeled])))
 
 
-def _condition(mass):
+def condition(mass):
     """(min m, cond_bound) for `mass`, the smallest one-step mass
     m_i = (T 1_L)_i of an unlabeled row onto the seeds: the condition bound
     it gives.
@@ -77,12 +77,12 @@ def _condition(mass):
 def _opening_product(tm, y, labeled):
     """(T y, min m, cond_bound) for an n x m array y: one product with
     T [y, 1_L] gives the solve its first product and the labeled mass of
-    `_condition`, which refuses the system before anything else is done."""
+    `condition`, which refuses the system before anything else is done."""
     cols = np.empty((tm.n, y.shape[1] + 1))
     cols[:, :-1] = y
     cols[:, -1] = labeled
     product = tm.apply(cols)
-    mass, cond_bound = _condition(np.min(product[~labeled, -1]))
+    mass, cond_bound = condition(np.min(product[~labeled, -1]))
     return product[:, :-1], mass, cond_bound
 
 
@@ -115,7 +115,7 @@ def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
 
     The labeled/unlabeled partition is the LabelMatrix's mask; the operator
     does not depend on it. The sweep contracts the error by rho = 1 - min m
-    (see `_condition`), so a sweep that changes Y by delta leaves it
+    (see `condition`), so a sweep that changes Y by delta leaves it
     within delta * rho / (1 - rho) of the fixed point; the loop stops once
     that is at most tol. Rows are re-normalized each sweep to cap
     floating-point drift (a guard, not an algorithm change). Labeled rows
@@ -166,7 +166,7 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
-    gathered from the operator by that mask, after `_condition` has
+    gathered from the operator by that mask, after `condition` has
     checked its condition in O(n^2). Fails with a diagnostic when
     (I - T_uu) is singular or the solution is not finite (possible only at
     epsilon = 0 with a component disconnected in probability from the
@@ -185,87 +185,6 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     return LabelMatrix(y, labeled), report
 
 
-def propagate_folds(tm, label_matrix, folds, tol=1e-6):
-    """The closed-form solution of every fold of a cross-validation, from
-    one factorization; yields (LabelMatrix, SolveReport) per fold, in order.
-
-    `label_matrix` labels all seeds L; each fold is an index array of the
-    seed rows H it hides, and trains on the rest, S = L \\ H. With U the
-    rows no seed labels, Z = (I - T_UU)^{-1} T_UL is factored once, and
-    G = T_LL + T_LU Z holds the probabilities that a walk leaving a seed is
-    next absorbed at each seed. Eliminating U from a fold's system (the
-    block form of the harmonic update of Zhu, Ghahramani & Lafferty 2003,
-    section 5) leaves
-
-        (I - G_HH) Y_H = G_HS Y_S,  an |H| x |H| solve, and
-        Y_U = Z_S Y_S + Z_H Y_H.
-
-    Each fold is the solution `propagate_closed_form` finds on its mask and
-    is checked the same way: its condition bound is refused above
-    MAX_CONDITION before its system is solved, and its report carries its
-    own residual, minimum labeled mass and error bound. A fold's min m is
-    at most that of the all-seeds system, so the check of the first fold
-    also covers the factorization of (I - T_UU).
-
-    Every fold is solved before the first is yielded, so that one product
-    with T gives all their labeled masses and one more all their
-    residuals. A fold that is refused or fails has its error raised in its
-    place, after the folds before it have been yielded.
-    """
-    labeled = label_matrix.labeled_mask
-    seeds = np.flatnonzero(labeled)
-    unlabeled = np.flatnonzero(~labeled)
-    position = np.full(tm.n, -1)
-    position[seeds] = np.arange(seeds.size)
-    error = None
-    set_up = []
-    try:
-        for hidden in folds:
-            hidden = np.asarray(hidden, dtype=np.intp)
-            if np.any(position[hidden] < 0):
-                raise ValueError("a fold may hide only labeled rows")
-            mask = labeled.copy()
-            mask[hidden] = False
-            fold = LabelMatrix(label_matrix.rows.copy(), mask)
-            _check_inputs(fold, tol)
-            set_up.append((hidden, fold))
-    except (ValueError, IndexError) as exc:
-        error = exc
-    solved = []
-    if set_up:
-        masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
-                                   dtype=np.float64).T)
-        z = g = None
-        try:
-            for f, (hidden, fold) in enumerate(set_up):
-                mask = fold.labeled_mask
-                mass, cond_bound = _condition(np.min(masses[~mask, f]))
-                if z is None:
-                    z = _solve_clamped(tm.submatrix(unlabeled),
-                                       tm.submatrix(unlabeled, seeds))
-                    g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
-                h = position[hidden]
-                s = position[mask]
-                y_s = fold.rows[mask]
-                y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
-                fold.rows[hidden] = y_h
-                fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
-                solved.append((fold, mass, cond_bound))
-        except NumericalDegeneracyError as exc:
-            error = exc
-    m = label_matrix.rows.shape[1]
-    if solved:
-        stacked = np.hstack([fold.rows for fold, _, _ in solved])
-        violation = np.abs(stacked - tm.apply(stacked))
-    for f, (fold, mass, cond_bound) in enumerate(solved):
-        cols = slice(f * m, (f + 1) * m)
-        residual = float(np.max(violation[~fold.labeled_mask, cols]))
-        yield fold, _certified("closed-form", 1, residual, mass, cond_bound,
-                               tol)
-    if error is not None:
-        raise error
-
-
 def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     """Solve (I - T_uu) Y_U = T_ul Y_L by Jacobi-preconditioned conjugate
     gradients, without gathering T_uu.
@@ -281,7 +200,7 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     carries) is converged, not a breakdown.
 
     The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
-    once that estimate divided by min m (see `_condition`) is within tol,
+    once that estimate divided by min m (see `condition`) is within tol,
     the rows are clipped at 0 and re-normalized, and one true product with
     T confirms the bound; raises ConvergenceError when max_iter iterations
     end without that confirmation.
@@ -385,27 +304,117 @@ def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
     raise ValueError("unknown solver %r" % solver)
 
 
-class OperatorCache:
-    """Keeps the last transition operator built through it.
+def _factorized_folds(tm, label_matrix, set_up, tol):
+    """The closed-form solution of every fold that `propagate_folds` has set
+    up, as (hidden, LabelMatrix) pairs, from one factorization; yields
+    (LabelMatrix, SolveReport) per fold, in order.
 
-    The operator depends on the store and the params, never on the seeds, so
-    expansions of one store with different seed sets (the folds of a
-    cross-validation) can all solve on one build. The old operator is
-    dropped before a new one is built, so the cache never holds two.
+    With U the rows no seed of `label_matrix` labels, L its seeds and H, S
+    a fold's hidden and training seeds, Z = (I - T_UU)^{-1} T_UL is
+    factored once, and G = T_LL + T_LU Z holds the probabilities that a
+    walk leaving a seed is next absorbed at each seed. Eliminating U from a
+    fold's system (the block form of the harmonic update of Zhu,
+    Ghahramani & Lafferty 2003, section 5) leaves
+
+        (I - G_HH) Y_H = G_HS Y_S,  an |H| x |H| solve, and
+        Y_U = Z_S Y_S + Z_H Y_H.
+
+    Each fold is the solution `propagate_closed_form` finds on its mask and
+    is checked the same way: its condition bound is refused above
+    MAX_CONDITION before its system is solved, and its report carries its
+    own residual, minimum labeled mass and error bound. A fold's min m is
+    at most that of the all-seeds system, so the check of the first fold
+    also covers the factorization of (I - T_UU).
+
+    Every fold is solved before the first is yielded, so that one product
+    with T gives all their labeled masses and one more all their
+    residuals. A fold that is refused or fails has its error raised in its
+    place, after the folds before it have been yielded.
     """
+    labeled = label_matrix.labeled_mask
+    seeds = np.flatnonzero(labeled)
+    unlabeled = np.flatnonzero(~labeled)
+    position = np.full(tm.n, -1)
+    position[seeds] = np.arange(seeds.size)
+    error = None
+    solved = []
+    masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
+                               dtype=np.float64).T)
+    z = g = None
+    try:
+        for f, (hidden, fold) in enumerate(set_up):
+            mask = fold.labeled_mask
+            mass, cond_bound = condition(np.min(masses[~mask, f]))
+            if z is None:
+                z = _solve_clamped(tm.submatrix(unlabeled),
+                                   tm.submatrix(unlabeled, seeds))
+                g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
+            h = position[hidden]
+            s = position[mask]
+            y_s = fold.rows[mask]
+            y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
+            fold.rows[hidden] = y_h
+            fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
+            solved.append((fold, mass, cond_bound))
+    except NumericalDegeneracyError as exc:
+        error = exc
+    m = label_matrix.rows.shape[1]
+    if solved:
+        stacked = np.hstack([fold.rows for fold, _, _ in solved])
+        violation = np.abs(stacked - tm.apply(stacked))
+    for f, (fold, mass, cond_bound) in enumerate(solved):
+        cols = slice(f * m, (f + 1) * m)
+        residual = float(np.max(violation[~fold.labeled_mask, cols]))
+        yield fold, _certified("closed-form", 1, residual, mass, cond_bound,
+                               tol)
+    if error is not None:
+        raise error
 
-    def __init__(self):
-        self.clear()
 
-    def get(self, store, params, labeled_mask):
-        if self._store is not store or self._params is not params:
-            self.clear()
-            self._tm = build_transition(store, params, labeled_mask)
-            self._store, self._params = store, params
-        return self._tm
+def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
+                    max_iter=1000):
+    """Every fold of a cross-validation, solved on the one operator `tm`;
+    yields (LabelMatrix, SolveReport) per fold, in order.
 
-    def clear(self):
-        self._store = self._params = self._tm = None
+    `label_matrix` labels all seeds L; each fold is an index array of the
+    seed rows H it hides, and trains on the rest, S = L \\ H. A fold is the
+    system of an expansion without the seeds H: its hidden rows start at
+    uniform 1/m, as unlabeled rows do in `init_label_matrix`. When `solver`
+    is the closed form for the largest fold (as `solve` decides), all folds
+    come from one factorization (`_factorized_folds`); otherwise each fold
+    is `solve(tm, fold, solver, tol, max_iter)`, so under "auto" each fold
+    takes the solver of its own size. Either way every fold is certified
+    as its solver certifies a solve, and a fold that is refused or fails
+    has its error raised in its place, after the folds before it have been
+    yielded.
+    """
+    labeled = label_matrix.labeled_mask
+    m = label_matrix.rows.shape[1]
+    error = None
+    set_up = []
+    try:
+        for hidden in folds:
+            hidden = np.asarray(hidden, dtype=np.intp)
+            if not np.all(labeled[hidden]):
+                raise ValueError("a fold may hide only labeled rows")
+            mask = labeled.copy()
+            mask[hidden] = False
+            rows = label_matrix.rows.copy()
+            rows[hidden] = 1.0 / m
+            fold = LabelMatrix(rows, mask)
+            _check_inputs(fold, tol)
+            set_up.append((hidden, fold))
+    except (ValueError, IndexError) as exc:
+        error = exc
+    if set_up:
+        largest = tm.n - min(fold.n_labeled for _, fold in set_up)
+        if choose_solver(solver, largest) == "closed":
+            yield from _factorized_folds(tm, label_matrix, set_up, tol)
+        else:
+            for _, fold in set_up:
+                yield solve(tm, fold, solver, tol, max_iter)
+    if error is not None:
+        raise error
 
 
 @dataclass
@@ -432,15 +441,13 @@ class ExpansionResult:
 
 
 def expand(store, seed, emotions=None, params=None, solver="auto",
-           tol=1e-6, max_iter=1000, cache=None):
+           tol=1e-6, max_iter=1000):
     """End-to-end expansion: init Y, build the transition operator, solve,
     and return the distributions of every vocabulary word in vocabulary order.
 
     Seed rows pass through unchanged. `solver` is passed to `solve`, which
     raises ConvergenceError when the solve does not certify its result
     within tol.
-    With an OperatorCache as `cache`, the operator comes from it, and is
-    built only if the cache holds none for this store and params.
     """
     if emotions is None:
         emotions = seed.emotions
@@ -449,10 +456,27 @@ def expand(store, seed, emotions=None, params=None, solver="auto",
     label_matrix, missing = init_label_matrix(store.vocab, seed, emotions)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
-    if cache is None:
-        tm = build_transition(store, params, label_matrix.labeled_mask)
-    else:
-        tm = cache.get(store, params, label_matrix.labeled_mask)
+    tm = build_transition(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
     return ExpansionResult(store.vocab, emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)
+
+
+def expand_folds(store, seed, emotions, params, folds, solver="auto",
+                 tol=1e-6, max_iter=1000):
+    """The folds of a cross-validation of `expand`: for each list of
+    held-out seed tokens in `folds`, in order, yields the distributions
+    `expand` returns for the seed without those tokens. All folds share one
+    label matrix and one operator, which lives as long as the generator;
+    `propagate_folds` solves them.
+    """
+    label_matrix, _ = init_label_matrix(store.vocab, seed, emotions)
+    hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
+    # Any fold's training mask validates the build; the operator itself
+    # does not depend on it.
+    train_mask = label_matrix.labeled_mask.copy()
+    train_mask[hidden[0]] = False
+    tm = build_transition(store, params, train_mask)
+    for solved, _ in propagate_folds(tm, label_matrix, hidden, solver, tol,
+                                     max_iter):
+        yield solved.rows

@@ -20,6 +20,12 @@ from conftest import data_path, make_store, two_cluster_seed, two_cluster_store
 HASHTAG_COUNTS = [1555, 761, 2816, 8240, 3830, 3849]
 
 
+def without(seed, held_out):
+    """The seed lexicon less the tokens in `held_out`."""
+    return SeedLexicon({t: f for t, f in seed.entries.items()
+                        if t not in held_out}, seed.emotions)
+
+
 class TestKlDivergence:
     def test_identical_is_zero(self):
         p = [0.2, 0.3, 0.5]
@@ -227,8 +233,8 @@ class TestCrossValidate:
         eligible = sorted(seed.entries)
         per_fold = []
         for held_out in make_folds(eligible, 10, 0):
-            train = seed.subset(set(eligible) - set(held_out))
-            result = expand(store, train, ekman, params, solver="closed")
+            result = expand(store, without(seed, held_out), ekman, params,
+                            solver="closed")
             per_fold.append(float(np.mean(
                 [kl_divergence(seed.distribution(t), result.distribution(t))
                  for t in held_out])))
@@ -236,10 +242,10 @@ class TestCrossValidate:
         assert np.max(np.abs(np.subtract(report.per_fold, per_fold))) <= 1e-12
         assert len(builds) == 11
 
-        # The operator lives as long as the expander: a second run on the
-        # same expander builds nothing.
+        # The operator lives as long as the run: a second run on the same
+        # expander builds one more.
         cross_validate(store, seed, ekman, expander, k=10, rng_seed=0)
-        assert len(builds) == 11
+        assert len(builds) == 12
 
     def test_unconverged_fold_fails(self, ekman):
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
@@ -308,8 +314,9 @@ class TestCrossValidate:
 
 
 class TestFactorizedFolds:
-    """Label-propagation CV solves every fold from one factorization when
-    every fold takes the closed form, and each fold by `expand` otherwise."""
+    """Label-propagation CV solves every fold on one operator: from one
+    factorization when the largest fold takes the closed form, and by its
+    own `solve` otherwise."""
 
     @staticmethod
     def setup_run(n_per_cluster=15):
@@ -411,14 +418,14 @@ class TestFactorizedFolds:
         builds = self.count_calls(monkeypatch, solver_module,
                                   "build_transition")
         expands = self.count_calls(monkeypatch, evaluate_module, "expand")
-        factorized = self.count_calls(monkeypatch, evaluate_module,
-                                      "propagate_folds")
+        per_fold = self.count_calls(monkeypatch, solver_module,
+                                    "propagate_" + solver)
+        solves = self.count_calls(monkeypatch, np.linalg, "solve")
         report = cross_validate(store, seed, ekman,
                                 label_prop_expander(params, solver=solver),
                                 k=10, rng_seed=0)
-        assert len(expands) == 10
-        assert len(builds) == 1
-        assert factorized == []
+        assert (len(builds), len(expands), len(per_fold)) == (1, 0, 10)
+        assert solves == []
         closed = cross_validate(store, seed, ekman,
                                 label_prop_expander(params, solver="closed"),
                                 k=10, rng_seed=0)
@@ -426,21 +433,68 @@ class TestFactorizedFolds:
 
     def test_auto_split_follows_threshold(self, monkeypatch):
         store, seed, ekman, params = self.setup_run()
-        largest = len(store) - len(seed.entries) + 2
-        expands = self.count_calls(monkeypatch, evaluate_module, "expand")
-        factorized = self.count_calls(monkeypatch, evaluate_module,
-                                      "propagate_folds")
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
-                            largest)
+        u = len(store) - len(seed.entries)
+        solves = self.count_calls(monkeypatch, np.linalg, "solve")
+        per_fold_cg = self.count_calls(monkeypatch, solver_module,
+                                       "propagate_cg")
+
+        def factorizations():
+            return [a.shape for a, _ in solves if a.shape[0] >= u]
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", u + 2)
         at = cross_validate(store, seed, ekman, label_prop_expander(params),
                             k=10, rng_seed=0)
-        assert (len(factorized), len(expands)) == (1, 0)
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
-                            largest - 1)
+        assert (factorizations(), len(per_fold_cg)) == ([(u, u)], 0)
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", u + 1)
         above = cross_validate(store, seed, ekman, label_prop_expander(params),
                                k=10, rng_seed=0)
-        assert (len(factorized), len(expands)) == (1, 10)
+        assert (factorizations(), len(per_fold_cg)) == ([(u, u)], 10)
         assert np.allclose(at.per_fold, above.per_fold, atol=1e-5)
+
+
+class TestPerFoldSolves:
+    """Folds that do not take the factorization: each is the expansion of
+    the seeds without its held-out tokens, solved on the run's operator."""
+
+    # A leak of the held-out labels into the start of the iterative sweep
+    # shows at the loose tol. Under "auto" the threshold is the unlabeled
+    # count of the all-seeds system, so every fold, which hides at least
+    # one seed more, takes CG.
+    @pytest.mark.parametrize("solver, tol", [
+        ("cg", 1e-6), ("iterative", 1e-2), ("iterative", 1e-6),
+        ("auto", 1e-6)])
+    def test_fold_is_expand_without_its_seeds(self, monkeypatch, solver, tol):
+        store, seed, ekman, params = TestFactorizedFolds.setup_run()
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
+                            len(store) - len(seed.entries))
+        folds = make_folds(sorted(seed.entries), 10, 0)
+        expander = label_prop_expander(params, solver=solver, tol=tol)
+        arrays = list(expander(store, seed, ekman, folds))
+        assert len(arrays) == len(folds)
+        for held_out, array in zip(folds, arrays):
+            expected = expand(store, without(seed, held_out), ekman, params,
+                              solver=solver, tol=tol)
+            assert np.array_equal(array, expected.distributions)
+
+    def test_auto_split_across_unequal_folds(self, monkeypatch):
+        # 10 seeds in 4 folds hide 3, 3, 2 and 2 of them; the threshold
+        # sends the folds that hide 3 to CG and the others to the closed
+        # form, as it does their expansions.
+        store, _, ekman, params = TestFactorizedFolds.setup_run()
+        seed = two_cluster_seed(store, ekman, 5)
+        folds = make_folds(sorted(seed.entries), 4, 0)
+        assert [len(held_out) for held_out in folds] == [3, 3, 2, 2]
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
+                            len(store) - len(seed.entries) + 2)
+        label_matrix, _ = init_label_matrix(store.vocab, seed, ekman)
+        tm = build_transition(store, params, label_matrix.labeled_mask)
+        hidden = [[store.vocab.index[t] for t in held_out]
+                  for held_out in folds]
+        methods = [report.method for _, report in
+                   propagate_folds(tm, label_matrix, hidden)]
+        assert methods == ["cg", "cg", "closed-form", "closed-form"]
+        assert methods == [expand(store, without(seed, held_out), ekman,
+                                  params).report.method
+                           for held_out in folds]
 
 
 class TestCountClassify:

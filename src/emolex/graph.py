@@ -154,20 +154,6 @@ def _weight_kernel(x, params):
     return left, transform
 
 
-def weight_rows(x, params):
-    """The weight kernel over the rows of `x`: returns fill(rows, out),
-    which writes the rows `rows` (a slice of at most one of `row_blocks`'
-    blocks) of the dense symmetric weight matrix into `out`, a (rows, n)
-    array, so W can be streamed without an n x n array.
-    """
-    left, transform = _weight_kernel(x, params)
-
-    def fill(rows, out):
-        np.matmul(left[rows], x.T, out=out)
-        return transform(rows, out)
-    return fill
-
-
 def raw_weights(x, params, out=None):
     """Dense symmetric edge weights between the rows of `x`, written into
     `out` (an n x n array) when it is given.
@@ -185,6 +171,41 @@ def raw_weights(x, params, out=None):
     return w
 
 
+def _check_mass(mass, side):
+    """Refuse a graph with a zero or non-finite column or row mass."""
+    if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
+        raise NumericalDegeneracyError(
+            "zero or non-finite %s mass; consider epsilon smoothing" % side)
+
+
+def labeled_mass(x, params, labeled):
+    """m = T 1_L, L the rows where the boolean mask `labeled` is true, for
+    the operator TransitionOperator builds on raw_weights(x, params),
+    refused where it refuses. W is streamed in
+    `row_blocks`, so no n x n array is built: one pass takes its column
+    sums, a second its row sums and the mass each row sends to the seeds.
+    """
+    n = x.shape[0]
+    left, transform = _weight_kernel(x, params)
+    blocks = row_blocks(n)
+    buf = np.empty((blocks[0].stop, n))
+
+    def weights(rows):
+        out = np.matmul(left[rows], x.T, out=buf[:rows.stop - rows.start])
+        return transform(rows, out)
+    col = np.zeros(n)
+    for rows in blocks:
+        col += weights(rows).sum(axis=0)
+    _check_mass(col, "column")
+    sums = np.column_stack([1.0 / col, labeled / col])
+    row, to_seeds = np.empty(n), np.empty(n)
+    for rows in blocks:
+        row[rows], to_seeds[rows] = (weights(rows) @ sums).T
+    _check_mass(row, "row")
+    eps = params.epsilon
+    return (1.0 - eps) * to_seeds / row + eps * np.count_nonzero(labeled) / n
+
+
 class TransitionOperator:
     """T = (1 - eps) D_r^-1 W D_c^-1 + (eps / n) 11^T over the vocabulary.
 
@@ -197,13 +218,9 @@ class TransitionOperator:
 
     def __init__(self, w, epsilon):
         col = w.sum(axis=0)
-        if np.any(col <= 0) or not np.all(np.isfinite(col)):
-            raise NumericalDegeneracyError(
-                "zero or non-finite column mass; consider epsilon smoothing")
+        _check_mass(col, "column")
         row = w @ (1.0 / col)
-        if np.any(row <= 0) or not np.all(np.isfinite(row)):
-            raise NumericalDegeneracyError(
-                "zero or non-finite row mass; consider epsilon smoothing")
+        _check_mass(row, "row")
         self.w = w
         self.col = col
         self.row = row

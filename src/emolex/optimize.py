@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
-                    PropagationParams, TransitionOperator, logistic,
-                    raw_weights, row_blocks, weight_rows)
+                    PropagationParams, TransitionOperator, labeled_mass,
+                    logistic, raw_weights, row_blocks)
 from .lexicon import init_label_matrix
 from .solver import condition
 
@@ -265,6 +265,12 @@ def _descend(store, label_matrix, batches, steps, config, init):
     the last batch, and the trace.
     """
     init = dict(_DEFAULT_INIT, **(init or {}))
+    unknown = sorted(set(init) - set(_DEFAULT_INIT))
+    if unknown:
+        raise ValueError("unknown init key(s) %s: init takes only alpha, "
+                         "b and epsilon" % ", ".join(unknown))
+    if not 0.0 < init["epsilon"] < 1.0:
+        raise ValueError("init epsilon must be in the open interval (0, 1)")
     state = (np.array(init["alpha"], dtype=np.float64), float(init["b"]),
              _logit(init["epsilon"]))
     trace = OptTrace()
@@ -342,35 +348,10 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
 
 def _check_condition(store, labeled, params):
     """Raise GradientError unless `expand` accepts `params` on the whole
-    vocabulary: every row and column of W has positive mass, and
-    `condition` accepts the condition bound of (I - T_uu) that m = T 1_L
-    gives on the unlabeled rows.
-
-    W is streamed in row blocks through `weight_rows`, so no n x n array is
-    built: one pass takes its column sums, a second its row sums and the
-    mass each row sends to the seeds.
-    """
-    n = len(store)
-    fill = weight_rows(store.unit_vectors, params)
-    blocks = row_blocks(n)
-    buf = np.empty((blocks[0].stop, n))
-    col = np.zeros(n)
-    for rows in blocks:
-        col += fill(rows, buf[:rows.stop - rows.start]).sum(axis=0)
-    if not np.all(col > 0) or not np.all(np.isfinite(col)):
-        raise GradientError("fitted parameters give a graph with a zero or "
-                            "non-finite column mass")
-    sums = np.column_stack([1.0 / col, labeled / col])
-    row, to_seeds = np.empty(n), np.empty(n)
-    for rows in blocks:
-        row[rows], to_seeds[rows] = (fill(rows, buf[:rows.stop - rows.start])
-                                     @ sums).T
-    if not np.all(row > 0) or not np.all(np.isfinite(row)):
-        raise GradientError("fitted parameters give a graph with a zero or "
-                            "non-finite row mass")
-    eps = params.epsilon
-    mass = (1.0 - eps) * to_seeds / row + eps * np.count_nonzero(labeled) / n
+    vocabulary, where `labeled_mass` streams W and refuses a zero row or
+    column mass and `condition` refuses the bound m = T 1_L gives."""
     try:
+        mass = labeled_mass(store.unit_vectors, params, labeled)
         condition(np.min(mass[~labeled]))
     except NumericalDegeneracyError as exc:
         raise GradientError("fitted parameters give a graph that expand "

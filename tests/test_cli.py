@@ -178,6 +178,16 @@ class TestOptimize:
         assert "decay" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out" / "params.json").exists()
 
+    # A dropped misspelt key would silently start the fit from alpha 0.
+    def test_unknown_init_key_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, fit={
+            "mode": "full", "epochs": 5, "learning_rate": 0.5,
+            "init": {"alpa": 3.0, "b": 0.0, "epsilon": 0.1}})
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "alpa" in err["message"]
+        assert not (tmp_path / "out" / "params.json").exists()
+
     # With the only seed token absent from the vocabulary the fit used to
     # exit 0 with params.json equal to init; with every word a seed it
     # raised ZeroDivisionError.

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import emolex.graph as graph
-from emolex.graph import (EUCLIDEAN_RBF, PropagationParams, build_transition,
-                          edge_weight, logistic, raw_weights)
+from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
+                          PropagationParams, TransitionOperator,
+                          build_transition, edge_weight, labeled_mass,
+                          logistic, raw_weights)
 
 from conftest import make_store
 
@@ -174,22 +176,40 @@ class TestBuildTransition:
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
-    def test_one_gemm_matches_block_fill(self, monkeypatch):
-        # raw_weights takes every inner product from one GEMM; weight_rows'
-        # fill, which streams W, takes them block by block.
+    # labeled_mass streams W block by block; the operator normalizes the
+    # dense W of one GEMM. Their T 1_L agree to rounding at any block size.
+    @pytest.mark.parametrize("block_entries,n_blocks", [(None, 1), (1200, 134)])
+    def test_streamed_mass_matches_operator(self, monkeypatch, block_entries,
+                                            n_blocks):
         rng = np.random.default_rng(16)
-        store = make_store(rng.normal(size=(23, 5)))
-        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 69)  # 3 rows a block
+        store = make_store(rng.normal(size=(400, 5)))
+        labeled = np.zeros(400, dtype=bool)
+        labeled[rng.choice(400, size=40, replace=False)] = True
+        if block_entries is not None:
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", block_entries)
+        assert len(graph.row_blocks(400)) == n_blocks
         for x, params in (
-                (store.unit_vectors, PropagationParams(alpha=4.0, b=-1.5)),
+                (store.unit_vectors, PropagationParams(alpha=4.0, b=-1.5,
+                                                       epsilon=0.05)),
                 (store.unit_vectors,
                  PropagationParams(alpha=np.linspace(0.5, 6.0, 5), b=-1.0)),
-                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=2.5))):
-            fill = graph.weight_rows(x, params)
-            blocks = np.vstack([fill(rows, np.empty((rows.stop - rows.start, 23)))
-                                for rows in graph.row_blocks(23)])
-            assert np.allclose(raw_weights(x, params), blocks, rtol=1e-14,
-                               atol=0)
+                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF,
+                                                  sigma=2.5, epsilon=0.1))):
+            tm = TransitionOperator(raw_weights(x, params), params.epsilon)
+            expected = tm.apply(labeled[:, None].astype(float))[:, 0]
+            got = labeled_mass(x, params, labeled)
+            assert np.max(np.abs(got - expected) / expected) <= 1e-14
+
+    def test_underflowed_graph_refused_alike(self):
+        rng = np.random.default_rng(17)
+        x = make_store(rng.normal(size=(12, 4))).unit_vectors
+        params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
+        labeled = np.arange(12) < 3
+        message = "zero or non-finite column mass"
+        with pytest.raises(NumericalDegeneracyError, match=message):
+            TransitionOperator(raw_weights(x, params), params.epsilon)
+        with pytest.raises(NumericalDegeneracyError, match=message):
+            labeled_mass(x, params, labeled)
 
     def test_weights_written_into_out(self):
         rng = np.random.default_rng(9)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import emolex.optimize
-from emolex import (EmotionSet, PropagationParams, SeedLexicon, entropy,
-                    entropy_gradient, expand, fit_batched, fit_full,
-                    init_label_matrix)
+from emolex import (EmotionSet, PropagationParams, SeedLexicon,
+                    cross_validate, entropy, entropy_gradient, expand,
+                    fit_batched, fit_full, init_label_matrix,
+                    label_prop_expander)
 from emolex.graph import (TransitionOperator, logistic, raw_weights,
                           row_blocks)
 from emolex.optimize import (GradientError, OptimizerConfig,
-                             _forward_backward, _sample_batch)
+                             _check_condition, _forward_backward,
+                             _sample_batch)
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
@@ -348,6 +350,23 @@ class TestFitFull:
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
             fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
+    # The paper's own score of a graph: 5-fold label-propagation CV KL on a
+    # two-cluster mixture. Fitted, it read 0.394 / 0.426 / 0.360 / 0.539
+    # against the init's 0.705 / 0.709 / 0.692 / 0.720.
+    @pytest.mark.parametrize("mixture_seed", [3, 4, 5, 6])
+    def test_fit_lowers_cv_kl(self, ekman, mixture_seed):
+        store = two_cluster_store(100, dim=10, separation=2.0, spread=1.0,
+                                  seed=mixture_seed)
+        seed = two_cluster_seed(store, ekman, 10)
+        init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
+        config = OptimizerConfig(mode="full", learning_rate=100.0, epochs=30)
+        params, _ = fit_full(store, seed, config, init=init)
+
+        def cv_kl(p):
+            return cross_validate(store, seed, ekman, label_prop_expander(p),
+                                  k=5, rng_seed=0).overall
+        assert cv_kl(params) <= cv_kl(PropagationParams(**init)) - 0.15
+
     # With no seed in the vocabulary the fit used to return `init` after a
     # flat descent; with every word a seed it divided by zero unlabeled rows.
     @pytest.mark.parametrize("seeded", ["none", "all"])
@@ -439,6 +458,16 @@ class TestFitBatched:
         with pytest.raises(GradientError, match="epsilon rounds to 0"):
             fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
+    # At b = -800 every weight underflows to 0: the full-graph check refuses
+    # with the operator's own message.
+    def test_zero_mass_is_expand_refusal(self, ekman):
+        store = two_cluster_store(6, dim=4, seed=8)
+        labeled = np.arange(12) < 3
+        params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
+        with pytest.raises(GradientError, match="graph that expand refuses: "
+                           "zero or non-finite column mass"):
+            _check_condition(store, labeled, params)
+
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
         seed = two_cluster_seed(store, ekman, 4)
@@ -490,6 +519,23 @@ class TestFitBatched:
         assert float(batch_params.alpha) == pytest.approx(
             float(full_params.alpha), rel=0.1)
         assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
+
+
+class TestInit:
+    @pytest.mark.parametrize("fit", [fit_full, fit_batched])
+    @pytest.mark.parametrize("init,match", [
+        ({"alpa": 3.0, "b": 0.0, "epsilon": 0.1}, "unknown init key.*alpa"),
+        ({"alpha": 3.0, "epsilon": 0.0}, r"init epsilon .*\(0, 1\)"),
+        ({"alpha": 3.0, "epsilon": 1.0}, r"init epsilon .*\(0, 1\)"),
+        ({"alpha": 3.0, "epsilon": -0.1}, r"init epsilon .*\(0, 1\)")],
+        ids=["misspelt-key", "epsilon-0", "epsilon-1", "epsilon-negative"])
+    def test_bad_init_refused(self, ekman, fit, init, match):
+        store = two_cluster_store(10, dim=4, seed=8)
+        seed = two_cluster_seed(store, ekman, 2)
+        config = OptimizerConfig(mode="full", epochs=2, batch_size=8,
+                                 num_batches=2)
+        with pytest.raises(ValueError, match=match):
+            fit(store, seed, config, init=init)
 
 
 class TestTrace:

@@ -21,16 +21,15 @@ def instance(n_per_cluster=30, dim=6, rng_seed=3):
     words = (["a%d" % i for i in range(n_per_cluster)]
              + ["b%d" % i for i in range(n_per_cluster)])
     store = EmbeddingStore(Vocabulary(words), np.vstack([a, b]))
-    emotions = EmotionSet()
     entries = {}
     for i in range(12):
         entries["a%d" % i] = [0, 0, 0, 1, 0, 0]
         entries["b%d" % i] = [1, 0, 0, 0, 0, 0]
-    return store, SeedLexicon(entries, emotions), emotions
+    return store, SeedLexicon(entries, EmotionSet())
 
 
 def main():
-    store, seed, emotions = instance()
+    store, seed = instance()
     class_counts = [12, 0, 0, 12, 0, 0]
     params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.02)
 
@@ -43,8 +42,7 @@ def main():
     print("%-22s %12s %12s" % ("expander", "mean KL", "pooled KL"))
     print("-" * 48)
     for expander in expanders:
-        report = cross_validate(store, seed, emotions, expander, k=6,
-                                rng_seed=0)
+        report = cross_validate(store, seed, expander, k=6, rng_seed=0)
         print("%-22s %12.4f %12.4f" % (report.method, report.overall,
                                        report.pooled))
 

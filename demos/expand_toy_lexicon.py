@@ -23,15 +23,14 @@ def synthetic_store(n_per_cluster=20, dim=8, rng_seed=0):
 
 
 def main():
-    emotions = EmotionSet()
     store = synthetic_store()
     seed = SeedLexicon({"sunny_0": [0, 0, 0, 1, 0, 0],
                         "sunny_1": [0, 0, 0, 1, 0, 0],
                         "grim_0": [1, 0, 0, 0, 0, 0],
-                        "grim_1": [1, 1, 0, 0, 0, 0]}, emotions)
+                        "grim_1": [1, 1, 0, 0, 0, 0]}, EmotionSet())
     params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.02)
 
-    result = expand(store, seed, emotions, params)
+    result = expand(store, seed, params)
     print("solver: %s, iterations: %s, residual: %.2e, error bound: %.2e" % (
         result.report.method, result.report.iterations,
         result.report.residual, result.report.error_bound))

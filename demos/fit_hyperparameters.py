@@ -23,16 +23,15 @@ def instance(n_per_cluster=50, dim=6, rng_seed=10):
     words = (["a%d" % i for i in range(n_per_cluster)]
              + ["b%d" % i for i in range(n_per_cluster)])
     store = EmbeddingStore(Vocabulary(words), np.vstack([a, b]))
-    emotions = EmotionSet()
     entries = {}
     for i in range(10):
         entries["a%d" % i] = [0, 0, 0, 1, 0, 0]
         entries["b%d" % i] = [1, 0, 0, 0, 0, 0]
-    return store, SeedLexicon(entries, emotions), emotions
+    return store, SeedLexicon(entries, EmotionSet())
 
 
-def report(tag, params, store, seed, emotions):
-    result = expand(store, seed, emotions, params, solver="closed")
+def report(tag, params, store, seed):
+    result = expand(store, seed, params, solver="closed")
     h = entropy(result.distributions[~result.labeled_mask])
     alpha = float(np.mean(params.alpha))
     print("%-8s alpha=%7.3f  b=%7.3f  epsilon=%.4f  unlabeled entropy=%8.3f"
@@ -40,21 +39,21 @@ def report(tag, params, store, seed, emotions):
 
 
 def main():
-    store, seed, emotions = instance()
+    store, seed = instance()
     init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
     report("init", PropagationParams(alpha=init["alpha"], b=init["b"],
                                      epsilon=init["epsilon"]),
-           store, seed, emotions)
+           store, seed)
 
     full_cfg = OptimizerConfig(mode="full", learning_rate=0.5, epochs=150)
     full_params, trace = fit_full(store, seed, full_cfg, init=init)
-    report("full", full_params, store, seed, emotions)
+    report("full", full_params, store, seed)
 
     batch_cfg = OptimizerConfig(mode="batch", learning_rate=0.5,
                                 batch_size=40, num_batches=50,
                                 epochs_per_batch=3, rng_seed=0)
     batch_params, _ = fit_batched(store, seed, batch_cfg, init=init)
-    report("batch", batch_params, store, seed, emotions)
+    report("batch", batch_params, store, seed)
 
     print()
     print("full-fit objective every 30 epochs:")

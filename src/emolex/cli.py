@@ -138,29 +138,29 @@ def _solver_options(cfg):
 
 
 def _load_inputs(cfg):
-    emotions = cfg.emotions()
     store = load_embeddings(cfg.require_path("embeddings"))
-    seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), emotions)
-    return store, seed, emotions
+    seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), cfg.emotions())
+    return store, seed
 
 
 def cmd_expand(cfg):
-    store, seed, emotions = _load_inputs(cfg)
+    store, seed = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
-    result = expand(store, seed, emotions, params, **_solver_options(cfg))
-    lexicon = (store.vocab, result.distributions, emotions,
+    result = expand(store, seed, params, **_solver_options(cfg))
+    sidecar = result.sidecar()
+    lexicon = (store.vocab, result.distributions, result.emotions,
                result.labeled_mask)
     _replace(os.path.join(out, "expanded_lexicon.tsv"),
              lambda tmp: write_lexicon_tsv(tmp, *lexicon))
     _replace(os.path.join(out, "expanded_lexicon.json"),
              lambda tmp: write_lexicon_json(tmp, *lexicon))
-    _write_json(os.path.join(out, "expand_report.json"), result.sidecar())
+    _write_json(os.path.join(out, "expand_report.json"), sidecar)
     return 0
 
 
 def cmd_optimize(cfg):
-    store, seed, _ = _load_inputs(cfg)
+    store, seed = _load_inputs(cfg)
     config, init = cfg.optimizer_config()
     out = cfg.out_dir()
     if config.mode == "batch":
@@ -189,11 +189,11 @@ def _class_counts(cfg, emotions):
 
 
 def cmd_evaluate(cfg):
-    store, seed, emotions = _load_inputs(cfg)
+    store, seed = _load_inputs(cfg)
     out = cfg.out_dir()
     k = int(cfg.get("k_folds", 10))
     rng_seed = int(cfg.get("seed", 0))
-    counts = _class_counts(cfg, emotions)
+    counts = _class_counts(cfg, seed.emotions)
 
     params = [("label-propagation", cfg.propagation_params())]
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
@@ -201,7 +201,7 @@ def cmd_evaluate(cfg):
             cfg._params_dict("batch_params"))))
 
     def row(expander, method):
-        report = ev.cross_validate(store, seed, emotions, expander, k=k,
+        report = ev.cross_validate(store, seed, expander, k=k,
                                    rng_seed=rng_seed)
         report.method = method
         return report.to_dict()

@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import FormatError
-from .lexicon import check_emotions
 # `expand` is not called here; the bench hooks it until it reads a run log.
 from .solver import expand, expand_folds
 
@@ -75,9 +74,9 @@ def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     run and is freed with it. The solver raises ConvergenceError on a fold
     whose solve is not certified within tol.
     """
-    def run(store, seed, emotions, folds):
-        return expand_folds(store, seed, emotions, params, folds, solver, tol,
-                            max_iter)
+    def run(store, seed, folds):
+        return expand_folds(store, seed, params, folds, solver=solver,
+                            tol=tol, max_iter=max_iter)
     run.label = "label-propagation"
     run.params = params.to_dict()
     return run
@@ -96,8 +95,8 @@ def baseline_expander(kind, class_counts=None):
             raise ValueError("%s baseline requires class counts" % kind)
         class_counts = np.asarray(class_counts, dtype=np.float64)
 
-    def run(store, seed, emotions, folds):
-        m = len(emotions)
+    def run(store, seed, folds):
+        m = len(seed.emotions)
         if kind == "uniform":
             dist = np.full(m, 1.0 / m)
         elif kind == "majority":
@@ -113,30 +112,29 @@ def baseline_expander(kind, class_counts=None):
     return run
 
 
-def cross_validate(store, seed, emotions, expander, k=10, rng_seed=0):
+def cross_validate(store, seed, expander, *, k=10, rng_seed=0):
     """Hide each fold's seed labels in turn, expand, and score the hidden
     tokens' predictions against their gold distributions with KL divergence.
 
-    An expander is called once per run, as expander(store, seed, emotions,
-    folds) with the k lists of held-out tokens of `make_folds`, and yields
-    one (len(store), m) array of distributions in vocabulary order per fold,
-    in fold order: fold f's array must not depend on the labels of its
-    held-out tokens. Only seed tokens present in the vocabulary
-    participate. Reports per-fold means, the mean of fold means, and the
-    pooled per-word mean; an expander that fails, or yields too few or too
-    many arrays or one of the wrong shape, raises RuntimeError naming the
-    fold. `emotions` must be the seed's own emotion set (ValueError).
+    An expander is called once per run, as expander(store, seed, folds)
+    with the k lists of held-out tokens of `make_folds`, and yields one
+    (len(store), m) array of distributions in vocabulary order per fold, in
+    fold order, m being the number of the seed's emotions: fold f's array
+    must not depend on the labels of its held-out tokens. Only seed tokens
+    present in the vocabulary participate. Reports per-fold means, the mean
+    of fold means, and the pooled per-word mean; an expander that fails, or
+    yields too few or too many arrays or one of the wrong shape, raises
+    RuntimeError naming the fold.
     """
-    check_emotions(seed, emotions)
     eligible = [t for t in seed.entries if t in store.vocab]
     folds = make_folds(eligible, k, rng_seed)
-    shape = (len(store), len(emotions))
+    shape = (len(store), len(seed.emotions))
     per_fold = []
     pooled = []
     for fold, held_out in enumerate(folds):
         try:
             if fold == 0:
-                arrays = iter(expander(store, seed, emotions, folds))
+                arrays = iter(expander(store, seed, folds))
             predictions = next(arrays, None)
         except Exception as exc:
             raise RuntimeError("expander failed on fold %d: %s"

@@ -33,12 +33,12 @@ class PropagationParams:
         if kernel == COSINE_LOGISTIC:
             if alpha is None or b is None:
                 raise ValueError("cosine-logistic kernel requires alpha and b")
+        elif sigma is None or sigma <= 0:
+            raise ValueError("euclidean-rbf kernel requires positive sigma")
+        if alpha is not None:
             alpha = np.asarray(alpha, dtype=np.float64)
             if alpha.ndim > 1:
                 raise ValueError("alpha must be a scalar or a 1-D vector")
-        else:
-            if sigma is None or sigma <= 0:
-                raise ValueError("euclidean-rbf kernel requires positive sigma")
         self.kernel = kernel
         self.alpha = alpha
         self.b = None if b is None else float(b)
@@ -58,8 +58,13 @@ class PropagationParams:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kernel=d.get("kernel", COSINE_LOGISTIC), alpha=d.get("alpha"),
-                   b=d.get("b"), epsilon=d.get("epsilon", 0.0), sigma=d.get("sigma"))
+        """Params from `to_dict`'s keys; any other key is refused, not dropped."""
+        unknown = sorted(set(d) - {"kernel", "alpha", "b", "epsilon", "sigma"})
+        if unknown:
+            raise ValueError("unknown params key(s) %s: params take only "
+                             "kernel, alpha, b, epsilon and sigma"
+                             % ", ".join(unknown))
+        return cls(**d)
 
 
 def logistic(z, out=None, scratch=None):

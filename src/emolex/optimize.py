@@ -38,7 +38,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.mode not in ("full", "batch"):
             raise ValueError("mode must be 'full' or 'batch'")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         for name in ("epochs", "unroll_steps", "batch_size", "num_batches",
                      "epochs_per_batch"):

@@ -102,7 +102,7 @@ def _check_inputs(label_matrix, tol, max_iter=1):
     """The input contract of every solver: a positive tol, at least one
     iteration for the solvers that iterate, and at least one labeled and one
     unlabeled row."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -440,37 +440,32 @@ class ExpansionResult:
                 "seed_tokens_missing": self.seed_tokens_missing}
 
 
-def expand(store, seed, emotions=None, params=None, solver="auto",
-           tol=1e-6, max_iter=1000):
+def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
     """End-to-end expansion: init Y, build the transition operator, solve,
     and return the distributions of every vocabulary word in vocabulary order.
 
-    Seed rows pass through unchanged. `solver` is passed to `solve`, which
-    raises ConvergenceError when the solve does not certify its result
-    within tol.
+    The emotion set is the seed lexicon's. Seed rows pass through unchanged.
+    `solver` is passed to `solve`, which raises ConvergenceError when the
+    solve does not certify its result within tol.
     """
-    if emotions is None:
-        emotions = seed.emotions
-    if params is None:
-        raise ValueError("propagation params are required")
-    label_matrix, missing = init_label_matrix(store.vocab, seed, emotions)
+    label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
     tm = build_transition(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
-    return ExpansionResult(store.vocab, emotions, solved.rows,
+    return ExpansionResult(store.vocab, seed.emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)
 
 
-def expand_folds(store, seed, emotions, params, folds, solver="auto",
-                 tol=1e-6, max_iter=1000):
+def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
+                 max_iter=1000):
     """The folds of a cross-validation of `expand`: for each list of
     held-out seed tokens in `folds`, in order, yields the distributions
     `expand` returns for the seed without those tokens. All folds share one
     label matrix and one operator, which lives as long as the generator;
     `propagate_folds` solves them.
     """
-    label_matrix, _ = init_label_matrix(store.vocab, seed, emotions)
+    label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
     # Any fold's training mask validates the build; the operator itself
     # does not depend on it.

@@ -100,8 +100,8 @@ def test_criterion_4_batch_approximates_full():
         float(full_params.alpha), rel=0.1)
     assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
 
-    full_result = expand(store, seed, ekman, full_params, solver="closed")
-    batch_result = expand(store, seed, ekman, batch_params, solver="closed")
+    full_result = expand(store, seed, full_params, solver="closed")
+    batch_result = expand(store, seed, batch_params, solver="closed")
     unlabeled = ~full_result.labeled_mask
     full_argmax = np.argmax(full_result.distributions[unlabeled], axis=1)
     batch_argmax = np.argmax(batch_result.distributions[unlabeled], axis=1)
@@ -113,7 +113,7 @@ def test_criterion_5_cluster_recovery():
     store = two_cluster_store(100, dim=10, separation=4.0, seed=42)
     seed = two_cluster_seed(store, ekman, 5)  # 10 of 200 nodes = 5%
     params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
-    result = expand(store, seed, ekman, params, solver="closed")
+    result = expand(store, seed, params, solver="closed")
     correct = 0
     total = 0
     for cluster, label in enumerate(("joy", "anger")):
@@ -127,15 +127,15 @@ def test_criterion_6_baseline_analytics():
     ekman = EmotionSet()
     store = two_cluster_store(10, dim=4, seed=6)
     seed = two_cluster_seed(store, ekman, 6)  # one-hot gold, 2 classes
-    uniform = cross_validate(store, seed, ekman, baseline_expander("uniform"),
+    uniform = cross_validate(store, seed, baseline_expander("uniform"),
                              k=4, rng_seed=0)
     assert uniform.overall == pytest.approx(math.log(6), abs=1e-9)
 
     counts = [4, 0, 0, 8, 0, 0]
-    majority = cross_validate(store, seed, ekman,
+    majority = cross_validate(store, seed,
                               baseline_expander("majority", counts),
                               k=4, rng_seed=0)
-    prior = cross_validate(store, seed, ekman,
+    prior = cross_validate(store, seed,
                            baseline_expander("prior", counts),
                            k=4, rng_seed=0)
     assert majority.overall > prior.overall
@@ -220,8 +220,8 @@ def test_criterion_9_real_data_beats_uniform():
                              num_batches=100, epochs_per_batch=3, rng_seed=0)
     params, _ = fit_batched(store, seed, config,
                             init={"alpha": 3.0, "b": 0.0, "epsilon": 0.1})
-    lp = cross_validate(store, seed, ekman,
+    lp = cross_validate(store, seed,
                         label_prop_expander(params), k=10, rng_seed=0)
-    uniform = cross_validate(store, seed, ekman,
+    uniform = cross_validate(store, seed,
                              baseline_expander("uniform"), k=10, rng_seed=0)
     assert lp.overall <= uniform.overall

@@ -14,6 +14,7 @@ from conftest import data_path
 
 PARAMS = {"kernel": "cosine-logistic", "alpha": 6.0, "b": -2.0,
           "epsilon": 0.05}
+NAN = float("nan")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -120,6 +121,42 @@ class TestExpand:
         assert err["error"] == "ConfigError"
         assert "nope.txt" in err["message"]
 
+    # A dropped misspelt key would leave epsilon at its default 0.0.
+    def test_unknown_params_key_refused(self, tmp_path, capsys):
+        params = {"kernel": "cosine-logistic", "alpha": 6.0, "b": -2.0,
+                  "epsilom": 0.1}
+        config = write_config(tmp_path, params=params)
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "epsilom" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    # The RBF kernel ignores alpha and b, and the sidecar is built before
+    # the first write, so a sidecar failure cannot leave a lexicon behind.
+    def test_rbf_ignores_alpha_and_b(self, tmp_path):
+        rbf = {"epsilon": 0.1, "sigma": 1.5}
+        config = write_config(tmp_path, params=dict(rbf, alpha=6.0, b=-2.0))
+        assert main(["expand", "--config", config, "--kernel",
+                     "euclidean"]) == 0
+        plain = write_config(tmp_path, name="plain.json", params=rbf,
+                             out=str(tmp_path / "plain"))
+        assert main(["expand", "--config", plain, "--kernel",
+                     "euclidean"]) == 0
+        for name in ("expanded_lexicon.tsv", "expanded_lexicon.json"):
+            assert (read(str(tmp_path / "out"), name, "rb")
+                    == read(str(tmp_path / "plain"), name, "rb"))
+        report = json.loads(read(str(tmp_path / "out"), "expand_report.json"))
+        assert report["params"]["kernel"] == "euclidean-rbf"
+
+    # NaN compares false with 0, so `tol <= 0` lets it through to the solve.
+    def test_nan_tol_refused_without_artifacts(self, tmp_path, capsys):
+        config = write_config(tmp_path, params=PARAMS, solver="cg", tol=NAN)
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "tol must be positive"}
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS)
         other = str(tmp_path / "elsewhere")
@@ -208,6 +245,16 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "need at least one "
                        "labeled and one unlabeled node"}
+        assert not (tmp_path / "out").exists()
+
+    # NaN compares false with 0, so `learning_rate <= 0` lets it through.
+    def test_nan_learning_rate_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, fit={"mode": "full", "epochs": 2,
+                                             "learning_rate": NAN})
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "learning_rate must be positive"}
         assert not (tmp_path / "out").exists()
 
     def test_conflicting_params_and_fit(self, tmp_path, capsys):
@@ -312,6 +359,15 @@ class TestEvaluate:
         assert main(["evaluate", "--config", config]) == 0
         assert len(built) == 2
 
+    def test_rbf_ignores_alpha_and_b(self, tmp_path):
+        config = write_config(tmp_path, params={"alpha": 6.0, "b": -2.0,
+                                                "epsilon": 0.1, "sigma": 1.5},
+                              corpus=data_path("mini_corpus.tsv"), k_folds=3)
+        assert main(["evaluate", "--config", config, "--kernel",
+                     "euclidean"]) == 0
+        report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
+        assert report["rows"][-1]["params"]["kernel"] == "euclidean-rbf"
+
     def test_class_counts_inline(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, k_folds=3,
                               class_counts={"anger": 1, "disgust": 1,
@@ -327,6 +383,51 @@ class TestEvaluate:
         assert main(["evaluate", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+class TestEmotionOrder:
+    """The "emotions" key is where the emotion set comes in: it fixes the
+    order of every distribution's components."""
+
+    REVERSED = ["surprise", "sadness", "joy", "fear", "disgust", "anger"]
+
+    @staticmethod
+    def rows(out):
+        lines = read(out, "expanded_lexicon.tsv").strip().split("\n")
+        return lines[0].split("\t"), {
+            row.split("\t")[0]: row.split("\t")[1:] for row in lines[1:]}
+
+    def test_expand_follows_configured_order(self, tmp_path):
+        config = write_config(tmp_path, params=PARAMS, emotions=self.REVERSED)
+        assert main(["expand", "--config", config]) == 0
+        default = write_config(tmp_path, name="default.json", params=PARAMS,
+                               out=str(tmp_path / "default"))
+        assert main(["expand", "--config", default]) == 0
+        header, rows = self.rows(str(tmp_path / "out"))
+        assert header == ["token", *self.REVERSED, "source"]
+        assert [float(p) for p in rows["hate"][:-1]] == [0, 0, 0, 0, 0.5, 0.5]
+        _, default_rows = self.rows(str(tmp_path / "default"))
+        for token, row in rows.items():
+            if row[-1] == "labeled":
+                assert row[:-1] == default_rows[token][-2::-1]
+
+    def test_evaluate_scores_match_default_order(self, tmp_path):
+        def per_fold(out):
+            report = json.loads(read(out, "eval_report.json"))
+            return {r["method"]: r["per_fold"] for r in report["rows"]}
+
+        options = dict(params=PARAMS, corpus=data_path("mini_corpus.tsv"),
+                       k_folds=3)
+        config = write_config(tmp_path, emotions=self.REVERSED, **options)
+        assert main(["evaluate", "--config", config]) == 0
+        default = write_config(tmp_path, name="default.json",
+                               out=str(tmp_path / "default"), **options)
+        assert main(["evaluate", "--config", default]) == 0
+        reversed_scores = per_fold(str(tmp_path / "out"))
+        default_scores = per_fold(str(tmp_path / "default"))
+        assert list(reversed_scores) == list(default_scores)
+        for method, scores in reversed_scores.items():
+            assert scores == pytest.approx(default_scores[method], abs=1e-12)
 
 
 class TestStats:

@@ -94,6 +94,18 @@ class TestParams:
         again = PropagationParams.from_dict(params.to_dict())
         assert again.to_dict() == params.to_dict()
 
+    # A dropped misspelt key would leave its parameter at its default.
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError, match="unknown params key.*epsilom"):
+            PropagationParams.from_dict({"alpha": 6.0, "b": -2.0,
+                                         "epsilom": 0.1})
+
+    # to_dict reads alpha as an array under either kernel.
+    def test_rbf_with_alpha_round_trips(self):
+        raw = {"kernel": EUCLIDEAN_RBF, "alpha": 6.0, "b": -2.0,
+               "epsilon": 0.1, "sigma": 1.5}
+        assert PropagationParams.from_dict(raw).to_dict() == raw
+
 
 class TestBuildTransition:
     def test_two_node_symmetric(self):

@@ -363,7 +363,7 @@ class TestFitFull:
         params, _ = fit_full(store, seed, config, init=init)
 
         def cv_kl(p):
-            return cross_validate(store, seed, ekman, label_prop_expander(p),
+            return cross_validate(store, seed, label_prop_expander(p),
                                   k=5, rng_seed=0).overall
         assert cv_kl(params) <= cv_kl(PropagationParams(**init)) - 0.15
 
@@ -433,7 +433,7 @@ class TestFitBatched:
         assert len(trace.entropies) == 10
         assert np.all(np.isfinite(trace.entropies))
         assert np.isfinite(params.alpha) and np.isfinite(params.b)
-        assert expand(store, seed, ekman, params).report.converged
+        assert expand(store, seed, params).report.converged
 
     # At 1e4 the last batch ends at alpha 175, b -221 and a subnormal
     # epsilon 3.8e-255, a graph whose condition bound 2.43e12 expand refuses.
@@ -519,6 +519,14 @@ class TestFitBatched:
         assert float(batch_params.alpha) == pytest.approx(
             float(full_params.alpha), rel=0.1)
         assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
+
+
+class TestConfig:
+    # NaN compares false with 0, so `learning_rate <= 0` lets it through.
+    @pytest.mark.parametrize("rate", [0.0, -0.1, float("nan")])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            OptimizerConfig(learning_rate=rate)
 
 
 class TestInit:

@@ -245,6 +245,11 @@ class TestFolds:
         with pytest.raises(ValueError, match="one labeled and one unlabeled"):
             next(propagate_folds(tm, lm, every_seed))
 
+    def test_nan_tol_refused(self):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            next(propagate_folds(tm, lm, folds, tol=float("nan")))
+
 
     def test_batched_reports_match_fold_by_fold(self):
         # One product gives every fold's labeled mass and one more every
@@ -317,6 +322,14 @@ class TestInputContract:
         lm = LabelMatrix(np.full((2, 2), 0.5), labeled)
         with pytest.raises(ValueError, match="one labeled and one unlabeled"):
             solve(half_transition(), lm)
+
+    # NaN compares false with 0, so `tol <= 0` lets it through to the solve.
+    @pytest.mark.parametrize("solve", [propagate_closed_form,
+                                       propagate_iterative, propagate_cg])
+    def test_nan_tol_refused(self, solve):
+        tm, lm = two_node_instance()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(tm, lm, tol=float("nan"))
 
     @pytest.mark.parametrize("solve", [propagate_iterative, propagate_cg])
     def test_zero_iterations_refused(self, solve):
@@ -468,11 +481,11 @@ class TestPermutationInvariance:
         seed = SeedLexicon(entries, emotions)
         params = PropagationParams(alpha=2.0, b=-0.5, epsilon=0.05)
 
-        base = expand(make_store(vectors, words), seed, emotions, params,
+        base = expand(make_store(vectors, words), seed, params,
                       solver="closed")
         perm = [0, 1, 5, 7, 2, 6, 3, 4]  # labeled rows stay in front
         store2 = make_store(vectors[perm], [words[p] for p in perm])
-        permuted = expand(store2, seed, emotions, params, solver="closed")
+        permuted = expand(store2, seed, params, solver="closed")
         for w in words:
             assert np.allclose(base.distribution(w), permuted.distribution(w),
                                atol=1e-12)
@@ -487,7 +500,7 @@ class TestMonotoneEpsilon:
         tv_prev = None
         for eps in (0.0, 0.3, 0.6, 0.9):
             params = PropagationParams(alpha=4.0, b=0.0, epsilon=eps)
-            result = expand(store, seed, emotions, params, solver="closed")
+            result = expand(store, seed, params, solver="closed")
             tv = 0.5 * np.abs(result.distribution("w2") - label_mean).sum()
             if tv_prev is not None:
                 assert tv <= tv_prev + 1e-12
@@ -499,7 +512,7 @@ class TestExpand:
         store = two_cluster_store(10, dim=6, separation=5.0, seed=4)
         seed = two_cluster_seed(store, ekman, 2)
         params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
-        result = expand(store, seed, ekman, params, solver="closed")
+        result = expand(store, seed, params, solver="closed")
         for i in range(10):
             assert result.argmax_label("c0_%d" % i) == "joy"
             assert result.argmax_label("c1_%d" % i) == "anger"
@@ -512,9 +525,9 @@ class TestExpand:
         seed = SeedLexicon({"x": [1, 0], "y": [0, 1]}, emotions)
         params = PropagationParams(alpha=1.0, b=0.0)
         with pytest.raises(ValueError, match="unlabeled"):
-            expand(store, seed, emotions, params)
+            expand(store, seed, params)
         with pytest.raises(ValueError):
-            expand(store, seed, emotions, params, solver="cg", tol=-1,
+            expand(store, seed, params, solver="cg", tol=-1,
                    max_iter=0)
 
     def test_identical_embeddings_give_label_average(self):
@@ -523,7 +536,7 @@ class TestExpand:
         store = make_store(vectors)
         seed = SeedLexicon({"w0": [1, 0], "w1": [0, 1]}, emotions)
         params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.0)
-        result = expand(store, seed, emotions, params, solver="closed")
+        result = expand(store, seed, params, solver="closed")
         assert np.allclose(result.distributions[2:], 0.5, atol=1e-9)
 
     def test_no_seed_in_vocab_is_error(self):
@@ -531,21 +544,23 @@ class TestExpand:
         store = make_store([[1.0, 0.0]], ["x"])
         seed = SeedLexicon({"zzz": [1, 0]}, emotions)
         with pytest.raises(ValueError, match="no seed token"):
-            expand(store, seed, emotions, PropagationParams(alpha=1.0, b=0.0))
+            expand(store, seed, PropagationParams(alpha=1.0, b=0.0))
 
-    def test_mismatched_emotion_set_refused(self, ekman):
+    # The emotion set is the seed's: a call that still passes one fails at
+    # the call instead of binding the set to params.
+    def test_emotion_set_argument_refused(self, ekman):
         store = two_cluster_store(4, dim=4, seed=4)
         seed = two_cluster_seed(store, ekman, 1)
         params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.1)
-        with pytest.raises(ValueError, match="does not match the seed"):
-            expand(store, seed, EmotionSet(ekman.names[::-1]), params)
+        with pytest.raises(TypeError):
+            expand(store, seed, ekman, params)
 
     def test_sidecar_contents(self):
         emotions = EmotionSet(("a", "b"))
         store = make_store([[1.0, 0.0], [0.5, 0.5]], ["x", "y"])
         seed = SeedLexicon({"x": [1, 0]}, emotions)
         params = PropagationParams(alpha=1.0, b=0.0, epsilon=0.1)
-        result = expand(store, seed, emotions, params, solver="iterative")
+        result = expand(store, seed, params, solver="iterative")
         sidecar = result.sidecar()
         assert sidecar["solve"]["method"] == "iterative"
         mass = sidecar["solve"]["min_labeled_mass"]

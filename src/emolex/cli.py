@@ -100,20 +100,18 @@ class RunConfig:
             raise ConfigError("give either fixed params or a fit request, not both")
         return has_params
 
-    def propagation_params(self):
-        if not self._has_params():
+    def propagation_params(self, key="params"):
+        """The params row at `key`, inline or parsed from the file at
+        `key`_file, under the configured kernel when one is set."""
+        if key == "params" and not self._has_params():
             raise ConfigError("fixed 'params' or a 'params_file' is required")
-        raw = self._params_dict("params")
+        raw = self.data.get(key)
+        if key + "_file" in self.data:
+            with open(self.data[key + "_file"], encoding="utf-8") as fh:
+                raw = json.load(fh)
         if self.data.get("kernel"):
             raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
         return PropagationParams.from_dict(raw)
-
-    def _params_dict(self, key):
-        """The dict at `key`, or parsed from the file at `key`_file if given."""
-        if key + "_file" in self.data:
-            with open(self.data[key + "_file"], encoding="utf-8") as fh:
-                return json.load(fh)
-        return self.data[key]
 
     def optimizer_config(self):
         if self._has_params() or "fit" not in self.data:
@@ -197,8 +195,8 @@ def cmd_evaluate(cfg):
 
     params = [("label-propagation", cfg.propagation_params())]
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
-        params.append(("batch-label-propagation", PropagationParams.from_dict(
-            cfg._params_dict("batch_params"))))
+        params.append(("batch-label-propagation",
+                       cfg.propagation_params("batch_params")))
 
     def row(expander, method):
         report = ev.cross_validate(store, seed, expander, k=k,

@@ -21,7 +21,7 @@ class PropagationParams:
 
     cosine-logistic needs alpha (scalar or d-vector) and b; euclidean-rbf
     needs sigma. epsilon in [0, 1) interpolates the transition matrix with
-    the uniform matrix.
+    the uniform matrix. alpha, b and sigma must be finite.
     """
 
     def __init__(self, kernel=COSINE_LOGISTIC, alpha=None, b=None,
@@ -33,26 +33,26 @@ class PropagationParams:
         if kernel == COSINE_LOGISTIC:
             if alpha is None or b is None:
                 raise ValueError("cosine-logistic kernel requires alpha and b")
-        elif sigma is None or sigma <= 0:
+        elif sigma is None or not sigma > 0:
             raise ValueError("euclidean-rbf kernel requires positive sigma")
-        if alpha is not None:
-            alpha = np.asarray(alpha, dtype=np.float64)
-            if alpha.ndim > 1:
-                raise ValueError("alpha must be a scalar or a 1-D vector")
         self.kernel = kernel
-        self.alpha = alpha
+        self.alpha = None if alpha is None else np.asarray(alpha, np.float64)
         self.b = None if b is None else float(b)
         self.epsilon = float(epsilon)
         self.sigma = None if sigma is None else float(sigma)
+        if self.alpha is not None and self.alpha.ndim > 1:
+            raise ValueError("alpha must be a scalar or a 1-D vector")
+        for key in ("alpha", "b", "sigma"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError("%s must be finite" % key)
 
     @property
     def alpha_is_vector(self):
         return self.alpha is not None and self.alpha.ndim == 1
 
     def to_dict(self):
-        alpha = self.alpha
-        if alpha is not None:
-            alpha = alpha.tolist() if alpha.ndim else float(alpha)
+        alpha = None if self.alpha is None else self.alpha.tolist()
         return {"kernel": self.kernel, "alpha": alpha, "b": self.b,
                 "epsilon": self.epsilon, "sigma": self.sigma}
 

@@ -232,7 +232,10 @@ def _step(state, grads, lr):
     if not 0.0 < epsilon < 1.0:
         raise GradientError("epsilon rounds to %g at logit %g"
                             % (epsilon, eps_logit))
-    return alpha - lr * grads["alpha"], b - lr * grads["b"], eps_logit
+    alpha, b = alpha - lr * grads["alpha"], b - lr * grads["b"]
+    if not (np.all(np.isfinite(alpha)) and math.isfinite(b)):
+        raise GradientError("alpha or b overflows at learning rate %g" % lr)
+    return alpha, b, eps_logit
 
 
 def _params(state):
@@ -256,13 +259,13 @@ def _descend(store, label_matrix, batches, steps, config, init):
     The parameters are an (alpha, b, eps_logit) triple that no step
     modifies in place. Each batch (an index into the vocabulary) takes
     `steps` descent steps on its own subgraph, every step writing its
-    weights into one buffer per batch size. A step diverges when the
-    entropy or a gradient is non-finite, the graph is degenerate, or epsilon
-    rounds to 0 or 1; the parameters and trace are then restored to their
-    values before the batch and the batch is retried at half the rate, up
-    to three halvings in the whole descent. Returns the triple after the
-    last step, the trace row and triple of the lowest-entropy iterate of
-    the last batch, and the trace.
+    weights into one buffer per batch size. A step diverges when the entropy
+    or a gradient is non-finite, the graph is degenerate, epsilon rounds to
+    0 or 1, or alpha or b overflows; the parameters and trace are then
+    restored to their values before the batch and the batch is retried at
+    half the rate, up to three halvings in the whole descent. Returns the
+    triple after the last step, the trace row and triple of the
+    lowest-entropy iterate of the last batch, and the trace.
     """
     init = dict(_DEFAULT_INIT, **(init or {}))
     unknown = sorted(set(init) - set(_DEFAULT_INIT))

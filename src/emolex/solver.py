@@ -384,37 +384,35 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
     come from one factorization (`_factorized_folds`); otherwise each fold
     is `solve(tm, fold, solver, tol, max_iter)`, so under "auto" each fold
     takes the solver of its own size. Either way every fold is certified
-    as its solver certifies a solve, and a fold that is refused or fails
-    has its error raised in its place, after the folds before it have been
-    yielded.
+    as its solver certifies a solve. Every fold is checked before any is
+    solved, so a fold that hides an unlabeled row or fails the solvers'
+    input contract raises before any is yielded; only a fold that its
+    solve refuses or fails has its error raised in its place, after the
+    folds before it.
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
-    error = None
     set_up = []
-    try:
-        for hidden in folds:
-            hidden = np.asarray(hidden, dtype=np.intp)
-            if not np.all(labeled[hidden]):
-                raise ValueError("a fold may hide only labeled rows")
-            mask = labeled.copy()
-            mask[hidden] = False
-            rows = label_matrix.rows.copy()
-            rows[hidden] = 1.0 / m
-            fold = LabelMatrix(rows, mask)
-            _check_inputs(fold, tol)
-            set_up.append((hidden, fold))
-    except (ValueError, IndexError) as exc:
-        error = exc
-    if set_up:
-        largest = tm.n - min(fold.n_labeled for _, fold in set_up)
-        if choose_solver(solver, largest) == "closed":
-            yield from _factorized_folds(tm, label_matrix, set_up, tol)
-        else:
-            for _, fold in set_up:
-                yield solve(tm, fold, solver, tol, max_iter)
-    if error is not None:
-        raise error
+    for f, hidden in enumerate(folds):
+        hidden = np.asarray(hidden, dtype=np.intp)
+        if not np.all(labeled[hidden]):
+            raise ValueError("fold %d hides an unlabeled row: a fold may hide "
+                             "only labeled rows" % f)
+        mask = labeled.copy()
+        mask[hidden] = False
+        rows = label_matrix.rows.copy()
+        rows[hidden] = 1.0 / m
+        fold = LabelMatrix(rows, mask)
+        _check_inputs(fold, tol)
+        set_up.append((hidden, fold))
+    if not set_up:
+        return
+    largest = tm.n - min(fold.n_labeled for _, fold in set_up)
+    if choose_solver(solver, largest) == "closed":
+        yield from _factorized_folds(tm, label_matrix, set_up, tol)
+    else:
+        for _, fold in set_up:
+            yield solve(tm, fold, solver, tol, max_iter)
 
 
 @dataclass

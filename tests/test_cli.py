@@ -157,6 +157,15 @@ class TestExpand:
                        "message": "tol must be positive"}
         assert not (tmp_path / "out").exists()
 
+    # JSON reads Infinity: the run used to solve, write both lexicon files
+    # and then fail writing the report.
+    def test_infinite_b_refused_without_artifacts(self, tmp_path, capsys):
+        config = write_config(tmp_path, params=dict(PARAMS, b=float("inf")))
+        assert main(["expand", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "b must be finite"}
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS)
         other = str(tmp_path / "elsewhere")
@@ -255,6 +264,15 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": "learning_rate must be positive"}
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_init_refused_at_first_step(self, tmp_path, capsys):
+        config = write_config(tmp_path, fit={
+            "mode": "full", "epochs": 2,
+            "init": {"alpha": 3.0, "b": float("inf"), "epsilon": 0.1}})
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "b must be finite"}
         assert not (tmp_path / "out").exists()
 
     def test_conflicting_params_and_fit(self, tmp_path, capsys):
@@ -367,6 +385,33 @@ class TestEvaluate:
                      "euclidean"]) == 0
         report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
         assert report["rows"][-1]["params"]["kernel"] == "euclidean-rbf"
+
+    # The kernel flag reaches every propagation row, batch_params too.
+    def test_kernel_flag_sets_both_rows(self, tmp_path):
+        rbf = {"epsilon": 0.1, "sigma": 1.5}
+        config = write_config(tmp_path, params=rbf,
+                              batch_params=dict(rbf, sigma=2.0),
+                              corpus=data_path("mini_corpus.tsv"), k_folds=3)
+        assert main(["evaluate", "--config", config, "--kernel",
+                     "euclidean"]) == 0
+        report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
+        assert [row["params"]["kernel"] for row in report["rows"][3:]] == [
+            "euclidean-rbf", "euclidean-rbf"]
+
+    # It used to score this batch row under cosine-logistic, next to a
+    # euclidean-rbf params row in the same report.
+    def test_kernel_flag_refuses_batch_row_without_sigma(self, tmp_path,
+                                                         capsys):
+        config = write_config(tmp_path, params={"epsilon": 0.1, "sigma": 1.5},
+                              batch_params={"alpha": 5.0, "b": -2.0,
+                                            "epsilon": 0.05},
+                              corpus=data_path("mini_corpus.tsv"), k_folds=3)
+        assert main(["evaluate", "--config", config, "--kernel",
+                     "euclidean"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "euclidean-rbf "
+                       "kernel requires positive sigma"}
+        assert not (tmp_path / "out").exists()
 
     def test_class_counts_inline(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, k_folds=3,

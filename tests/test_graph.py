@@ -106,6 +106,27 @@ class TestParams:
                "epsilon": 0.1, "sigma": 1.5}
         assert PropagationParams.from_dict(raw).to_dict() == raw
 
+    # JSON reads Infinity and NaN; no weight can be built from either.
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in ("alpha", "b")
+        for value in (float("nan"), float("inf"), -float("inf"))]
+        + [("alpha", [6.0, float("nan")])])
+    def test_non_finite_cosine_param_refused(self, key, value):
+        raw = dict({"alpha": [6.0, 1.0], "b": -2.0}, **{key: value})
+        with pytest.raises(ValueError, match="^%s must be finite$" % key):
+            PropagationParams(**raw)
+
+    # NaN compares false with 0, so `sigma <= 0` used to let it through.
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "euclidean-rbf kernel requires positive sigma"),
+        (-float("inf"), "euclidean-rbf kernel requires positive sigma"),
+        (float("inf"), "sigma must be finite")])
+    def test_non_finite_sigma_refused(self, value, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            PropagationParams(kernel=EUCLIDEAN_RBF, sigma=value)
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            PropagationParams(alpha=6.0, b=-2.0, sigma=float(value))
+
 
 class TestBuildTransition:
     def test_two_node_symmetric(self):

@@ -350,6 +350,24 @@ class TestFitFull:
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
             fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
 
+    # A step whose b overflows to -inf is divergence like any other; the
+    # fit used to go on from b = -inf.
+    def test_overflowing_step_is_divergence(self, ekman, monkeypatch):
+        store = two_cluster_store(5, dim=4, separation=3.0, seed=6)
+        seed = two_cluster_seed(store, ekman, 1)
+        steps = []
+
+        def steep(*args, **kwargs):
+            steps.append(None)
+            return 1.0, {"alpha": 0.0, "b": 1e100, "eps_logit": 0.0}
+
+        monkeypatch.setattr(emolex.optimize, "_forward_backward", steep)
+        config = OptimizerConfig(mode="full", learning_rate=1e300, epochs=3)
+        with pytest.raises(GradientError, match="3 learning-rate halvings: "
+                           "alpha or b overflows"):
+            fit_full(store, seed, config)
+        assert len(steps) == 4
+
     # The paper's own score of a graph: 5-fold label-propagation CV KL on a
     # two-cluster mixture. Fitted, it read 0.394 / 0.426 / 0.360 / 0.539
     # against the init's 0.705 / 0.709 / 0.692 / 0.720.

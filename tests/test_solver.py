@@ -237,6 +237,24 @@ class TestFolds:
         with pytest.raises(ValueError, match="only labeled rows"):
             list(propagate_folds(tm, lm, folds[:1] + [unlabeled]))
 
+    # Every fold is checked before the first is solved.
+    def test_bad_fold_raised_before_first_solve(self):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+        unlabeled = np.flatnonzero(~lm.labeled_mask)[:1]
+        solved = propagate_folds(tm, lm, [folds[0], unlabeled])
+        with pytest.raises(ValueError, match="^fold 1 hides an unlabeled "
+                           "row: a fold may hide only labeled rows$"):
+            next(solved)
+
+    def test_out_of_range_index_raised_before_first_solve(self):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+        with pytest.raises(IndexError):
+            next(propagate_folds(tm, lm, [folds[0], [tm.n]]))
+
+    def test_no_folds_yield_nothing(self):
+        tm, lm, _ = fold_instance(0.01, 4, 8)
+        assert list(propagate_folds(tm, lm, [])) == []
+
     def test_input_contract(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
         with pytest.raises(ValueError, match="tol must be positive"):

@@ -25,6 +25,14 @@ class ConfigError(ValueError):
     pass
 
 
+# Every top-level config key some command reads. One config file may serve
+# several commands, so each command accepts all of them.
+CONFIG_KEYS = frozenset({
+    "embeddings", "seed_lexicon", "emotions", "out", "params", "params_file",
+    "batch_params", "batch_params_file", "kernel", "solver", "tol",
+    "max_iter", "fit", "mode", "seed", "k_folds", "class_counts", "corpus"})
+
+
 def _replace(path, write):
     """Call write(tmp) on a sibling temporary file, then move it to path.
 
@@ -54,6 +62,10 @@ class RunConfig:
     """Validated union of the config file and flag overrides."""
 
     def __init__(self, data):
+        unknown = sorted(set(data) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError("unknown config keys: %s"
+                              % ", ".join(map(repr, unknown)))
         self.data = data
 
     @classmethod
@@ -72,6 +84,14 @@ class RunConfig:
 
     def get(self, key, default=None):
         return self.data.get(key, default)
+
+    def integer(self, key, default):
+        """The integer at `key`; a bool or a number with a fraction is
+        refused rather than truncated."""
+        value = self.data.get(key, default)
+        if isinstance(value, bool) or not float(value).is_integer():
+            raise ConfigError("%r must be an integer, not %r" % (key, value))
+        return int(value)
 
     def require_path(self, key):
         path = self.data.get(key)
@@ -121,7 +141,7 @@ class RunConfig:
         if self.data.get("mode"):
             fit["mode"] = self.data["mode"]
         if self.data.get("seed") is not None:
-            fit["rng_seed"] = int(self.data["seed"])
+            fit["rng_seed"] = self.integer("seed", None)
         return OptimizerConfig(**fit), init
 
 
@@ -130,9 +150,11 @@ def _kernel_name(short):
 
 
 def _solver_options(cfg):
-    return {"solver": cfg.get("solver", "auto"),
-            "tol": float(cfg.get("tol", 1e-6)),
-            "max_iter": int(cfg.get("max_iter", 1000))}
+    solver = cfg.get("solver", "auto")
+    if solver not in FLAGS["solver"]["choices"]:
+        raise ConfigError("unknown solver %r" % (solver,))
+    return {"solver": solver, "tol": float(cfg.get("tol", 1e-6)),
+            "max_iter": cfg.integer("max_iter", 1000)}
 
 
 def _load_inputs(cfg):
@@ -142,10 +164,11 @@ def _load_inputs(cfg):
 
 
 def cmd_expand(cfg):
+    options = _solver_options(cfg)
     store, seed = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
-    result = expand(store, seed, params, **_solver_options(cfg))
+    result = expand(store, seed, params, **options)
     sidecar = result.sidecar()
     lexicon = (store.vocab, result.distributions, result.emotions,
                result.labeled_mask)
@@ -158,8 +181,8 @@ def cmd_expand(cfg):
 
 
 def cmd_optimize(cfg):
-    store, seed = _load_inputs(cfg)
     config, init = cfg.optimizer_config()
+    store, seed = _load_inputs(cfg)
     out = cfg.out_dir()
     if config.mode == "batch":
         params, trace = fit_batched(store, seed, config, init=init)
@@ -187,10 +210,11 @@ def _class_counts(cfg, emotions):
 
 
 def cmd_evaluate(cfg):
+    options = _solver_options(cfg)
+    k = cfg.integer("k_folds", 10)
+    rng_seed = cfg.integer("seed", 0)
     store, seed = _load_inputs(cfg)
     out = cfg.out_dir()
-    k = int(cfg.get("k_folds", 10))
-    rng_seed = int(cfg.get("seed", 0))
     counts = _class_counts(cfg, seed.emotions)
 
     params = [("label-propagation", cfg.propagation_params())]
@@ -206,9 +230,9 @@ def cmd_evaluate(cfg):
 
     rows = [row(ev.baseline_expander(kind, counts), kind)
             for kind in ("uniform", "majority", "prior")]
-    # A run's graph operator lives for one cross_validate call, so it is
-    # freed before the next row builds one.
-    rows += [row(ev.label_prop_expander(p, **_solver_options(cfg)), method)
+    # A run's graph operator is freed when its expander returns, before the
+    # next row builds one.
+    rows += [row(ev.label_prop_expander(p, **options), method)
              for method, p in params]
 
     _write_json(os.path.join(out, "eval_report.json"),

@@ -71,8 +71,9 @@ def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
     """Expander running label propagation with fixed parameters.
 
     Each run is `expand_folds`: one graph operator serves every fold of the
-    run and is freed with it. The solver raises ConvergenceError on a fold
-    whose solve is not certified within tol.
+    run and is freed when the run returns its k arrays. A fold whose solve
+    is refused or not certified within tol raises NumericalDegeneracyError
+    or ConvergenceError, its message prefixed "fold <f>: ".
     """
     def run(store, seed, folds):
         return expand_folds(store, seed, params, folds, solver=solver,
@@ -104,9 +105,7 @@ def baseline_expander(kind, class_counts=None):
             dist[int(np.argmax(class_counts))] = 1.0
         else:
             dist = class_counts / class_counts.sum()
-        dists = np.broadcast_to(dist, (len(store.vocab), m))
-        for _ in folds:
-            yield dists
+        return [np.broadcast_to(dist, (len(store.vocab), m))] * len(folds)
     run.label = kind
     run.params = {}
     return run
@@ -117,32 +116,27 @@ def cross_validate(store, seed, expander, *, k=10, rng_seed=0):
     tokens' predictions against their gold distributions with KL divergence.
 
     An expander is called once per run, as expander(store, seed, folds)
-    with the k lists of held-out tokens of `make_folds`, and yields one
-    (len(store), m) array of distributions in vocabulary order per fold, in
-    fold order, m being the number of the seed's emotions: fold f's array
-    must not depend on the labels of its held-out tokens. Only seed tokens
+    with the k lists of held-out tokens of `make_folds`, and returns k
+    (len(store), m) arrays of distributions in vocabulary order, in fold
+    order, m being the number of the seed's emotions: fold f's array must
+    not depend on the labels of its held-out tokens. Only seed tokens
     present in the vocabulary participate. Reports per-fold means, the mean
-    of fold means, and the pooled per-word mean; an expander that fails, or
-    yields too few or too many arrays or one of the wrong shape, raises
-    RuntimeError naming the fold.
+    of fold means, and the pooled per-word mean. An expander's own error
+    propagates; a count of arrays other than k, or an array of the wrong
+    shape, raises RuntimeError, naming the fold for the shape.
     """
     eligible = [t for t in seed.entries if t in store.vocab]
     folds = make_folds(eligible, k, rng_seed)
+    arrays = list(expander(store, seed, folds))
+    if len(arrays) != k:
+        raise RuntimeError("expander returned %d arrays for %d folds"
+                           % (len(arrays), k))
     shape = (len(store), len(seed.emotions))
     per_fold = []
     pooled = []
-    for fold, held_out in enumerate(folds):
-        try:
-            if fold == 0:
-                arrays = iter(expander(store, seed, folds))
-            predictions = next(arrays, None)
-        except Exception as exc:
-            raise RuntimeError("expander failed on fold %d: %s"
-                               % (fold, exc)) from exc
-        if predictions is None:
-            raise RuntimeError("expander yielded no array for fold %d" % fold)
+    for fold, (held_out, predictions) in enumerate(zip(folds, arrays)):
         if np.shape(predictions) != shape:
-            raise RuntimeError("expander yielded a %s array for fold %d, "
+            raise RuntimeError("expander returned a %s array for fold %d, "
                                "expected %s" % (np.shape(predictions), fold,
                                                 shape))
         rows = [store.vocab.index[t] for t in held_out]
@@ -150,9 +144,6 @@ def cross_validate(store, seed, expander, *, k=10, rng_seed=0):
                                predictions[rows])
         per_fold.append(float(np.mean(scores)))
         pooled.extend(scores)
-    if next(arrays, None) is not None:
-        raise RuntimeError("expander yielded an array for fold %d of a "
-                           "%d-fold run" % (k, k))
     return EvalReport(getattr(expander, "label", "custom"), per_fold,
                       float(np.mean(per_fold)), float(np.mean(pooled)),
                       k, rng_seed, getattr(expander, "params", {}))

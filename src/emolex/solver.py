@@ -304,10 +304,19 @@ def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
     raise ValueError("unknown solver %r" % solver)
 
 
+def _as_fold(f, call, *args):
+    """call(*args), with a refused or uncertified solve raised as fold f's:
+    the same error type, its message prefixed "fold f: ", chained from it."""
+    try:
+        return call(*args)
+    except (NumericalDegeneracyError, ConvergenceError) as exc:
+        raise type(exc)("fold %d: %s" % (f, exc)) from exc
+
+
 def _factorized_folds(tm, label_matrix, set_up, tol):
     """The closed-form solution of every fold that `propagate_folds` has set
-    up, as (hidden, LabelMatrix) pairs, from one factorization; yields
-    (LabelMatrix, SolveReport) per fold, in order.
+    up, as (hidden, LabelMatrix) pairs, from one factorization; returns
+    [(LabelMatrix, SolveReport), ...], in fold order.
 
     With U the rows no seed of `label_matrix` labels, L its seeds and H, S
     a fold's hidden and training seeds, Z = (I - T_UU)^{-1} T_UL is
@@ -321,60 +330,50 @@ def _factorized_folds(tm, label_matrix, set_up, tol):
 
     Each fold is the solution `propagate_closed_form` finds on its mask and
     is checked the same way: its condition bound is refused above
-    MAX_CONDITION before its system is solved, and its report carries its
-    own residual, minimum labeled mass and error bound. A fold's min m is
-    at most that of the all-seeds system, so the check of the first fold
-    also covers the factorization of (I - T_UU).
-
-    Every fold is solved before the first is yielded, so that one product
-    with T gives all their labeled masses and one more all their
-    residuals. A fold that is refused or fails has its error raised in its
-    place, after the folds before it have been yielded.
+    MAX_CONDITION, and its report carries its own residual, minimum labeled
+    mass and error bound. One product with T gives every fold's labeled
+    mass and one more every fold's residual. Every fold's condition is
+    checked before the factorization; a fold's min m is at most that of the
+    all-seeds system, so those checks also cover the factorization of
+    (I - T_UU). The first fold refused or not certified raises at once.
     """
     labeled = label_matrix.labeled_mask
     seeds = np.flatnonzero(labeled)
     unlabeled = np.flatnonzero(~labeled)
     position = np.full(tm.n, -1)
     position[seeds] = np.arange(seeds.size)
-    error = None
-    solved = []
     masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
                                dtype=np.float64).T)
-    z = g = None
-    try:
-        for f, (hidden, fold) in enumerate(set_up):
-            mask = fold.labeled_mask
-            mass, cond_bound = condition(np.min(masses[~mask, f]))
-            if z is None:
-                z = _solve_clamped(tm.submatrix(unlabeled),
-                                   tm.submatrix(unlabeled, seeds))
-                g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
-            h = position[hidden]
-            s = position[mask]
-            y_s = fold.rows[mask]
-            y_h = _solve_clamped(g[np.ix_(h, h)], g[np.ix_(h, s)] @ y_s)
-            fold.rows[hidden] = y_h
-            fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
-            solved.append((fold, mass, cond_bound))
-    except NumericalDegeneracyError as exc:
-        error = exc
+    checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
+              for f, (_, fold) in enumerate(set_up)]
+    z = _solve_clamped(tm.submatrix(unlabeled), tm.submatrix(unlabeled, seeds))
+    g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
+    for f, (hidden, fold) in enumerate(set_up):
+        mask = fold.labeled_mask
+        h = position[hidden]
+        s = position[mask]
+        y_s = fold.rows[mask]
+        y_h = _as_fold(f, _solve_clamped, g[np.ix_(h, h)],
+                       g[np.ix_(h, s)] @ y_s)
+        fold.rows[hidden] = y_h
+        fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
     m = label_matrix.rows.shape[1]
-    if solved:
-        stacked = np.hstack([fold.rows for fold, _, _ in solved])
-        violation = np.abs(stacked - tm.apply(stacked))
-    for f, (fold, mass, cond_bound) in enumerate(solved):
+    stacked = np.hstack([fold.rows for _, fold in set_up])
+    violation = np.abs(stacked - tm.apply(stacked))
+    solved = []
+    for f, ((_, fold), (mass, cond_bound)) in enumerate(zip(set_up, checks)):
         cols = slice(f * m, (f + 1) * m)
         residual = float(np.max(violation[~fold.labeled_mask, cols]))
-        yield fold, _certified("closed-form", 1, residual, mass, cond_bound,
-                               tol)
-    if error is not None:
-        raise error
+        solved.append((fold, _as_fold(f, _certified, "closed-form", 1,
+                                      residual, mass, cond_bound, tol)))
+    return solved
 
 
 def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
                     max_iter=1000):
     """Every fold of a cross-validation, solved on the one operator `tm`;
-    yields (LabelMatrix, SolveReport) per fold, in order.
+    returns [(LabelMatrix, SolveReport), ...], one pair per fold in fold
+    order, and [] when there are no folds.
 
     `label_matrix` labels all seeds L; each fold is an index array of the
     seed rows H it hides, and trains on the rest, S = L \\ H. A fold is the
@@ -386,9 +385,9 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
     takes the solver of its own size. Either way every fold is certified
     as its solver certifies a solve. Every fold is checked before any is
     solved, so a fold that hides an unlabeled row or fails the solvers'
-    input contract raises before any is yielded; only a fold that its
-    solve refuses or fails has its error raised in its place, after the
-    folds before it.
+    input contract raises before any solve. The first fold whose solve is
+    refused (NumericalDegeneracyError) or not certified (ConvergenceError)
+    raises that error at once, its message prefixed "fold <f>: ".
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
@@ -406,13 +405,12 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
         _check_inputs(fold, tol)
         set_up.append((hidden, fold))
     if not set_up:
-        return
+        return []
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
     if choose_solver(solver, largest) == "closed":
-        yield from _factorized_folds(tm, label_matrix, set_up, tol)
-    else:
-        for _, fold in set_up:
-            yield solve(tm, fold, solver, tol, max_iter)
+        return _factorized_folds(tm, label_matrix, set_up, tol)
+    return [_as_fold(f, solve, tm, fold, solver, tol, max_iter)
+            for f, (_, fold) in enumerate(set_up)]
 
 
 @dataclass
@@ -458,10 +456,11 @@ def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
 def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
                  max_iter=1000):
     """The folds of a cross-validation of `expand`: for each list of
-    held-out seed tokens in `folds`, in order, yields the distributions
+    held-out seed tokens in `folds`, returns, in order, the distributions
     `expand` returns for the seed without those tokens. All folds share one
-    label matrix and one operator, which lives as long as the generator;
-    `propagate_folds` solves them.
+    label matrix and one operator, which `propagate_folds` solves them on
+    and which is freed when this returns. A fold whose solve is refused or
+    not certified raises, its message prefixed "fold <f>: ".
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
@@ -470,6 +469,5 @@ def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
     train_mask = label_matrix.labeled_mask.copy()
     train_mask[hidden[0]] = False
     tm = build_transition(store, params, train_mask)
-    for solved, _ in propagate_folds(tm, label_matrix, hidden, solver, tol,
-                                     max_iter):
-        yield solved.rows
+    return [solved.rows for solved, _ in
+            propagate_folds(tm, label_matrix, hidden, solver, tol, max_iter)]

@@ -6,6 +6,7 @@ import weakref
 import jsonschema
 import pytest
 
+import emolex.cli as cli
 import emolex.solver as solver_module
 from emolex import evaluate as ev
 from emolex.cli import RunConfig, _write_json, build_parser, main
@@ -344,6 +345,7 @@ class TestEvaluate:
                               k_folds=3, solver="iterative", max_iter=1)
         assert main(["evaluate", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
         assert "fold 0" in err["message"]
         assert "did not converge" in err["message"]
         assert not (tmp_path / "out").exists()
@@ -539,6 +541,64 @@ class TestFlags:
             main(["stats", "--config", config, "--solver", "cg"])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigChecks:
+    """A config that no command can run is refused before any input is
+    read: exit 1, one ConfigError line, no `out` directory."""
+
+    FIT = {"mode": "full", "epochs": 2, "learning_rate": 0.5}
+
+    @staticmethod
+    def refused(tmp_path, capsys, monkeypatch, command, **overrides):
+        def no_load(path, *args):
+            raise AssertionError("an input was read: %s" % path)
+        monkeypatch.setattr(cli, "load_embeddings", no_load)
+        monkeypatch.setattr(cli, "load_seed_lexicon", no_load)
+        config = write_config(tmp_path, corpus=data_path("mini_corpus.tsv"),
+                              **overrides)
+        assert main([command, "--config", config]) == 1
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        return err["message"]
+
+    # A misspelt key is refused, not dropped: dropped, this config would run
+    # the default solver at tol 1e-6.
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch,
+                                 command):
+        message = self.refused(tmp_path, capsys, monkeypatch, command,
+                               params=PARAMS, tols=1e-30, max_iter=1,
+                               solvr="iterative")
+        assert message == "unknown config keys: 'solvr', 'tols'"
+
+    @pytest.mark.parametrize("command", ["expand", "evaluate"])
+    def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
+                                    command):
+        message = self.refused(tmp_path, capsys, monkeypatch, command,
+                               params=PARAMS, solver="gmres")
+        assert message == "unknown solver 'gmres'"
+
+    # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.
+    @pytest.mark.parametrize("command, key, value", [
+        ("expand", "max_iter", 2.9), ("expand", "max_iter", True),
+        ("evaluate", "max_iter", 2.9), ("evaluate", "k_folds", 2.7),
+        ("evaluate", "k_folds", True), ("evaluate", "seed", 1.5),
+        ("optimize", "seed", 1.5), ("optimize", "seed", False)])
+    def test_non_integer_refused(self, tmp_path, capsys, monkeypatch, command,
+                                 key, value):
+        run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
+        message = self.refused(tmp_path, capsys, monkeypatch, command,
+                               **run, **{key: value})
+        assert message == "%r must be an integer, not %r" % (key, value)
+
+    def test_integral_float_accepted(self, tmp_path):
+        config = write_config(tmp_path, params=PARAMS, k_folds=3.0, seed=1.0,
+                              corpus=data_path("mini_corpus.tsv"))
+        assert main(["evaluate", "--config", config]) == 0
+        report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
+        assert (report["k"], report["rng_seed"]) == (3, 1)
 
 
 class TestFiniteArtifacts:

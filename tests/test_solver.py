@@ -227,9 +227,9 @@ class TestFolds:
 
     def test_ill_conditioned_fold_refused(self):
         tm, lm = ill_conditioned_instance()
-        folds = propagate_folds(tm, lm, [[0], [1]])
-        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
-            next(folds)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^fold 0: .*ill-conditioned"):
+            propagate_folds(tm, lm, [[0], [1]])
 
     def test_only_labeled_rows_hidden(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
@@ -241,15 +241,14 @@ class TestFolds:
     def test_bad_fold_raised_before_first_solve(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
         unlabeled = np.flatnonzero(~lm.labeled_mask)[:1]
-        solved = propagate_folds(tm, lm, [folds[0], unlabeled])
         with pytest.raises(ValueError, match="^fold 1 hides an unlabeled "
                            "row: a fold may hide only labeled rows$"):
-            next(solved)
+            propagate_folds(tm, lm, [folds[0], unlabeled])
 
     def test_out_of_range_index_raised_before_first_solve(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
         with pytest.raises(IndexError):
-            next(propagate_folds(tm, lm, [folds[0], [tm.n]]))
+            propagate_folds(tm, lm, [folds[0], [tm.n]])
 
     def test_no_folds_yield_nothing(self):
         tm, lm, _ = fold_instance(0.01, 4, 8)
@@ -258,15 +257,15 @@ class TestFolds:
     def test_input_contract(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
         with pytest.raises(ValueError, match="tol must be positive"):
-            next(propagate_folds(tm, lm, folds, tol=0.0))
+            propagate_folds(tm, lm, folds, tol=0.0)
         every_seed = [np.flatnonzero(lm.labeled_mask)]
         with pytest.raises(ValueError, match="one labeled and one unlabeled"):
-            next(propagate_folds(tm, lm, every_seed))
+            propagate_folds(tm, lm, every_seed)
 
     def test_nan_tol_refused(self):
         tm, lm, folds = fold_instance(0.01, 4, 8)
         with pytest.raises(ValueError, match="tol must be positive"):
-            next(propagate_folds(tm, lm, folds, tol=float("nan")))
+            propagate_folds(tm, lm, folds, tol=float("nan"))
 
 
     def test_batched_reports_match_fold_by_fold(self):
@@ -283,7 +282,9 @@ class TestFolds:
             assert report.residual == pytest.approx(residual, abs=1e-12)
             assert report.error_bound == report.residual / report.min_labeled_mass
 
-    def test_refused_fold_raised_after_earlier_folds(self):
+    # Every fold's condition is checked before the factorization, so a
+    # refused fold 2 raises before any system is solved.
+    def test_refused_fold_raised_before_factorization(self, monkeypatch):
         # A seed in the far cluster too: only hiding it leaves that cluster
         # without mass onto the seeds.
         tm, lm = ill_conditioned_instance()
@@ -291,23 +292,18 @@ class TestFolds:
         mask[4] = True
         rows = lm.rows.copy()
         rows[4] = [1.0, 0.0]
-        folds = propagate_folds(tm, LabelMatrix(rows, mask), [[0], [4], [1]])
-        fold, report = next(folds)
-        assert not fold.labeled_mask[0] and report.converged
-        with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
-            next(folds)
+        solves = []
+        original = np.linalg.solve
 
-    def test_uncertified_fold_raised_after_earlier_folds(self):
-        tm, lm, folds = fold_instance(0.01, 10, 3)
-        bounds = [report.error_bound
-                  for _, report in propagate_folds(tm, lm, folds, tol=1.0)]
-        fold = next(f for f in range(1, 10) if bounds[f] > max(bounds[:f]))
-        solved = propagate_folds(tm, lm, folds, tol=max(bounds[:fold]))
-        assert [report.error_bound for _, report in
-                (next(solved) for _ in range(fold))] == bounds[:fold]
-        with pytest.raises(ConvergenceError,
-                           match="closed-form solve did not converge"):
-            next(solved)
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^fold 2: .*ill-conditioned") as err:
+            propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1], [4]])
+        assert isinstance(err.value.__cause__, NumericalDegeneracyError)
+        assert solves == []
 
 
 class TestSolve:
@@ -366,7 +362,7 @@ class TestInputContract:
 def first_fold(tm, label_matrix):
     """propagate_folds on one fold that hides the first seed."""
     hidden = np.flatnonzero(label_matrix.labeled_mask)[:1]
-    return next(propagate_folds(tm, label_matrix, [hidden]))
+    return propagate_folds(tm, label_matrix, [hidden])[0]
 
 
 SOLVERS = {"iterative": propagate_iterative, "closed": propagate_closed_form,

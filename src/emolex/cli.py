@@ -18,7 +18,7 @@ from .graph import PropagationParams
 from .lexicon import EmotionSet, load_seed_lexicon, write_lexicon_json, write_lexicon_tsv
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
-from .solver import expand
+from .solver import check_solver_options, expand
 
 
 class ConfigError(ValueError):
@@ -153,8 +153,12 @@ def _solver_options(cfg):
     solver = cfg.get("solver", "auto")
     if solver not in FLAGS["solver"]["choices"]:
         raise ConfigError("unknown solver %r" % (solver,))
-    return {"solver": solver, "tol": float(cfg.get("tol", 1e-6)),
-            "max_iter": cfg.integer("max_iter", 1000)}
+    tol = cfg.get("tol", 1e-6)
+    if isinstance(tol, bool):
+        raise ConfigError("'tol' must be a number, not %r" % (tol,))
+    tol, max_iter = float(tol), cfg.integer("max_iter", 1000)
+    check_solver_options(tol, max_iter)
+    return {"solver": solver, "tol": tol, "max_iter": max_iter}
 
 
 def _load_inputs(cfg):

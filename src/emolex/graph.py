@@ -273,15 +273,11 @@ class TransitionOperator:
 def build_transition(store, params, labeled_mask):
     """Build the transition operator of the whole vocabulary graph.
 
-    `labeled_mask` is validated (at least one labeled and one unlabeled word)
-    but does not shape the operator: the solvers take the partition from
-    their LabelMatrix.
+    The graph comes from the embeddings alone; the solvers check the seed
+    split. `labeled_mask` is checked only for its length: it stays because
+    the benchmark's reference solver passes it.
     """
-    labeled_mask = np.asarray(labeled_mask, dtype=bool)
-    if labeled_mask.shape != (len(store),):
+    if np.shape(labeled_mask) != (len(store),):
         raise ValueError("labeled mask length mismatch")
-    n_labeled = int(labeled_mask.sum())
-    if n_labeled == 0 or n_labeled == len(store):
-        raise ValueError("need at least one labeled and one unlabeled node")
     x = store.vectors if params.kernel == EUCLIDEAN_RBF else store.unit_vectors
     return TransitionOperator(raw_weights(x, params), params.epsilon)

@@ -98,16 +98,22 @@ def _certified(method, iterations, residual, mass, cond_bound, tol):
                        cond_bound)
 
 
-def _check_inputs(label_matrix, tol, max_iter=1):
-    """The input contract of every solver: a positive tol, at least one
-    iteration for the solvers that iterate, and at least one labeled and one
-    unlabeled row."""
+def check_solver_options(tol, max_iter):
+    """Refuse a tol that is not positive and finite, or a max_iter below 1."""
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == np.inf:
+        raise ValueError("tol must be finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+
+
+def _check_inputs(label_matrix, tol, max_iter=1):
+    """The input contract of every solve, which every entry point checks
+    before any work: a seed split, then `check_solver_options`."""
     if not 0 < label_matrix.n_labeled < len(label_matrix.rows):
-        raise ValueError("need at least one labeled and one unlabeled row")
+        raise ValueError("need at least one labeled and one unlabeled node")
+    check_solver_options(tol, max_iter)
 
 
 def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
@@ -402,7 +408,7 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
         rows = label_matrix.rows.copy()
         rows[hidden] = 1.0 / m
         fold = LabelMatrix(rows, mask)
-        _check_inputs(fold, tol)
+        _check_inputs(fold, tol, max_iter)
         set_up.append((hidden, fold))
     if not set_up:
         return []
@@ -447,6 +453,7 @@ def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
     label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
+    _check_inputs(label_matrix, tol, max_iter)
     tm = build_transition(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
     return ExpansionResult(store.vocab, seed.emotions, solved.rows,
@@ -464,10 +471,6 @@ def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
-    # Any fold's training mask validates the build; the operator itself
-    # does not depend on it.
-    train_mask = label_matrix.labeled_mask.copy()
-    train_mask[hidden[0]] = False
-    tm = build_transition(store, params, train_mask)
+    tm = build_transition(store, params, label_matrix.labeled_mask)
     return [solved.rows for solved, _ in
             propagate_folds(tm, label_matrix, hidden, solver, tol, max_iter)]

@@ -195,12 +195,17 @@ class TestOptimize:
         assert params["b"] == float(row[4])
         assert params["epsilon"] == float(row[5])
 
-    def test_batch_mode_echoes_config(self, tmp_path):
-        config = write_config(tmp_path,
-                              fit={"mode": "batch", "batch_size": 6,
-                                   "num_batches": 4, "epochs_per_batch": 3,
-                                   "learning_rate": 0.1}, seed=11)
-        assert main(["optimize", "--config", config]) == 0
+    # The mode comes from the fit request, the top-level "mode" key or the
+    # --mode flag; either of the last two overrides fit.mode.
+    @pytest.mark.parametrize("source", ["fit", "key", "flag"])
+    def test_batch_mode_echoes_config(self, tmp_path, source):
+        fit = {"mode": "batch" if source == "fit" else "full",
+               "batch_size": 6, "num_batches": 4, "epochs_per_batch": 3,
+               "learning_rate": 0.1}
+        mode = {"mode": "batch"} if source == "key" else {}
+        config = write_config(tmp_path, fit=fit, seed=11, **mode)
+        flag = ["--mode", "batch"] if source == "flag" else []
+        assert main(["optimize", "--config", config] + flag) == 0
         meta = json.loads(read(str(tmp_path / "out"), "optimize_meta.json"))
         assert meta["optimizer"]["mode"] == "batch"
         assert meta["params_epoch"] is None
@@ -550,7 +555,8 @@ class TestConfigChecks:
     FIT = {"mode": "full", "epochs": 2, "learning_rate": 0.5}
 
     @staticmethod
-    def refused(tmp_path, capsys, monkeypatch, command, **overrides):
+    def refused(tmp_path, capsys, monkeypatch, command, error="ConfigError",
+                **overrides):
         def no_load(path, *args):
             raise AssertionError("an input was read: %s" % path)
         monkeypatch.setattr(cli, "load_embeddings", no_load)
@@ -560,7 +566,7 @@ class TestConfigChecks:
         assert main([command, "--config", config]) == 1
         assert not (tmp_path / "out").exists()
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
+        assert err["error"] == error
         return err["message"]
 
     # A misspelt key is refused, not dropped: dropped, this config would run
@@ -592,6 +598,48 @@ class TestConfigChecks:
         message = self.refused(tmp_path, capsys, monkeypatch, command,
                                **run, **{key: value})
         assert message == "%r must be an integer, not %r" % (key, value)
+
+    # The solver options are refused as every solve refuses them, before
+    # any input is read. Else JSON true would run at tol 1.0, Infinity at
+    # no tol at all, and max_iter 0 whenever auto takes the closed form.
+    @pytest.mark.parametrize("command", ["expand", "evaluate"])
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("tol", True, "ConfigError", "'tol' must be a number, not True"),
+        ("tol", float("inf"), "ValueError", "tol must be finite"),
+        ("tol", 0, "ValueError", "tol must be positive"),
+        ("tol", NAN, "ValueError", "tol must be positive"),
+        ("max_iter", 0, "ValueError", "max_iter must be at least 1")])
+    def test_bad_solver_option_refused(self, tmp_path, capsys, monkeypatch,
+                                       command, key, value, error, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, command, error,
+                            params=PARAMS, **{key: value}) == message
+
+    # Each command names the first part of its run that the config lacks.
+    @pytest.mark.parametrize("command, missing, message", [
+        ("expand", "config", "config file not found: "),
+        ("expand", "embeddings", "config key 'embeddings' is required"),
+        ("optimize", "seed_lexicon", "config key 'seed_lexicon' is required"),
+        ("expand", "out", "an output directory ('out') is required"),
+        ("evaluate", "params", "fixed 'params' or a 'params_file' is "
+                               "required"),
+        ("optimize", "fit", "a 'fit' request is required")])
+    def test_missing_part_refused(self, tmp_path, capsys, command, missing,
+                                  message):
+        run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
+        config = write_config(tmp_path, corpus=data_path("mini_corpus.tsv"),
+                              **run)
+        if missing == "config":
+            config = str(tmp_path / "absent.json")
+            message += config
+        else:
+            data = json.loads(read(str(tmp_path), "config.json"))
+            del data[missing]
+            (tmp_path / "config.json").write_text(json.dumps(data),
+                                                  encoding="utf-8")
+        assert main([command, "--config", config]) == 1
+        assert not (tmp_path / "out").exists()
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": message}
 
     def test_integral_float_accepted(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS, k_folds=3.0, seed=1.0,

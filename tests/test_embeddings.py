@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emolex.embeddings import EmbeddingFormatError, load_embeddings
+from emolex.embeddings import (EmbeddingFormatError, EmbeddingStore,
+                               Vocabulary, load_embeddings)
 
 from conftest import make_store
 
@@ -56,6 +57,15 @@ class TestLoad:
             load_embeddings(write_file(tmp_path, text))
         assert err.value.line_no == line_no
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("2 x\na 1 0\n", "line 1: non-integer header field"),
+        ("-1 2\n", "line 1: header counts must be positive"),
+        ("1 2\na 1 x\n", "line 2: unparseable vector component")])
+    def test_malformed_file_refused(self, tmp_path, text, message):
+        with pytest.raises(EmbeddingFormatError, match="^%s$" % message):
+            load_embeddings(write_file(tmp_path, text))
+
     def test_crlf_tolerated(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"2 2\r\na 1 0\r\nb 0 1\r\n")
@@ -66,6 +76,21 @@ class TestLoad:
 def cosine(store, i, j):
     u = store.unit_vectors
     return float(u[i] @ u[j])
+
+
+class TestStore:
+    def test_duplicate_token_refused(self):
+        with pytest.raises(ValueError, match="^duplicate token: 'a'$"):
+            Vocabulary(["a", "b", "a"])
+
+    @pytest.mark.parametrize("vectors, message", [
+        ([1.0, 0.0], "vectors must be a 2-D array"),
+        ([[1.0, 0.0]], "vector count 1 != vocabulary size 2"),
+        ([[1.0, 0.0], [np.inf, 1.0]], "non-finite vector component"),
+        ([[1.0, 0.0], [0.0, 0.0]], "zero vector for token 'b'")])
+    def test_malformed_vectors_refused(self, vectors, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            EmbeddingStore(Vocabulary(["a", "b"]), vectors)
 
 
 class TestCosine:

@@ -250,6 +250,23 @@ class TestCrossValidate:
         cross_validate(store, seed, expander, k=10, rng_seed=0)
         assert len(builds) == 12
 
+    # The graph does not judge the seed split: with every word seeded, each
+    # fold's hidden seeds are its only unlabeled rows.
+    def test_all_seeded_vocabulary_cross_validates(self, ekman):
+        store = two_cluster_store(20, dim=6, separation=2.0, seed=6)
+        seed = two_cluster_seed(store, ekman, 20)
+        params = PropagationParams(alpha=4.0, b=-1.0, epsilon=0.05)
+        report = cross_validate(store, seed, label_prop_expander(params),
+                                k=3, rng_seed=0)
+        assert len(report.per_fold) == 3
+        per_fold = []
+        for held_out in make_folds(sorted(seed.entries), 3, 0):
+            result = expand(store, without(seed, held_out), params)
+            per_fold.append(float(np.mean(
+                [kl_divergence(seed.distribution(t), result.distribution(t))
+                 for t in held_out])))
+        assert np.max(np.abs(np.subtract(report.per_fold, per_fold))) <= 1e-12
+
     # The expander returns every fold's array, so its graph operator is
     # freed before the first fold is scored.
     @pytest.mark.parametrize("solver", ["closed", "cg"])

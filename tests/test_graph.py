@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ class TestParams:
         again = PropagationParams.from_dict(params.to_dict())
         assert again.to_dict() == params.to_dict()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"kernel": "cosine", "alpha": 1.0, "b": 0.0}, "unknown kernel 'cosine'"),
+        ({"alpha": [[1.0, 2.0]], "b": 0.0},
+         "alpha must be a scalar or a 1-D vector")])
+    def test_malformed_params_refused(self, raw, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            PropagationParams(**raw)
+
+    # The weight kernel, not the params, knows the embedding dimension.
+    def test_alpha_vector_length_must_match_dimension(self):
+        store = make_store(np.eye(3))
+        params = PropagationParams(alpha=[1.0, 2.0], b=0.0)
+        with pytest.raises(ValueError, match="^alpha vector length 2 != "
+                           "embedding dim 3$"):
+            build_transition(store, params, [True, False, False])
+
     # A dropped misspelt key would leave its parameter at its default.
     def test_unknown_key_refused(self):
         with pytest.raises(ValueError, match="unknown params key.*epsilom"):
@@ -153,15 +170,19 @@ class TestBuildTransition:
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(t >= 0)
 
+    # The graph comes from the embeddings alone: even a mask with no
+    # unlabeled or no labeled word builds the same operator.
     def test_independent_of_labeled_mask(self):
         rng = np.random.default_rng(7)
         store = make_store(rng.normal(size=(5, 3)))
         params = PropagationParams(alpha=1.0, b=0.0)
         a = build_transition(store, params, [False, True, False, True, False])
-        b = build_transition(store, params, [True, False, False, False, False])
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.col, b.col)
-        assert np.array_equal(a.row, b.row)
+        for mask in ([True, False, False, False, False], [True] * 5,
+                     [False] * 5):
+            b = build_transition(store, params, mask)
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.col, b.col)
+            assert np.array_equal(a.row, b.row)
         for i in range(5):
             for j in range(5):
                 assert a.w[i, j] == pytest.approx(
@@ -253,12 +274,6 @@ class TestBuildTransition:
             buf = np.full((7, 7), np.nan)
             assert raw_weights(x, params, out=buf) is buf
             assert np.array_equal(buf, raw_weights(x, params))
-
-    def test_all_labeled_rejected(self):
-        store = make_store(np.eye(2))
-        with pytest.raises(ValueError):
-            build_transition(store, PropagationParams(alpha=1.0, b=0.0),
-                             [True, True])
 
 
 class TestSmoothing:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from emolex import (EKMAN_SIX, EmotionSet, Vocabulary, init_label_matrix,
-                    load_seed_lexicon, seed_to_distribution,
-                    write_lexicon_json, write_lexicon_tsv)
+from emolex import (EKMAN_SIX, EmotionSet, LabelMatrix, SeedLexicon,
+                    Vocabulary, init_label_matrix, load_seed_lexicon,
+                    seed_to_distribution, write_lexicon_json,
+                    write_lexicon_tsv)
 from emolex.lexicon import LexiconFormatError
 
 
@@ -131,6 +132,26 @@ class TestInitLabelMatrix:
             init_label_matrix(vocab, seed, EmotionSet(names))
         lm, _ = init_label_matrix(vocab, seed, EmotionSet(EKMAN_SIX))
         assert np.array_equal(lm.rows[0], [1, 0, 0, 0, 0, 0])
+
+
+class TestSeedLexicon:
+    @pytest.mark.parametrize("flags, message", [
+        ([1, 0, 0], "flag vector for 'w' has wrong length"),
+        ([0] * 6, "entry 'w' has no positive flag")])
+    def test_malformed_entry_refused(self, ekman, flags, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            SeedLexicon({"w": flags}, ekman)
+
+
+class TestLabelMatrix:
+    @pytest.mark.parametrize("rows, mask, message", [
+        ([0.5, 0.5], [True], "inconsistent label matrix shapes"),
+        ([[0.5, 0.5]], [True, False], "inconsistent label matrix shapes"),
+        ([[1.5, -0.5]], [True], "negative probability component"),
+        ([[0.5, 0.4]], [True], "rows must sum to 1")])
+    def test_malformed_rows_refused(self, rows, mask, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            LabelMatrix(rows, mask)
 
 
 class TestEmotionSet:

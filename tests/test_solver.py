@@ -8,7 +8,7 @@ from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
                     propagate_iterative)
 from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
                           build_transition)
-from emolex.solver import MAX_CONDITION, solve
+from emolex.solver import MAX_CONDITION, expand_folds, solve
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
 
@@ -267,6 +267,26 @@ class TestFolds:
         with pytest.raises(ValueError, match="tol must be positive"):
             propagate_folds(tm, lm, folds, tol=float("nan"))
 
+    # The factorization has no iterations to bound, but a max_iter of 0 is
+    # refused under it as under the solvers that iterate.
+    @pytest.mark.parametrize("solver", ["auto", "closed", "cg", "iterative"])
+    def test_zero_iterations_refused_under_every_solver(self, monkeypatch,
+                                                        solver):
+        tm, lm, folds = fold_instance(0.01, 4, 8)
+
+        def no_solve(*args):
+            raise AssertionError("a fold was solved")
+        monkeypatch.setattr(solver_module, "_factorized_folds", no_solve)
+        monkeypatch.setattr(solver_module, "solve", no_solve)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            propagate_folds(tm, lm, folds, solver=solver, max_iter=0)
+
+    def test_no_folds_expand_to_nothing(self, ekman):
+        store = two_cluster_store(4, dim=4, seed=4)
+        seed = two_cluster_seed(store, ekman, 1)
+        params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.1)
+        assert expand_folds(store, seed, params, []) == []
+
 
     def test_batched_reports_match_fold_by_fold(self):
         # One product gives every fold's labeled mass and one more every
@@ -344,6 +364,13 @@ class TestInputContract:
         tm, lm = two_node_instance()
         with pytest.raises(ValueError, match="tol must be positive"):
             solve(tm, lm, tol=float("nan"))
+
+    @pytest.mark.parametrize("solve", [propagate_closed_form,
+                                       propagate_iterative, propagate_cg])
+    def test_infinite_tol_refused(self, solve):
+        tm, lm = two_node_instance()
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve(tm, lm, tol=float("inf"))
 
     @pytest.mark.parametrize("solve", [propagate_iterative, propagate_cg])
     def test_zero_iterations_refused(self, solve):
@@ -543,6 +570,26 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(store, seed, params, solver="cg", tol=-1,
                    max_iter=0)
+
+    # The seed split and the solver options are refused before the n x n
+    # build: max_iter 0 too, although `auto` takes the closed form here.
+    @pytest.mark.parametrize("seeded, options, message", [
+        ("xy", {}, "need at least one labeled and one unlabeled node"),
+        ("x", {"tol": 0.0}, "tol must be positive"),
+        ("x", {"tol": float("inf")}, "tol must be finite"),
+        ("x", {"max_iter": 0}, "max_iter must be at least 1")])
+    def test_refused_before_graph_build(self, monkeypatch, seeded, options,
+                                        message):
+        def no_build(*args):
+            raise AssertionError("the graph was built")
+        monkeypatch.setattr(solver_module, "build_transition", no_build)
+        emotions = EmotionSet(("a", "b"))
+        store = make_store([[1.0, 0.0], [0.0, 1.0]], ["x", "y"])
+        flags = {"x": [1, 0], "y": [0, 1]}
+        seed = SeedLexicon({t: flags[t] for t in seeded}, emotions)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            expand(store, seed, PropagationParams(alpha=1.0, b=0.0),
+                   **options)
 
     def test_identical_embeddings_give_label_average(self):
         emotions = EmotionSet(("a", "b"))

@@ -18,7 +18,7 @@ from .graph import PropagationParams
 from .lexicon import EmotionSet, load_seed_lexicon, write_lexicon_json, write_lexicon_tsv
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
-from .solver import check_solver_options, expand
+from .solver import SOLVERS, check_solver_options, expand
 
 
 class ConfigError(ValueError):
@@ -151,7 +151,7 @@ def _kernel_name(short):
 
 def _solver_options(cfg):
     solver = cfg.get("solver", "auto")
-    if solver not in FLAGS["solver"]["choices"]:
+    if solver not in SOLVERS:
         raise ConfigError("unknown solver %r" % (solver,))
     tol = cfg.get("tol", 1e-6)
     if isinstance(tol, bool):
@@ -284,7 +284,7 @@ def cmd_baseline(cfg):
 # The config overrides, and which of them each command reads.
 FLAGS = {"seed": {"type": int, "help": "override the run rng seed"},
          "out": {"help": "override the output directory"},
-         "solver": {"choices": ["iterative", "closed", "cg", "auto"]},
+         "solver": {"choices": SOLVERS},
          "kernel": {"choices": ["cosine", "euclidean"]},
          "mode": {"choices": ["full", "batch"]}}
 COMMANDS = {"expand": (cmd_expand, ("out", "solver", "kernel")),

@@ -93,15 +93,16 @@ def load_embeddings(path):
     """Load a word2vec-style text embedding file.
 
     The file starts with a "<count> <dim>" header, followed by one line per
-    word: the token and dim whitespace-separated decimals. UTF-8, LF or CRLF.
-    Tokens are taken as written.
-
-    Returns an EmbeddingStore whose `vocab` holds every word in file order.
-    Malformed rows, duplicates, non-finite components, and zero vectors are
-    errors reported with their line number. So is a word count other than
-    the header's: too few rows are reported at the header, too many at the
-    first extra row. For a subset, build
+    word: the token and dim whitespace-separated components, each what
+    `np.loadtxt` reads as a float. UTF-8, LF or CRLF. Tokens are taken as
+    written. Returns an EmbeddingStore whose `vocab` holds every word in
+    file order; for a subset, build
     `EmbeddingStore(Vocabulary(words), store.vectors[keep])`.
+
+    Errors name their line and are reported by kind: a row count other
+    than the header's (too few at the header, too many at the first extra
+    row), a row's field count or unparseable component, a duplicate token,
+    a non-finite component, then a zero vector, each at its first line.
     """
     with open(path, encoding="utf-8", newline=None) as fh:
         text = fh.read()
@@ -109,64 +110,62 @@ def load_embeddings(path):
         raise EmbeddingFormatError("empty file", 1)
     lines = text.split("\n")
     count, dim = _parse_header(lines[0], 1)
-    parsed = _parse_fast(lines, count, dim)
-    words, vectors = parsed if parsed else _parse_checked(lines, count, dim)
-    return EmbeddingStore(Vocabulary(words), vectors)
-
-
-def _parse_fast(lines, count, dim):
-    """(words, vectors) read by numpy's C parser, or None when any row
-    fails a check; `_parse_checked` then finds and reports it."""
-    pairs = [line.split(None, 1) for line in lines[1:] if line]
-    if not pairs or len(pairs) != count or any(len(p) != 2 for p in pairs):
-        return None
+    rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
+    if len(rows) > count:
+        raise EmbeddingFormatError(
+            "more rows than the header's %d words" % count, rows[count][0])
+    if len(rows) < count:
+        raise EmbeddingFormatError("header declares %d words, the file has %d"
+                                   % (count, len(rows)), 1)
+    if not rows:
+        return EmbeddingStore(Vocabulary([]), np.empty((0, dim)))
+    pairs = [line.split(None, 1) for _, line in rows]
+    vectors = (_components([rest for _, rest in pairs], dim)
+               if all(len(pair) == 2 for pair in pairs) else None)
+    if vectors is None:
+        _refuse_unread_row(rows, dim)
     words = [token for token, _ in pairs]
-    if len(set(words)) != count:
-        return None
     try:
-        # Without usecols, loadtxt refuses rows whose field counts differ.
-        vectors = np.loadtxt([rest for _, rest in pairs], dtype=np.float64,
-                             comments=None, ndmin=2)
+        return EmbeddingStore(Vocabulary(words), vectors)
+    except ValueError:
+        _refuse_stored_row(rows, words, vectors)
+
+
+def _components(texts, dim):
+    """The (len(texts), dim) array np.loadtxt reads from the component
+    texts, or None when it refuses them or reads another shape."""
+    try:
+        vectors = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if (vectors.shape != (count, dim) or not np.all(np.isfinite(vectors))
-            or not np.all(np.any(vectors, axis=1))):
-        return None
-    return words, vectors
+    return vectors if vectors.shape == (len(texts), dim) else None
 
 
-def _parse_checked(lines, count, dim):
-    """(words, vectors) parsed line by line; raises EmbeddingFormatError
-    with the line number of the first malformed row."""
-    words = []
-    rows = []
-    seen = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        if len(words) == count:
-            raise EmbeddingFormatError(
-                "more rows than the header's %d words" % count, line_no)
-        parts = line.split()
-        if len(parts) != dim + 1:
+def _refuse_unread_row(rows, dim):
+    """Raise for the first row that is not a token and dim components
+    `_components` reads; np.loadtxt reads each row on its own."""
+    for line_no, line in rows:
+        fields = line.split()
+        if len(fields) != dim + 1:
             raise EmbeddingFormatError(
                 "expected token + %d components, got %d fields"
-                % (dim, len(parts)), line_no)
-        token = parts[0]
-        if token in seen:
+                % (dim, len(fields)), line_no)
+        if _components([line.split(None, 1)[1]], dim) is None:
+            raise EmbeddingFormatError("unparseable vector component", line_no)
+    raise AssertionError("np.loadtxt refused the rows but none alone")
+
+
+def _refuse_stored_row(rows, words, vectors):
+    """Raise for the first row, by kind, that Vocabulary or EmbeddingStore
+    refuses: a duplicate token, a non-finite component, else a zero vector."""
+    first = {}
+    for (line_no, _), token in zip(rows, words):
+        if first.setdefault(token, line_no) != line_no:
             raise EmbeddingFormatError("duplicate token %r" % token, line_no)
-        seen.add(token)
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise EmbeddingFormatError("unparseable vector component", line_no) from None
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError("non-finite vector component", line_no)
-        if not np.any(vec):
-            raise EmbeddingFormatError("zero vector for token %r" % token, line_no)
-        words.append(token)
-        rows.append(vec)
-    if len(words) != count:
-        raise EmbeddingFormatError("header declares %d words, the file has %d"
-                                   % (count, len(words)), 1)
-    return words, np.vstack(rows) if rows else np.empty((0, dim))
+    finite = np.all(np.isfinite(vectors), axis=1)
+    if not np.all(finite):
+        raise EmbeddingFormatError("non-finite vector component",
+                                   rows[np.argmin(finite)][0])
+    row = int(np.argmin(np.linalg.norm(vectors, axis=1)))
+    raise EmbeddingFormatError("zero vector for token %r" % words[row],
+                               rows[row][0])

@@ -173,7 +173,7 @@ def load_corpus(path, emotions):
     texts = []
     with open(path, encoding="utf-8", newline=None) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t", 1)

@@ -89,7 +89,7 @@ def load_seed_lexicon(path, emotions):
     seen_pairs = {}
     with open(path, encoding="utf-8", newline=None) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")

@@ -9,6 +9,9 @@ import numpy as np
 from .graph import NumericalDegeneracyError, build_transition
 from .lexicon import LabelMatrix, init_label_matrix
 
+# The names `solve` accepts for its `solver` argument.
+SOLVERS = ("iterative", "closed", "cg", "auto")
+
 # Closed form is auto-selected below this many unlabeled nodes; above it the
 # u x u factorization becomes the expensive path.
 CLOSED_FORM_MAX_UNLABELED = 2000
@@ -98,8 +101,11 @@ def _certified(method, iterations, residual, mass, cond_bound, tol):
                        cond_bound)
 
 
-def check_solver_options(tol, max_iter):
-    """Refuse a tol that is not positive and finite, or a max_iter below 1."""
+def check_solver_options(tol, max_iter, solver="auto"):
+    """Refuse a solver outside SOLVERS, a tol that is not positive and
+    finite, or a max_iter below 1."""
+    if solver not in SOLVERS:
+        raise ValueError("unknown solver %r" % (solver,))
     if not tol > 0:
         raise ValueError("tol must be positive")
     if tol == np.inf:
@@ -108,12 +114,12 @@ def check_solver_options(tol, max_iter):
         raise ValueError("max_iter must be at least 1")
 
 
-def _check_inputs(label_matrix, tol, max_iter=1):
+def _check_inputs(label_matrix, tol, max_iter=1, solver="auto"):
     """The input contract of every solve, which every entry point checks
     before any work: a seed split, then `check_solver_options`."""
     if not 0 < label_matrix.n_labeled < len(label_matrix.rows):
         raise ValueError("need at least one labeled and one unlabeled node")
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol, max_iter, solver)
 
 
 def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
@@ -408,7 +414,7 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
         rows = label_matrix.rows.copy()
         rows[hidden] = 1.0 / m
         fold = LabelMatrix(rows, mask)
-        _check_inputs(fold, tol, max_iter)
+        _check_inputs(fold, tol, max_iter, solver)
         set_up.append((hidden, fold))
     if not set_up:
         return []
@@ -453,7 +459,7 @@ def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
     label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
-    _check_inputs(label_matrix, tol, max_iter)
+    _check_inputs(label_matrix, tol, max_iter, solver)
     tm = build_transition(store, params, label_matrix.labeled_mask)
     solved, report = solve(tm, label_matrix, solver, tol, max_iter)
     return ExpansionResult(store.vocab, seed.emotions, solved.rows,
@@ -466,11 +472,14 @@ def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
     held-out seed tokens in `folds`, returns, in order, the distributions
     `expand` returns for the seed without those tokens. All folds share one
     label matrix and one operator, which `propagate_folds` solves them on
-    and which is freed when this returns. A fold whose solve is refused or
-    not certified raises, its message prefixed "fold <f>: ".
+    and which is freed when this returns. The solver options are checked
+    before the operator is built; the seed split is checked per fold, so an
+    all-seeded vocabulary still cross-validates. A fold whose solve is
+    refused or not certified raises, its message prefixed "fold <f>: ".
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
+    check_solver_options(tol, max_iter, solver)
     tm = build_transition(store, params, label_matrix.labeled_mask)
     return [solved.rows for solved, _ in
             propagate_folds(tm, label_matrix, hidden, solver, tol, max_iter)]

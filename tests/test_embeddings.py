@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,14 +59,31 @@ class TestLoad:
             load_embeddings(write_file(tmp_path, text))
         assert err.value.line_no == line_no
 
+    # A component is what np.loadtxt reads: Python's float() also takes
+    # "1_0" and non-ASCII digits, numpy does not. Errors are reported by
+    # kind, so a parse error outranks an earlier zero vector.
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: empty file"),
         ("2 x\na 1 0\n", "line 1: non-integer header field"),
         ("-1 2\n", "line 1: header counts must be positive"),
-        ("1 2\na 1 x\n", "line 2: unparseable vector component")])
+        ("1 2\na 1 x\n", "line 2: unparseable vector component"),
+        ("2 2\na 1_0 2\nb 1 1\n", "line 2: unparseable vector component"),
+        ("1 2\na \u0661 2\n", "line 2: unparseable vector component"),
+        ("2 2\na 1 0\nb\n",
+         "line 3: expected token + 2 components, got 1 fields"),
+        ("2 2\na 1 0\n \t\n",
+         "line 3: expected token + 2 components, got 0 fields"),
+        ("2 2\na 0 0\nb 1 x\n", "line 3: unparseable vector component"),
+        ("1 2\na 1e-200 0\n", "line 2: zero vector for token 'a'")])
     def test_malformed_file_refused(self, tmp_path, text, message):
-        with pytest.raises(EmbeddingFormatError, match="^%s$" % message):
+        with pytest.raises(EmbeddingFormatError,
+                           match="^%s$" % re.escape(message)):
             load_embeddings(write_file(tmp_path, text))
+
+    def test_no_words_load_an_empty_store(self, tmp_path):
+        store = load_embeddings(write_file(tmp_path, "0 2\n"))
+        assert len(store.vocab) == 0
+        assert store.vectors.shape == (0, 2)
 
     def test_crlf_tolerated(self, tmp_path):
         path = tmp_path / "crlf.txt"

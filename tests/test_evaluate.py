@@ -569,6 +569,21 @@ class TestLoadCorpus:
             load_corpus(str(path), ekman)
         assert err.value.line_no == 1
 
+    # Blank lines are skipped, and still count in line numbers.
+    def test_blank_lines_skipped(self, tmp_path, ekman):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\njoy\tgood day\n\nserenity\tcalm\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(str(path), ekman)
+        assert err.value.line_no == 4
+
+    def test_crlf_tolerated(self, tmp_path, ekman):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"joy\tgood day\r\n\r\nfear\tdark\r\n")
+        assert load_corpus(str(path), ekman) == [("joy", ["good", "day"]),
+                                                 ("fear", ["dark"])]
+
     def test_missing_tab(self, tmp_path, ekman):
         path = tmp_path / "bad.tsv"
         path.write_text("joy no tab separator here\n", encoding="utf-8")

@@ -146,6 +146,11 @@ class TestParams:
 
 
 class TestBuildTransition:
+    def test_mask_length_mismatch_refused(self):
+        store = make_store(np.eye(3))
+        with pytest.raises(ValueError, match="^labeled mask length mismatch$"):
+            build_transition(store, PropagationParams(alpha=1.0, b=0.0), [True])
+
     def test_two_node_symmetric(self):
         store = make_store([[1.0, 0.0], [0.0, 1.0]])
         params = PropagationParams(alpha=0.0, b=0.0)

@@ -45,6 +45,21 @@ class TestLoadSeedLexicon:
         with pytest.raises(LexiconFormatError, match="0 or 1"):
             load_seed_lexicon(path, ekman)
 
+    # Blank lines are skipped, and still count in line numbers.
+    def test_blank_lines_skipped(self, tmp_path, ekman):
+        path = tmp_path / "seed.tsv"
+        path.write_text("\nw\tfear\t1\n\nbad\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as err:
+            load_seed_lexicon(str(path), ekman)
+        assert err.value.line_no == 4
+
+    def test_crlf_tolerated(self, tmp_path, ekman):
+        path = tmp_path / "seed.tsv"
+        path.write_bytes(b"w\tfear\t1\r\n\r\nv\tjoy\t1\r\n")
+        seed = load_seed_lexicon(str(path), ekman)
+        assert np.array_equal(seed.entries["w"], [0, 0, 1, 0, 0, 0])
+        assert np.array_equal(seed.entries["v"], [0, 0, 0, 1, 0, 0])
+
     def test_malformed_row(self, tmp_path, ekman):
         path = tmp_path / "bad.tsv"
         path.write_text("just-one-field\n", encoding="utf-8")

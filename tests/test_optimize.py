@@ -135,6 +135,15 @@ class TestGradient:
         _, grads = entropy_gradient(store, lm, params, unroll_steps=8)
         assert grads["b"] == pytest.approx(0.0, abs=1e-10)
 
+    # At b = -800 every weight underflows to 0: the pass refuses the graph
+    # with the operator's own message.
+    def test_zero_mass_is_gradient_error(self):
+        store, _, lm = small_instance()
+        with pytest.raises(GradientError,
+                           match="^zero or non-finite column mass; "):
+            _forward_backward(store.unit_vectors, lm.labeled_mask, lm.rows,
+                              0.0, -800.0, 0.1, 3)
+
     def test_requires_cosine_kernel(self):
         store, _, lm = small_instance()
         params = PropagationParams(kernel="euclidean-rbf", sigma=1.0)
@@ -298,6 +307,10 @@ class TestFitFull:
         with pytest.raises(ValueError):
             OptimizerConfig(epochs=0)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^mode must be 'full' or 'batch'$"):
+            OptimizerConfig(mode="x")
+
     def test_descent_with_small_rate(self, ekman):
         store, _, _ = None, None, None
         store = two_cluster_store(5, dim=4, separation=3.0, seed=6)
@@ -349,6 +362,17 @@ class TestFitFull:
         config = OptimizerConfig(mode="full", learning_rate=1e7, epochs=6)
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
             fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+
+    # From an init where every weight underflows, no halving of the rate
+    # reaches a usable graph: the fit ends with the operator's refusal.
+    def test_zero_mass_init_gives_up_after_three_halvings(self, ekman):
+        store = two_cluster_store(5, dim=4, separation=3.0, seed=6)
+        seed = two_cluster_seed(store, ekman, 1)
+        config = OptimizerConfig(mode="full", epochs=3)
+        with pytest.raises(GradientError, match="^entropy diverged after 3 "
+                           "learning-rate halvings: zero or non-finite column "
+                           "mass; "):
+            fit_full(store, seed, config, init={"alpha": 0.0, "b": -800.0})
 
     # A step whose b overflows to -inf is divergence like any other; the
     # fit used to go on from b = -inf.

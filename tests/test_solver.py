@@ -281,6 +281,23 @@ class TestFolds:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             propagate_folds(tm, lm, folds, solver=solver, max_iter=0)
 
+    # The solver options are refused before the n x n build, as in `expand`.
+    # The seed split is not: an all-seeded vocabulary still cross-validates.
+    @pytest.mark.parametrize("options, message", [
+        ({"solver": "gmres"}, "unknown solver 'gmres'"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1")])
+    def test_expand_folds_refused_before_graph_build(self, monkeypatch, ekman,
+                                                     options, message):
+        def no_build(*args):
+            raise AssertionError("the graph was built")
+        monkeypatch.setattr(solver_module, "build_transition", no_build)
+        store = two_cluster_store(4, dim=4, seed=4)
+        seed = two_cluster_seed(store, ekman, 1)
+        params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.1)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            expand_folds(store, seed, params, [["c0_0"]], **options)
+
     def test_no_folds_expand_to_nothing(self, ekman):
         store = two_cluster_store(4, dim=4, seed=4)
         seed = two_cluster_seed(store, ekman, 1)
@@ -577,7 +594,8 @@ class TestExpand:
         ("xy", {}, "need at least one labeled and one unlabeled node"),
         ("x", {"tol": 0.0}, "tol must be positive"),
         ("x", {"tol": float("inf")}, "tol must be finite"),
-        ("x", {"max_iter": 0}, "max_iter must be at least 1")])
+        ("x", {"max_iter": 0}, "max_iter must be at least 1"),
+        ("x", {"solver": "gmres"}, "unknown solver 'gmres'")])
     def test_refused_before_graph_build(self, monkeypatch, seeded, options,
                                         message):
         def no_build(*args):

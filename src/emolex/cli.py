@@ -17,7 +17,8 @@ from . import evaluate as ev
 from .graph import PropagationParams
 from .lexicon import EmotionSet, load_seed_lexicon, write_lexicon_json, write_lexicon_tsv
 from .embeddings import load_embeddings
-from .optimize import OptimizerConfig, fit_batched, fit_full
+from .optimize import (OptimizerConfig, fit_batched, fit_full, is_integral,
+                       is_real)
 from .solver import SOLVERS, check_solver_options, expand
 
 
@@ -86,10 +87,10 @@ class RunConfig:
         return self.data.get(key, default)
 
     def integer(self, key, default):
-        """The integer at `key`; a bool or a number with a fraction is
-        refused rather than truncated."""
+        """The integer at `key`; a bool, a number with a fraction or a value
+        that is not a number is refused rather than truncated or parsed."""
         value = self.data.get(key, default)
-        if isinstance(value, bool) or not float(value).is_integer():
+        if not is_integral(value):
             raise ConfigError("%r must be an integer, not %r" % (key, value))
         return int(value)
 
@@ -154,7 +155,7 @@ def _solver_options(cfg):
     if solver not in SOLVERS:
         raise ConfigError("unknown solver %r" % (solver,))
     tol = cfg.get("tol", 1e-6)
-    if isinstance(tol, bool):
+    if not is_real(tol):
         raise ConfigError("'tol' must be a number, not %r" % (tol,))
     tol, max_iter = float(tol), cfg.integer("max_iter", 1000)
     check_solver_options(tol, max_iter)

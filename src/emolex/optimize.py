@@ -9,6 +9,7 @@ so it stays in (0, 1).
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -17,11 +18,23 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     PropagationParams, TransitionOperator, labeled_mass,
                     logistic, raw_weights, row_blocks)
 from .lexicon import init_label_matrix
-from .solver import condition
+from .solver import check_seed_split, condition
 
 
 class GradientError(RuntimeError):
     """A non-finite gradient, annotated with the parameter at fault."""
+
+
+def is_real(value):
+    """Whether `value` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integral(value):
+    """Whether `value` is a real number without a fraction and not a bool,
+    so that it reads as an int rather than being truncated."""
+    return is_real(value) and (isinstance(value, numbers.Integral)
+                               or float(value).is_integer())
 
 
 @dataclass
@@ -38,11 +51,19 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.mode not in ("full", "batch"):
             raise ValueError("mode must be 'full' or 'batch'")
+        if not is_real(self.learning_rate):
+            raise ValueError("learning_rate must be a number, not %r"
+                             % (self.learning_rate,))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         for name in ("epochs", "unroll_steps", "batch_size", "num_batches",
-                     "epochs_per_batch"):
-            if getattr(self, name) < 1:
+                     "epochs_per_batch", "rng_seed"):
+            value = getattr(self, name)
+            if not is_integral(value):
+                raise ValueError("%s must be an integer, not %r"
+                                 % (name, value))
+            setattr(self, name, int(value))
+            if name != "rng_seed" and value < 1:
                 raise ValueError("%s must be >= 1" % name)
 
     def to_dict(self):
@@ -210,6 +231,8 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
 def entropy_gradient(store, label_matrix, params, unroll_steps=10):
     """Analytic (entropy, gradient) of the unrolled objective at `params`.
 
+    The entropy is H, summed over the unlabeled rows. The fits descend on
+    H/u instead, the mean per unlabeled row, which `trace.csv` records.
     Gradients are reported for alpha (matching its scalar/vector shape), b,
     and the logit of epsilon.
     """
@@ -315,13 +338,16 @@ def _descend(store, label_matrix, batches, steps, config, init):
     return state, best[1:], trace
 
 
-def _label_matrix(store, seed):
-    """The seeds' LabelMatrix over the whole vocabulary; raises unless it
-    has at least one labeled and one unlabeled node."""
-    label_matrix, _ = init_label_matrix(store.vocab, seed)
-    if not 0 < label_matrix.n_labeled < len(store):
-        raise ValueError("need at least one labeled and one unlabeled node")
-    return label_matrix
+def _check_condition(store, labeled, params):
+    """Raise GradientError unless `expand` accepts `params` on the whole
+    vocabulary, where `labeled_mass` streams W and refuses a zero row or
+    column mass and `condition` refuses the bound m = T 1_L gives."""
+    try:
+        mass = labeled_mass(store.unit_vectors, params, labeled)
+        condition(np.min(mass[~labeled]))
+    except NumericalDegeneracyError as exc:
+        raise GradientError("fitted parameters give a graph that expand "
+                            "refuses: %s" % exc) from exc
 
 
 def fit_full(store, seed, config, init=None):
@@ -329,13 +355,17 @@ def fit_full(store, seed, config, init=None):
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from `init` at half the rate. Returns the
-    lowest-entropy iterate; the trace's `params_epoch` is its row.
+    lowest-entropy iterate; the trace's `params_epoch` is its row. As in
+    `fit_batched`, a GradientError is raised when `expand` would refuse it.
     """
-    label_matrix = _label_matrix(store, seed)
+    label_matrix, _ = init_label_matrix(store.vocab, seed)
+    check_seed_split(label_matrix)
     _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
                                        config.epochs, config, init)
     trace.params_epoch = epoch
-    return _params(best), trace
+    params = _params(best)
+    _check_condition(store, label_matrix.labeled_mask, params)
+    return params, trace
 
 
 def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
@@ -347,18 +377,6 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
     lab = rng.choice(labeled_idx, size=n_lab, replace=False)
     unl = rng.choice(unlabeled_idx, size=n_unl, replace=False)
     return np.sort(np.concatenate([lab, unl]))
-
-
-def _check_condition(store, labeled, params):
-    """Raise GradientError unless `expand` accepts `params` on the whole
-    vocabulary, where `labeled_mass` streams W and refuses a zero row or
-    column mass and `condition` refuses the bound m = T 1_L gives."""
-    try:
-        mass = labeled_mass(store.unit_vectors, params, labeled)
-        condition(np.min(mass[~labeled]))
-    except NumericalDegeneracyError as exc:
-        raise GradientError("fitted parameters give a graph that expand "
-                            "refuses: %s" % exc) from exc
 
 
 def fit_batched(store, seed, config, init=None):
@@ -373,7 +391,8 @@ def fit_batched(store, seed, config, init=None):
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
-    label_matrix = _label_matrix(store, seed)
+    label_matrix, _ = init_label_matrix(store.vocab, seed)
+    check_seed_split(label_matrix)
     labeled_idx = np.flatnonzero(label_matrix.labeled_mask)
     unlabeled_idx = np.flatnonzero(~label_matrix.labeled_mask)
     rng = np.random.default_rng(config.rng_seed)

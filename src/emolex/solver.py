@@ -114,11 +114,16 @@ def check_solver_options(tol, max_iter, solver="auto"):
         raise ValueError("max_iter must be at least 1")
 
 
-def _check_inputs(label_matrix, tol, max_iter=1, solver="auto"):
-    """The input contract of every solve, which every entry point checks
-    before any work: a seed split, then `check_solver_options`."""
+def check_seed_split(label_matrix):
+    """Refuse a label matrix without a labeled and an unlabeled row."""
     if not 0 < label_matrix.n_labeled < len(label_matrix.rows):
         raise ValueError("need at least one labeled and one unlabeled node")
+
+
+def _check_inputs(label_matrix, tol, max_iter=1, solver="auto"):
+    """The input contract of every solve, which every entry point checks
+    before any work: `check_seed_split`, then `check_solver_options`."""
+    check_seed_split(label_matrix)
     check_solver_options(tol, max_iter, solver)
 
 
@@ -325,10 +330,11 @@ def _as_fold(f, call, *args):
         raise type(exc)("fold %d: %s" % (f, exc)) from exc
 
 
-def _factorized_folds(tm, label_matrix, set_up, tol):
+def _factorized_folds(tm, label_matrix, set_up, checks, tol):
     """The closed-form solution of every fold that `propagate_folds` has set
-    up, as (hidden, LabelMatrix) pairs, from one factorization; returns
-    [(LabelMatrix, SolveReport), ...], in fold order.
+    up, as (hidden, LabelMatrix) pairs, and checked, with each fold's
+    (min m, cond_bound) from `condition` in `checks`, from one
+    factorization; returns [(LabelMatrix, SolveReport), ...], in fold order.
 
     With U the rows no seed of `label_matrix` labels, L its seeds and H, S
     a fold's hidden and training seeds, Z = (I - T_UU)^{-1} T_UL is
@@ -341,23 +347,17 @@ def _factorized_folds(tm, label_matrix, set_up, tol):
         Y_U = Z_S Y_S + Z_H Y_H.
 
     Each fold is the solution `propagate_closed_form` finds on its mask and
-    is checked the same way: its condition bound is refused above
-    MAX_CONDITION, and its report carries its own residual, minimum labeled
-    mass and error bound. One product with T gives every fold's labeled
-    mass and one more every fold's residual. Every fold's condition is
-    checked before the factorization; a fold's min m is at most that of the
-    all-seeds system, so those checks also cover the factorization of
-    (I - T_UU). The first fold refused or not certified raises at once.
+    is checked the same way: its report carries its own residual, minimum
+    labeled mass and error bound, and one product with T gives every
+    fold's residual. A fold's min m is at most that of the all-seeds
+    system, so the folds' checks also cover the factorization of
+    (I - T_UU). The first fold not certified raises at once.
     """
     labeled = label_matrix.labeled_mask
     seeds = np.flatnonzero(labeled)
     unlabeled = np.flatnonzero(~labeled)
     position = np.full(tm.n, -1)
     position[seeds] = np.arange(seeds.size)
-    masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
-                               dtype=np.float64).T)
-    checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
-              for f, (_, fold) in enumerate(set_up)]
     z = _solve_clamped(tm.submatrix(unlabeled), tm.submatrix(unlabeled, seeds))
     g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
     for f, (hidden, fold) in enumerate(set_up):
@@ -396,13 +396,15 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
     is `solve(tm, fold, solver, tol, max_iter)`, so under "auto" each fold
     takes the solver of its own size. Either way every fold is certified
     as its solver certifies a solve. Every fold is checked before any is
-    solved, so a fold that hides an unlabeled row or fails the solvers'
-    input contract raises before any solve. The first fold whose solve is
-    refused (NumericalDegeneracyError) or not certified (ConvergenceError)
-    raises that error at once, its message prefixed "fold <f>: ".
+    solved, under every solver: a fold that hides an unlabeled row, fails
+    the solvers' input contract or whose system `condition` refuses
+    (NumericalDegeneracyError) raises before any solve. The first fold not
+    certified (ConvergenceError) raises at once. A fold's error has its
+    message prefixed "fold <f>: ".
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
+    check_solver_options(tol, max_iter, solver)
     set_up = []
     for f, hidden in enumerate(folds):
         hidden = np.asarray(hidden, dtype=np.intp)
@@ -414,13 +416,17 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
         rows = label_matrix.rows.copy()
         rows[hidden] = 1.0 / m
         fold = LabelMatrix(rows, mask)
-        _check_inputs(fold, tol, max_iter, solver)
+        check_seed_split(fold)
         set_up.append((hidden, fold))
     if not set_up:
         return []
+    masses = tm.apply(np.array([fold.labeled_mask for _, fold in set_up],
+                               dtype=np.float64).T)
+    checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
+              for f, (_, fold) in enumerate(set_up)]
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
     if choose_solver(solver, largest) == "closed":
-        return _factorized_folds(tm, label_matrix, set_up, tol)
+        return _factorized_folds(tm, label_matrix, set_up, checks, tol)
     return [_as_fold(f, solve, tm, fold, solver, tol, max_iter)
             for f, (_, fold) in enumerate(set_up)]
 

@@ -45,6 +45,23 @@ def two_cluster_seed(store, emotions, n_seeds_per_cluster,
     return SeedLexicon(entries, emotions)
 
 
+# A full fit from this init at learning rate 3e3 for 40 epochs reaches a
+# graph that expand refuses (see `refused_fit_instance`).
+REFUSED_FIT_INIT = {"alpha": 20.0, "b": -10.0, "epsilon": 0.01}
+
+
+def refused_fit_instance(emotions):
+    """Two clusters of 15 words and four seeds in cluster 0, anger and joy
+    in turn."""
+    store = two_cluster_store(15, dim=5, separation=3.0, seed=1)
+    entries = {}
+    for i, label in enumerate(["anger", "joy"] * 2):
+        flags = np.zeros(len(emotions), dtype=np.int64)
+        flags[emotions.index[label]] = 1
+        entries["c0_%d" % i] = flags
+    return store, SeedLexicon(entries, emotions)
+
+
 @pytest.fixture
 def ekman():
     return EmotionSet()

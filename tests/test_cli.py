@@ -8,10 +8,10 @@ import pytest
 
 import emolex.cli as cli
 import emolex.solver as solver_module
-from emolex import evaluate as ev
+from emolex import EmotionSet, evaluate as ev
 from emolex.cli import RunConfig, _write_json, build_parser, main
 
-from conftest import data_path
+from conftest import REFUSED_FIT_INIT, data_path, refused_fit_instance
 
 PARAMS = {"kernel": "cosine-logistic", "alpha": 6.0, "b": -2.0,
           "epsilon": 0.05}
@@ -212,9 +212,11 @@ class TestOptimize:
         assert meta["optimizer"]["batch_size"] == 6
         assert meta["optimizer"]["rng_seed"] == 11
 
-    def test_optimize_then_expand_with_params_file(self, tmp_path):
-        config = write_config(tmp_path, fit={"mode": "full", "epochs": 3,
-                                             "learning_rate": 0.1})
+    @pytest.mark.parametrize("mode", ["full", "batch"])
+    def test_optimize_then_expand_with_params_file(self, tmp_path, mode):
+        config = write_config(tmp_path, fit={
+            "mode": mode, "epochs": 3, "batch_size": 6, "num_batches": 4,
+            "learning_rate": 0.1})
         assert main(["optimize", "--config", config]) == 0
         params_file = str(tmp_path / "out" / "params.json")
         config2 = write_config(tmp_path, name="expand.json",
@@ -222,6 +224,34 @@ class TestOptimize:
                                out=str(tmp_path / "out2"))
         assert main(["expand", "--config", config2]) == 0
         assert os.path.exists(str(tmp_path / "out2" / "expanded_lexicon.tsv"))
+
+    # The full fit used to exit 0 here and write a params.json that
+    # `emolex expand` refuses.
+    def test_params_expand_refuses_fail_without_artifacts(self, tmp_path,
+                                                           capsys):
+        store, seed = refused_fit_instance(EmotionSet())
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("%d %d\n" % store.vectors.shape + "".join(
+            "%s %s\n" % (word, " ".join(map(repr, row.tolist())))
+            for word, row in zip(store.vocab, store.vectors)),
+            encoding="utf-8")
+        lexicon = tmp_path / "seed.tsv"
+        lexicon.write_text("".join(
+            "%s\t%s\t1\n" % (word, name)
+            for word, flags in seed.entries.items()
+            for name, flag in zip(seed.emotions, flags) if flag),
+            encoding="utf-8")
+        config = write_config(tmp_path, embeddings=str(vectors),
+                              seed_lexicon=str(lexicon), fit={
+                                  "mode": "full", "epochs": 40,
+                                  "learning_rate": 3e3,
+                                  "init": REFUSED_FIT_INIT})
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GradientError"
+        assert "expand refuses" in err["message"]
+        assert "condition bound 5.44e+13" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_fit_key_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, fit={"mode": "full", "epochs": 2,
@@ -591,7 +621,10 @@ class TestConfigChecks:
         ("expand", "max_iter", 2.9), ("expand", "max_iter", True),
         ("evaluate", "max_iter", 2.9), ("evaluate", "k_folds", 2.7),
         ("evaluate", "k_folds", True), ("evaluate", "seed", 1.5),
-        ("optimize", "seed", 1.5), ("optimize", "seed", False)])
+        ("optimize", "seed", 1.5), ("optimize", "seed", False),
+        ("expand", "max_iter", "10"), ("expand", "max_iter", {"a": 1}),
+        ("evaluate", "k_folds", "3"), ("evaluate", "k_folds", None),
+        ("evaluate", "seed", [1]), ("optimize", "seed", [1])])
     def test_non_integer_refused(self, tmp_path, capsys, monkeypatch, command,
                                  key, value):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
@@ -605,6 +638,7 @@ class TestConfigChecks:
     @pytest.mark.parametrize("command", ["expand", "evaluate"])
     @pytest.mark.parametrize("key, value, error, message", [
         ("tol", True, "ConfigError", "'tol' must be a number, not True"),
+        ("tol", "1e-6", "ConfigError", "'tol' must be a number, not '1e-6'"),
         ("tol", float("inf"), "ValueError", "tol must be finite"),
         ("tol", 0, "ValueError", "tol must be positive"),
         ("tol", NAN, "ValueError", "tol must be positive"),
@@ -613,6 +647,23 @@ class TestConfigChecks:
                                        command, key, value, error, message):
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             params=PARAMS, **{key: value}) == message
+
+    # A count of the fit request must be an integer and its rate a number:
+    # a bool used to run as 1 and echo true in optimize_meta.json, and a
+    # string or a fraction to fail with a TypeError.
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", True, "epochs must be an integer, not True"),
+        ("epochs", 2.5, "epochs must be an integer, not 2.5"),
+        ("epochs", "3", "epochs must be an integer, not '3'"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, not 1.5"),
+        ("learning_rate", True, "learning_rate must be a number, not True"),
+        ("learning_rate", "0.5",
+         "learning_rate must be a number, not '0.5'")])
+    def test_fit_non_number_refused(self, tmp_path, capsys, monkeypatch, key,
+                                    value, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, "optimize",
+                            "ValueError",
+                            fit=dict(self.FIT, **{key: value})) == message
 
     # Each command names the first part of its run that the config lacks.
     @pytest.mark.parametrize("command, missing, message", [
@@ -647,6 +698,13 @@ class TestConfigChecks:
         assert main(["evaluate", "--config", config]) == 0
         report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
         assert (report["k"], report["rng_seed"]) == (3, 1)
+
+    def test_integral_float_fit_count_accepted(self, tmp_path):
+        config = write_config(tmp_path, fit=dict(self.FIT, unroll_steps=2.0))
+        assert main(["optimize", "--config", config]) == 0
+        meta = json.loads(read(str(tmp_path / "out"), "optimize_meta.json"))
+        steps = meta["optimizer"]["unroll_steps"]
+        assert steps == 2 and type(steps) is int
 
 
 class TestFiniteArtifacts:

@@ -14,7 +14,8 @@ from emolex.optimize import (GradientError, OptimizerConfig,
                              _check_condition, _forward_backward,
                              _sample_batch)
 
-from conftest import make_store, two_cluster_seed, two_cluster_store
+from conftest import (REFUSED_FIT_INIT, make_store, refused_fit_instance,
+                      two_cluster_seed, two_cluster_store)
 
 
 def count_steps(monkeypatch):
@@ -409,6 +410,17 @@ class TestFitFull:
                                   k=5, rng_seed=0).overall
         assert cv_kl(params) <= cv_kl(PropagationParams(**init)) - 0.15
 
+    # From this init at 3e3 the lowest-entropy iterate has alpha 19.95,
+    # b -10.05 and epsilon 2.0e-21, a graph whose condition bound 5.44e13
+    # expand refuses; the fit used to return it.
+    def test_params_expand_refuses_raise(self, ekman):
+        store, seed = refused_fit_instance(ekman)
+        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=40)
+        with pytest.raises(GradientError, match="^fitted parameters give a "
+                           "graph that expand refuses: .*condition bound "
+                           "5.44e"):
+            fit_full(store, seed, config, init=REFUSED_FIT_INIT)
+
     # With no seed in the vocabulary the fit used to return `init` after a
     # flat descent; with every word a seed it divided by zero unlabeled rows.
     @pytest.mark.parametrize("seeded", ["none", "all"])
@@ -569,6 +581,28 @@ class TestConfig:
     def test_learning_rate_must_be_positive(self, rate):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             OptimizerConfig(learning_rate=rate)
+
+    # A bool used to run as 1 and a string or a fraction to fail later with
+    # a TypeError, some only once the fit had started.
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", True, "epochs must be an integer, not True"),
+        ("epochs", 2.5, "epochs must be an integer, not 2.5"),
+        ("epochs", "3", "epochs must be an integer, not '3'"),
+        ("num_batches", None, "num_batches must be an integer, not None"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, not 1.5"),
+        ("learning_rate", True, "learning_rate must be a number, not True"),
+        ("learning_rate", "0.5",
+         "learning_rate must be a number, not '0.5'")])
+    def test_non_number_refused(self, key, value, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            OptimizerConfig(**{key: value})
+
+    def test_integral_float_reads_as_int(self):
+        config = OptimizerConfig(unroll_steps=2.0, epochs=np.int64(3),
+                                 rng_seed=7.0)
+        counts = (config.unroll_steps, config.epochs, config.rng_seed)
+        assert counts == (2, 3, 7)
+        assert all(type(count) is int for count in counts)
 
 
 class TestInit:

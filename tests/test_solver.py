@@ -319,9 +319,12 @@ class TestFolds:
             assert report.residual == pytest.approx(residual, abs=1e-12)
             assert report.error_bound == report.residual / report.min_labeled_mass
 
-    # Every fold's condition is checked before the factorization, so a
-    # refused fold 2 raises before any system is solved.
-    def test_refused_fold_raised_before_factorization(self, monkeypatch):
+    # Every fold's condition is checked before the factorization or the
+    # first per-fold solve, so a refused fold 2 raises before any system is
+    # solved, under every solver.
+    @pytest.mark.parametrize("solver", ["closed", "auto", "cg", "iterative"])
+    def test_refused_fold_raised_before_factorization(self, monkeypatch,
+                                                       solver):
         # A seed in the far cluster too: only hiding it leaves that cluster
         # without mass onto the seeds.
         tm, lm = ill_conditioned_instance()
@@ -330,15 +333,22 @@ class TestFolds:
         rows = lm.rows.copy()
         rows[4] = [1.0, 0.0]
         solves = []
-        original = np.linalg.solve
 
-        def counting_solve(*args, **kwargs):
-            solves.append(args)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def count(*args, **kwargs):
+                solves.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, count)
+        counting(np.linalg, "solve")
+        for name in ("propagate_closed_form", "propagate_iterative",
+                     "propagate_cg"):
+            counting(solver_module, name)
         with pytest.raises(NumericalDegeneracyError,
                            match="^fold 2: .*ill-conditioned") as err:
-            propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1], [4]])
+            propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1], [4]],
+                            solver=solver)
         assert isinstance(err.value.__cause__, NumericalDegeneracyError)
         assert solves == []
 

@@ -45,14 +45,15 @@ def main():
                                      epsilon=init["epsilon"]),
            store, seed)
 
-    full_cfg = OptimizerConfig(mode="full", learning_rate=0.5, epochs=150)
-    full_params, trace = fit_full(store, seed, full_cfg, init=init)
+    full_cfg = OptimizerConfig(mode="full", learning_rate=0.5, epochs=150,
+                               init=init)
+    full_params, trace = fit_full(store, seed, full_cfg)
     report("full", full_params, store, seed)
 
     batch_cfg = OptimizerConfig(mode="batch", learning_rate=0.5,
                                 batch_size=40, num_batches=50,
-                                epochs_per_batch=3, rng_seed=0)
-    batch_params, _ = fit_batched(store, seed, batch_cfg, init=init)
+                                epochs_per_batch=3, rng_seed=0, init=init)
+    batch_params, _ = fit_batched(store, seed, batch_cfg)
     report("batch", batch_params, store, seed)
 
     print()

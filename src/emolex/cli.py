@@ -128,7 +128,7 @@ class RunConfig:
             raise ConfigError("fixed 'params' or a 'params_file' is required")
         raw = self.data.get(key)
         if key + "_file" in self.data:
-            with open(self.data[key + "_file"], encoding="utf-8") as fh:
+            with open(self.require_path(key + "_file"), encoding="utf-8") as fh:
                 raw = json.load(fh)
         if self.data.get("kernel"):
             raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
@@ -138,12 +138,11 @@ class RunConfig:
         if self._has_params() or "fit" not in self.data:
             raise ConfigError("a 'fit' request is required")
         fit = dict(self.data["fit"])
-        init = fit.pop("init", None)
         if self.data.get("mode"):
             fit["mode"] = self.data["mode"]
         if self.data.get("seed") is not None:
             fit["rng_seed"] = self.integer("seed", None)
-        return OptimizerConfig(**fit), init
+        return OptimizerConfig(**fit)
 
 
 def _kernel_name(short):
@@ -170,9 +169,9 @@ def _load_inputs(cfg):
 
 def cmd_expand(cfg):
     options = _solver_options(cfg)
-    store, seed = _load_inputs(cfg)
     params = cfg.propagation_params()
     out = cfg.out_dir()
+    store, seed = _load_inputs(cfg)
     result = expand(store, seed, params, **options)
     sidecar = result.sidecar()
     lexicon = (store.vocab, result.distributions, result.emotions,
@@ -186,13 +185,13 @@ def cmd_expand(cfg):
 
 
 def cmd_optimize(cfg):
-    config, init = cfg.optimizer_config()
-    store, seed = _load_inputs(cfg)
+    config = cfg.optimizer_config()
     out = cfg.out_dir()
+    store, seed = _load_inputs(cfg)
     if config.mode == "batch":
-        params, trace = fit_batched(store, seed, config, init=init)
+        params, trace = fit_batched(store, seed, config)
     else:
-        params, trace = fit_full(store, seed, config, init=init)
+        params, trace = fit_full(store, seed, config)
     _write_json(os.path.join(out, "params.json"), params.to_dict())
     _replace(os.path.join(out, "trace.csv"), trace.to_csv)
     _write_json(os.path.join(out, "optimize_meta.json"),
@@ -205,6 +204,13 @@ def cmd_optimize(cfg):
 def _class_counts(cfg, emotions):
     counts = cfg.get("class_counts")
     if counts:
+        missing = [name for name in emotions if name not in counts]
+        unknown = sorted(set(counts) - set(emotions))
+        if missing or unknown:
+            raise ConfigError("'class_counts' must count each emotion once: "
+                              "missing %s; unknown %s"
+                              % (", ".join(missing) or "none",
+                                 ", ".join(unknown) or "none"))
         return np.array([float(counts[name]) for name in emotions])
     corpus_path = cfg.get("corpus")
     if corpus_path:
@@ -218,14 +224,14 @@ def cmd_evaluate(cfg):
     options = _solver_options(cfg)
     k = cfg.integer("k_folds", 10)
     rng_seed = cfg.integer("seed", 0)
-    store, seed = _load_inputs(cfg)
+    ev.check_folds(k, rng_seed)
     out = cfg.out_dir()
-    counts = _class_counts(cfg, seed.emotions)
-
     params = [("label-propagation", cfg.propagation_params())]
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
         params.append(("batch-label-propagation",
                        cfg.propagation_params("batch_params")))
+    counts = _class_counts(cfg, cfg.emotions())
+    store, seed = _load_inputs(cfg)
 
     def row(expander, method):
         report = ev.cross_validate(store, seed, expander, k=k,
@@ -251,9 +257,9 @@ def cmd_evaluate(cfg):
 
 def cmd_stats(cfg):
     emotions = cfg.emotions()
+    out = cfg.out_dir()
     seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), emotions)
     corpus = ev.load_corpus(cfg.require_path("corpus"), emotions)
-    out = cfg.out_dir()
     stats = ev.corpus_lexicon_stats(corpus, seed)
     _write_json(os.path.join(out, "stats.json"), stats)
     return 0
@@ -261,9 +267,9 @@ def cmd_stats(cfg):
 
 def cmd_baseline(cfg):
     emotions = cfg.emotions()
+    out = cfg.out_dir()
     seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), emotions)
     corpus = ev.load_corpus(cfg.require_path("corpus"), emotions)
-    out = cfg.out_dir()
     lexicon = {t: seed.distribution(t) for t in seed.entries}
     m = len(emotions)
     lines = []

@@ -38,14 +38,21 @@ def kl_divergence(gold, predicted):
     return float(kl) if kl.ndim == 0 else kl
 
 
+def check_folds(k, rng_seed):
+    """Refuse fewer than two folds or a negative fold seed."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if rng_seed < 0:
+        raise ValueError("rng_seed must be >= 0")
+
+
 def make_folds(tokens, k, rng_seed):
     """Seeded shuffle into k token lists whose sizes differ by at most one.
 
     Fold f holds the sorted tokens at positions f, f + k, f + 2k, ... of one
     seeded permutation, in that order.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_folds(k, rng_seed)
     tokens = sorted(tokens)
     if len(tokens) < k:
         raise ValueError("need at least k seed tokens")

@@ -37,6 +37,9 @@ def is_integral(value):
                                or float(value).is_integer())
 
 
+_DEFAULT_INIT = {"alpha": 0.0, "b": 0.0, "epsilon": 0.1}
+
+
 @dataclass
 class OptimizerConfig:
     mode: str = "full"
@@ -47,6 +50,7 @@ class OptimizerConfig:
     num_batches: int = 1000
     epochs_per_batch: int = 3
     rng_seed: int = 0
+    init: dict = None  # the start, resolved over _DEFAULT_INIT, JSON-ready
 
     def __post_init__(self):
         if self.mode not in ("full", "batch"):
@@ -56,6 +60,8 @@ class OptimizerConfig:
                              % (self.learning_rate,))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         for name in ("epochs", "unroll_steps", "batch_size", "num_batches",
                      "epochs_per_batch", "rng_seed"):
             value = getattr(self, name)
@@ -63,8 +69,19 @@ class OptimizerConfig:
                 raise ValueError("%s must be an integer, not %r"
                                  % (name, value))
             setattr(self, name, int(value))
-            if name != "rng_seed" and value < 1:
-                raise ValueError("%s must be >= 1" % name)
+            floor = 0 if name == "rng_seed" else 1
+            if value < floor:
+                raise ValueError("%s must be >= %d" % (name, floor))
+        init = dict(_DEFAULT_INIT, **(self.init or {}))
+        unknown = sorted(set(init) - set(_DEFAULT_INIT))
+        if unknown:
+            raise ValueError("unknown init key(s) %s: init takes only alpha, "
+                             "b and epsilon" % ", ".join(unknown))
+        if not 0.0 < init["epsilon"] < 1.0:
+            raise ValueError("init epsilon must be in the open interval (0, 1)")
+        start = PropagationParams(**init)  # refuses a non-finite alpha or b
+        self.init = {"alpha": start.alpha.tolist(), "b": start.b,
+                     "epsilon": start.epsilon}
 
     def to_dict(self):
         return asdict(self)
@@ -90,12 +107,6 @@ class OptTrace:
         self.bs.append(float(b))
         self.epsilons.append(float(epsilon))
 
-    def truncate(self, length):
-        """Drop the records after the first `length`."""
-        for values in (self.entropies, self.grad_norms, self.alphas, self.bs,
-                       self.epsilons):
-            del values[length:]
-
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("epoch,entropy,grad_norm,alpha_mean,b,epsilon\n")
@@ -119,16 +130,16 @@ def _logit(p):
 
 
 def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
-                      per_row=False, weights=None):
-    """Entropy of the K-step unrolled propagation and its analytic gradient.
+                      weights=None):
+    """Mean entropy H/u of the u unlabeled rows after K unrolled
+    propagation sweeps, and its analytic gradient.
 
     `unit` holds unit vectors and `y` label rows in the same node order;
     the rows where `labeled` is true are clamped to `y`, the others start
-    uniform. Returns (H, {"alpha", "b", "eps_logit"}) with gradients matching
-    alpha's shape. With per_row the objective is the mean entropy per
-    unlabeled row, which leaves the full-graph minimizer unchanged but makes
-    batch-subgraph gradients scale-comparable to full-graph ones. The weight
-    matrix is written into `weights`, an n x n buffer, when it is given.
+    uniform. Returns (H/u, {"alpha", "b", "eps_logit"}) with gradients
+    matching alpha's shape. The mean makes batch-subgraph gradients
+    scale-comparable to full-graph ones. The weight matrix is written into
+    `weights`, an n x n buffer, when it is given.
     """
     n, m = y.shape
     unlabeled = ~labeled
@@ -157,7 +168,7 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
         state = tm.apply(state, product=forward[:, cols])
         state[labeled] = seeds
     y_final = state[unlabeled]
-    scale = 1.0 / len(y_final) if per_row else 1.0
+    scale = 1.0 / len(y_final)
     h = entropy(y_final) * scale
 
     # Every row of Y_{t-1} sums to 1, so adding a constant to a row of G_t
@@ -231,10 +242,9 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
 def entropy_gradient(store, label_matrix, params, unroll_steps=10):
     """Analytic (entropy, gradient) of the unrolled objective at `params`.
 
-    The entropy is H, summed over the unlabeled rows. The fits descend on
-    H/u instead, the mean per unlabeled row, which `trace.csv` records.
-    Gradients are reported for alpha (matching its scalar/vector shape), b,
-    and the logit of epsilon.
+    The entropy is H/u, the mean over the u unlabeled rows: the objective
+    the fits descend on and `trace.csv` records. Gradients are reported for
+    alpha (matching its scalar/vector shape), b, and the logit of epsilon.
     """
     if params.kernel != COSINE_LOGISTIC:
         raise ValueError("gradients are defined for the cosine-logistic kernel")
@@ -273,10 +283,7 @@ def _grad_norm(grads):
     return float(np.linalg.norm(np.concatenate(parts)))
 
 
-_DEFAULT_INIT = {"alpha": 0.0, "b": 0.0, "epsilon": 0.1}
-
-
-def _descend(store, label_matrix, batches, steps, config, init):
+def _descend(store, label_matrix, batches, steps, config):
     """Gradient descent on the per-row unrolled entropy, batch by batch.
 
     The parameters are an (alpha, b, eps_logit) triple that no step
@@ -284,21 +291,14 @@ def _descend(store, label_matrix, batches, steps, config, init):
     `steps` descent steps on its own subgraph, every step writing its
     weights into one buffer per batch size. A step diverges when the entropy
     or a gradient is non-finite, the graph is degenerate, epsilon rounds to
-    0 or 1, or alpha or b overflows; the parameters and trace are then
-    restored to their values before the batch and the batch is retried at
-    half the rate, up to three halvings in the whole descent. Returns the
-    triple after the last step, the trace row and triple of the
-    lowest-entropy iterate of the last batch, and the trace.
+    0 or 1, or alpha or b overflows; the batch is then retried from its
+    start at half the rate, up to three halvings in the whole descent. Only
+    an attempt that succeeds adds its rows to the trace. Returns the triple
+    after the last step, the trace row and triple of the lowest-entropy
+    iterate of the last batch, and the trace.
     """
-    init = dict(_DEFAULT_INIT, **(init or {}))
-    unknown = sorted(set(init) - set(_DEFAULT_INIT))
-    if unknown:
-        raise ValueError("unknown init key(s) %s: init takes only alpha, "
-                         "b and epsilon" % ", ".join(unknown))
-    if not 0.0 < init["epsilon"] < 1.0:
-        raise ValueError("init epsilon must be in the open interval (0, 1)")
-    state = (np.array(init["alpha"], dtype=np.float64), float(init["b"]),
-             _logit(init["epsilon"]))
+    state = (np.array(config.init["alpha"]), config.init["b"],
+             _logit(config.init["epsilon"]))
     trace = OptTrace()
     lr = config.learning_rate
     halvings = 0
@@ -308,23 +308,22 @@ def _descend(store, label_matrix, batches, steps, config, init):
         if weights is None or len(weights) != len(unit):
             weights = np.empty((len(unit), len(unit)))
         labeled = label_matrix.labeled_mask[batch]
-        rows = label_matrix.rows[batch]
-        start, recorded = state, len(trace.entropies)
+        y = label_matrix.rows[batch]
         while True:
-            best = (math.inf, None, state)
+            rows, best, current = [], (math.inf, None, state), state
             try:
                 for _ in range(steps):
-                    alpha, b, eps_logit = state
+                    alpha, b, eps_logit = current
                     epsilon = _epsilon(eps_logit)
-                    h, grads = _forward_backward(unit, labeled, rows, alpha, b,
+                    h, grads = _forward_backward(unit, labeled, y, alpha, b,
                                                  epsilon, config.unroll_steps,
-                                                 per_row=True, weights=weights)
+                                                 weights=weights)
                     if not math.isfinite(h):
                         raise GradientError("entropy diverged")
-                    trace.record(h, _grad_norm(grads), alpha, b, epsilon)
                     if h < best[0]:
-                        best = (h, len(trace.entropies) - 1, state)
-                    state = _step(state, grads, lr)
+                        best = (h, len(trace.entropies) + len(rows), current)
+                    rows.append((h, _grad_norm(grads), alpha, b, epsilon))
+                    current = _step(current, grads, lr)
                 break
             except GradientError as exc:
                 if halvings == 3:
@@ -333,15 +332,17 @@ def _descend(store, label_matrix, batches, steps, config, init):
                         % exc) from exc
                 halvings += 1
                 lr /= 2.0
-                state = start
-                trace.truncate(recorded)
+        for row in rows:
+            trace.record(*row)
+        state = current
     return state, best[1:], trace
 
 
 def _check_condition(store, labeled, params):
-    """Raise GradientError unless `expand` accepts `params` on the whole
-    vocabulary, where `labeled_mass` streams W and refuses a zero row or
-    column mass and `condition` refuses the bound m = T 1_L gives."""
+    """Raise GradientError when `params` break `expand`'s condition rule on
+    the whole vocabulary, where `labeled_mass` streams W and refuses a zero
+    row or column mass and `condition` the bound m = T 1_L gives. `expand`
+    may still refuse to certify a solve on parameters that pass."""
     try:
         mass = labeled_mass(store.unit_vectors, params, labeled)
         condition(np.min(mass[~labeled]))
@@ -350,18 +351,19 @@ def _check_condition(store, labeled, params):
                             "refuses: %s" % exc) from exc
 
 
-def fit_full(store, seed, config, init=None):
+def fit_full(store, seed, config):
     """Plain gradient descent on the full-graph unrolled entropy.
 
     One batch of the whole vocabulary taking config.epochs steps, so a
-    divergence restarts the fit from `init` at half the rate. Returns the
-    lowest-entropy iterate; the trace's `params_epoch` is its row. As in
-    `fit_batched`, a GradientError is raised when `expand` would refuse it.
+    divergence restarts the fit from config.init at half the rate. Returns
+    the lowest-entropy iterate; the trace's `params_epoch` is its row. As in
+    `fit_batched`, a GradientError is raised when it breaks `expand`'s
+    condition rule.
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
     _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
-                                       config.epochs, config, init)
+                                       config.epochs, config)
     trace.params_epoch = epoch
     params = _params(best)
     _check_condition(store, label_matrix.labeled_mask, params)
@@ -379,15 +381,15 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
     return np.sort(np.concatenate([lab, unl]))
 
 
-def fit_batched(store, seed, config, init=None):
+def fit_batched(store, seed, config):
     """Shared-parameter descent over random vocabulary subsamples.
 
     Each batch fixes the labeled/unlabeled proportion of the full graph,
     builds only its own submatrix, and takes config.epochs_per_batch
     descent steps on the shared parameters. The last iterate is returned:
     entropies of different subgraphs do not rank parameters. It is checked
-    on the full graph, and a GradientError is raised when `expand` would
-    refuse it.
+    on the full graph, and a GradientError is raised when it breaks
+    `expand`'s condition rule.
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
@@ -400,7 +402,7 @@ def fit_batched(store, seed, config, init=None):
                              config.batch_size, len(store))
                for _ in range(config.num_batches))
     state, _, trace = _descend(store, label_matrix, batches,
-                               config.epochs_per_batch, config, init)
+                               config.epochs_per_batch, config)
     params = _params(state)
     _check_condition(store, label_matrix.labeled_mask, params)
     return params, trace

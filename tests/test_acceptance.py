@@ -89,13 +89,13 @@ def test_criterion_4_batch_approximates_full():
     init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
     full_params, _ = fit_full(
         store, seed,
-        OptimizerConfig(mode="full", learning_rate=0.5, epochs=150),
-        init=init)
+        OptimizerConfig(mode="full", learning_rate=0.5, epochs=150,
+                        init=init))
     batch_params, _ = fit_batched(
         store, seed,
         OptimizerConfig(mode="batch", learning_rate=0.5, batch_size=100,
-                        num_batches=50, epochs_per_batch=3, rng_seed=0),
-        init=init)
+                        num_batches=50, epochs_per_batch=3, rng_seed=0,
+                        init=init))
     assert float(batch_params.alpha) == pytest.approx(
         float(full_params.alpha), rel=0.1)
     assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
@@ -217,9 +217,9 @@ def test_criterion_9_real_data_beats_uniform():
     seed = load_seed_lexicon(os.environ[NRC_ENV], ekman)
     config = OptimizerConfig(mode="batch", learning_rate=0.1,
                              batch_size=min(5000, len(store.vocab) // 2),
-                             num_batches=100, epochs_per_batch=3, rng_seed=0)
-    params, _ = fit_batched(store, seed, config,
-                            init={"alpha": 3.0, "b": 0.0, "epsilon": 0.1})
+                             num_batches=100, epochs_per_batch=3, rng_seed=0,
+                             init={"alpha": 3.0, "b": 0.0, "epsilon": 0.1})
+    params, _ = fit_batched(store, seed, config)
     lp = cross_validate(store, seed,
                         label_prop_expander(params), k=10, rng_seed=0)
     uniform = cross_validate(store, seed,

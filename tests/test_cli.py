@@ -302,21 +302,31 @@ class TestOptimize:
                        "message": "learning_rate must be positive"}
         assert not (tmp_path / "out").exists()
 
-    def test_infinite_init_refused_at_first_step(self, tmp_path, capsys):
-        config = write_config(tmp_path, fit={
-            "mode": "full", "epochs": 2,
-            "init": {"alpha": 3.0, "b": float("inf"), "epsilon": 0.1}})
-        assert main(["optimize", "--config", config]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": "b must be finite"}
-        assert not (tmp_path / "out").exists()
-
     def test_conflicting_params_and_fit(self, tmp_path, capsys):
         config = write_config(tmp_path, params=PARAMS,
                               fit={"mode": "full", "epochs": 2})
         assert main(["optimize", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    # optimize_meta.json's optimizer record is a fit request that reruns the
+    # fit; it used to lack the init, so a rerun started from alpha 0.
+    @pytest.mark.parametrize("mode", ["full", "batch"])
+    def test_meta_reruns_the_fit(self, tmp_path, mode):
+        config = write_config(tmp_path, fit={
+            "mode": mode, "epochs": 3, "batch_size": 6, "num_batches": 2,
+            "learning_rate": 0.5, "init": {"alpha": 3, "epsilon": 0.2}},
+            seed=4)
+        assert main(["optimize", "--config", config]) == 0
+        meta = json.loads(read(str(tmp_path / "out"), "optimize_meta.json"))
+        assert meta["optimizer"]["init"] == {"alpha": 3.0, "b": 0.0,
+                                             "epsilon": 0.2}
+        rerun = write_config(tmp_path, name="rerun.json",
+                             fit=meta["optimizer"], out=str(tmp_path / "again"))
+        assert main(["optimize", "--config", rerun]) == 0
+        for name in ("params.json", "trace.csv", "optimize_meta.json"):
+            assert (read(str(tmp_path / "again"), name, "rb")
+                    == read(str(tmp_path / "out"), name, "rb"))
 
     def test_deterministic_given_seed(self, tmp_path):
         config = write_config(tmp_path,
@@ -664,6 +674,92 @@ class TestConfigChecks:
         assert self.refused(tmp_path, capsys, monkeypatch, "optimize",
                             "ValueError",
                             fit=dict(self.FIT, **{key: value})) == message
+
+    # Each of these used to be read only after the inputs had loaded: a
+    # negative seed then failed in numpy or ran and echoed -2, an infinite
+    # rate ran four attempts and the init was checked at the first step.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"fit": dict(FIT, rng_seed=-1)}, "rng_seed must be >= 0"),
+        ({"fit": dict(FIT, mode="batch"), "seed": -1},
+         "rng_seed must be >= 0"),
+        ({"fit": FIT, "seed": -2}, "rng_seed must be >= 0"),
+        ({"fit": dict(FIT, learning_rate=float("inf"))},
+         "learning_rate must be finite"),
+        ({"fit": dict(FIT, init={"alpha": float("inf")})},
+         "alpha must be finite"),
+        ({"fit": dict(FIT, init={"alpha": [1.0, NAN]})},
+         "alpha must be finite"),
+        ({"fit": dict(FIT, init={"alpha": 3.0, "b": float("inf"),
+                                 "epsilon": 0.1})}, "b must be finite"),
+        ({"fit": dict(FIT, init={"b": NAN})}, "b must be finite"),
+        ({"fit": dict(FIT, init={"alpa": 3.0})},
+         "unknown init key(s) alpa: init takes only alpha, b and epsilon"),
+        ({"fit": dict(FIT, init={"epsilon": 1.5})},
+         "init epsilon must be in the open interval (0, 1)")],
+        ids=["rng_seed-negative", "batch-seed-negative", "seed-negative",
+             "learning_rate-inf", "init-alpha-inf", "init-alpha-nan",
+             "init-b-inf", "init-b-nan", "init-misspelt-key",
+             "init-epsilon-1.5"])
+    def test_bad_fit_number_refused(self, tmp_path, capsys, monkeypatch,
+                                    overrides, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, "optimize",
+                            "ValueError", **overrides) == message
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k_folds", 1, "k must be at least 2"),
+        ("seed", -1, "rng_seed must be >= 0")],
+        ids=["k_folds-1", "seed-negative"])
+    def test_bad_fold_option_refused(self, tmp_path, capsys, monkeypatch,
+                                     key, value, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, "evaluate",
+                            "ValueError", params=PARAMS,
+                            **{key: value}) == message
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_missing_out_refused(self, tmp_path, capsys, monkeypatch,
+                                 command):
+        run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
+        assert self.refused(tmp_path, capsys, monkeypatch, command, out=None,
+                            **run) == "an output directory ('out') is required"
+
+    # A params file used to be opened, and a row checked, only after the
+    # inputs had loaded.
+    @pytest.mark.parametrize("command, overrides, error, message", [
+        ("expand", {"params_file": "absent.json"}, "ConfigError",
+         "params_file path does not exist: absent.json"),
+        ("evaluate", {"params_file": "absent.json"}, "ConfigError",
+         "params_file path does not exist: absent.json"),
+        ("evaluate", {"params": PARAMS, "batch_params_file": "absent.json"},
+         "ConfigError", "batch_params_file path does not exist: absent.json"),
+        ("expand", {"params": dict(PARAMS, epsilon=1.5)}, "ValueError",
+         "epsilon must be in [0, 1)"),
+        ("evaluate", {"params": dict(PARAMS, epsilon=1.5)}, "ValueError",
+         "epsilon must be in [0, 1)"),
+        ("evaluate", {"params": PARAMS,
+                      "batch_params": dict(PARAMS, epsilon=1.5)},
+         "ValueError", "epsilon must be in [0, 1)")],
+        ids=["expand-params_file", "evaluate-params_file",
+             "evaluate-batch_params_file", "expand-params",
+             "evaluate-params", "evaluate-batch_params"])
+    def test_bad_params_row_refused(self, tmp_path, capsys, monkeypatch,
+                                    command, overrides, error, message):
+        monkeypatch.chdir(tmp_path)
+        assert self.refused(tmp_path, capsys, monkeypatch, command, error,
+                            **overrides) == message
+
+    # Such counts used to end in a bare KeyError: 'disgust' after the
+    # inputs had loaded, or to drop the unknown emotion.
+    @pytest.mark.parametrize("counts, message", [
+        ({"anger": 1}, "missing disgust, fear, joy, sadness, surprise; "
+                       "unknown none"),
+        ({name: 1 for name in EmotionSet()} | {"love": 2, "awe": 1},
+         "missing none; unknown awe, love")],
+        ids=["lacks-emotions", "unknown-emotions"])
+    def test_bad_class_counts_refused(self, tmp_path, capsys, monkeypatch,
+                                      counts, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, "evaluate",
+                            params=PARAMS, class_counts=counts) == (
+            "'class_counts' must count each emotion once: " + message)
 
     # Each command names the first part of its run that the config lacks.
     @pytest.mark.parametrize("command, missing, message", [

@@ -110,6 +110,11 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match="k must be at least 2"):
             make_folds(["t%d" % i for i in range(5)], k, rng_seed=0)
 
+    # numpy used to refuse it with its bare "expected non-negative integer".
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
+            make_folds(["t%d" % i for i in range(5)], 2, rng_seed=-1)
+
 
 class TestBaselineExpander:
     def test_majority_is_one_hot_joy(self, ekman):

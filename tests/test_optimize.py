@@ -249,10 +249,11 @@ class TestBlockedReduction:
         args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
         h, grads = _forward_backward(*args)
         h_ref, ref = dense_forward_backward(*args)
-        assert h == pytest.approx(h_ref, rel=1e-10)
+        u = np.sum(~labeled)
+        assert h == pytest.approx(h_ref / u, rel=1e-10)
         assert np.shape(grads["alpha"]) == np.shape(alpha)
         for name in ("alpha", "b", "eps_logit"):
-            assert np.allclose(grads[name], ref[name], rtol=1e-10, atol=0)
+            assert np.allclose(grads[name], ref[name] / u, rtol=1e-10, atol=0)
 
     # dH/deps is a sum of differences of nearly equal terms; at this
     # small-gradient point the float64 reduction must keep 11 digits of
@@ -268,9 +269,10 @@ class TestBlockedReduction:
         tm = TransitionOperator(w, epsilon)
         ref = longdouble_reduction(unit, w, epsilon,
                                    *sweeps(tm, labeled, y, steps), alpha)
+        u = np.sum(~labeled)
         for name, rel in (("alpha", 1e-12), ("b", 1e-12), ("eps_logit", 1e-11)):
-            error = abs(np.longdouble(grads[name]) - ref[name])
-            assert error <= rel * abs(ref[name]), name
+            error = abs(np.longdouble(grads[name]) - ref[name] / u)
+            assert error <= rel * abs(ref[name] / u), name
 
     def test_entropy_is_that_of_the_sweeps(self):
         unit, labeled, y = blocked_instance()
@@ -279,7 +281,8 @@ class TestBlockedReduction:
         tm = TransitionOperator(
             raw_weights(unit, PropagationParams(alpha=alpha, b=b)), epsilon)
         iterates, _ = sweeps(tm, labeled, y, steps)
-        assert h == entropy(iterates[-1][~labeled])
+        y_u = iterates[-1][~labeled]
+        assert h == entropy(y_u) * (1.0 / len(y_u))
 
     def test_weights_written_into_buffer(self):
         store, _, lm = small_instance(n=12)
@@ -328,9 +331,9 @@ class TestFitFull:
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
         seed = two_cluster_seed(store, ekman, 10)
         steps = count_steps(monkeypatch)
-        config = OptimizerConfig(mode="full", learning_rate=1e4, epochs=6)
-        init = {"alpha": 5.0, "b": 0.0}
-        params, trace = fit_full(store, seed, config, init=init)
+        config = OptimizerConfig(mode="full", learning_rate=1e4, epochs=6,
+                                 init={"alpha": 5.0, "b": 0.0})
+        params, trace = fit_full(store, seed, config)
         assert len(steps) > config.epochs
         assert len(trace.entropies) == config.epochs
         assert np.all(np.isfinite(trace.entropies))
@@ -338,9 +341,7 @@ class TestFitFull:
         h_init = entropy_gradient(
             store, lm, PropagationParams(alpha=5.0, b=0.0, epsilon=0.1),
             config.unroll_steps)[0]
-        n_unlabeled = int(np.sum(~lm.labeled_mask))
-        assert trace.entropies[0] == pytest.approx(h_init / n_unlabeled,
-                                                   rel=1e-12)
+        assert trace.entropies[0] == pytest.approx(h_init, rel=1e-12)
         assert np.isfinite(params.alpha) and np.isfinite(params.b)
         assert 0.0 < params.epsilon < 1.0
 
@@ -348,9 +349,9 @@ class TestFitFull:
     def test_params_epoch_names_returned_row(self, ekman):
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
         seed = two_cluster_seed(store, ekman, 10)
-        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=6)
-        params, trace = fit_full(store, seed, config,
+        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=6,
                                  init={"alpha": 5.0, "b": 0.0})
+        params, trace = fit_full(store, seed, config)
         epoch = trace.params_epoch
         assert epoch == int(np.argmin(trace.entropies))
         assert epoch < config.epochs - 1
@@ -360,20 +361,22 @@ class TestFitFull:
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
         seed = two_cluster_seed(store, ekman, 10)
-        config = OptimizerConfig(mode="full", learning_rate=1e7, epochs=6)
+        config = OptimizerConfig(mode="full", learning_rate=1e7, epochs=6,
+                                 init={"alpha": 5.0, "b": 0.0})
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
-            fit_full(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+            fit_full(store, seed, config)
 
     # From an init where every weight underflows, no halving of the rate
     # reaches a usable graph: the fit ends with the operator's refusal.
     def test_zero_mass_init_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(5, dim=4, separation=3.0, seed=6)
         seed = two_cluster_seed(store, ekman, 1)
-        config = OptimizerConfig(mode="full", epochs=3)
+        config = OptimizerConfig(mode="full", epochs=3,
+                                 init={"alpha": 0.0, "b": -800.0})
         with pytest.raises(GradientError, match="^entropy diverged after 3 "
                            "learning-rate halvings: zero or non-finite column "
                            "mass; "):
-            fit_full(store, seed, config, init={"alpha": 0.0, "b": -800.0})
+            fit_full(store, seed, config)
 
     # A step whose b overflows to -inf is divergence like any other; the
     # fit used to go on from b = -inf.
@@ -402,8 +405,9 @@ class TestFitFull:
                                   seed=mixture_seed)
         seed = two_cluster_seed(store, ekman, 10)
         init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
-        config = OptimizerConfig(mode="full", learning_rate=100.0, epochs=30)
-        params, _ = fit_full(store, seed, config, init=init)
+        config = OptimizerConfig(mode="full", learning_rate=100.0, epochs=30,
+                                 init=init)
+        params, _ = fit_full(store, seed, config)
 
         def cv_kl(p):
             return cross_validate(store, seed, label_prop_expander(p),
@@ -415,11 +419,12 @@ class TestFitFull:
     # expand refuses; the fit used to return it.
     def test_params_expand_refuses_raise(self, ekman):
         store, seed = refused_fit_instance(ekman)
-        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=40)
+        config = OptimizerConfig(mode="full", learning_rate=3e3, epochs=40,
+                                 init=REFUSED_FIT_INIT)
         with pytest.raises(GradientError, match="^fitted parameters give a "
                            "graph that expand refuses: .*condition bound "
                            "5.44e"):
-            fit_full(store, seed, config, init=REFUSED_FIT_INIT)
+            fit_full(store, seed, config)
 
     # With no seed in the vocabulary the fit used to return `init` after a
     # flat descent; with every word a seed it divided by zero unlabeled rows.
@@ -480,9 +485,9 @@ class TestFitBatched:
         steps = count_steps(monkeypatch)
         config = OptimizerConfig(mode="batch", learning_rate=3e4,
                                  batch_size=12, num_batches=5,
-                                 epochs_per_batch=2, rng_seed=42)
-        params, trace = fit_batched(store, seed, config,
-                                    init={"alpha": 5.0, "b": 0.0})
+                                 epochs_per_batch=2, rng_seed=42,
+                                 init={"alpha": 5.0, "b": 0.0})
+        params, trace = fit_batched(store, seed, config)
         assert len(steps) > 10
         assert len(trace.entropies) == 10
         assert np.all(np.isfinite(trace.entropies))
@@ -496,9 +501,10 @@ class TestFitBatched:
         seed = two_cluster_seed(store, ekman, 4)
         config = OptimizerConfig(mode="batch", learning_rate=1e4,
                                  batch_size=12, num_batches=5,
-                                 epochs_per_batch=2, rng_seed=42)
+                                 epochs_per_batch=2, rng_seed=42,
+                                 init={"alpha": 5.0, "b": 0.0})
         with pytest.raises(GradientError, match="condition bound 2.43e"):
-            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+            fit_batched(store, seed, config)
 
     # Before epsilon rounding to 0 counted as divergence, this fit "recovered"
     # to epsilon = 0.0 with alpha 2834, b -3312, a graph on which expand
@@ -508,9 +514,10 @@ class TestFitBatched:
         seed = two_cluster_seed(store, ekman, 4)
         config = OptimizerConfig(mode="batch", learning_rate=3e5,
                                  batch_size=12, num_batches=5,
-                                 epochs_per_batch=2, rng_seed=42)
+                                 epochs_per_batch=2, rng_seed=42,
+                                 init={"alpha": 5.0, "b": 0.0})
         with pytest.raises(GradientError, match="epsilon rounds to 0"):
-            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+            fit_batched(store, seed, config)
 
     # At b = -800 every weight underflows to 0: the full-graph check refuses
     # with the operator's own message.
@@ -527,9 +534,10 @@ class TestFitBatched:
         seed = two_cluster_seed(store, ekman, 4)
         config = OptimizerConfig(mode="batch", learning_rate=1e8,
                                  batch_size=12, num_batches=5,
-                                 epochs_per_batch=2, rng_seed=42)
+                                 epochs_per_batch=2, rng_seed=42,
+                                 init={"alpha": 5.0, "b": 0.0})
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
-            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 0.0})
+            fit_batched(store, seed, config)
 
     # A step of 1e6 pushes the epsilon logit past ~37, where its logistic
     # rounds to exactly 1; that counts as divergence like any other.
@@ -538,9 +546,10 @@ class TestFitBatched:
         seed = two_cluster_seed(store, ekman, 4)
         config = OptimizerConfig(mode="batch", learning_rate=1e6,
                                  batch_size=12, num_batches=5,
-                                 epochs_per_batch=2, rng_seed=42)
+                                 epochs_per_batch=2, rng_seed=42,
+                                 init={"alpha": 5.0, "b": 5.0})
         with pytest.raises(GradientError, match="3 learning-rate halvings"):
-            fit_batched(store, seed, config, init={"alpha": 5.0, "b": 5.0})
+            fit_batched(store, seed, config)
 
     def test_batch_of_one_fails_on_first_draw(self, ekman, monkeypatch):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
@@ -564,12 +573,13 @@ class TestFitBatched:
         store = two_cluster_store(50, dim=6, separation=4.0, seed=10)
         seed = two_cluster_seed(store, ekman, 10)
         init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
-        full_cfg = OptimizerConfig(mode="full", learning_rate=0.5, epochs=150)
-        full_params, _ = fit_full(store, seed, full_cfg, init=init)
+        full_cfg = OptimizerConfig(mode="full", learning_rate=0.5, epochs=150,
+                                   init=init)
+        full_params, _ = fit_full(store, seed, full_cfg)
         batch_cfg = OptimizerConfig(mode="batch", learning_rate=0.5,
                                     batch_size=40, num_batches=50,
-                                    epochs_per_batch=3, rng_seed=0)
-        batch_params, _ = fit_batched(store, seed, batch_cfg, init=init)
+                                    epochs_per_batch=3, rng_seed=0, init=init)
+        batch_params, _ = fit_batched(store, seed, batch_cfg)
         assert float(batch_params.alpha) == pytest.approx(
             float(full_params.alpha), rel=0.1)
         assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
@@ -616,10 +626,20 @@ class TestInit:
     def test_bad_init_refused(self, ekman, fit, init, match):
         store = two_cluster_store(10, dim=4, seed=8)
         seed = two_cluster_seed(store, ekman, 2)
-        config = OptimizerConfig(mode="full", epochs=2, batch_size=8,
-                                 num_batches=2)
         with pytest.raises(ValueError, match=match):
-            fit(store, seed, config, init=init)
+            fit(store, seed, OptimizerConfig(mode="full", epochs=2,
+                                             batch_size=8, num_batches=2,
+                                             init=init))
+
+    # The config holds the start a fit reruns from: defaults filled in,
+    # alpha a float or a list, so `to_dict` is JSON-ready.
+    def test_init_stored_resolved(self):
+        vector = OptimizerConfig(init={"alpha": np.array([1, 2]), "b": -1})
+        assert vector.to_dict()["init"] == {"alpha": [1.0, 2.0], "b": -1.0,
+                                            "epsilon": 0.1}
+        assert OptimizerConfig().init == {"alpha": 0.0, "b": 0.0,
+                                          "epsilon": 0.1}
+        assert type(OptimizerConfig(init={"alpha": 3}).init["alpha"]) is float
 
 
 class TestTrace:

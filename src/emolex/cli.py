@@ -17,8 +17,7 @@ from . import evaluate as ev
 from .graph import PropagationParams
 from .lexicon import EmotionSet, load_seed_lexicon, write_lexicon_json, write_lexicon_tsv
 from .embeddings import load_embeddings
-from .optimize import (OptimizerConfig, fit_batched, fit_full, is_integral,
-                       is_real)
+from .optimize import OptimizerConfig, fit_batched, fit_full
 from .solver import SOLVERS, check_solver_options, expand
 
 
@@ -59,14 +58,29 @@ def _write_json(path, payload):
                                    allow_nan=False) + "\n")
 
 
+def _object(key, value):
+    """`value`, refused with a ConfigError naming `key` unless it is a JSON
+    object."""
+    if not isinstance(value, dict):
+        raise ConfigError("%r must be a JSON object, not %r" % (key, value))
+    return value
+
+
 class RunConfig:
-    """Validated union of the config file and flag overrides."""
+    """Validated union of the config file and flag overrides.
+
+    It checks the config's shape: its keys, its sections, its required
+    paths. Each value is checked by the function that takes it.
+    """
 
     def __init__(self, data):
         unknown = sorted(set(data) - CONFIG_KEYS)
         if unknown:
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(map(repr, unknown)))
+        for key in ("params", "batch_params", "fit", "class_counts"):
+            if key in data:
+                _object(key, data[key])
         self.data = data
 
     @classmethod
@@ -85,14 +99,6 @@ class RunConfig:
 
     def get(self, key, default=None):
         return self.data.get(key, default)
-
-    def integer(self, key, default):
-        """The integer at `key`; a bool, a number with a fraction or a value
-        that is not a number is refused rather than truncated or parsed."""
-        value = self.data.get(key, default)
-        if not is_integral(value):
-            raise ConfigError("%r must be an integer, not %r" % (key, value))
-        return int(value)
 
     def require_path(self, key):
         path = self.data.get(key)
@@ -129,7 +135,7 @@ class RunConfig:
         raw = self.data.get(key)
         if key + "_file" in self.data:
             with open(self.require_path(key + "_file"), encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = _object(key + "_file", json.load(fh))
         if self.data.get("kernel"):
             raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
         return PropagationParams.from_dict(raw)
@@ -141,8 +147,8 @@ class RunConfig:
         if self.data.get("mode"):
             fit["mode"] = self.data["mode"]
         if self.data.get("seed") is not None:
-            fit["rng_seed"] = self.integer("seed", None)
-        return OptimizerConfig(**fit)
+            fit["rng_seed"] = self.data["seed"]
+        return OptimizerConfig.from_dict(fit)
 
 
 def _kernel_name(short):
@@ -150,20 +156,16 @@ def _kernel_name(short):
 
 
 def _solver_options(cfg):
-    solver = cfg.get("solver", "auto")
-    if solver not in SOLVERS:
-        raise ConfigError("unknown solver %r" % (solver,))
-    tol = cfg.get("tol", 1e-6)
-    if not is_real(tol):
-        raise ConfigError("'tol' must be a number, not %r" % (tol,))
-    tol, max_iter = float(tol), cfg.integer("max_iter", 1000)
-    check_solver_options(tol, max_iter)
-    return {"solver": solver, "tol": tol, "max_iter": max_iter}
+    options = {"solver": cfg.get("solver", "auto"), "tol": cfg.get("tol", 1e-6),
+               "max_iter": cfg.get("max_iter", 1000)}
+    check_solver_options(**options)
+    return options
 
 
 def _load_inputs(cfg):
+    emotions = cfg.emotions()
     store = load_embeddings(cfg.require_path("embeddings"))
-    seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), cfg.emotions())
+    seed = load_seed_lexicon(cfg.require_path("seed_lexicon"), emotions)
     return store, seed
 
 
@@ -211,7 +213,7 @@ def _class_counts(cfg, emotions):
                               "missing %s; unknown %s"
                               % (", ".join(missing) or "none",
                                  ", ".join(unknown) or "none"))
-        return np.array([float(counts[name]) for name in emotions])
+        return [counts[name] for name in emotions]
     corpus_path = cfg.get("corpus")
     if corpus_path:
         corpus = ev.load_corpus(corpus_path, emotions)
@@ -222,15 +224,17 @@ def _class_counts(cfg, emotions):
 
 def cmd_evaluate(cfg):
     options = _solver_options(cfg)
-    k = cfg.integer("k_folds", 10)
-    rng_seed = cfg.integer("seed", 0)
-    ev.check_folds(k, rng_seed)
+    k, rng_seed = ev.check_folds(cfg.get("k_folds", 10), cfg.get("seed", 0))
     out = cfg.out_dir()
     params = [("label-propagation", cfg.propagation_params())]
     if cfg.get("batch_params") or cfg.get("batch_params_file"):
         params.append(("batch-label-propagation",
                        cfg.propagation_params("batch_params")))
     counts = _class_counts(cfg, cfg.emotions())
+    runs = [(ev.baseline_expander(kind, counts), kind)
+            for kind in ("uniform", "majority", "prior")]
+    runs += [(ev.label_prop_expander(p, **options), method)
+             for method, p in params]
     store, seed = _load_inputs(cfg)
 
     def row(expander, method):
@@ -239,12 +243,9 @@ def cmd_evaluate(cfg):
         report.method = method
         return report.to_dict()
 
-    rows = [row(ev.baseline_expander(kind, counts), kind)
-            for kind in ("uniform", "majority", "prior")]
     # A run's graph operator is freed when its expander returns, before the
     # next row builds one.
-    rows += [row(ev.label_prop_expander(p, **options), method)
-             for method, p in params]
+    rows = [row(expander, method) for expander, method in runs]
 
     _write_json(os.path.join(out, "eval_report.json"),
                 {"k": k, "rng_seed": rng_seed, "rows": rows})

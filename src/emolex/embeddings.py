@@ -17,6 +17,14 @@ class EmbeddingFormatError(FormatError):
     """A malformed embedding file."""
 
 
+class RowError(ValueError):
+    """A word that Vocabulary or EmbeddingStore refuses, with its row."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 class Vocabulary:
     """Ordered, duplicate-free token list with a token -> index map."""
 
@@ -25,7 +33,7 @@ class Vocabulary:
         self.index = {}
         for i, w in enumerate(self.words):
             if w in self.index:
-                raise ValueError("duplicate token: %r" % w)
+                raise RowError("duplicate token: %r" % w, i)
             self.index[w] = i
 
     def __len__(self):
@@ -55,12 +63,14 @@ class EmbeddingStore:
         if vectors.shape[0] != len(vocab):
             raise ValueError("vector count %d != vocabulary size %d"
                              % (vectors.shape[0], len(vocab)))
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("non-finite vector component")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise RowError("non-finite vector component",
+                           int(np.argmin(finite)))
         norms = np.linalg.norm(vectors, axis=1)
         if np.any(norms == 0.0):
             bad = int(np.flatnonzero(norms == 0.0)[0])
-            raise ValueError("zero vector for token %r" % vocab[bad])
+            raise RowError("zero vector for token %r" % vocab[bad], bad)
         self.vocab = vocab
         self.vectors = vectors
         self._norms = norms
@@ -124,11 +134,10 @@ def load_embeddings(path):
                if all(len(pair) == 2 for pair in pairs) else None)
     if vectors is None:
         _refuse_unread_row(rows, dim)
-    words = [token for token, _ in pairs]
     try:
-        return EmbeddingStore(Vocabulary(words), vectors)
-    except ValueError:
-        _refuse_stored_row(rows, words, vectors)
+        return EmbeddingStore(Vocabulary(token for token, _ in pairs), vectors)
+    except RowError as exc:
+        raise EmbeddingFormatError(str(exc), rows[exc.row][0]) from None
 
 
 def _components(texts, dim):
@@ -154,18 +163,3 @@ def _refuse_unread_row(rows, dim):
             raise EmbeddingFormatError("unparseable vector component", line_no)
     raise AssertionError("np.loadtxt refused the rows but none alone")
 
-
-def _refuse_stored_row(rows, words, vectors):
-    """Raise for the first row, by kind, that Vocabulary or EmbeddingStore
-    refuses: a duplicate token, a non-finite component, else a zero vector."""
-    first = {}
-    for (line_no, _), token in zip(rows, words):
-        if first.setdefault(token, line_no) != line_no:
-            raise EmbeddingFormatError("duplicate token %r" % token, line_no)
-    finite = np.all(np.isfinite(vectors), axis=1)
-    if not np.all(finite):
-        raise EmbeddingFormatError("non-finite vector component",
-                                   rows[np.argmin(finite)][0])
-    row = int(np.argmin(np.linalg.norm(vectors, axis=1)))
-    raise EmbeddingFormatError("zero vector for token %r" % words[row],
-                               rows[row][0])

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import FormatError
+from .graph import integer, real
 # `expand` is not called here; the bench hooks it until it reads a run log.
 from .solver import expand, expand_folds
 
@@ -39,11 +40,14 @@ def kl_divergence(gold, predicted):
 
 
 def check_folds(k, rng_seed):
-    """Refuse fewer than two folds or a negative fold seed."""
+    """(k, rng_seed) as ints; refuses a value that is not an integer, fewer
+    than two folds or a negative fold seed."""
+    k, rng_seed = integer("k", k), integer("rng_seed", rng_seed)
     if k < 2:
         raise ValueError("k must be at least 2")
     if rng_seed < 0:
         raise ValueError("rng_seed must be >= 0")
+    return k, rng_seed
 
 
 def make_folds(tokens, k, rng_seed):
@@ -52,7 +56,7 @@ def make_folds(tokens, k, rng_seed):
     Fold f holds the sorted tokens at positions f, f + k, f + 2k, ... of one
     seeded permutation, in that order.
     """
-    check_folds(k, rng_seed)
+    k, rng_seed = check_folds(k, rng_seed)
     tokens = sorted(tokens)
     if len(tokens) < k:
         raise ValueError("need at least k seed tokens")
@@ -94,14 +98,21 @@ def baseline_expander(kind, class_counts=None):
     """Constant-distribution expanders: uniform, majority class, or prior.
 
     class_counts (per-emotion counts in emotion order) is required for the
-    majority and prior kinds; majority ties break by emotion order.
+    majority and prior kinds; majority ties break by emotion order. A count
+    that is not a number, or is negative or infinite, is refused, and so
+    are counts that sum to zero.
     """
     if kind not in ("uniform", "majority", "prior"):
         raise ValueError("unknown baseline kind %r" % kind)
     if kind != "uniform":
         if class_counts is None or len(class_counts) == 0:
             raise ValueError("%s baseline requires class counts" % kind)
-        class_counts = np.asarray(class_counts, dtype=np.float64)
+        class_counts = np.array([real("class count", count)
+                                 for count in class_counts], dtype=np.float64)
+        if not np.all((class_counts >= 0) & np.isfinite(class_counts)):
+            raise ValueError("class counts must be finite and not negative")
+        if class_counts.sum() == 0:
+            raise ValueError("class counts must not all be zero")
 
     def run(store, seed, folds):
         m = len(seed.emotions)
@@ -132,6 +143,7 @@ def cross_validate(store, seed, expander, *, k=10, rng_seed=0):
     propagates; a count of arrays other than k, or an array of the wrong
     shape, raises RuntimeError, naming the fold for the shape.
     """
+    k, rng_seed = check_folds(k, rng_seed)
     eligible = [t for t in seed.entries if t in store.vocab]
     folds = make_folds(eligible, k, rng_seed)
     arrays = list(expander(store, seed, folds))

@@ -1,6 +1,8 @@
 """Similarity graph construction: edge weights and the epsilon-smoothed
 transition operator."""
 
+import numbers
+
 import numpy as np
 
 COSINE_LOGISTIC = "cosine-logistic"
@@ -16,30 +18,60 @@ class NumericalDegeneracyError(RuntimeError):
     """A transition-matrix row or column underflowed to zero mass."""
 
 
+def is_real(value):
+    """Whether `value` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def real(name, value):
+    """`value`, refused with a ValueError naming `name` unless it is a real
+    number and not a bool."""
+    if not is_real(value):
+        raise ValueError("%s must be a number, not %r" % (name, value))
+    return value
+
+
+def integer(name, value):
+    """`value` as an int; a bool, a number with a fraction or a value that
+    is not a number is refused with a ValueError naming `name`, rather than
+    truncated or parsed."""
+    if not (is_real(value) and (isinstance(value, numbers.Integral)
+                                or float(value).is_integer())):
+        raise ValueError("%s must be an integer, not %r" % (name, value))
+    return int(value)
+
+
 class PropagationParams:
     """Kernel choice plus its trainable/settable parameters.
 
     cosine-logistic needs alpha (scalar or d-vector) and b; euclidean-rbf
     needs sigma. epsilon in [0, 1) interpolates the transition matrix with
-    the uniform matrix. alpha, b and sigma must be finite.
+    the uniform matrix. alpha, b and sigma must be finite. Each value must
+    be a number (alpha a number or a list of numbers), not a bool or a
+    string; that is checked first.
     """
 
     def __init__(self, kernel=COSINE_LOGISTIC, alpha=None, b=None,
                  epsilon=0.0, sigma=None):
         if kernel not in (COSINE_LOGISTIC, EUCLIDEAN_RBF):
-            raise ValueError("unknown kernel %r" % kernel)
-        if not (0.0 <= epsilon < 1.0):
+            raise ValueError("unknown kernel %r" % (kernel,))
+        # A numeric array, as each fit step passes, is checked by its dtype.
+        if alpha is not None and not (isinstance(alpha, np.ndarray)
+                                      and alpha.dtype.kind in "iuf"):
+            for value in np.ravel(np.array(alpha, dtype=object)):
+                real("alpha", value)
+        self.kernel = kernel
+        self.alpha = None if alpha is None else np.asarray(alpha, np.float64)
+        self.b = None if b is None else float(real("b", b))
+        self.epsilon = float(real("epsilon", epsilon))
+        self.sigma = None if sigma is None else float(real("sigma", sigma))
+        if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must be in [0, 1)")
         if kernel == COSINE_LOGISTIC:
             if alpha is None or b is None:
                 raise ValueError("cosine-logistic kernel requires alpha and b")
         elif sigma is None or not sigma > 0:
             raise ValueError("euclidean-rbf kernel requires positive sigma")
-        self.kernel = kernel
-        self.alpha = None if alpha is None else np.asarray(alpha, np.float64)
-        self.b = None if b is None else float(b)
-        self.epsilon = float(epsilon)
-        self.sigma = None if sigma is None else float(sigma)
         if self.alpha is not None and self.alpha.ndim > 1:
             raise ValueError("alpha must be a scalar or a 1-D vector")
         for key in ("alpha", "b", "sigma"):

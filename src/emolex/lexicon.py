@@ -17,6 +17,10 @@ class EmotionSet:
     """Ordered set of class labels; the order fixes distribution components."""
 
     def __init__(self, names=EKMAN_SIX):
+        if not (isinstance(names, (list, tuple))
+                and all(isinstance(name, str) for name in names)):
+            raise ValueError("emotions must be a list of names, not %r"
+                             % (names,))
         names = tuple(names)
         if not names:
             raise ValueError("emotion set must be non-empty")

@@ -9,32 +9,19 @@ so it stays in (0, 1).
 """
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
-                    PropagationParams, TransitionOperator, labeled_mass,
-                    logistic, raw_weights, row_blocks)
+                    PropagationParams, TransitionOperator, integer, is_real,
+                    labeled_mass, logistic, raw_weights, real, row_blocks)
 from .lexicon import init_label_matrix
 from .solver import check_seed_split, condition
 
 
 class GradientError(RuntimeError):
     """A non-finite gradient, annotated with the parameter at fault."""
-
-
-def is_real(value):
-    """Whether `value` is a real number and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def is_integral(value):
-    """Whether `value` is a real number without a fraction and not a bool,
-    so that it reads as an int rather than being truncated."""
-    return is_real(value) and (isinstance(value, numbers.Integral)
-                               or float(value).is_integer())
 
 
 _DEFAULT_INIT = {"alpha": 0.0, "b": 0.0, "epsilon": 0.1}
@@ -55,33 +42,42 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.mode not in ("full", "batch"):
             raise ValueError("mode must be 'full' or 'batch'")
-        if not is_real(self.learning_rate):
-            raise ValueError("learning_rate must be a number, not %r"
-                             % (self.learning_rate,))
-        if not self.learning_rate > 0:
+        if not real("learning_rate", self.learning_rate) > 0:
             raise ValueError("learning_rate must be positive")
         if not math.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
         for name in ("epochs", "unroll_steps", "batch_size", "num_batches",
                      "epochs_per_batch", "rng_seed"):
-            value = getattr(self, name)
-            if not is_integral(value):
-                raise ValueError("%s must be an integer, not %r"
-                                 % (name, value))
-            setattr(self, name, int(value))
+            value = integer(name, getattr(self, name))
+            setattr(self, name, value)
             floor = 0 if name == "rng_seed" else 1
             if value < floor:
                 raise ValueError("%s must be >= %d" % (name, floor))
-        init = dict(_DEFAULT_INIT, **(self.init or {}))
+        init = {} if self.init is None else self.init
+        if not isinstance(init, dict):
+            raise ValueError("init must be an object, not %r" % (init,))
+        init = dict(_DEFAULT_INIT, **init)
         unknown = sorted(set(init) - set(_DEFAULT_INIT))
         if unknown:
             raise ValueError("unknown init key(s) %s: init takes only alpha, "
                              "b and epsilon" % ", ".join(unknown))
-        if not 0.0 < init["epsilon"] < 1.0:
+        # A value that is not a number is PropagationParams' to refuse.
+        if is_real(init["epsilon"]) and not 0.0 < init["epsilon"] < 1.0:
             raise ValueError("init epsilon must be in the open interval (0, 1)")
-        start = PropagationParams(**init)  # refuses a non-finite alpha or b
+        start = PropagationParams(**init)
         self.init = {"alpha": start.alpha.tolist(), "b": start.b,
                      "epsilon": start.epsilon}
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config of `to_dict`'s keys; any other key is refused, not
+        dropped."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ValueError("unknown fit key(s) %s: a fit takes only %s"
+                             % (", ".join(unknown), ", ".join(names)))
+        return cls(**d)
 
     def to_dict(self):
         return asdict(self)

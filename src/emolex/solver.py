@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import NumericalDegeneracyError, build_transition
+from .graph import NumericalDegeneracyError, build_transition, integer, real
 from .lexicon import LabelMatrix, init_label_matrix
 
 # The names `solve` accepts for its `solver` argument.
@@ -102,15 +102,15 @@ def _certified(method, iterations, residual, mass, cond_bound, tol):
 
 
 def check_solver_options(tol, max_iter, solver="auto"):
-    """Refuse a solver outside SOLVERS, a tol that is not positive and
-    finite, or a max_iter below 1."""
+    """Refuse a solver outside SOLVERS, a tol that is not a positive and
+    finite number, or a max_iter that is not an integer of at least 1."""
     if solver not in SOLVERS:
         raise ValueError("unknown solver %r" % (solver,))
-    if not tol > 0:
+    if not real("tol", tol) > 0:
         raise ValueError("tol must be positive")
     if tol == np.inf:
         raise ValueError("tol must be finite")
-    if max_iter < 1:
+    if integer("max_iter", max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
 
 
@@ -310,15 +310,15 @@ def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
 
     `solver` is "iterative", "closed", "cg", or "auto": the closed form up
     to CLOSED_FORM_MAX_UNLABELED unlabeled rows, conjugate gradients above.
+    The options are checked first, whichever solver runs.
     """
+    check_solver_options(tol, max_iter, solver)
     solver = choose_solver(solver, tm.n - label_matrix.n_labeled)
     if solver == "closed":
         return propagate_closed_form(tm, label_matrix, tol=tol)
     if solver == "iterative":
         return propagate_iterative(tm, label_matrix, tol=tol, max_iter=max_iter)
-    if solver == "cg":
-        return propagate_cg(tm, label_matrix, tol=tol, max_iter=max_iter)
-    raise ValueError("unknown solver %r" % solver)
+    return propagate_cg(tm, label_matrix, tol=tol, max_iter=max_iter)
 
 
 def _as_fold(f, call, *args):

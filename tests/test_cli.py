@@ -590,7 +590,9 @@ class TestFlags:
 
 class TestConfigChecks:
     """A config that no command can run is refused before any input is
-    read: exit 1, one ConfigError line, no `out` directory."""
+    read: exit 1, one error line, no `out` directory. A ConfigError is the
+    config's shape; a ValueError is the refusal of a value by the function
+    that takes it, the same as a library call gets."""
 
     FIT = {"mode": "full", "epochs": 2, "learning_rate": 0.5}
 
@@ -619,14 +621,17 @@ class TestConfigChecks:
                                solvr="iterative")
         assert message == "unknown config keys: 'solvr', 'tols'"
 
+    # A value is refused by the function that takes it, with the message a
+    # library call gets: a ValueError, before any input is read.
     @pytest.mark.parametrize("command", ["expand", "evaluate"])
     def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
                                     command):
         message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               params=PARAMS, solver="gmres")
+                               "ValueError", params=PARAMS, solver="gmres")
         assert message == "unknown solver 'gmres'"
 
     # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.
+    # The message names the parameter of the function that takes the value.
     @pytest.mark.parametrize("command, key, value", [
         ("expand", "max_iter", 2.9), ("expand", "max_iter", True),
         ("evaluate", "max_iter", 2.9), ("evaluate", "k_folds", 2.7),
@@ -639,16 +644,17 @@ class TestConfigChecks:
                                  key, value):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
         message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               **run, **{key: value})
-        assert message == "%r must be an integer, not %r" % (key, value)
+                               "ValueError", **run, **{key: value})
+        name = {"k_folds": "k", "seed": "rng_seed"}.get(key, key)
+        assert message == "%s must be an integer, not %r" % (name, value)
 
     # The solver options are refused as every solve refuses them, before
     # any input is read. Else JSON true would run at tol 1.0, Infinity at
     # no tol at all, and max_iter 0 whenever auto takes the closed form.
     @pytest.mark.parametrize("command", ["expand", "evaluate"])
     @pytest.mark.parametrize("key, value, error, message", [
-        ("tol", True, "ConfigError", "'tol' must be a number, not True"),
-        ("tol", "1e-6", "ConfigError", "'tol' must be a number, not '1e-6'"),
+        ("tol", True, "ValueError", "tol must be a number, not True"),
+        ("tol", "1e-6", "ValueError", "tol must be a number, not '1e-6'"),
         ("tol", float("inf"), "ValueError", "tol must be finite"),
         ("tol", 0, "ValueError", "tol must be positive"),
         ("tol", NAN, "ValueError", "tol must be positive"),
@@ -695,11 +701,19 @@ class TestConfigChecks:
         ({"fit": dict(FIT, init={"alpa": 3.0})},
          "unknown init key(s) alpa: init takes only alpha, b and epsilon"),
         ({"fit": dict(FIT, init={"epsilon": 1.5})},
-         "init epsilon must be in the open interval (0, 1)")],
+         "init epsilon must be in the open interval (0, 1)"),
+        ({"fit": dict(FIT, init={"b": True})}, "b must be a number, not True"),
+        ({"fit": dict(FIT, init={"epsilon": "0.1"})},
+         "epsilon must be a number, not '0.1'"),
+        ({"fit": dict(FIT, init=[1])}, "init must be an object, not [1]"),
+        ({"fit": dict(FIT, foo=1)}, "unknown fit key(s) foo: a fit takes "
+         "only mode, learning_rate, epochs, unroll_steps, batch_size, "
+         "num_batches, epochs_per_batch, rng_seed, init")],
         ids=["rng_seed-negative", "batch-seed-negative", "seed-negative",
              "learning_rate-inf", "init-alpha-inf", "init-alpha-nan",
              "init-b-inf", "init-b-nan", "init-misspelt-key",
-             "init-epsilon-1.5"])
+             "init-epsilon-1.5", "init-b-true", "init-epsilon-string",
+             "init-list", "fit-unknown-key"])
     def test_bad_fit_number_refused(self, tmp_path, capsys, monkeypatch,
                                     overrides, message):
         assert self.refused(tmp_path, capsys, monkeypatch, "optimize",
@@ -737,13 +751,22 @@ class TestConfigChecks:
          "epsilon must be in [0, 1)"),
         ("evaluate", {"params": PARAMS,
                       "batch_params": dict(PARAMS, epsilon=1.5)},
-         "ValueError", "epsilon must be in [0, 1)")],
+         "ValueError", "epsilon must be in [0, 1)"),
+        ("expand", {"params": {"alpha": "8", "b": True, "epsilon": 0.02}},
+         "ValueError", "alpha must be a number, not '8'"),
+        ("evaluate", {"params": dict(PARAMS, b=True)}, "ValueError",
+         "b must be a number, not True"),
+        ("expand", {"params_file": "list.json"}, "ConfigError",
+         "'params_file' must be a JSON object, not [1]")],
         ids=["expand-params_file", "evaluate-params_file",
              "evaluate-batch_params_file", "expand-params",
-             "evaluate-params", "evaluate-batch_params"])
+             "evaluate-params", "evaluate-batch_params",
+             "expand-params-string-alpha", "evaluate-params-bool-b",
+             "expand-params_file-list"])
     def test_bad_params_row_refused(self, tmp_path, capsys, monkeypatch,
                                     command, overrides, error, message):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             **overrides) == message
 
@@ -760,6 +783,41 @@ class TestConfigChecks:
         assert self.refused(tmp_path, capsys, monkeypatch, "evaluate",
                             params=PARAMS, class_counts=counts) == (
             "'class_counts' must count each emotion once: " + message)
+
+    # A string count used to be read as a number and a negative count to
+    # fail only once the inputs had loaded, in the KL score.
+    @pytest.mark.parametrize("value, message", [
+        ("3", "class count must be a number, not '3'"),
+        (True, "class count must be a number, not True"),
+        (-5, "class counts must be finite and not negative")])
+    def test_bad_class_count_value_refused(self, tmp_path, capsys,
+                                           monkeypatch, value, message):
+        counts = {name: 1 for name in EmotionSet()} | {"joy": value}
+        assert self.refused(tmp_path, capsys, monkeypatch, "evaluate",
+                            "ValueError", params=PARAMS,
+                            class_counts=counts) == message
+
+    # A section of another JSON type used to fail with Python's own text,
+    # and a bare string of emotions to become the set of its letters.
+    @pytest.mark.parametrize("command, overrides, error, message", [
+        ("optimize", {"fit": [1]}, "ConfigError",
+         "'fit' must be a JSON object, not [1]"),
+        ("expand", {"params": [1]}, "ConfigError",
+         "'params' must be a JSON object, not [1]"),
+        ("evaluate", {"params": PARAMS, "batch_params": "x"}, "ConfigError",
+         "'batch_params' must be a JSON object, not 'x'"),
+        ("evaluate", {"params": PARAMS, "class_counts": [1]}, "ConfigError",
+         "'class_counts' must be a JSON object, not [1]"),
+        ("expand", {"params": PARAMS, "emotions": "joy"}, "ValueError",
+         "emotions must be a list of names, not 'joy'"),
+        ("stats", {"emotions": "joy"}, "ValueError",
+         "emotions must be a list of names, not 'joy'")],
+        ids=["fit", "params", "batch_params", "class_counts",
+             "expand-emotions", "stats-emotions"])
+    def test_wrong_json_shape_refused(self, tmp_path, capsys, monkeypatch,
+                                      command, overrides, error, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, command, error,
+                            **overrides) == message
 
     # Each command names the first part of its run that the config lacks.
     @pytest.mark.parametrize("command, missing, message", [
@@ -794,6 +852,28 @@ class TestConfigChecks:
         assert main(["evaluate", "--config", config]) == 0
         report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
         assert (report["k"], report["rng_seed"]) == (3, 1)
+
+    # An integral float is read as its int: the artifacts are those of the
+    # integer config, byte for byte.
+    @pytest.mark.parametrize("command, run", [
+        ("evaluate", {"params": PARAMS, "k_folds": 3, "seed": 1,
+                      "max_iter": 1000, "solver": "iterative"}),
+        ("optimize", {"fit": dict(FIT, mode="batch", batch_size=6,
+                                  num_batches=2), "seed": 7})])
+    def test_integral_floats_give_identical_artifacts(self, tmp_path, command,
+                                                      run):
+        floats = {key: float(value) if type(value) is int else value
+                  for key, value in run.items()}
+        for name, config in (("ints", run), ("floats", floats)):
+            path = write_config(tmp_path, name=name + ".json",
+                                corpus=data_path("mini_corpus.tsv"),
+                                out=str(tmp_path / name), **config)
+            assert main([command, "--config", path]) == 0
+        names = sorted(os.listdir(tmp_path / "ints"))
+        assert names == sorted(os.listdir(tmp_path / "floats"))
+        for name in names:
+            assert (read(str(tmp_path / "floats"), name, "rb")
+                    == read(str(tmp_path / "ints"), name, "rb"))
 
     def test_integral_float_fit_count_accepted(self, tmp_path):
         config = write_config(tmp_path, fit=dict(self.FIT, unroll_steps=2.0))

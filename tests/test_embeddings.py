@@ -74,7 +74,10 @@ class TestLoad:
         ("2 2\na 1 0\n \t\n",
          "line 3: expected token + 2 components, got 0 fields"),
         ("2 2\na 0 0\nb 1 x\n", "line 3: unparseable vector component"),
-        ("1 2\na 1e-200 0\n", "line 2: zero vector for token 'a'")])
+        ("1 2\na 1e-200 0\n", "line 2: zero vector for token 'a'"),
+        ("3 2\na 0 0\nb 1 inf\na 1 1\n", "line 4: duplicate token: 'a'"),
+        ("3 2\na 1 1\nb 0 0\nc 1 nan\n",
+         "line 4: non-finite vector component")])
     def test_malformed_file_refused(self, tmp_path, text, message):
         with pytest.raises(EmbeddingFormatError,
                            match="^%s$" % re.escape(message)):

@@ -152,6 +152,19 @@ class TestBaselineExpander:
         with pytest.raises(ValueError):
             baseline_expander("oracle")
 
+    # A string or a bool count used to be read as a number, and a negative
+    # count to fail only in the KL score, after a divide-by-zero warning.
+    @pytest.mark.parametrize("counts, message", [
+        (["3", 1], "class count must be a number, not '3'"),
+        ([True, 1], "class count must be a number, not True"),
+        ([-5, 1], "class counts must be finite and not negative"),
+        ([math.inf, 1], "class counts must be finite and not negative"),
+        ([0, 0], "class counts must not all be zero")])
+    @pytest.mark.parametrize("kind", ["majority", "prior"])
+    def test_bad_counts_refused(self, kind, counts, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            baseline_expander(kind, counts)
+
 
 class TestCrossValidate:
     # The emotion set is the seed's: a call that still passes one fails at
@@ -210,6 +223,22 @@ class TestCrossValidate:
                                                abs=1e-12)
         assert len(report.per_fold) == 5
         assert report.method == "label-propagation"
+
+    # An integral float is read as its int, so the report is the integer
+    # call's; k 3.0 used to fail in the fold slicing with a TypeError.
+    def test_integral_float_options_read_as_int(self, ekman):
+        store = two_cluster_store(8, dim=4, seed=4)
+        seed = two_cluster_seed(store, ekman, 5)
+        params = PropagationParams(alpha=4.0, b=-1.0, epsilon=0.05)
+
+        def report(k, rng_seed, max_iter):
+            expander = label_prop_expander(params, solver="iterative",
+                                           max_iter=max_iter)
+            return cross_validate(store, seed, expander, k=k,
+                                  rng_seed=rng_seed).to_dict()
+        floats = report(3.0, 7.0, 1000.0)
+        assert floats == report(3, 7, 1000)
+        assert type(floats["k"]) is int and type(floats["rng_seed"]) is int
 
     def test_label_prop_beats_uniform_on_clusters(self, ekman):
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)

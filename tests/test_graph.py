@@ -98,7 +98,14 @@ class TestParams:
     @pytest.mark.parametrize("raw, message", [
         ({"kernel": "cosine", "alpha": 1.0, "b": 0.0}, "unknown kernel 'cosine'"),
         ({"alpha": [[1.0, 2.0]], "b": 0.0},
-         "alpha must be a scalar or a 1-D vector")])
+         "alpha must be a scalar or a 1-D vector"),
+        ({"alpha": "8", "b": 0.0}, "alpha must be a number, not '8'"),
+        ({"alpha": [True, 2.0], "b": 0.0}, "alpha must be a number, not True"),
+        ({"alpha": 8.0, "b": True}, "b must be a number, not True"),
+        ({"alpha": 8.0, "b": 0.0, "epsilon": "0.1"},
+         "epsilon must be a number, not '0.1'"),
+        ({"kernel": EUCLIDEAN_RBF, "sigma": True},
+         "sigma must be a number, not True")])
     def test_malformed_params_refused(self, raw, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             PropagationParams(**raw)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,13 @@ class TestEmotionSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmotionSet(())
+
+    # A bare string used to become the set of its letters.
+    @pytest.mark.parametrize("names", ["joy", ["joy", 1], {"joy": 1}])
+    def test_not_a_list_of_names_rejected(self, names):
+        with pytest.raises(ValueError, match="^emotions must be a list of "
+                           "names, not %s$" % re.escape(repr(names))):
+            EmotionSet(names)
 
 
 def reference_tsv(fh, tokens, distributions, emotions, labeled):

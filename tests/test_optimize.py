@@ -602,10 +602,22 @@ class TestConfig:
         ("rng_seed", 1.5, "rng_seed must be an integer, not 1.5"),
         ("learning_rate", True, "learning_rate must be a number, not True"),
         ("learning_rate", "0.5",
-         "learning_rate must be a number, not '0.5'")])
+         "learning_rate must be a number, not '0.5'"),
+        ("init", [1], r"init must be an object, not \[1\]"),
+        ("init", {"b": True}, "b must be a number, not True"),
+        ("init", {"epsilon": "0.1"}, "epsilon must be a number, not '0.1'"),
+        ("init", {"alpha": [True, 2.0]}, "alpha must be a number, not True")])
     def test_non_number_refused(self, key, value, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             OptimizerConfig(**{key: value})
+
+    # Python used to refuse it with its own text about keyword arguments.
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError, match="^unknown fit key\\(s\\) decay, foo: "
+                           "a fit takes only mode, learning_rate, "):
+            OptimizerConfig.from_dict({"epochs": 2, "foo": 1, "decay": 0.1})
+        assert OptimizerConfig.from_dict(OptimizerConfig().to_dict()) == (
+            OptimizerConfig())
 
     def test_integral_float_reads_as_int(self):
         config = OptimizerConfig(unroll_steps=2.0, epochs=np.int64(3),

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import emolex.solver as solver_module
 from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
-                    PropagationParams, SeedLexicon, expand, kl_divergence,
+                    PropagationParams, SeedLexicon, cross_validate, expand,
+                    init_label_matrix, kl_divergence, label_prop_expander,
                     propagate_cg, propagate_closed_form, propagate_folds,
                     propagate_iterative)
 from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
@@ -655,3 +658,51 @@ class TestExpand:
         mass = sidecar["solve"]["min_labeled_mass"]
         assert sidecar["solve"]["cond_bound"] == (2.0 - mass) / mass
         assert sidecar["params"]["epsilon"] == 0.1
+
+
+class TestOptionTypes:
+    """A solver or fold option that is not a number of its kind is refused
+    by the function that takes it, before the graph is built. tol True used
+    to certify a solve at tol 1.0, max_iter 2.5 to run three iterations and
+    rng_seed True to run and report true."""
+
+    @staticmethod
+    def call(entry, store, seed, params, options):
+        if entry == "expand":
+            return expand(store, seed, params, **options)
+        if entry == "expand_folds":
+            return expand_folds(store, seed, params, [["c0_0"]], **options)
+        if entry == "cross_validate":
+            return cross_validate(store, seed, label_prop_expander(params),
+                                  **options)
+        label_matrix, _ = init_label_matrix(store.vocab, seed)
+        tm = build_transition(store, params, label_matrix.labeled_mask)
+        if entry == "propagate_folds":
+            return propagate_folds(tm, label_matrix, [[0]], **options)
+        return solve(tm, label_matrix, **options)
+
+    @pytest.mark.parametrize("entry, key, value", [
+        (entry, key, value)
+        for entry in ("expand", "expand_folds", "propagate_folds", "solve")
+        for key, value in (("tol", True), ("tol", "1e-6"),
+                           ("max_iter", 2.5), ("max_iter", True))] + [
+        ("cross_validate", key, value)
+        for key, value in (("k", 3.5), ("k", True),
+                           ("rng_seed", 1.5), ("rng_seed", True))])
+    def test_refused_before_graph_build(self, monkeypatch, ekman, entry, key,
+                                        value):
+        built = []
+        build = solver_module.build_transition
+
+        def counting_build(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(solver_module, "build_transition", counting_build)
+        store = two_cluster_store(4, dim=4, seed=4)
+        seed = two_cluster_seed(store, ekman, 2)
+        params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.1)
+        kind = "a number" if key == "tol" else "an integer"
+        with pytest.raises(ValueError, match="^%s must be %s, not %s$"
+                           % (key, kind, re.escape(repr(value)))):
+            self.call(entry, store, seed, params, {key: value})
+        assert built == []

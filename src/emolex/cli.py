@@ -31,6 +31,9 @@ CONFIG_KEYS = frozenset({
     "embeddings", "seed_lexicon", "emotions", "out", "params", "params_file",
     "batch_params", "batch_params_file", "kernel", "solver", "tol",
     "max_iter", "fit", "mode", "seed", "k_folds", "class_counts", "corpus"})
+# The keys that name a file, a directory or the kernel.
+STRING_KEYS = ("out", "embeddings", "seed_lexicon", "corpus", "params_file",
+               "batch_params_file", "kernel")
 
 
 def _replace(path, write):
@@ -69,8 +72,8 @@ def _object(key, value):
 class RunConfig:
     """Validated union of the config file and flag overrides.
 
-    It checks the config's shape: its keys, its sections, its required
-    paths. Each value is checked by the function that takes it.
+    It checks the config's shape: its keys, its sections, its paths and
+    names. Each value is checked by the function that takes it.
     """
 
     def __init__(self, data):
@@ -81,6 +84,10 @@ class RunConfig:
         for key in ("params", "batch_params", "fit", "class_counts"):
             if key in data:
                 _object(key, data[key])
+        for key in STRING_KEYS:
+            if data.get(key) is not None and not isinstance(data[key], str):
+                raise ConfigError("%r must be a string, not %r"
+                                  % (key, data[key]))
         self.data = data
 
     @classmethod
@@ -91,6 +98,9 @@ class RunConfig:
                 raise ConfigError("config file not found: %s" % args.config)
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError("a config file must hold a JSON object, "
+                                  "not %r" % (data,))
         for key in COMMANDS[args.command][1]:
             value = getattr(args, key)
             if value is not None:

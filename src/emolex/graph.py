@@ -99,25 +99,22 @@ class PropagationParams:
         return cls(**d)
 
 
-def logistic(z, out=None, scratch=None):
-    """Numerically safe logistic, exact in both saturation tails.
+def logistic(z, out=None):
+    """The logistic 1 / (1 + exp(-z)), in four in-place passes over `out`:
+    negate, exp, add 1, reciprocal. `out` may be `z` itself.
 
-    With e = exp(-|z|) this is 1 / (1 + e) for z >= 0 and e / (1 + e) below,
-    so exp never overflows and the negative tail keeps its relative
-    precision. `out` may be `z` itself. The numerator is max(z >= 0, e),
-    since 0 <= e <= 1: a branch-free select, and every pass runs in place
-    on `out` and one scratch array, `scratch` (of z's shape) when it is
-    given. A 0-d input returns a scalar.
+    exp(-z) overflows to inf below z = -709.78, where the result is then
+    exactly 0; above that the negative tail keeps its relative precision,
+    since no difference of nearly equal numbers is formed. A 0-d input
+    returns a scalar.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.abs(z, out=np.empty_like(z) if scratch is None else scratch)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
-    np.maximum(num, e, out=num)
-    e += 1.0
-    np.divide(num, e, out=num)
-    return num if out is not None or num.ndim else num[()]
+    res = np.negative(z, out=np.empty_like(z) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(res, out=res)
+    res += 1.0
+    np.reciprocal(res, out=res)
+    return res if out is not None or res.ndim else res[()]
 
 
 def edge_weight(x_i, x_j, params):
@@ -144,13 +141,9 @@ def edge_weight(x_i, x_j, params):
     return w
 
 
-def _block_rows(n):
-    return max(1, _BLOCK_ENTRIES // max(n, 1))
-
-
 def row_blocks(n):
     """Slices that cover the rows of an n x n array in fixed-size blocks."""
-    step = _block_rows(n)
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -160,8 +153,8 @@ def _weight_kernel(x, params):
     transform(rows, out) works in place on `out` and returns it.
 
     `x` holds unit vectors under cosine-logistic and raw vectors under
-    euclidean-rbf. The logistic's scratch is one array of `row_blocks`'
-    block size, shared by every block.
+    euclidean-rbf. Both kernels run in place on `out` and allocate
+    nothing of its size.
     """
     rbf = params.kernel == EUCLIDEAN_RBF
     if rbf:
@@ -174,8 +167,6 @@ def _weight_kernel(x, params):
         left = x * params.alpha
     else:
         left = x * float(params.alpha)
-    if not rbf:
-        scratch = np.empty((min(_block_rows(len(x)), len(x)), len(x)))
 
     def transform(rows, out):
         if rbf:
@@ -186,7 +177,7 @@ def _weight_kernel(x, params):
             np.exp(out, out=out)
         else:
             out += params.b
-            logistic(out, out=out, scratch=scratch[:len(out)])
+            logistic(out, out=out)
         return out
     return left, transform
 
@@ -249,12 +240,14 @@ class TransitionOperator:
     T is the column-then-row-normalized weight matrix blended with the
     uniform matrix. It is held in factored form and applied, never stored:
     `w` is the symmetric weight matrix, `col` its column sums and `row` the
-    row sums of W D_c^-1. Nothing here depends on which words are labeled,
-    so one operator serves every seed split.
+    row sums of W D_c^-1. W is used as the symmetric matrix it is: its
+    column sums are taken as the gemv W 1, and both products read it in
+    one form. Nothing here depends on which words are labeled, so one
+    operator serves every seed split.
     """
 
     def __init__(self, w, epsilon):
-        col = w.sum(axis=0)
+        col = w @ np.ones(len(w))
         _check_mass(col, "column")
         row = w @ (1.0 / col)
         _check_mass(row, "row")
@@ -267,13 +260,13 @@ class TransitionOperator:
     def n(self):
         return self.w.shape[0]
 
-    # Both products are formed transposed, (y^T W^T)^T and (y^T W)^T: with
-    # a few columns OpenBLAS runs that form 1.5-2x faster than W y or W^T y
-    # (n = 4000, m = 6, two cores).
+    # Both products are formed as (y^T W)^T, which equals W y for the
+    # symmetric W: with a few columns OpenBLAS runs that form 1.5-2x faster
+    # than W y (n = 4000, m = 6, two cores).
     def apply(self, y, product=None):
         """T @ y for an n x m array. W D_c^-1 y is also written into
         `product`, an n x m array, when it is given."""
-        out = ((y / self.col[:, None]).T @ self.w.T).T
+        out = ((y / self.col[:, None]).T @ self.w).T
         if product is not None:
             product[...] = out
         out *= ((1.0 - self.epsilon) / self.row)[:, None]

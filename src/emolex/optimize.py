@@ -151,10 +151,13 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     # whole. The sweeps write the iterates Y_{t-1} into `right` and the
     # products F_t = W D_c^-1 Y_{t-1} into `forward`; column block t-1 of
     # `left` takes G_t, the gradient of H by Y_t with the labeled rows zero.
+    # `left` and `right` are the first two column blocks of `lrl`. Its last
+    # block holds `forward` until the products are reduced, then a copy of
+    # the final L, so that [L R] and [R L] are both views of it.
     km = unroll_steps * m
-    left = np.empty((n, km + 2))
-    right = np.empty((n, km + 2))
-    forward = np.empty((n, km))
+    k = km + 2
+    lrl = np.empty((n, 3 * k))
+    left, right, forward = lrl[:, :k], lrl[:, k:2 * k], lrl[:, 2 * k:-2]
     seeds = y[labeled]
     state = y.copy()
     state[unlabeled] = 1.0 / m
@@ -196,7 +199,6 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     col, row = tm.col, tm.row
     big_g = left[:, :km]
     s = np.einsum("ij,ij->i", big_g, forward) / row
-    del forward  # freed before the pass over W allocates its buffers
     c = right[:, :km].sum(axis=0)
     g_eps = float(np.sum(big_g @ (c / n) - s))
     tm.apply_transpose(np.column_stack([left[:, :m], s]), product=back)
@@ -209,20 +211,30 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     right[:, km + 1] = (yb - back[:, m]) / col
     right /= col[:, None]
 
-    # One pass over W: the rows of dH/dW from one GEMM, times dW/dz =
-    # W (1 - W), reduced into the b and alpha gradients.
+    # One pass over W's upper triangle. dW/dz = W (1 - W) and the factors
+    # that take dH/dz_ij to the gradients, x_i x_j for alpha and 1 for b,
+    # are symmetric in (i, j), so only the symmetric part of dH/dW = L R^T
+    # counts. Over row block I and the columns from I's first row on, twice
+    # that part is the one GEMM [L R]_I [R L]^T; halving the block on the
+    # diagonal then makes every pair (i, j) count once.
+    lrl[:, 2 * k:] = left
+    pair, swapped = lrl[:, :2 * k], lrl[:, k:]
     blocks = row_blocks(n)
-    buf = np.empty((blocks[0].stop, n))
+    buf = np.empty(blocks[0].stop * n)
     scratch = np.empty_like(buf)
     g_b = 0.0
     g_alpha = np.zeros(unit.shape[1])
     for rows in blocks:
-        block = np.matmul(left[rows], right.T, out=buf[:rows.stop - rows.start])
-        w_rows = w[rows]
-        block *= w_rows
-        block *= np.subtract(1.0, w_rows, out=scratch[:len(block)])
-        g_b += float(block.sum())
-        g_alpha += np.sum((block @ unit) * unit[rows], axis=0)
+        shape = (rows.stop - rows.start, n - rows.start)
+        size = shape[0] * shape[1]
+        panel = np.matmul(pair[rows], swapped[rows.start:].T,
+                          out=buf[:size].reshape(shape))
+        w_panel = w[rows, rows.start:]
+        panel *= w_panel
+        panel *= np.subtract(1.0, w_panel, out=scratch[:size].reshape(shape))
+        panel[:, :shape[0]] *= 0.5
+        g_b += float(panel.sum())
+        g_alpha += np.sum((panel @ unit[rows.start:]) * unit[rows], axis=0)
 
     if np.ndim(alpha) == 0:
         g_alpha = float(np.sum(g_alpha))

@@ -603,8 +603,8 @@ class TestConfigChecks:
             raise AssertionError("an input was read: %s" % path)
         monkeypatch.setattr(cli, "load_embeddings", no_load)
         monkeypatch.setattr(cli, "load_seed_lexicon", no_load)
-        config = write_config(tmp_path, corpus=data_path("mini_corpus.tsv"),
-                              **overrides)
+        overrides = dict({"corpus": data_path("mini_corpus.tsv")}, **overrides)
+        config = write_config(tmp_path, **overrides)
         assert main([command, "--config", config]) == 1
         assert not (tmp_path / "out").exists()
         err = json.loads(capsys.readouterr().err)
@@ -818,6 +818,35 @@ class TestConfigChecks:
                                       command, overrides, error, message):
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             **overrides) == message
+
+    # Such a file used to fail with a TypeError when --out was given, and as
+    # "unknown config keys: 1" when it was not.
+    @pytest.mark.parametrize("flags", [[], ["--out", "out"]],
+                             ids=["config-only", "out-flag"])
+    def test_top_level_not_object_refused(self, tmp_path, capsys,
+                                          monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text("[1]", encoding="utf-8")
+        assert main(["expand", "--config", "config.json"] + flags) == 1
+        assert not (tmp_path / "out").exists()
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "a config file must hold a JSON object, not [1]"}
+
+    # A path or a kernel name of another JSON type used to fail with
+    # Python's own text.
+    @pytest.mark.parametrize("command, key, value", [
+        ("expand", "out", 5), ("optimize", "seed_lexicon", ["x"]),
+        ("expand", "kernel", ["x"]), ("stats", "corpus", 1.5),
+        ("evaluate", "params_file", {"a": 1}),
+        ("evaluate", "batch_params_file", True),
+        ("stats", "embeddings", [])])
+    def test_non_string_path_refused(self, tmp_path, capsys, monkeypatch,
+                                     command, key, value):
+        run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
+        assert self.refused(tmp_path, capsys, monkeypatch, command,
+                            **run, **{key: value}) == (
+            "%r must be a string, not %r" % (key, value))
 
     # Each command names the first part of its run that the config lacks.
     @pytest.mark.parametrize("command, missing, message", [

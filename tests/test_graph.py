@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ class TestBuildTransition:
         assert np.allclose(tm.submatrix(index, cols), t[np.ix_(index, cols)],
                            atol=1e-15)
 
+    # W is symmetric, so its column sums are taken as the product W 1, and
+    # T y as (y^T W)^T: both agree with the dense forms to rounding.
+    def test_column_sums_and_apply_match_dense(self):
+        rng = np.random.default_rng(18)
+        store = make_store(rng.normal(size=(60, 5)))
+        params = PropagationParams(alpha=np.linspace(1.0, 5.0, 5), b=-2.0,
+                                   epsilon=0.1)
+        tm = build_transition(store, params, [True] * 6 + [False] * 54)
+        col = tm.w.sum(axis=0)
+        assert np.max(np.abs(tm.col - col) / col) <= 1e-14
+        t = 0.9 * tm.w / col / (tm.w / col).sum(axis=1)[:, None] + 0.1 / 60
+        y = rng.random((60, 4))
+        assert np.allclose(tm.apply(y), t @ y, rtol=1e-14, atol=0)
+
     def test_products_written_beside_the_result(self):
         rng = np.random.default_rng(15)
         store = make_store(rng.normal(size=(7, 4)))
@@ -339,45 +354,42 @@ class TestLogistic:
         z = np.linspace(-30, 30, 61)
         assert np.allclose(logistic(z), 1 / (1 + np.exp(-z)), atol=1e-15)
 
-    def test_bit_equal_to_masked_form(self):
+    # The kernel is the plain form 1 / (1 + exp(-z)), to the bit, also in
+    # place and through both saturation tails.
+    def test_bit_equal_to_plain_form(self):
         z = np.concatenate([np.linspace(-800, 800, 4001), [-745.0, -40.0, 0.0]])
-        masked = np.empty_like(z)
-        pos = z >= 0
-        masked[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        masked[~pos] = ez / (1.0 + ez)
-        assert np.array_equal(logistic(z), masked)
+        with np.errstate(over="ignore"):
+            plain = 1.0 / (1.0 + np.exp(-z))
+        assert np.array_equal(logistic(z), plain)
         out = z.copy()
-        logistic(out, out=out, scratch=np.full_like(z, np.nan))
-        assert np.array_equal(out, masked)
+        assert logistic(out, out=out) is out
+        assert np.array_equal(out, plain)
 
-    def test_weight_blocks_share_one_scratch(self, monkeypatch):
-        scratches = []
-        kernel = graph.logistic
-
-        def recording(z, out=None, scratch=None):
-            scratches.append(scratch)
-            return kernel(z, out=out, scratch=scratch)
-
-        def fresh(z, out=None, scratch=None):
-            return kernel(z, out=out)
-
+    # The weight kernel runs in place on the GEMM's output: its only
+    # temporaries are the scaled vectors, far less than one row block.
+    def test_weights_allocate_less_than_a_block(self, monkeypatch):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(9, 4))
+        x = rng.normal(size=(300, 4))
         x /= np.linalg.norm(x, axis=1)[:, None]
         params = PropagationParams(alpha=3.0, b=-1.0)
-        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 36)  # 4 rows a block
-        monkeypatch.setattr(graph, "logistic", fresh)
-        unshared = raw_weights(x, params)
-        monkeypatch.setattr(graph, "logistic", recording)
-        assert np.array_equal(raw_weights(x, params), unshared)
-        assert [len(s) for s in scratches] == [4, 4, 1]
-        assert all(np.shares_memory(s, scratches[0]) for s in scratches)
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 300 * 50)  # 50 rows
+        buf = np.empty((300, 300))
+        tracemalloc.start()
+        try:
+            raw_weights(x, params, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 300 * 8
+        assert np.array_equal(buf, raw_weights(x, params))
 
+    # Above z = -709.78 the tail keeps its relative precision; below it
+    # exp(-z) overflows and the weight is exactly 0.
     def test_deep_negative_tail(self):
         assert logistic(-40.0) == pytest.approx(
             math.exp(-40.0) / (1.0 + math.exp(-40.0)), rel=1e-15)
-        assert logistic(-745.0) > 0.0
+        assert logistic(-700.0) == pytest.approx(math.exp(-700.0), rel=1e-15)
+        assert logistic(-745.0) == 0.0
 
     def test_scalar_input_returns_scalar(self):
         assert type(logistic(-40.0)) is np.float64

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import emolex.graph
 import emolex.optimize
 from emolex import (EmotionSet, PropagationParams, SeedLexicon,
                     cross_validate, entropy, entropy_gradient, expand,
@@ -246,6 +247,24 @@ class TestBlockedReduction:
     @pytest.mark.parametrize("alpha", [2.5, np.linspace(0.5, 4.0, 8)])
     def test_matches_dense_reduction(self, alpha):
         unit, labeled, y = blocked_instance()
+        args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
+        h, grads = _forward_backward(*args)
+        h_ref, ref = dense_forward_backward(*args)
+        u = np.sum(~labeled)
+        assert h == pytest.approx(h_ref / u, rel=1e-10)
+        assert np.shape(grads["alpha"]) == np.shape(alpha)
+        for name in ("alpha", "b", "eps_logit"):
+            assert np.allclose(grads[name], ref[name] / u, rtol=1e-10, atol=0)
+
+    # The pass over W's upper triangle takes row blocks of 7 here: 158
+    # panels, each starting at its block's first row, the last a single
+    # row whose panel is its diagonal entry alone.
+    @pytest.mark.parametrize("alpha", [2.5, np.linspace(0.5, 4.0, 8)])
+    def test_upper_triangle_panels_match_dense(self, monkeypatch, alpha):
+        unit, labeled, y = blocked_instance()
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 7 * 1100)
+        blocks = row_blocks(1100)
+        assert len(blocks) == 158 and blocks[-1] == slice(1099, 1100)
         args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
         h, grads = _forward_backward(*args)
         h_ref, ref = dense_forward_backward(*args)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import evaluate as ev
 from .graph import PropagationParams
-from .lexicon import EmotionSet, load_seed_lexicon, write_lexicon_json, write_lexicon_tsv
+from .lexicon import (EKMAN_SIX, EmotionSet, load_seed_lexicon,
+                      write_lexicon_json, write_lexicon_tsv)
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
 from .solver import SOLVERS, check_solver_options, expand
@@ -127,8 +128,7 @@ class RunConfig:
         return out
 
     def emotions(self):
-        names = self.data.get("emotions")
-        return EmotionSet(names) if names else EmotionSet()
+        return EmotionSet(self.data.get("emotions", EKMAN_SIX))
 
     def _has_params(self):
         """Whether fixed params are given; raises if a fit request is too."""
@@ -146,7 +146,7 @@ class RunConfig:
         if key + "_file" in self.data:
             with open(self.require_path(key + "_file"), encoding="utf-8") as fh:
                 raw = _object(key + "_file", json.load(fh))
-        if self.data.get("kernel"):
+        if "kernel" in self.data:
             raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
         return PropagationParams.from_dict(raw)
 
@@ -154,7 +154,7 @@ class RunConfig:
         if self._has_params() or "fit" not in self.data:
             raise ConfigError("a 'fit' request is required")
         fit = dict(self.data["fit"])
-        if self.data.get("mode"):
+        if "mode" in self.data:
             fit["mode"] = self.data["mode"]
         if self.data.get("seed") is not None:
             fit["rng_seed"] = self.data["seed"]
@@ -237,7 +237,7 @@ def cmd_evaluate(cfg):
     k, rng_seed = ev.check_folds(cfg.get("k_folds", 10), cfg.get("seed", 0))
     out = cfg.out_dir()
     params = [("label-propagation", cfg.propagation_params())]
-    if cfg.get("batch_params") or cfg.get("batch_params_file"):
+    if "batch_params" in cfg.data or "batch_params_file" in cfg.data:
         params.append(("batch-label-propagation",
                        cfg.propagation_params("batch_params")))
     counts = _class_counts(cfg, cfg.emotions())

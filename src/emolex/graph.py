@@ -199,39 +199,12 @@ def raw_weights(x, params, out=None):
     return w
 
 
-def _check_mass(mass, side):
-    """Refuse a graph with a zero or non-finite column or row mass."""
+def _checked(mass, side):
+    """`mass`, refused when a column or row mass is zero or not finite."""
     if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
         raise NumericalDegeneracyError(
             "zero or non-finite %s mass; consider epsilon smoothing" % side)
-
-
-def labeled_mass(x, params, labeled):
-    """m = T 1_L, L the rows where the boolean mask `labeled` is true, for
-    the operator TransitionOperator builds on raw_weights(x, params),
-    refused where it refuses. W is streamed in
-    `row_blocks`, so no n x n array is built: one pass takes its column
-    sums, a second its row sums and the mass each row sends to the seeds.
-    """
-    n = x.shape[0]
-    left, transform = _weight_kernel(x, params)
-    blocks = row_blocks(n)
-    buf = np.empty((blocks[0].stop, n))
-
-    def weights(rows):
-        out = np.matmul(left[rows], x.T, out=buf[:rows.stop - rows.start])
-        return transform(rows, out)
-    col = np.zeros(n)
-    for rows in blocks:
-        col += weights(rows).sum(axis=0)
-    _check_mass(col, "column")
-    sums = np.column_stack([1.0 / col, labeled / col])
-    row, to_seeds = np.empty(n), np.empty(n)
-    for rows in blocks:
-        row[rows], to_seeds[rows] = (weights(rows) @ sums).T
-    _check_mass(row, "row")
-    eps = params.epsilon
-    return (1.0 - eps) * to_seeds / row + eps * np.count_nonzero(labeled) / n
+    return mass
 
 
 class TransitionOperator:
@@ -239,34 +212,36 @@ class TransitionOperator:
 
     T is the column-then-row-normalized weight matrix blended with the
     uniform matrix. It is held in factored form and applied, never stored:
-    `w` is the symmetric weight matrix, `col` its column sums and `row` the
-    row sums of W D_c^-1. W is used as the symmetric matrix it is: its
-    column sums are taken as the gemv W 1, and both products read it in
-    one form. Nothing here depends on which words are labeled, so one
-    operator serves every seed split.
+    `col` holds the column sums of the symmetric W, `row` the row sums of
+    W D_c^-1; every product with W is `w_product`'s, which reads the n x n
+    `w` here and recomputes W in StreamedOperator. Nothing depends on which
+    words are labeled, so one operator serves every seed split.
     """
 
     def __init__(self, w, epsilon):
-        col = w @ np.ones(len(w))
-        _check_mass(col, "column")
-        row = w @ (1.0 / col)
-        _check_mass(row, "row")
         self.w = w
-        self.col = col
-        self.row = row
         self.epsilon = float(epsilon)
+        self.col = _checked(self.w_product(np.ones(self.n)), "column")
+        self.row = _checked(self.w_product(1.0 / self.col), "row")
 
     @property
     def n(self):
         return self.w.shape[0]
 
-    # Both products are formed as (y^T W)^T, which equals W y for the
-    # symmetric W: with a few columns OpenBLAS runs that form 1.5-2x faster
-    # than W y (n = 4000, m = 6, two cores).
+    def w_product(self, v):
+        """W v for an n-vector (a gemv) or an n x m array, as (v^T W)^T: with
+        a few columns OpenBLAS runs that form of the symmetric W's product
+        1.5-2x faster than W v (n = 4000, m = 6, two cores)."""
+        return self.w @ v if v.ndim == 1 else (v.T @ self.w).T
+
+    def w_diagonal(self):
+        """The diagonal of W, as an n-vector."""
+        return np.diagonal(self.w)
+
     def apply(self, y, product=None):
         """T @ y for an n x m array. W D_c^-1 y is also written into
         `product`, an n x m array, when it is given."""
-        out = ((y / self.col[:, None]).T @ self.w).T
+        out = self.w_product(y / self.col[:, None])
         if product is not None:
             product[...] = out
         out *= ((1.0 - self.epsilon) / self.row)[:, None]
@@ -276,7 +251,7 @@ class TransitionOperator:
     def apply_transpose(self, y, product=None):
         """T^T @ y for an n x m array. W^T (1 - eps) D_r^-1 y is also
         written into `product`, an n x m array, when it is given."""
-        out = ((y * ((1.0 - self.epsilon) / self.row)[:, None]).T @ self.w).T
+        out = self.w_product(y * ((1.0 - self.epsilon) / self.row)[:, None])
         if product is not None:
             product[...] = out
         out /= self.col[:, None]
@@ -293,6 +268,30 @@ class TransitionOperator:
         t *= ((1.0 - self.epsilon) / self.row[rows])[:, None]
         t += self.epsilon / self.n
         return t
+
+
+class StreamedOperator(TransitionOperator):
+    """The operator of raw_weights(x, params) without an n x n array: every
+    product recomputes W in `row_blocks`, into one block buffer. Only the
+    held form has `w`, `w_diagonal` and `submatrix`."""
+
+    def __init__(self, x, params):
+        self._x = x
+        self._left, self._transform = _weight_kernel(x, params)
+        self._buf = np.empty((row_blocks(len(x))[0].stop, len(x)))
+        super().__init__(None, params.epsilon)
+
+    @property
+    def n(self):
+        return len(self._x)
+
+    def w_product(self, v):
+        out = np.empty(v.shape)
+        for rows in row_blocks(self.n):
+            block = np.matmul(self._left[rows], self._x.T,
+                              out=self._buf[:rows.stop - rows.start])
+            out[rows] = self._transform(rows, block) @ v
+        return out
 
 
 def build_transition(store, params, labeled_mask):

@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
-                    PropagationParams, TransitionOperator, integer, is_real,
-                    labeled_mass, logistic, raw_weights, real, row_blocks)
+                    PropagationParams, StreamedOperator, TransitionOperator,
+                    build_transition, integer, is_real, logistic, raw_weights,
+                    real, row_blocks)
 from .lexicon import init_label_matrix
 from .solver import check_seed_split, condition
 
@@ -346,13 +347,11 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _check_condition(store, labeled, params):
-    """Raise GradientError when `params` break `expand`'s condition rule on
-    the whole vocabulary, where `labeled_mass` streams W and refuses a zero
-    row or column mass and `condition` the bound m = T 1_L gives. `expand`
-    may still refuse to certify a solve on parameters that pass."""
+def _check_condition(operator, labeled):
+    """Raise GradientError when `operator()`, or `condition` on its m = T 1_L,
+    refuses the graph as `expand` would; `expand` may still not certify it."""
     try:
-        mass = labeled_mass(store.unit_vectors, params, labeled)
+        mass = operator().apply(labeled[:, None].astype(np.float64))
         condition(np.min(mass[~labeled]))
     except NumericalDegeneracyError as exc:
         raise GradientError("fitted parameters give a graph that expand "
@@ -364,9 +363,9 @@ def fit_full(store, seed, config):
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
-    the lowest-entropy iterate; the trace's `params_epoch` is its row. As in
-    `fit_batched`, a GradientError is raised when it breaks `expand`'s
-    condition rule.
+    the lowest-entropy iterate; the trace's `params_epoch` is its row. A
+    GradientError is raised when it breaks `expand`'s condition rule on the
+    graph `expand` builds, built once the descent has freed its own.
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
@@ -374,43 +373,57 @@ def fit_full(store, seed, config):
                                        config.epochs, config)
     trace.params_epoch = epoch
     params = _params(best)
-    _check_condition(store, label_matrix.labeled_mask, params)
+    labeled = label_matrix.labeled_mask
+    _check_condition(lambda: build_transition(store, params, labeled), labeled)
     return params, trace
 
 
-def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total):
-    """Sorted batch indices preserving the global labeled fraction."""
+def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total,
+                  classes=None):
+    """Sorted batch indices preserving the global labeled fraction and each
+    seed class's share of the seeds, `classes[i]` being the class of
+    `labeled_idx[i]` (one class when None), by largest remainders: seeds
+    drawn at random bias the batch gradients away from the full one."""
     n_lab = math.ceil(batch_size * len(labeled_idx) / total)
     n_unl = batch_size - n_lab
     if n_lab < 1 or n_unl < 1:
         raise ValueError("batch has no labeled or no unlabeled nodes")
-    lab = rng.choice(labeled_idx, size=n_lab, replace=False)
+    if classes is None:
+        classes = np.zeros(len(labeled_idx), dtype=np.intp)
+    quota = n_lab * np.bincount(classes) / len(labeled_idx)
+    counts = np.floor(quota).astype(np.intp)
+    counts[np.argsort(counts - quota, kind="stable")[:n_lab - counts.sum()]] += 1
+    lab = [rng.choice(labeled_idx[classes == c], size=k, replace=False)
+           for c, k in enumerate(counts)]
     unl = rng.choice(unlabeled_idx, size=n_unl, replace=False)
-    return np.sort(np.concatenate([lab, unl]))
+    return np.sort(np.concatenate(lab + [unl]))
 
 
 def fit_batched(store, seed, config):
     """Shared-parameter descent over random vocabulary subsamples.
 
-    Each batch fixes the labeled/unlabeled proportion of the full graph,
-    builds only its own submatrix, and takes config.epochs_per_batch
-    descent steps on the shared parameters. The last iterate is returned:
-    entropies of different subgraphs do not rank parameters. It is checked
-    on the full graph, and a GradientError is raised when it breaks
-    `expand`'s condition rule.
+    Each batch fixes the labeled/unlabeled proportion of the full graph
+    and each seed class's share of its seeds, builds only its own
+    submatrix, and takes config.epochs_per_batch descent steps on the
+    shared parameters. The last iterate is returned: entropies of different
+    subgraphs do not rank parameters. It is checked on the full graph,
+    streamed, and a GradientError is raised when it breaks `expand`'s
+    condition rule.
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
-    labeled_idx = np.flatnonzero(label_matrix.labeled_mask)
-    unlabeled_idx = np.flatnonzero(~label_matrix.labeled_mask)
+    labeled = label_matrix.labeled_mask
+    labeled_idx = np.flatnonzero(labeled)
+    unlabeled_idx = np.flatnonzero(~labeled)
+    classes = label_matrix.rows[labeled_idx].argmax(axis=1)
     rng = np.random.default_rng(config.rng_seed)
     batches = (_sample_batch(rng, labeled_idx, unlabeled_idx,
-                             config.batch_size, len(store))
+                             config.batch_size, len(store), classes)
                for _ in range(config.num_batches))
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _check_condition(store, label_matrix.labeled_mask, params)
+    _check_condition(lambda: StreamedOperator(store.unit_vectors, params), labeled)
     return params, trace

@@ -237,13 +237,13 @@ def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
     b[:, :m] = rhs[unlabeled]
     b[:, m] = 1.0
     b *= row[:, None]
-    precondition = 1.0 / (row * col - keep * tm.w[unlabeled, unlabeled])[:, None]
+    precondition = 1.0 / (row * col - keep * tm.w_diagonal()[unlabeled])[:, None]
     pad = np.zeros((n, m + 1))
 
     def apply_a(p):
-        # W_uu p through the whole of W (symmetric), never gathered.
+        # W_uu p through the whole of W, never gathered.
         pad[unlabeled] = p
-        out = (pad.T @ tm.w).T[unlabeled]
+        out = tm.w_product(pad)[unlabeled]
         out *= -keep
         out += scale * p
         return out

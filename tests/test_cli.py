@@ -819,6 +819,26 @@ class TestConfigChecks:
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             **overrides) == message
 
+    # A value that is present but empty reaches its owner, which refuses
+    # it; each used to be replaced by its default, and the empty batch row
+    # dropped from eval_report.json.
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("expand", {"params": PARAMS, "emotions": []},
+         "emotion set must be non-empty"),
+        ("stats", {"emotions": ""},
+         "emotions must be a list of names, not ''"),
+        ("expand", {"params": PARAMS, "kernel": ""}, "unknown kernel ''"),
+        ("optimize", {"fit": FIT, "mode": ""},
+         "mode must be 'full' or 'batch'"),
+        ("evaluate", {"params": PARAMS, "batch_params": {}},
+         "cosine-logistic kernel requires alpha and b")],
+        ids=["emotions-list", "emotions-string", "kernel", "mode",
+             "batch_params"])
+    def test_empty_value_refused(self, tmp_path, capsys, monkeypatch,
+                                 command, overrides, message):
+        assert self.refused(tmp_path, capsys, monkeypatch, command,
+                            "ValueError", **overrides) == message
+
     # Such a file used to fail with a TypeError when --out was given, and as
     # "unknown config keys: 1" when it was not.
     @pytest.mark.parametrize("flags", [[], ["--out", "out"]],

@@ -7,8 +7,8 @@ import pytest
 
 import emolex.graph as graph
 from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
-                          PropagationParams, TransitionOperator,
-                          build_transition, edge_weight, labeled_mass,
+                          PropagationParams, StreamedOperator,
+                          TransitionOperator, build_transition, edge_weight,
                           logistic, raw_weights)
 
 from conftest import make_store
@@ -257,15 +257,15 @@ class TestBuildTransition:
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
-    # labeled_mass streams W block by block; the operator normalizes the
-    # dense W of one GEMM. Their T 1_L agree to rounding at any block size.
+    # The streamed operator recomputes W block by block for every product;
+    # the held one normalizes the dense W of one GEMM. Their sums and
+    # products agree to rounding at any block size.
     @pytest.mark.parametrize("block_entries,n_blocks", [(None, 1), (1200, 134)])
     def test_streamed_mass_matches_operator(self, monkeypatch, block_entries,
                                             n_blocks):
         rng = np.random.default_rng(16)
         store = make_store(rng.normal(size=(400, 5)))
-        labeled = np.zeros(400, dtype=bool)
-        labeled[rng.choice(400, size=40, replace=False)] = True
+        y = rng.random((400, 6))
         if block_entries is not None:
             monkeypatch.setattr(graph, "_BLOCK_ENTRIES", block_entries)
         assert len(graph.row_blocks(400)) == n_blocks
@@ -276,21 +276,43 @@ class TestBuildTransition:
                  PropagationParams(alpha=np.linspace(0.5, 6.0, 5), b=-1.0)),
                 (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF,
                                                   sigma=2.5, epsilon=0.1))):
-            tm = TransitionOperator(raw_weights(x, params), params.epsilon)
-            expected = tm.apply(labeled[:, None].astype(float))[:, 0]
-            got = labeled_mass(x, params, labeled)
-            assert np.max(np.abs(got - expected) / expected) <= 1e-14
+            held = TransitionOperator(raw_weights(x, params), params.epsilon)
+            streamed = StreamedOperator(x, params)
+            assert streamed.n == held.n == 400
+            for name in ("col", "row"):
+                expected = getattr(held, name)
+                got = getattr(streamed, name)
+                assert np.max(np.abs(got - expected) / expected) <= 1e-14
+            for name in ("apply", "apply_transpose"):
+                expected = getattr(held, name)(y)
+                got = getattr(streamed, name)(y)
+                assert np.max(np.abs(got - expected) / expected) <= 1e-14
 
     def test_underflowed_graph_refused_alike(self):
         rng = np.random.default_rng(17)
         x = make_store(rng.normal(size=(12, 4))).unit_vectors
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
-        labeled = np.arange(12) < 3
         message = "zero or non-finite column mass"
         with pytest.raises(NumericalDegeneracyError, match=message):
             TransitionOperator(raw_weights(x, params), params.epsilon)
         with pytest.raises(NumericalDegeneracyError, match=message):
-            labeled_mass(x, params, labeled)
+            StreamedOperator(x, params)
+
+    # The streamed operator holds one block buffer and n-vectors, never an
+    # n x n array.
+    def test_streamed_operator_allocates_less_than_one_n2(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        x = make_store(rng.normal(size=(400, 5))).unit_vectors
+        params = PropagationParams(alpha=4.0, b=-1.5, epsilon=0.05)
+        y = rng.random((400, 6))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 400 * 25)  # 25 rows
+        tracemalloc.start()
+        try:
+            StreamedOperator(x, params).apply(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8
 
     def test_weights_written_into_out(self):
         rng = np.random.default_rng(9)

@@ -9,8 +9,8 @@ from emolex import (EmotionSet, PropagationParams, SeedLexicon,
                     cross_validate, entropy, entropy_gradient, expand,
                     fit_batched, fit_full, init_label_matrix,
                     label_prop_expander)
-from emolex.graph import (TransitionOperator, logistic, raw_weights,
-                          row_blocks)
+from emolex.graph import (StreamedOperator, TransitionOperator, logistic,
+                          raw_weights, row_blocks)
 from emolex.optimize import (GradientError, OptimizerConfig,
                              _check_condition, _forward_backward,
                              _sample_batch)
@@ -513,16 +513,18 @@ class TestFitBatched:
         assert np.isfinite(params.alpha) and np.isfinite(params.b)
         assert expand(store, seed, params).report.converged
 
-    # At 1e4 the last batch ends at alpha 175, b -221 and a subnormal
-    # epsilon 3.8e-255, a graph whose condition bound 2.43e12 expand refuses.
+    # From the refused full fit's init at 3e3 the last batch ends at
+    # alpha 20.06, b -9.93 and epsilon 3.4e-19, a graph whose condition
+    # bound 5.38e13 expand refuses.
     def test_params_expand_refuses_raise(self, ekman):
-        store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
-        seed = two_cluster_seed(store, ekman, 4)
-        config = OptimizerConfig(mode="batch", learning_rate=1e4,
-                                 batch_size=12, num_batches=5,
+        store, seed = refused_fit_instance(ekman)
+        config = OptimizerConfig(mode="batch", learning_rate=3e3,
+                                 batch_size=10, num_batches=5,
                                  epochs_per_batch=2, rng_seed=42,
-                                 init={"alpha": 5.0, "b": 0.0})
-        with pytest.raises(GradientError, match="condition bound 2.43e"):
+                                 init=REFUSED_FIT_INIT)
+        with pytest.raises(GradientError, match="^fitted parameters give a "
+                           "graph that expand refuses: .*condition bound "
+                           "5.38e"):
             fit_batched(store, seed, config)
 
     # Before epsilon rounding to 0 counted as divergence, this fit "recovered"
@@ -538,15 +540,16 @@ class TestFitBatched:
         with pytest.raises(GradientError, match="epsilon rounds to 0"):
             fit_batched(store, seed, config)
 
-    # At b = -800 every weight underflows to 0: the full-graph check refuses
-    # with the operator's own message.
+    # At b = -800 every weight underflows to 0: the full-graph check on the
+    # streamed operator refuses with the operator's own message.
     def test_zero_mass_is_expand_refusal(self, ekman):
         store = two_cluster_store(6, dim=4, seed=8)
         labeled = np.arange(12) < 3
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         with pytest.raises(GradientError, match="graph that expand refuses: "
                            "zero or non-finite column mass"):
-            _check_condition(store, labeled, params)
+            _check_condition(
+                lambda: StreamedOperator(store.unit_vectors, params), labeled)
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)
@@ -585,6 +588,34 @@ class TestFitBatched:
         with pytest.raises(ValueError, match="no labeled or no unlabeled"):
             fit_batched(store, seed, config)
         assert len(draws) == 1
+
+    # Seeds drawn at random left a batch's classes unbalanced, and the fit
+    # ended at CV KL 0.747, above its init's 0.705 (alpha 1.8, b 2.7). Each
+    # class keeping its share of the batch's seeds, it ends at 0.417.
+    def test_fit_lowers_cv_kl_below_init(self, ekman):
+        store = two_cluster_store(100, dim=10, separation=2.0, spread=1.0,
+                                  seed=3)
+        seed = two_cluster_seed(store, ekman, 10)
+        init = {"alpha": 3.0, "b": 0.0, "epsilon": 0.1}
+        config = OptimizerConfig(mode="batch", learning_rate=100,
+                                 batch_size=100, num_batches=10,
+                                 epochs_per_batch=3, rng_seed=0, init=init)
+        params, _ = fit_batched(store, seed, config)
+
+        def kl(p):
+            return cross_validate(store, seed, label_prop_expander(p), k=5,
+                                  rng_seed=0).overall
+        assert kl(params) < kl(PropagationParams(**init)) - 0.2
+
+    def test_seed_classes_keep_their_share(self):
+        rng = np.random.default_rng(2)
+        labeled = np.arange(100)
+        classes = np.repeat([0, 1, 2], [50, 30, 20])
+        for _ in range(10):
+            batch = _sample_batch(rng, labeled, np.arange(100, 1000), 70,
+                                  1000, classes)
+            # 7 seeds: quotas 3.5, 2.1 and 1.4, the largest remainder first.
+            assert np.bincount(classes[batch[batch < 100]]).tolist() == [4, 2, 1]
 
     def test_approximates_full_fit(self, ekman):
         # init must sit inside the shared descent basin; alpha=0 is a

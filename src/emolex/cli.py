@@ -215,7 +215,7 @@ def cmd_optimize(cfg):
 
 def _class_counts(cfg, emotions):
     counts = cfg.get("class_counts")
-    if counts:
+    if counts is not None:
         missing = [name for name in emotions if name not in counts]
         unknown = sorted(set(counts) - set(emotions))
         if missing or unknown:

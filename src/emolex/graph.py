@@ -148,9 +148,9 @@ def row_blocks(n):
 
 
 def _weight_kernel(x, params):
-    """(left, transform) of the weight kernel over the rows of `x`: the
-    rows `rows` of W are transform(rows, left[rows] @ x.T), where
-    transform(rows, out) works in place on `out` and returns it.
+    """(left, transform) of the weight kernel over the rows of `x`: W's
+    rows `rows` over its last c columns are transform(rows, left[rows] @
+    x[-c:].T), where transform works in place on that product and returns it.
 
     `x` holds unit vectors under cosine-logistic and raw vectors under
     euclidean-rbf. Both kernels run in place on `out` and allocate
@@ -171,7 +171,7 @@ def _weight_kernel(x, params):
     def transform(rows, out):
         if rbf:
             out += sq[rows, None]
-            out += sq[None, :]
+            out += sq[len(sq) - out.shape[1]:]
             np.maximum(out, 0.0, out=out)
             out /= -params.sigma ** 2
             np.exp(out, out=out)
@@ -213,9 +213,10 @@ class TransitionOperator:
     T is the column-then-row-normalized weight matrix blended with the
     uniform matrix. It is held in factored form and applied, never stored:
     `col` holds the column sums of the symmetric W, `row` the row sums of
-    W D_c^-1; every product with W is `w_product`'s, which reads the n x n
-    `w` here and recomputes W in StreamedOperator. Nothing depends on which
-    words are labeled, so one operator serves every seed split.
+    W D_c^-1. W is read only by `w_product`, `panels`, `w_diagonal` and
+    `submatrix`, from the n x n `w` here and recomputed in StreamedOperator.
+    Nothing depends on which words are labeled: one operator serves every
+    seed split.
     """
 
     def __init__(self, w, epsilon):
@@ -233,6 +234,11 @@ class TransitionOperator:
         a few columns OpenBLAS runs that form of the symmetric W's product
         1.5-2x faster than W v (n = 4000, m = 6, two cores)."""
         return self.w @ v if v.ndim == 1 else (v.T @ self.w).T
+
+    def panels(self):
+        """W's upper triangle, as (rows, W[rows, rows.start:]) per block."""
+        for rows in row_blocks(self.n):
+            yield rows, self.w[rows, rows.start:]
 
     def w_diagonal(self):
         """The diagonal of W, as an n-vector."""
@@ -271,27 +277,43 @@ class TransitionOperator:
 
 
 class StreamedOperator(TransitionOperator):
-    """The operator of raw_weights(x, params) without an n x n array: every
-    product recomputes W in `row_blocks`, into one block buffer. Only the
-    held form has `w`, `w_diagonal` and `submatrix`."""
+    """The operator of raw_weights(x, params) without an n x n array. Each
+    pass recomputes W's panels into one buffer, valid until the next panel
+    or product; a product uses each panel W_IJ twice, for W_IJ v_J and
+    W_IJ^T v_I. Its diagonal comes from `x`; it gathers no block."""
 
     def __init__(self, x, params):
         self._x = x
         self._left, self._transform = _weight_kernel(x, params)
-        self._buf = np.empty((row_blocks(len(x))[0].stop, len(x)))
+        self._buf = np.empty(row_blocks(len(x))[0].stop * len(x))
+        self._diagonal = (
+            np.ones(len(x)) if params.kernel == EUCLIDEAN_RBF
+            else logistic(np.einsum("ij,ij->i", self._left, x) + params.b))
         super().__init__(None, params.epsilon)
 
     @property
     def n(self):
         return len(self._x)
 
-    def w_product(self, v):
-        out = np.empty(v.shape)
+    def panels(self):
         for rows in row_blocks(self.n):
-            block = np.matmul(self._left[rows], self._x.T,
-                              out=self._buf[:rows.stop - rows.start])
-            out[rows] = self._transform(rows, block) @ v
+            c = self.n - rows.start  # W's last c columns
+            panel = self._buf[:(rows.stop - rows.start) * c].reshape(-1, c)
+            np.matmul(self._left[rows], self._x[rows.start:].T, out=panel)
+            yield rows, self._transform(rows, panel)
+
+    def w_product(self, v):
+        out = np.zeros(v.shape)
+        for rows, panel in self.panels():
+            out[rows] += (v[rows.start:].T @ panel.T).T
+            out[rows.stop:] += (v[rows].T @ panel[:, len(panel):]).T
         return out
+
+    def w_diagonal(self):
+        return self._diagonal
+
+    def submatrix(self, rows, cols=None):
+        raise ValueError("a streamed operator holds no W to gather")
 
 
 def build_transition(store, params, labeled_mask):

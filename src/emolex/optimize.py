@@ -16,7 +16,7 @@ import numpy as np
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     PropagationParams, StreamedOperator, TransitionOperator,
                     build_transition, integer, is_real, logistic, raw_weights,
-                    real, row_blocks)
+                    real)
 from .lexicon import init_label_matrix
 from .solver import check_seed_split, condition
 
@@ -126,27 +126,30 @@ def _logit(p):
     return math.log(p) - math.log1p(-p)
 
 
-def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
-                      weights=None):
+def _held(unit, alpha, b, epsilon, weights=None):
+    """The held operator at (alpha, b, epsilon) on `unit`, W written into
+    the n x n buffer `weights` when given. A degenerate graph means the
+    descent diverged: a GradientError, which _descend halves the rate on."""
+    w = raw_weights(unit, PropagationParams(alpha=alpha, b=b), out=weights)
+    try:
+        return TransitionOperator(w, epsilon)
+    except NumericalDegeneracyError as exc:
+        raise GradientError(str(exc)) from exc
+
+
+def _forward_backward(tm, unit, labeled, y, alpha, unroll_steps):
     """Mean entropy H/u of the u unlabeled rows after K unrolled
     propagation sweeps, and its analytic gradient.
 
-    `unit` holds unit vectors and `y` label rows in the same node order;
-    the rows where `labeled` is true are clamped to `y`, the others start
-    uniform. Returns (H/u, {"alpha", "b", "eps_logit"}) with gradients
-    matching alpha's shape. The mean makes batch-subgraph gradients
-    scale-comparable to full-graph ones. The weight matrix is written into
-    `weights`, an n x n buffer, when it is given.
+    `tm`, held or streamed, is the graph on the unit vectors `unit`, and
+    `y` holds label rows in the same node order; W is read only through
+    `tm`. The rows where `labeled` is true are clamped to `y`, the others
+    start uniform. Returns (H/u, {"alpha", "b", "eps_logit"}) with the
+    gradients of the shape of `alpha`, which is read for nothing else. The
+    mean makes batch-subgraph gradients scale-comparable to full-graph ones.
     """
     n, m = y.shape
     unlabeled = ~labeled
-    w = raw_weights(unit, PropagationParams(alpha=alpha, b=b), out=weights)
-    # A graph with an empty row or column at these parameters means the
-    # descent diverged; _descend recovers from that by halving the rate.
-    try:
-        tm = TransitionOperator(w, epsilon)
-    except NumericalDegeneracyError as exc:
-        raise GradientError(str(exc)) from exc
 
     # dH/dT = sum_t G_t Y_{t-1}^T = G Y^T has rank K m and is never formed
     # whole. The sweeps write the iterates Y_{t-1} into `right` and the
@@ -204,7 +207,7 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     g_eps = float(np.sum(big_g @ (c / n) - s))
     tm.apply_transpose(np.column_stack([left[:, :m], s]), product=back)
     yb += np.einsum("ij,ij->i", right[:, :m], back[:, :m])
-    r = (1.0 - epsilon) / row
+    r = (1.0 - tm.epsilon) / row
     big_g *= r[:, None]
     left[:, km] = -r * s
     left[:, km + 1] = -1.0
@@ -220,17 +223,15 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
     # diagonal then makes every pair (i, j) count once.
     lrl[:, 2 * k:] = left
     pair, swapped = lrl[:, :2 * k], lrl[:, k:]
-    blocks = row_blocks(n)
-    buf = np.empty(blocks[0].stop * n)
-    scratch = np.empty_like(buf)
+    buf = scratch = None
     g_b = 0.0
     g_alpha = np.zeros(unit.shape[1])
-    for rows in blocks:
-        shape = (rows.stop - rows.start, n - rows.start)
-        size = shape[0] * shape[1]
+    for rows, w_panel in tm.panels():
+        if buf is None:  # the first panel is the largest
+            buf, scratch = np.empty(w_panel.size), np.empty(w_panel.size)
+        shape, size = w_panel.shape, w_panel.size
         panel = np.matmul(pair[rows], swapped[rows.start:].T,
                           out=buf[:size].reshape(shape))
-        w_panel = w[rows, rows.start:]
         panel *= w_panel
         panel *= np.subtract(1.0, w_panel, out=scratch[:size].reshape(shape))
         panel[:, :shape[0]] *= 0.5
@@ -239,7 +240,7 @@ def _forward_backward(unit, labeled, y, alpha, b, epsilon, unroll_steps,
 
     if np.ndim(alpha) == 0:
         g_alpha = float(np.sum(g_alpha))
-    g_eps_logit = g_eps * epsilon * (1.0 - epsilon)
+    g_eps_logit = g_eps * tm.epsilon * (1.0 - tm.epsilon)
 
     grads = {"alpha": g_alpha, "b": g_b, "eps_logit": g_eps_logit}
     for name, value in grads.items():
@@ -257,9 +258,10 @@ def entropy_gradient(store, label_matrix, params, unroll_steps=10):
     """
     if params.kernel != COSINE_LOGISTIC:
         raise ValueError("gradients are defined for the cosine-logistic kernel")
-    return _forward_backward(store.unit_vectors, label_matrix.labeled_mask,
-                             label_matrix.rows, params.alpha, params.b,
-                             params.epsilon, unroll_steps)
+    unit = store.unit_vectors
+    tm = _held(unit, params.alpha, params.b, params.epsilon)
+    return _forward_backward(tm, unit, label_matrix.labeled_mask,
+                             label_matrix.rows, params.alpha, unroll_steps)
 
 
 def _epsilon(eps_logit):
@@ -324,9 +326,9 @@ def _descend(store, label_matrix, batches, steps, config):
                 for _ in range(steps):
                     alpha, b, eps_logit = current
                     epsilon = _epsilon(eps_logit)
-                    h, grads = _forward_backward(unit, labeled, y, alpha, b,
-                                                 epsilon, config.unroll_steps,
-                                                 weights=weights)
+                    tm = _held(unit, alpha, b, epsilon, weights)
+                    h, grads = _forward_backward(tm, unit, labeled, y, alpha,
+                                                 config.unroll_steps)
                     if not math.isfinite(h):
                         raise GradientError("entropy diverged")
                     if h < best[0]:

@@ -784,6 +784,17 @@ class TestConfigChecks:
                             params=PARAMS, class_counts=counts) == (
             "'class_counts' must count each emotion once: " + message)
 
+    # Empty counts used to be dropped: with a corpus the run scored the
+    # corpus counts, and without one it said that the counts were missing.
+    @pytest.mark.parametrize("corpus", [data_path("mini_corpus.tsv"), None],
+                             ids=["with-corpus", "without-corpus"])
+    def test_empty_class_counts_refused(self, tmp_path, capsys, monkeypatch,
+                                        corpus):
+        assert self.refused(tmp_path, capsys, monkeypatch, "evaluate",
+                            params=PARAMS, class_counts={}, corpus=corpus) == (
+            "'class_counts' must count each emotion once: missing anger, "
+            "disgust, fear, joy, sadness, surprise; unknown none")
+
     # A string count used to be read as a number and a negative count to
     # fail only once the inputs had loaded, in the KL score.
     @pytest.mark.parametrize("value, message", [

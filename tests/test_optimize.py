@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from emolex import (EmotionSet, PropagationParams, SeedLexicon,
 from emolex.graph import (StreamedOperator, TransitionOperator, logistic,
                           raw_weights, row_blocks)
 from emolex.optimize import (GradientError, OptimizerConfig,
-                             _check_condition, _forward_backward,
+                             _check_condition, _forward_backward, _held,
                              _sample_batch)
 
 from conftest import (REFUSED_FIT_INIT, make_store, refused_fit_instance,
@@ -143,14 +144,20 @@ class TestGradient:
         store, _, lm = small_instance()
         with pytest.raises(GradientError,
                            match="^zero or non-finite column mass; "):
-            _forward_backward(store.unit_vectors, lm.labeled_mask, lm.rows,
-                              0.0, -800.0, 0.1, 3)
+            held_forward_backward(store.unit_vectors, lm.labeled_mask,
+                                  lm.rows, 0.0, -800.0, 0.1, 3)
 
     def test_requires_cosine_kernel(self):
         store, _, lm = small_instance()
         params = PropagationParams(kernel="euclidean-rbf", sigma=1.0)
         with pytest.raises(ValueError):
             entropy_gradient(store, lm, params)
+
+
+def held_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
+    """`_forward_backward` on the held operator at (alpha, b, epsilon)."""
+    return _forward_backward(_held(unit, alpha, b, epsilon), unit, labeled,
+                             y, alpha, steps)
 
 
 def sweeps(tm, labeled, y, steps):
@@ -248,7 +255,7 @@ class TestBlockedReduction:
     def test_matches_dense_reduction(self, alpha):
         unit, labeled, y = blocked_instance()
         args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
-        h, grads = _forward_backward(*args)
+        h, grads = held_forward_backward(*args)
         h_ref, ref = dense_forward_backward(*args)
         u = np.sum(~labeled)
         assert h == pytest.approx(h_ref / u, rel=1e-10)
@@ -266,7 +273,7 @@ class TestBlockedReduction:
         blocks = row_blocks(1100)
         assert len(blocks) == 158 and blocks[-1] == slice(1099, 1100)
         args = (unit, labeled, y, alpha, -1.0, 0.05, 4)
-        h, grads = _forward_backward(*args)
+        h, grads = held_forward_backward(*args)
         h_ref, ref = dense_forward_backward(*args)
         u = np.sum(~labeled)
         assert h == pytest.approx(h_ref / u, rel=1e-10)
@@ -282,8 +289,8 @@ class TestBlockedReduction:
     def test_within_long_double_reference(self):
         unit, labeled, y = blocked_instance()
         alpha, b, epsilon, steps = 3.0, 0.0, 0.1, 4
-        _, grads = _forward_backward(unit, labeled, y, alpha, b, epsilon,
-                                     steps)
+        _, grads = held_forward_backward(unit, labeled, y, alpha, b,
+                                         epsilon, steps)
         w = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
         tm = TransitionOperator(w, epsilon)
         ref = longdouble_reduction(unit, w, epsilon,
@@ -296,7 +303,8 @@ class TestBlockedReduction:
     def test_entropy_is_that_of_the_sweeps(self):
         unit, labeled, y = blocked_instance()
         alpha, b, epsilon, steps = 2.5, -1.0, 0.05, 4
-        h, _ = _forward_backward(unit, labeled, y, alpha, b, epsilon, steps)
+        h, _ = held_forward_backward(unit, labeled, y, alpha, b, epsilon,
+                                     steps)
         tm = TransitionOperator(
             raw_weights(unit, PropagationParams(alpha=alpha, b=b)), epsilon)
         iterates, _ = sweeps(tm, labeled, y, steps)
@@ -305,12 +313,61 @@ class TestBlockedReduction:
 
     def test_weights_written_into_buffer(self):
         store, _, lm = small_instance(n=12)
-        args = (store.unit_vectors, lm.labeled_mask, lm.rows, 1.5, -0.4, 0.2, 3)
+        args = (store.unit_vectors, lm.labeled_mask, lm.rows, 1.5, 3)
         buf = np.full((12, 12), np.nan)
-        h, grads = _forward_backward(*args, weights=buf)
+        h, grads = _forward_backward(
+            _held(store.unit_vectors, 1.5, -0.4, 0.2, buf), *args)
         assert np.array_equal(buf, logistic(1.5 * store.unit_vectors
                                             @ store.unit_vectors.T - 0.4))
-        assert (h, grads) == _forward_backward(*args)
+        assert (h, grads) == _forward_backward(
+            _held(store.unit_vectors, 1.5, -0.4, 0.2), *args)
+
+
+class TestStreamedStep:
+    # The step on the streamed operator, whose panels serve both its W
+    # products and the gradient pass, is the held step to rounding: in one
+    # panel, and in 7-row panels whose last is a single row.
+    @pytest.mark.parametrize("block_entries, last",
+                             [(1100 * 1100, slice(0, 1100)),
+                              (7 * 1100, slice(1099, 1100))],
+                             ids=["one-panel", "7-row-panels"])
+    @pytest.mark.parametrize("alpha", [2.5, np.linspace(0.5, 4.0, 8)],
+                             ids=["scalar", "vector"])
+    def test_matches_held(self, monkeypatch, alpha, block_entries, last):
+        unit, labeled, y = blocked_instance()
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", block_entries)
+        assert row_blocks(1100)[-1] == last
+        args = (unit, labeled, y, alpha, 4)
+        streamed = StreamedOperator(
+            unit, PropagationParams(alpha=alpha, b=-1.0, epsilon=0.05))
+        h, grads = _forward_backward(streamed, *args)
+        h_ref, ref = _forward_backward(_held(unit, alpha, -1.0, 0.05), *args)
+        assert h == pytest.approx(h_ref, rel=1e-14, abs=0)
+        assert np.shape(grads["alpha"]) == np.shape(alpha)
+        for name in ("alpha", "b", "eps_logit"):
+            assert np.allclose(grads[name], ref[name], rtol=1e-12, atol=0)
+
+    # A streamed step holds row panels and n x 3(Km + 2) arrays, never an
+    # n x n one.
+    def test_step_allocates_less_than_one_n2(self, monkeypatch):
+        n, m = 600, 6
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(n, 8))
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        labeled = np.zeros(n, dtype=bool)
+        labeled[rng.choice(n, 60, replace=False)] = True
+        y = np.full((n, m), 1.0 / m)
+        y[labeled] = np.eye(m)[rng.integers(0, m, size=60)]
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 32 * n)
+        params = PropagationParams(alpha=2.5, b=-1.0, epsilon=0.05)
+        tracemalloc.start()
+        try:
+            _forward_backward(StreamedOperator(unit, params), unit, labeled,
+                              y, 2.5, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * n * 8
 
 
 class TestFitFull:

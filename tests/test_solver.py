@@ -9,8 +9,10 @@ from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
                     init_label_matrix, kl_divergence, label_prop_expander,
                     propagate_cg, propagate_closed_form, propagate_folds,
                     propagate_iterative)
-from emolex.graph import (NumericalDegeneracyError, TransitionOperator,
-                          build_transition)
+import emolex.graph
+from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
+                          StreamedOperator, TransitionOperator,
+                          build_transition, raw_weights)
 from emolex.solver import MAX_CONDITION, expand_folds, solve
 
 from conftest import make_store, two_cluster_seed, two_cluster_store
@@ -520,6 +522,47 @@ class TestCG:
         tm, lm = random_instance(np.random.default_rng(13), 40, 4)
         solved, report = solve(tm, lm)
         assert report.method == "cg" and report.converged
+
+
+def streamed_instance(kernel_params):
+    """A held and a streamed operator of one graph on 300 words, and a
+    label matrix with 30 seeds."""
+    rng = np.random.default_rng(31)
+    store = make_store(rng.normal(size=(300, 8)))
+    x = store.vectors if kernel_params.get("kernel") else store.unit_vectors
+    params = PropagationParams(epsilon=0.02, **kernel_params)
+    mask = np.zeros(300, dtype=bool)
+    mask[rng.choice(300, size=30, replace=False)] = True
+    rows = np.full((300, 6), 1.0 / 6)
+    rows[mask] = np.eye(6)[rng.integers(0, 6, size=30)]
+    held = TransitionOperator(raw_weights(x, params), params.epsilon)
+    return held, StreamedOperator(x, params), LabelMatrix(rows, mask)
+
+
+class TestStreamed:
+    # The streamed operator's diagonal comes from the vectors alone, so CG
+    # runs on it as on the held operator.
+    @pytest.mark.parametrize("kernel_params", [
+        {"alpha": 6.0, "b": -2.0},
+        {"alpha": np.linspace(1.0, 8.0, 8), "b": -3.0},
+        {"kernel": EUCLIDEAN_RBF, "sigma": 1.5}],
+        ids=["scalar", "vector", "rbf"])
+    def test_cg_matches_held(self, monkeypatch, kernel_params):
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 40 * 300)
+        held, streamed, lm = streamed_instance(kernel_params)
+        assert np.allclose(streamed.w_diagonal(), held.w_diagonal(),
+                           rtol=1e-14, atol=0)
+        tol = 1e-8
+        expected, _ = propagate_cg(held, lm, tol=tol)
+        solved, report = propagate_cg(streamed, lm, tol=tol)
+        assert report.converged
+        assert np.max(np.abs(solved.rows - expected.rows)) <= 2 * tol
+
+    def test_closed_form_refused(self):
+        _, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
+        with pytest.raises(ValueError, match="^a streamed operator holds no "
+                                             "W to gather"):
+            solve(streamed, lm, "closed")
 
 
 class TestPartition:

@@ -19,7 +19,7 @@ from .lexicon import (EKMAN_SIX, EmotionSet, load_seed_lexicon,
                       write_lexicon_json, write_lexicon_tsv)
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
-from .solver import SOLVERS, check_solver_options, expand
+from .solver import MAX_ITER, SOLVERS, TOL, check_solver_options, expand
 
 
 class ConfigError(ValueError):
@@ -166,8 +166,8 @@ def _kernel_name(short):
 
 
 def _solver_options(cfg):
-    options = {"solver": cfg.get("solver", "auto"), "tol": cfg.get("tol", 1e-6),
-               "max_iter": cfg.get("max_iter", 1000)}
+    options = {"solver": cfg.get("solver", "auto"), "tol": cfg.get("tol", TOL),
+               "max_iter": cfg.get("max_iter", MAX_ITER)}
     check_solver_options(**options)
     return options
 

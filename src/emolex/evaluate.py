@@ -9,7 +9,7 @@ import numpy as np
 from .embeddings import FormatError
 from .graph import integer, real
 # `expand` is not called here; the bench hooks it until it reads a run log.
-from .solver import expand, expand_folds
+from .solver import MAX_ITER, TOL, expand, expand_folds
 
 PREDICTION_FLOOR = 1e-12
 
@@ -78,7 +78,7 @@ class EvalReport:
         return asdict(self)
 
 
-def label_prop_expander(params, solver="auto", tol=1e-6, max_iter=1000):
+def label_prop_expander(params, solver="auto", tol=TOL, max_iter=MAX_ITER):
     """Expander running label propagation with fixed parameters.
 
     Each run is `expand_folds`: one graph operator serves every fold of the

@@ -18,7 +18,7 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     build_transition, integer, is_real, logistic, raw_weights,
                     real)
 from .lexicon import init_label_matrix
-from .solver import check_seed_split, condition
+from .solver import ConvergenceError, check_seed_split, solve
 
 
 class GradientError(RuntimeError):
@@ -349,13 +349,12 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _check_condition(operator, labeled):
-    """Raise GradientError when `operator()`, or `condition` on its m = T 1_L,
-    refuses the graph as `expand` would; `expand` may still not certify it."""
+def _accepted(label_matrix, operator, *args):
+    """Raise GradientError when `operator(*args)` fails or CG, which gathers
+    no u x u block, refuses `label_matrix` on it or does not certify it."""
     try:
-        mass = operator().apply(labeled[:, None].astype(np.float64))
-        condition(np.min(mass[~labeled]))
-    except NumericalDegeneracyError as exc:
+        solve(operator(*args), label_matrix, "cg")
+    except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
 
@@ -365,9 +364,9 @@ def fit_full(store, seed, config):
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
-    the lowest-entropy iterate; the trace's `params_epoch` is its row. A
-    GradientError is raised when it breaks `expand`'s condition rule on the
-    graph `expand` builds, built once the descent has freed its own.
+    the lowest-entropy iterate; the trace's `params_epoch` is its row. It
+    ends in `_accepted`, `expand`'s CG solve, on the graph `expand` builds
+    once the descent has freed its own.
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
@@ -376,7 +375,7 @@ def fit_full(store, seed, config):
     trace.params_epoch = epoch
     params = _params(best)
     labeled = label_matrix.labeled_mask
-    _check_condition(lambda: build_transition(store, params, labeled), labeled)
+    _accepted(label_matrix, build_transition, store, params, labeled)
     return params, trace
 
 
@@ -408,9 +407,8 @@ def fit_batched(store, seed, config):
     and each seed class's share of its seeds, builds only its own
     submatrix, and takes config.epochs_per_batch descent steps on the
     shared parameters. The last iterate is returned: entropies of different
-    subgraphs do not rank parameters. It is checked on the full graph,
-    streamed, and a GradientError is raised when it breaks `expand`'s
-    condition rule.
+    subgraphs do not rank parameters. It ends in `_accepted`, `expand`'s
+    CG solve, on the full graph, streamed.
     """
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
@@ -427,5 +425,5 @@ def fit_batched(store, seed, config):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _check_condition(lambda: StreamedOperator(store.unit_vectors, params), labeled)
+    _accepted(label_matrix, StreamedOperator, store.unit_vectors, params)
     return params, trace

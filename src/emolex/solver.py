@@ -20,6 +20,9 @@ CLOSED_FORM_MAX_UNLABELED = 2000
 # condition number exceeds this.
 MAX_CONDITION = 1e12
 
+# Every solve's default tol and max_iter.
+TOL, MAX_ITER = 1e-6, 1000
+
 
 class ConvergenceError(RuntimeError):
     """The solve ended without certifying its result within tol."""
@@ -127,7 +130,7 @@ def _check_inputs(label_matrix, tol, max_iter=1, solver="auto"):
     check_solver_options(tol, max_iter, solver)
 
 
-def propagate_iterative(tm, label_matrix, tol=1e-6, max_iter=1000):
+def propagate_iterative(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     """Repeat Y <- T Y, then clamp the labeled rows again.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; the operator
@@ -179,7 +182,7 @@ def _solve_clamped(block, rhs):
     return x
 
 
-def propagate_closed_form(tm, label_matrix, tol=1e-6):
+def propagate_closed_form(tm, label_matrix, tol=TOL):
     """Solve Y_U = (I - T_uu)^{-1} T_ul Y_L by factorization.
 
     The labeled/unlabeled partition is the LabelMatrix's mask; T_uu is
@@ -202,7 +205,7 @@ def propagate_closed_form(tm, label_matrix, tol=1e-6):
     return LabelMatrix(y, labeled), report
 
 
-def propagate_cg(tm, label_matrix, tol=1e-6, max_iter=1000):
+def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     """Solve (I - T_uu) Y_U = T_ul Y_L by Jacobi-preconditioned conjugate
     gradients, without gathering T_uu.
 
@@ -305,7 +308,7 @@ def choose_solver(solver, n_unlabeled):
     return solver
 
 
-def solve(tm, label_matrix, solver="auto", tol=1e-6, max_iter=1000):
+def solve(tm, label_matrix, solver="auto", tol=TOL, max_iter=MAX_ITER):
     """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
 
     `solver` is "iterative", "closed", "cg", or "auto": the closed form up
@@ -364,11 +367,9 @@ def _factorized_folds(tm, label_matrix, set_up, checks, tol):
         mask = fold.labeled_mask
         h = position[hidden]
         s = position[mask]
-        y_s = fold.rows[mask]
-        y_h = _as_fold(f, _solve_clamped, g[np.ix_(h, h)],
-                       g[np.ix_(h, s)] @ y_s)
-        fold.rows[hidden] = y_h
-        fold.rows[unlabeled] = z[:, s] @ y_s + z[:, h] @ y_h
+        fold.rows[hidden] = _as_fold(f, _solve_clamped, g[np.ix_(h, h)],
+                                     g[np.ix_(h, s)] @ fold.rows[mask])
+        fold.rows[unlabeled] = z @ fold.rows[seeds]
     m = label_matrix.rows.shape[1]
     stacked = np.hstack([fold.rows for _, fold in set_up])
     violation = np.abs(stacked - tm.apply(stacked))
@@ -381,8 +382,8 @@ def _factorized_folds(tm, label_matrix, set_up, checks, tol):
     return solved
 
 
-def propagate_folds(tm, label_matrix, folds, solver="auto", tol=1e-6,
-                    max_iter=1000):
+def propagate_folds(tm, label_matrix, folds, solver="auto", tol=TOL,
+                    max_iter=MAX_ITER):
     """Every fold of a cross-validation, solved on the one operator `tm`;
     returns [(LabelMatrix, SolveReport), ...], one pair per fold in fold
     order, and [] when there are no folds.
@@ -454,7 +455,7 @@ class ExpansionResult:
                 "seed_tokens_missing": self.seed_tokens_missing}
 
 
-def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
+def expand(store, seed, params, *, solver="auto", tol=TOL, max_iter=MAX_ITER):
     """End-to-end expansion: init Y, build the transition operator, solve,
     and return the distributions of every vocabulary word in vocabulary order.
 
@@ -472,8 +473,8 @@ def expand(store, seed, params, *, solver="auto", tol=1e-6, max_iter=1000):
                            solved.labeled_mask, params, report, missing)
 
 
-def expand_folds(store, seed, params, folds, *, solver="auto", tol=1e-6,
-                 max_iter=1000):
+def expand_folds(store, seed, params, folds, *, solver="auto", tol=TOL,
+                 max_iter=MAX_ITER):
     """The folds of a cross-validation of `expand`: for each list of
     held-out seed tokens in `folds`, returns, in order, the distributions
     `expand` returns for the seed without those tokens. All folds share one

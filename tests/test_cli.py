@@ -11,7 +11,8 @@ import emolex.solver as solver_module
 from emolex import EmotionSet, evaluate as ev
 from emolex.cli import RunConfig, _write_json, build_parser, main
 
-from conftest import REFUSED_FIT_INIT, data_path, refused_fit_instance
+from conftest import (REFUSED_FIT_INIT, UNCERTIFIED_FIT_RATE,
+                      UNCERTIFIED_FIT_SEED, data_path, refused_fit_instance)
 
 PARAMS = {"kernel": "cosine-logistic", "alpha": 6.0, "b": -2.0,
           "epsilon": 0.05}
@@ -26,6 +27,29 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def write_refused_fit_config(tmp_path, store_seed, learning_rate):
+    """The config of a 40-epoch full fit from REFUSED_FIT_INIT at
+    `learning_rate` on `refused_fit_instance(..., store_seed)`, its
+    vectors and seeds written beside it."""
+    store, seed = refused_fit_instance(EmotionSet(), store_seed)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("%d %d\n" % store.vectors.shape + "".join(
+        "%s %s\n" % (word, " ".join(map(repr, row.tolist())))
+        for word, row in zip(store.vocab, store.vectors)),
+        encoding="utf-8")
+    lexicon = tmp_path / "seed.tsv"
+    lexicon.write_text("".join(
+        "%s\t%s\t1\n" % (word, name)
+        for word, flags in seed.entries.items()
+        for name, flag in zip(seed.emotions, flags) if flag),
+        encoding="utf-8")
+    return write_config(tmp_path, embeddings=str(vectors),
+                        seed_lexicon=str(lexicon), fit={
+                            "mode": "full", "epochs": 40,
+                            "learning_rate": learning_rate,
+                            "init": REFUSED_FIT_INIT})
 
 
 def read(out_dir, name, mode="r"):
@@ -229,28 +253,26 @@ class TestOptimize:
     # `emolex expand` refuses.
     def test_params_expand_refuses_fail_without_artifacts(self, tmp_path,
                                                            capsys):
-        store, seed = refused_fit_instance(EmotionSet())
-        vectors = tmp_path / "vectors.txt"
-        vectors.write_text("%d %d\n" % store.vectors.shape + "".join(
-            "%s %s\n" % (word, " ".join(map(repr, row.tolist())))
-            for word, row in zip(store.vocab, store.vectors)),
-            encoding="utf-8")
-        lexicon = tmp_path / "seed.tsv"
-        lexicon.write_text("".join(
-            "%s\t%s\t1\n" % (word, name)
-            for word, flags in seed.entries.items()
-            for name, flag in zip(seed.emotions, flags) if flag),
-            encoding="utf-8")
-        config = write_config(tmp_path, embeddings=str(vectors),
-                              seed_lexicon=str(lexicon), fit={
-                                  "mode": "full", "epochs": 40,
-                                  "learning_rate": 3e3,
-                                  "init": REFUSED_FIT_INIT})
+        config = write_refused_fit_config(tmp_path, 1, 3e3)
         assert main(["optimize", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GradientError"
         assert "expand refuses" in err["message"]
         assert "condition bound 5.44e+13" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    # Here the fitted graph's condition bound is accepted, but `expand`
+    # refuses its solve; the fit used to exit 0.
+    def test_uncertified_params_fail_without_artifacts(self, tmp_path,
+                                                       capsys):
+        config = write_refused_fit_config(tmp_path, UNCERTIFIED_FIT_SEED,
+                                          UNCERTIFIED_FIT_RATE)
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GradientError"
+        assert err["message"] == (
+            "fitted parameters give a graph that expand refuses: (I - T_uu) "
+            "is not positive definite; consider epsilon smoothing")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_fit_key_refused(self, tmp_path, capsys):

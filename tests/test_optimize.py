@@ -12,11 +12,12 @@ from emolex import (EmotionSet, PropagationParams, SeedLexicon,
                     label_prop_expander)
 from emolex.graph import (StreamedOperator, TransitionOperator, logistic,
                           raw_weights, row_blocks)
-from emolex.optimize import (GradientError, OptimizerConfig,
-                             _check_condition, _forward_backward, _held,
-                             _sample_batch)
+from emolex.lexicon import LabelMatrix
+from emolex.optimize import (GradientError, OptimizerConfig, _accepted,
+                             _forward_backward, _held, _sample_batch)
 
-from conftest import (REFUSED_FIT_INIT, make_store, refused_fit_instance,
+from conftest import (REFUSED_FIT_INIT, UNCERTIFIED_FIT_RATE,
+                      UNCERTIFIED_FIT_SEED, make_store, refused_fit_instance,
                       two_cluster_seed, two_cluster_store)
 
 
@@ -502,6 +503,32 @@ class TestFitFull:
                            "5.44e"):
             fit_full(store, seed, config)
 
+    # The condition bound of this fit's params is within MAX_CONDITION, so a
+    # check of the condition alone passed them; the fit returned and `expand`
+    # refused them under every solver.
+    def test_uncertified_params_raise(self, ekman):
+        store, seed = refused_fit_instance(ekman, UNCERTIFIED_FIT_SEED)
+        config = OptimizerConfig(mode="full", epochs=40,
+                                 learning_rate=UNCERTIFIED_FIT_RATE,
+                                 init=REFUSED_FIT_INIT)
+        with pytest.raises(GradientError, match=r"^fitted parameters give a "
+                           r"graph that expand refuses: \(I - T_uu\) is not "
+                           "positive definite"):
+            fit_full(store, seed, config)
+
+    # The fit's acceptance solve is CG, which gathers no u x u block. The
+    # closed form that `auto` picks at this size would gather T_uu beside
+    # the held graph, past the fit's peak of about 1.3 n^2.
+    def test_acceptance_gathers_no_unlabeled_block(self, ekman, monkeypatch):
+        def refuse(self, *index):
+            raise AssertionError("u x u block gathered")
+        monkeypatch.setattr(TransitionOperator, "submatrix", refuse)
+        store = two_cluster_store(15, dim=8, separation=4.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 3)
+        config = OptimizerConfig(mode="full", learning_rate=0.05, epochs=5)
+        params, _ = fit_full(store, seed, config)
+        assert np.isfinite(params.b)
+
     # With no seed in the vocabulary the fit used to return `init` after a
     # flat descent; with every word a seed it divided by zero unlabeled rows.
     @pytest.mark.parametrize("seeded", ["none", "all"])
@@ -601,12 +628,13 @@ class TestFitBatched:
     # streamed operator refuses with the operator's own message.
     def test_zero_mass_is_expand_refusal(self, ekman):
         store = two_cluster_store(6, dim=4, seed=8)
-        labeled = np.arange(12) < 3
+        rows = np.full((12, 6), 1.0 / 6)
+        rows[:3] = np.eye(6)[:3]
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         with pytest.raises(GradientError, match="graph that expand refuses: "
                            "zero or non-finite column mass"):
-            _check_condition(
-                lambda: StreamedOperator(store.unit_vectors, params), labeled)
+            _accepted(LabelMatrix(rows, np.arange(12) < 3), StreamedOperator,
+                      store.unit_vectors, params)
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)

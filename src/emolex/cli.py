@@ -197,13 +197,13 @@ def cmd_expand(cfg):
 
 
 def cmd_optimize(cfg):
+    options = _solver_options(cfg)
     config = cfg.optimizer_config()
     out = cfg.out_dir()
     store, seed = _load_inputs(cfg)
-    if config.mode == "batch":
-        params, trace = fit_batched(store, seed, config)
-    else:
-        params, trace = fit_full(store, seed, config)
+    fit = fit_batched if config.mode == "batch" else fit_full
+    params, trace = fit(store, seed, config, tol=options["tol"],
+                        max_iter=options["max_iter"])
     _write_json(os.path.join(out, "params.json"), params.to_dict())
     _replace(os.path.join(out, "trace.csv"), trace.to_csv)
     _write_json(os.path.join(out, "optimize_meta.json"),

@@ -148,54 +148,48 @@ def row_blocks(n):
 
 
 def _weight_kernel(x, params):
-    """(left, transform) of the weight kernel over the rows of `x`: W's
-    rows `rows` over its last c columns are transform(rows, left[rows] @
-    x[-c:].T), where transform works in place on that product and returns it.
+    """(left, right, transform) of the weight kernel over the rows of `x`,
+    unit vectors under cosine-logistic and raw ones under euclidean-rbf:
+    W[I, J] = transform(left[I] @ right[J].T), in place on the product.
 
-    `x` holds unit vectors under cosine-logistic and raw vectors under
-    euclidean-rbf. Both kernels run in place on `out` and allocate
-    nothing of its size.
+    cosine-logistic: left = [alpha x, b], right = [x, 1], transform the
+    logistic. euclidean-rbf: left = [2x, -|x|^2, -1] / sigma^2 and right =
+    [x, 1, |x|^2], whose product is -|x_i - x_j|^2 / sigma^2, transform
+    exp(min(., 0)): the clip drops the rounding above 0 at zero distance.
     """
-    rbf = params.kernel == EUCLIDEAN_RBF
-    if rbf:
-        left = -2.0 * x
-        sq = np.sum(x * x, axis=1)
-    elif params.alpha_is_vector:
-        if x.shape[1] != params.alpha.shape[0]:
+    ones = np.ones((len(x), 1))
+    if params.kernel == EUCLIDEAN_RBF:
+        sq = np.sum(x * x, axis=1)[:, None]
+        left = np.hstack([2.0 * x, -sq, -ones]) / params.sigma ** 2
+        right = np.hstack([x, ones, sq])
+
+        def transform(out):
+            return np.exp(np.minimum(out, 0.0, out=out), out=out)
+    else:
+        if params.alpha_is_vector and x.shape[1] != params.alpha.shape[0]:
             raise ValueError("alpha vector length %d != embedding dim %d"
                              % (params.alpha.shape[0], x.shape[1]))
-        left = x * params.alpha
-    else:
-        left = x * float(params.alpha)
+        left = np.hstack([x * params.alpha, params.b * ones])
+        right = np.hstack([x, ones])
 
-    def transform(rows, out):
-        if rbf:
-            out += sq[rows, None]
-            out += sq[len(sq) - out.shape[1]:]
-            np.maximum(out, 0.0, out=out)
-            out /= -params.sigma ** 2
-            np.exp(out, out=out)
-        else:
-            out += params.b
-            logistic(out, out=out)
-        return out
-    return left, transform
+        def transform(out):
+            return logistic(out, out=out)
+    return left, right, transform
 
 
 def raw_weights(x, params, out=None):
     """Dense symmetric edge weights between the rows of `x`, written into
     `out` (an n x n array) when it is given.
 
-    One GEMM writes every inner product into the result, which is then
-    transformed in place in fixed-size row blocks, so the only n x n array
-    is the result and the kernel's temporaries stay a few megabytes.
+    One GEMM of the kernel's factors writes every entry's argument into the
+    result, which is then transformed in place in fixed-size row blocks, so
+    the only n x n array is the result and the kernel's temporaries stay a
+    few megabytes.
     """
-    n = x.shape[0]
-    w = np.empty((n, n)) if out is None else out
-    left, transform = _weight_kernel(x, params)
-    np.matmul(left, x.T, out=w)
-    for rows in row_blocks(n):
-        transform(rows, w[rows])
+    left, right, transform = _weight_kernel(x, params)
+    w = np.matmul(left, right.T, out=out)
+    for rows in row_blocks(len(w)):
+        transform(w[rows])
     return w
 
 
@@ -214,9 +208,9 @@ class TransitionOperator:
     uniform matrix. It is held in factored form and applied, never stored:
     `col` holds the column sums of the symmetric W, `row` the row sums of
     W D_c^-1. W is read only by `w_product`, `panels`, `w_diagonal` and
-    `submatrix`, from the n x n `w` here and recomputed in StreamedOperator.
-    Nothing depends on which words are labeled: one operator serves every
-    seed split.
+    `submatrix`, from the n x n `w` here and recomputed from the kernel's
+    factors in StreamedOperator. Nothing depends on which words are
+    labeled: one operator serves every seed split.
     """
 
     def __init__(self, w, epsilon):
@@ -277,30 +271,29 @@ class TransitionOperator:
 
 
 class StreamedOperator(TransitionOperator):
-    """The operator of raw_weights(x, params) without an n x n array. Each
-    pass recomputes W's panels into one buffer, valid until the next panel
-    or product; a product uses each panel W_IJ twice, for W_IJ v_J and
-    W_IJ^T v_I. Its diagonal comes from `x`; it gathers no block."""
+    """The operator of raw_weights(x, params) without an n x n array, from
+    the weight kernel's factors and transform alone. Each pass recomputes
+    W's panels into one buffer, valid until the next panel or product; a
+    product uses each panel W_IJ twice, for W_IJ v_J and W_IJ^T v_I. Its
+    diagonal is the transform of the factors' row-wise products."""
 
     def __init__(self, x, params):
-        self._x = x
-        self._left, self._transform = _weight_kernel(x, params)
-        self._buf = np.empty(row_blocks(len(x))[0].stop * len(x))
-        self._diagonal = (
-            np.ones(len(x)) if params.kernel == EUCLIDEAN_RBF
-            else logistic(np.einsum("ij,ij->i", self._left, x) + params.b))
+        self._left, self._right, self._transform = _weight_kernel(x, params)
+        self._buf = np.empty(row_blocks(self.n)[0].stop * self.n)
+        self._diagonal = self._transform(
+            np.einsum("ij,ij->i", self._left, self._right))
         super().__init__(None, params.epsilon)
 
     @property
     def n(self):
-        return len(self._x)
+        return len(self._left)
 
     def panels(self):
         for rows in row_blocks(self.n):
             c = self.n - rows.start  # W's last c columns
             panel = self._buf[:(rows.stop - rows.start) * c].reshape(-1, c)
-            np.matmul(self._left[rows], self._x[rows.start:].T, out=panel)
-            yield rows, self._transform(rows, panel)
+            np.matmul(self._left[rows], self._right[rows.start:].T, out=panel)
+            yield rows, self._transform(panel)
 
     def w_product(self, v):
         out = np.zeros(v.shape)

@@ -18,7 +18,8 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     build_transition, integer, is_real, logistic, raw_weights,
                     real)
 from .lexicon import init_label_matrix
-from .solver import ConvergenceError, check_seed_split, solve
+from .solver import (MAX_ITER, TOL, ConvergenceError, check_seed_split,
+                     check_solver_options, solve)
 
 
 class GradientError(RuntimeError):
@@ -349,25 +350,27 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _accepted(label_matrix, operator, *args):
-    """Raise GradientError when `operator(*args)` fails or CG, which gathers
-    no u x u block, refuses `label_matrix` on it or does not certify it."""
+def _accepted(label_matrix, operator, *args, tol=TOL, max_iter=MAX_ITER):
+    """Raise GradientError when `operator(*args)` fails or CG refuses
+    `label_matrix` on it or does not certify it. CG runs whichever solver is
+    set, since it gathers no u x u block: the fit's peak stays one n x n W."""
     try:
-        solve(operator(*args), label_matrix, "cg")
+        solve(operator(*args), label_matrix, "cg", tol, max_iter)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
 
 
-def fit_full(store, seed, config):
+def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     """Plain gradient descent on the full-graph unrolled entropy.
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
     the lowest-entropy iterate; the trace's `params_epoch` is its row. It
-    ends in `_accepted`, `expand`'s CG solve, on the graph `expand` builds
-    once the descent has freed its own.
+    ends in `_accepted`, `expand`'s CG solve at (tol, max_iter), on the
+    graph `expand` builds once the descent has freed its own.
     """
+    check_solver_options(tol, max_iter)
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
     _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
@@ -375,7 +378,8 @@ def fit_full(store, seed, config):
     trace.params_epoch = epoch
     params = _params(best)
     labeled = label_matrix.labeled_mask
-    _accepted(label_matrix, build_transition, store, params, labeled)
+    _accepted(label_matrix, build_transition, store, params, labeled,
+              tol=tol, max_iter=max_iter)
     return params, trace
 
 
@@ -400,7 +404,7 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total,
     return np.sort(np.concatenate(lab + [unl]))
 
 
-def fit_batched(store, seed, config):
+def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     """Shared-parameter descent over random vocabulary subsamples.
 
     Each batch fixes the labeled/unlabeled proportion of the full graph
@@ -408,8 +412,9 @@ def fit_batched(store, seed, config):
     submatrix, and takes config.epochs_per_batch descent steps on the
     shared parameters. The last iterate is returned: entropies of different
     subgraphs do not rank parameters. It ends in `_accepted`, `expand`'s
-    CG solve, on the full graph, streamed.
+    CG solve at (tol, max_iter), on the full graph, streamed.
     """
+    check_solver_options(tol, max_iter)
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
     label_matrix, _ = init_label_matrix(store.vocab, seed)
@@ -425,5 +430,6 @@ def fit_batched(store, seed, config):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _accepted(label_matrix, StreamedOperator, store.unit_vectors, params)
+    _accepted(label_matrix, StreamedOperator, store.unit_vectors, params,
+              tol=tol, max_iter=max_iter)
     return params, trace

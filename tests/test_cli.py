@@ -275,6 +275,22 @@ class TestOptimize:
             "is not positive definite; consider epsilon smoothing")
         assert not (tmp_path / "out").exists()
 
+    # The fit's acceptance solve runs at the config's tol and max_iter, and
+    # CG whatever its solver; the fit used to read none of the three and
+    # exit 0 here, with a params.json that `emolex expand` refuses.
+    @pytest.mark.parametrize("mode", ["full", "batch"])
+    def test_uncertified_at_config_tol_fails_without_artifacts(
+            self, tmp_path, capsys, mode):
+        config = write_config(tmp_path, fit={
+            "mode": mode, "epochs": 2, "batch_size": 6, "num_batches": 2,
+            "learning_rate": 0.1}, tol=1e-300, max_iter=1, solver="iterative")
+        assert main(["optimize", "--config", config]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GradientError"
+        assert err["message"].startswith(
+            "fitted parameters give a graph that expand refuses: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_fit_key_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, fit={"mode": "full", "epochs": 2,
                                              "decay": 0.1})
@@ -685,6 +701,19 @@ class TestConfigChecks:
                                        command, key, value, error, message):
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             params=PARAMS, **{key: value}) == message
+
+    # optimize refuses them alike: its acceptance solve runs at that tol and
+    # max_iter. It used to read none of them and fit at tol -1.
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", -1, "tol must be positive"),
+        ("max_iter", 0, "max_iter must be at least 1"),
+        ("solver", "lu", "unknown solver 'lu'")])
+    def test_optimize_refuses_bad_solver_option(self, tmp_path, capsys,
+                                                monkeypatch, key, value,
+                                                message):
+        assert self.refused(tmp_path, capsys, monkeypatch, "optimize",
+                            "ValueError", fit=self.FIT,
+                            **{key: value}) == message
 
     # A count of the fit request must be an integer and its rate a number:
     # a bool used to run as 1 and echo true in optimize_meta.json, and a

@@ -259,7 +259,9 @@ class TestBuildTransition:
 
     # The streamed operator recomputes W block by block for every product;
     # the held one normalizes the dense W of one GEMM. Their sums and
-    # products agree to rounding at any block size.
+    # products agree to rounding at any block size, and on this instance
+    # (d = 5) each panel is the held W's block bit for bit; at d = 100
+    # OpenBLAS can round a panel's entries apart from the whole GEMM's.
     @pytest.mark.parametrize("block_entries,n_blocks", [(None, 1), (1200, 134)])
     def test_streamed_mass_matches_operator(self, monkeypatch, block_entries,
                                             n_blocks):
@@ -279,6 +281,8 @@ class TestBuildTransition:
             held = TransitionOperator(raw_weights(x, params), params.epsilon)
             streamed = StreamedOperator(x, params)
             assert streamed.n == held.n == 400
+            for rows, panel in streamed.panels():
+                assert np.array_equal(panel, held.w[rows, rows.start:])
             for name in ("col", "row"):
                 expected = getattr(held, name)
                 got = getattr(streamed, name)
@@ -323,6 +327,31 @@ class TestBuildTransition:
             buf = np.full((7, 7), np.nan)
             assert raw_weights(x, params, out=buf) is buf
             assert np.array_equal(buf, raw_weights(x, params))
+
+    # W = f(L R^T) of the kernel's two factors matches the per-pair formula
+    # entry by entry. Under euclidean-rbf the factors' |x|^2 terms cancel to
+    # the squared distance, which rtol 1e-13 leaves room for at norm 10;
+    # rows 2 and 7 are equal, a zero distance off the diagonal.
+    @pytest.mark.parametrize("kernel_params, norm", [
+        ({"alpha": 7.0, "b": -3.0}, 1.0),
+        ({"alpha": np.linspace(-4.0, 6.0, 4), "b": -1.0}, 1.0),
+        ({"kernel": EUCLIDEAN_RBF, "sigma": 1.5}, 1.0),
+        ({"kernel": EUCLIDEAN_RBF, "sigma": 15.0}, 10.0)],
+        ids=["scalar", "vector", "rbf-norm1", "rbf-norm10"])
+    def test_factor_form_matches_edge_weight(self, kernel_params, norm):
+        rng = np.random.default_rng(23)
+        vectors = rng.normal(size=(12, 4))
+        vectors *= (norm * rng.uniform(0.8, 1.2, size=(12, 1))
+                    / np.linalg.norm(vectors, axis=1)[:, None])
+        vectors[7] = vectors[2]
+        store = make_store(vectors)
+        params = PropagationParams(**kernel_params)
+        x = (store.vectors if params.kernel == EUCLIDEAN_RBF
+             else store.unit_vectors)
+        expected = [[edge_weight(a, b, params) for b in vectors]
+                    for a in vectors]
+        np.testing.assert_allclose(raw_weights(x, params), expected,
+                                   rtol=1e-13, atol=0)
 
 
 class TestSmoothing:

@@ -2,7 +2,9 @@
 graph read W only through the operator's methods, never through its `w`
 array or the row blocks W is built and walked in. The rule that accepts a
 system is solver.py's alone: the fit ends in `solve`, not in its own copy
-of the condition check."""
+of the condition check. The weight kernel's arithmetic is
+`graph._weight_kernel`'s alone: the streamed operator uses its factors and
+transform, and branches on no kernel of its own."""
 
 import ast
 import os
@@ -16,6 +18,9 @@ PACKAGE = os.path.join(
 STORAGE = ("w", "row_blocks")
 # The check by which the solvers accept a system before they solve it.
 ACCEPTANCE = ("condition", "_opening_product")
+# The kernels, and the parameters that choose and shape them.
+KERNELS = ("COSINE_LOGISTIC", "EUCLIDEAN_RBF")
+KERNEL_PARAMS = ("kernel", "alpha", "b", "sigma")
 
 
 def parse(module):
@@ -62,3 +67,34 @@ def test_fit_accepts_only_through_solve():
 def test_finds_an_acceptance_import():
     tree = ast.parse("from .solver import check_seed_split, condition")
     assert imports(tree, ACCEPTANCE) == [(1, "condition")]
+
+
+def kernel_reads(tree, name="StreamedOperator"):
+    """(line, what) for each kernel constant named and each `.kernel`,
+    `.alpha`, `.b` or `.sigma` read in the body of class `name`."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == name)
+    found = [(node.lineno, node.id) for node in ast.walk(body)
+             if isinstance(node, ast.Name) and node.id in KERNELS]
+    found += [(node.lineno, "." + node.attr) for node in ast.walk(body)
+              if isinstance(node, ast.Attribute)
+              and node.attr in KERNEL_PARAMS]
+    return sorted(found)
+
+
+def test_streamed_operator_has_no_kernel_branch():
+    assert kernel_reads(parse("graph.py")) == []
+
+
+# The check finds the kernel branch by which the streamed operator once
+# worked out its own diagonal.
+def test_finds_a_kernel_branch():
+    tree = ast.parse("""
+class StreamedOperator(TransitionOperator):
+    def __init__(self, x, params):
+        self._diagonal = (
+            np.ones(len(x)) if params.kernel == EUCLIDEAN_RBF
+            else logistic(np.einsum("ij,ij->i", self._left, x) + params.b))
+""")
+    assert kernel_reads(tree) == [(5, ".kernel"), (5, "EUCLIDEAN_RBF"),
+                                  (6, ".b")]

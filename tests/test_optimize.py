@@ -392,6 +392,21 @@ class TestFitFull:
         with pytest.raises(ValueError, match="^mode must be 'full' or 'batch'$"):
             OptimizerConfig(mode="x")
 
+    # A fit takes expand's solver options for its acceptance solve and
+    # refuses a bad one before it descends, as every solve does.
+    @pytest.mark.parametrize("fit", [fit_full, fit_batched])
+    def test_bad_solver_option_refused_first(self, ekman, monkeypatch, fit):
+        def no_descent(*args):
+            raise AssertionError("the fit descended")
+        monkeypatch.setattr(emolex.optimize, "_descend", no_descent)
+        store = two_cluster_store(5, dim=4, separation=3.0, seed=6)
+        seed = two_cluster_seed(store, ekman, 1)
+        config = OptimizerConfig(batch_size=4)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            fit(store, seed, config, tol=-1.0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            fit(store, seed, config, max_iter=0)
+
     def test_descent_with_small_rate(self, ekman):
         store, _, _ = None, None, None
         store = two_cluster_store(5, dim=4, separation=3.0, seed=6)

@@ -89,6 +89,9 @@ class RunConfig:
             if data.get(key) is not None and not isinstance(data[key], str):
                 raise ConfigError("%r must be a string, not %r"
                                   % (key, data[key]))
+        for key in ("params", "batch_params"):
+            if key in data and key + "_file" in data:
+                raise ConfigError("give %r inline or in a file, not both" % key)
         self.data = data
 
     @classmethod
@@ -154,10 +157,9 @@ class RunConfig:
         if self._has_params() or "fit" not in self.data:
             raise ConfigError("a 'fit' request is required")
         fit = dict(self.data["fit"])
-        if "mode" in self.data:
-            fit["mode"] = self.data["mode"]
-        if self.data.get("seed") is not None:
-            fit["rng_seed"] = self.data["seed"]
+        for key, name in (("mode", "mode"), ("seed", "rng_seed")):
+            if key in self.data:
+                fit[name] = self.data[key]
         return OptimizerConfig.from_dict(fit)
 
 

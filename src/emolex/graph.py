@@ -206,12 +206,14 @@ class TransitionOperator:
 
     T is the column-then-row-normalized weight matrix blended with the
     uniform matrix. It is held in factored form and applied, never stored:
-    `col` holds the column sums of the symmetric W, `row` the row sums of
+    `col` is W 1, W's column sums to rounding, `row` the row sums of
     W D_c^-1. W is read only by `w_product`, `panels`, `w_diagonal` and
     `submatrix`, from the n x n `w` here and recomputed from the kernel's
     factors in StreamedOperator. Nothing depends on which words are
     labeled: one operator serves every seed split.
     """
+
+    gathers = True  # `submatrix` can gather T's blocks
 
     def __init__(self, w, epsilon):
         self.w = w
@@ -276,6 +278,8 @@ class StreamedOperator(TransitionOperator):
     W's panels into one buffer, valid until the next panel or product; a
     product uses each panel W_IJ twice, for W_IJ v_J and W_IJ^T v_I. Its
     diagonal is the transform of the factors' row-wise products."""
+
+    gathers = False
 
     def __init__(self, x, params):
         self._left, self._right, self._transform = _weight_kernel(x, params)

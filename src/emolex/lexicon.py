@@ -137,10 +137,6 @@ class LabelMatrix:
     def n_labeled(self):
         return int(self.labeled_mask.sum())
 
-    @property
-    def labeled_rows(self):
-        return self.rows[self.labeled_mask]
-
 
 def check_emotions(seed, emotions):
     """Raise ValueError unless `emotions` is the seed lexicon's own emotion

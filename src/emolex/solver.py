@@ -144,8 +144,8 @@ def propagate_iterative(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     """
     _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
-    seeds = label_matrix.labeled_rows
     y = label_matrix.rows
+    seeds = y[labeled]
     new, mass, cond_bound = _opening_product(tm, y, labeled)
     contraction = (1.0 - mass) / mass
 
@@ -195,12 +195,12 @@ def propagate_closed_form(tm, label_matrix, tol=TOL):
     """
     _check_inputs(label_matrix, tol)
     labeled = label_matrix.labeled_mask
-    unlabeled = np.flatnonzero(~labeled)
+    unlabeled = ~labeled
     y = label_matrix.rows.copy()
     y[unlabeled] = 0.0
     rhs, mass, cond_bound = _opening_product(tm, y, labeled)
     y[unlabeled] = _solve_clamped(tm.submatrix(unlabeled), rhs[unlabeled])
-    report = _certified("closed-form", 1, _residual(tm, y, ~labeled), mass,
+    report = _certified("closed-form", 1, _residual(tm, y, unlabeled), mass,
                         cond_bound, tol)
     return LabelMatrix(y, labeled), report
 
@@ -216,8 +216,9 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     Sherman-Morrison: with B y1 = rhs and B s = 1, the solution is
     y1 + sigma s, sigma = (eps/n) 1^T y1 / (1 - (eps/n) 1^T s). All m + 1
     columns run in lockstep, each with its own step, so one iteration is
-    one product with W. A column whose residual is zero (an emotion no seed
-    carries) is converged, not a breakdown.
+    one product with W: every column is an n-vector in vocabulary order,
+    zero on the seeds, so W_uu p is W p on the unlabeled rows. A column
+    whose residual is zero (an emotion no seed carries) is converged.
 
     The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
     once that estimate divided by min m (see `condition`) is within tol,
@@ -227,41 +228,40 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     """
     _check_inputs(label_matrix, tol, max_iter)
     labeled = label_matrix.labeled_mask
-    unlabeled = np.flatnonzero(~labeled)
+    unlabeled = ~labeled
     y = label_matrix.rows.copy()
     y[unlabeled] = 0.0
     rhs, mass, cond_bound = _opening_product(tm, y, labeled)
     n, m = y.shape
-    row, col = tm.row[unlabeled], tm.col[unlabeled]
+    row, col = tm.row, tm.col
     keep = 1.0 - tm.epsilon
     smooth = tm.epsilon / n
     scale = (row * col)[:, None]
-    b = np.empty((unlabeled.size, m + 1))
-    b[:, :m] = rhs[unlabeled]
-    b[:, m] = 1.0
-    b *= row[:, None]
-    precondition = 1.0 / (row * col - keep * tm.w_diagonal()[unlabeled])[:, None]
-    pad = np.zeros((n, m + 1))
+    b = np.empty((n, m + 1))
+    b[:, :m], b[:, m] = rhs, 1.0
+    b *= (row * unlabeled)[:, None]
+    precondition = np.divide(1.0, row * col - keep * tm.w_diagonal(),
+                             out=np.zeros(n), where=unlabeled)[:, None]
 
     def apply_a(p):
-        # W_uu p through the whole of W, never gathered.
-        pad[unlabeled] = p
-        out = tm.w_product(pad)[unlabeled]
+        out = tm.w_product(p)
+        out[labeled] = 0.0
         out *= -keep
         out += scale * p
         return out
 
     def combine(x):
         y1 = x * col[:, None]
-        sigma = smooth * y1[:, :m].sum(axis=0) / (1.0 - smooth * y1[:, m].sum())
+        # Unlabeled rows only: a pairwise sum rounds by where its zeros sit.
+        sigma = (smooth * y1[:, :m].sum(axis=0)
+                 / (1.0 - smooth * y1[unlabeled, m].sum()))
         return y1[:, :m] + y1[:, m:] * sigma, sigma
 
     def settle(y_u):
         # Clip, re-normalize and place the rows; return their true residual.
-        rows = np.maximum(y_u, 0.0)
-        rows /= rows.sum(axis=1, keepdims=True)
-        y[unlabeled] = rows
-        return _residual(tm, y, ~labeled)
+        rows = np.maximum(y_u[unlabeled], 0.0)
+        y[unlabeled] = rows / rows.sum(axis=1, keepdims=True)
+        return _residual(tm, y, unlabeled)
 
     x = np.zeros_like(b)
     res = b.copy()
@@ -299,24 +299,24 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     return LabelMatrix(y, labeled), report
 
 
-def choose_solver(solver, n_unlabeled):
-    """The solver `solve` runs for `solver` on a system with `n_unlabeled`
-    unlabeled rows: "auto" is the closed form up to
-    CLOSED_FORM_MAX_UNLABELED of them and conjugate gradients above."""
+def choose_solver(solver, tm, n_unlabeled):
+    """The solver `solve` runs for `solver` on `tm` with `n_unlabeled`
+    unlabeled rows: "auto" is the closed form up to CLOSED_FORM_MAX_UNLABELED
+    of them, conjugate gradients above it or where `tm.gathers` is false."""
     if solver == "auto":
-        return "closed" if n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg"
+        return ("closed" if tm.gathers
+                and n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg")
     return solver
 
 
 def solve(tm, label_matrix, solver="auto", tol=TOL, max_iter=MAX_ITER):
     """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
 
-    `solver` is "iterative", "closed", "cg", or "auto": the closed form up
-    to CLOSED_FORM_MAX_UNLABELED unlabeled rows, conjugate gradients above.
+    `solver` is "iterative", "closed", "cg", or "auto" (`choose_solver`).
     The options are checked first, whichever solver runs.
     """
     check_solver_options(tol, max_iter, solver)
-    solver = choose_solver(solver, tm.n - label_matrix.n_labeled)
+    solver = choose_solver(solver, tm, tm.n - label_matrix.n_labeled)
     if solver == "closed":
         return propagate_closed_form(tm, label_matrix, tol=tol)
     if solver == "iterative":
@@ -357,19 +357,17 @@ def _factorized_folds(tm, label_matrix, set_up, checks, tol):
     (I - T_UU). The first fold not certified raises at once.
     """
     labeled = label_matrix.labeled_mask
-    seeds = np.flatnonzero(labeled)
-    unlabeled = np.flatnonzero(~labeled)
-    position = np.full(tm.n, -1)
-    position[seeds] = np.arange(seeds.size)
-    z = _solve_clamped(tm.submatrix(unlabeled), tm.submatrix(unlabeled, seeds))
-    g = tm.submatrix(seeds) + tm.submatrix(seeds, unlabeled) @ z
+    unlabeled = ~labeled
+    position = np.cumsum(labeled) - 1  # a seed's row of G
+    z = _solve_clamped(tm.submatrix(unlabeled), tm.submatrix(unlabeled, labeled))
+    g = tm.submatrix(labeled) + tm.submatrix(labeled, unlabeled) @ z
     for f, (hidden, fold) in enumerate(set_up):
         mask = fold.labeled_mask
         h = position[hidden]
         s = position[mask]
         fold.rows[hidden] = _as_fold(f, _solve_clamped, g[np.ix_(h, h)],
                                      g[np.ix_(h, s)] @ fold.rows[mask])
-        fold.rows[unlabeled] = z @ fold.rows[seeds]
+        fold.rows[unlabeled] = z @ fold.rows[labeled]
     m = label_matrix.rows.shape[1]
     stacked = np.hstack([fold.rows for _, fold in set_up])
     violation = np.abs(stacked - tm.apply(stacked))
@@ -426,7 +424,7 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=TOL,
     checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
               for f, (_, fold) in enumerate(set_up)]
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
-    if choose_solver(solver, largest) == "closed":
+    if choose_solver(solver, tm, largest) == "closed":
         return _factorized_folds(tm, label_matrix, set_up, checks, tol)
     return [_as_fold(f, solve, tm, fold, solver, tol, max_iter)
             for f, (_, fold) in enumerate(set_up)]

@@ -677,7 +677,8 @@ class TestConfigChecks:
         ("optimize", "seed", 1.5), ("optimize", "seed", False),
         ("expand", "max_iter", "10"), ("expand", "max_iter", {"a": 1}),
         ("evaluate", "k_folds", "3"), ("evaluate", "k_folds", None),
-        ("evaluate", "seed", [1]), ("optimize", "seed", [1])])
+        ("evaluate", "seed", [1]), ("optimize", "seed", [1]),
+        ("optimize", "seed", None)])
     def test_non_integer_refused(self, tmp_path, capsys, monkeypatch, command,
                                  key, value):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
@@ -788,7 +789,8 @@ class TestConfigChecks:
                             **run) == "an output directory ('out') is required"
 
     # A params file used to be opened, and a row checked, only after the
-    # inputs had loaded.
+    # inputs had loaded. A row given inline and as a file used to run on the
+    # file's row and drop the inline one.
     @pytest.mark.parametrize("command, overrides, error, message", [
         ("expand", {"params_file": "absent.json"}, "ConfigError",
          "params_file path does not exist: absent.json"),
@@ -808,16 +810,24 @@ class TestConfigChecks:
         ("evaluate", {"params": dict(PARAMS, b=True)}, "ValueError",
          "b must be a number, not True"),
         ("expand", {"params_file": "list.json"}, "ConfigError",
-         "'params_file' must be a JSON object, not [1]")],
+         "'params_file' must be a JSON object, not [1]"),
+        ("expand", {"params": PARAMS, "params_file": "row.json"},
+         "ConfigError", "give 'params' inline or in a file, not both"),
+        ("evaluate", {"params": PARAMS, "batch_params": PARAMS,
+                      "batch_params_file": "row.json"}, "ConfigError",
+         "give 'batch_params' inline or in a file, not both")],
         ids=["expand-params_file", "evaluate-params_file",
              "evaluate-batch_params_file", "expand-params",
              "evaluate-params", "evaluate-batch_params",
              "expand-params-string-alpha", "evaluate-params-bool-b",
-             "expand-params_file-list"])
+             "expand-params_file-list", "expand-params-and-file",
+             "evaluate-batch_params-and-file"])
     def test_bad_params_row_refused(self, tmp_path, capsys, monkeypatch,
                                     command, overrides, error, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+        (tmp_path / "row.json").write_text(json.dumps(dict(PARAMS, alpha=2.0)),
+                                           encoding="utf-8")
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             **overrides) == message
 

@@ -292,6 +292,26 @@ class TestBuildTransition:
                 got = getattr(streamed, name)(y)
                 assert np.max(np.abs(got - expected) / expected) <= 1e-14
 
+    # At d = 100 a panel's own GEMM rounds apart from the whole one's: on
+    # this instance 13 of the 16 panels differ from the held W's blocks, by
+    # at most 2.7e-15 relative (alpha 8), 1.9e-15 (alpha 7.3) and 6.0e-16
+    # (RBF).
+    @pytest.mark.parametrize("params", [
+        PropagationParams(alpha=8.0, b=-4.0),
+        PropagationParams(alpha=7.3, b=-4.0),
+        PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.3)],
+        ids=["alpha-8", "alpha-7.3", "rbf"])
+    def test_streamed_panels_match_held_at_d100(self, params):
+        rng = np.random.default_rng(7)
+        x = make_store(rng.normal(size=(2000, 100))).unit_vectors
+        held = raw_weights(x, params)
+        n_blocks = 0
+        for rows, panel in StreamedOperator(x, params).panels():
+            assert np.allclose(panel, held[rows, rows.start:], rtol=1e-14,
+                               atol=0)
+            n_blocks += 1
+        assert n_blocks == 16
+
     def test_underflowed_graph_refused_alike(self):
         rng = np.random.default_rng(17)
         x = make_store(rng.normal(size=(12, 4))).unit_vectors

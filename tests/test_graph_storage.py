@@ -4,7 +4,9 @@ array or the row blocks W is built and walked in. The rule that accepts a
 system is solver.py's alone: the fit ends in `solve`, not in its own copy
 of the condition check. The weight kernel's arithmetic is
 `graph._weight_kernel`'s alone: the streamed operator uses its factors and
-transform, and branches on no kernel of its own."""
+transform, and branches on no kernel of its own. The solvers split the
+seeds from the rest by the label matrix's mask alone, never by index
+arrays made from it."""
 
 import ast
 import os
@@ -21,6 +23,8 @@ ACCEPTANCE = ("condition", "_opening_product")
 # The kernels, and the parameters that choose and shape them.
 KERNELS = ("COSINE_LOGISTIC", "EUCLIDEAN_RBF")
 KERNEL_PARAMS = ("kernel", "alpha", "b", "sigma")
+# The calls that turn a mask into index arrays.
+INDEX_CALLS = ("flatnonzero", "nonzero")
 
 
 def parse(module):
@@ -98,3 +102,27 @@ class StreamedOperator(TransitionOperator):
 """)
     assert kernel_reads(tree) == [(5, ".kernel"), (5, "EUCLIDEAN_RBF"),
                                   (6, ".b")]
+
+
+def index_calls(tree):
+    """(line, name) for each call of `flatnonzero` or `nonzero`, as a
+    function or as a method, in `tree`."""
+    return sorted((node.lineno, name) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  for name in [getattr(node.func, "attr",
+                                       getattr(node.func, "id", None))]
+                  if name in INDEX_CALLS)
+
+
+def test_solvers_split_seeds_by_mask():
+    assert index_calls(parse("solver.py")) == []
+
+
+# The check finds the index arrays by which the solvers once split the
+# seeds, called either way.
+def test_finds_an_index_split():
+    tree = ast.parse("""
+unlabeled = np.flatnonzero(~labeled)
+seeds, = labeled.nonzero()
+""")
+    assert index_calls(tree) == [(2, "flatnonzero"), (3, "nonzero")]

@@ -564,6 +564,24 @@ class TestStreamed:
                                              "W to gather"):
             solve(streamed, lm, "closed")
 
+    # "auto" takes CG on an operator that holds no W, whatever the size of
+    # the system; it used to take the closed form and be refused.
+    def test_auto_solves_by_cg(self):
+        held, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
+        solved, report = solve(streamed, lm)
+        assert report.method == "cg"
+        expected, _ = solve(held, lm, "cg")
+        assert np.max(np.abs(solved.rows - expected.rows)) <= 2e-6
+
+    def test_auto_folds_by_cg(self):
+        held, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
+        folds = np.array_split(np.flatnonzero(lm.labeled_mask), 3)
+        solved = propagate_folds(streamed, lm, folds)
+        assert [report.method for _, report in solved] == ["cg"] * 3
+        for (fold, _), (expected, _) in zip(
+                solved, propagate_folds(held, lm, folds, "cg")):
+            assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
+
 
 class TestPartition:
     @pytest.mark.parametrize("solve", [propagate_closed_form,

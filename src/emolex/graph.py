@@ -8,10 +8,19 @@ import numpy as np
 COSINE_LOGISTIC = "cosine-logistic"
 EUCLIDEAN_RBF = "euclidean-rbf"
 
-# Weights are transformed (and, when streamed, computed) this many entries at
-# a time, so the temporaries of the elementwise kernel stay a few megabytes
-# at every n.
+# W's rows are walked in blocks of this many entries: the fit's gradient
+# pass takes two scratch arrays of one block, a few megabytes at every n.
 _BLOCK_ENTRIES = 1 << 18
+
+# W is kept, or recomputed, in panels of this many row blocks (2^21 entries):
+# at n = 4000, 8 and 16 build in 0.07 s against 0.10 s for one n x n GEMM and
+# run CG alike; at n = 2000, 8 keep 0.75 n^2 where 16 keep all of W.
+_PANEL_BLOCKS = 8
+
+# A gather takes kept panel rows this many entries at a time: temporaries of
+# at most 128 KB gathered W_uu at n = 2000 in 10 ms, against 19 ms for whole
+# row blocks and 14 ms from one n x n W (2 vCPU, bench malloc settings).
+_GATHER_ENTRIES = 1 << 14
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -141,10 +150,14 @@ def edge_weight(x_i, x_j, params):
     return w
 
 
+def _slices(start, stop, step):
+    """Slices that cover range(start, stop) in runs of `step`."""
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
 def row_blocks(n):
     """Slices that cover the rows of an n x n array in fixed-size blocks."""
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    return _slices(0, n, max(1, _BLOCK_ENTRIES // max(n, 1)))
 
 
 def _weight_kernel(x, params):
@@ -177,22 +190,6 @@ def _weight_kernel(x, params):
     return left, right, transform
 
 
-def raw_weights(x, params, out=None):
-    """Dense symmetric edge weights between the rows of `x`, written into
-    `out` (an n x n array) when it is given.
-
-    One GEMM of the kernel's factors writes every entry's argument into the
-    result, which is then transformed in place in fixed-size row blocks, so
-    the only n x n array is the result and the kernel's temporaries stay a
-    few megabytes.
-    """
-    left, right, transform = _weight_kernel(x, params)
-    w = np.matmul(left, right.T, out=out)
-    for rows in row_blocks(len(w)):
-        transform(w[rows])
-    return w
-
-
 def _checked(mass, side):
     """`mass`, refused when a column or row mass is zero or not finite."""
     if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
@@ -202,43 +199,72 @@ def _checked(mass, side):
 
 
 class TransitionOperator:
-    """T = (1 - eps) D_r^-1 W D_c^-1 + (eps / n) 11^T over the vocabulary.
+    """T = (1 - eps) D_r^-1 W D_c^-1 + (eps / n) 11^T over the rows of `x`,
+    with W the weight kernel of `params` and eps its epsilon.
 
-    T is the column-then-row-normalized weight matrix blended with the
-    uniform matrix. It is held in factored form and applied, never stored:
-    `col` is W 1, W's column sums to rounding, `row` the row sums of
-    W D_c^-1. W is read only by `w_product`, `panels`, `w_diagonal` and
-    `submatrix`, from the n x n `w` here and recomputed from the kernel's
-    factors in StreamedOperator. Nothing depends on which words are
-    labeled: one operator serves every seed split.
+    T is applied from its factors, never stored. W is stored at most once,
+    as its upper-triangle panels W[I, I.start:]: kept when `keep` is true,
+    so that `submatrix` can gather (`gathers`), and otherwise recomputed
+    into one buffer on each pass. One method, `_panel`, builds a panel in
+    both modes, so they agree bit for bit; it mirrors the panel's diagonal
+    block, so W is exactly symmetric and `col`, W 1, is both its column and
+    its row sums. `row` is the row sums of W D_c^-1. W is read only by
+    `w_product`, `panels`, `w_diagonal` and `submatrix`. Nothing depends on
+    which words are labeled: one operator serves every seed split.
     """
 
-    gathers = True  # `submatrix` can gather T's blocks
-
-    def __init__(self, w, epsilon):
-        self.w = w
-        self.epsilon = float(epsilon)
+    def __init__(self, x, params, keep=True):
+        self._left, self._right, self._transform = _weight_kernel(x, params)
+        self.n, self.epsilon, self.gathers = len(x), params.epsilon, keep
+        self._height = row_blocks(self.n)[0].stop  # rows per row block
+        self._rows = _slices(0, self.n, _PANEL_BLOCKS * self._height)
+        if keep:
+            self._kept = [self._panel(rows) for rows in self._rows]
+        else:
+            self._buf = np.empty((self._rows[0].stop, self.n))
+        self._diagonal = self._transform(
+            np.einsum("ij,ij->i", self._left, self._right))
         self.col = _checked(self.w_product(np.ones(self.n)), "column")
         self.row = _checked(self.w_product(1.0 / self.col), "row")
 
-    @property
-    def n(self):
-        return self.w.shape[0]
+    def _panel(self, rows, out=None):
+        """W[rows, rows.start:], written into `out` when it is given; the
+        lower triangle of its diagonal block is copied from the upper."""
+        panel = self._transform(np.matmul(
+            self._left[rows], self._right[rows.start:].T, out=out))
+        for i in range(1, len(panel)):
+            panel[i, :i] = panel[:i, i]
+        return panel
+
+    def _walk(self):
+        """(rows, W[rows, rows.start:]) per panel: the kept one, or one
+        recomputed into the buffer, valid until the next."""
+        for k, rows in enumerate(self._rows):
+            yield rows, (self._kept[k] if self.gathers else self._panel(
+                rows, self._buf[:rows.stop - rows.start, rows.start:]))
 
     def w_product(self, v):
-        """W v for an n-vector (a gemv) or an n x m array, as (v^T W)^T: with
-        a few columns OpenBLAS runs that form of the symmetric W's product
-        1.5-2x faster than W v (n = 4000, m = 6, two cores)."""
-        return self.w @ v if v.ndim == 1 else (v.T @ self.w).T
+        """W v for an n-vector or an n x m array, C-ordered. Each panel
+        W_IJ serves W_IJ v_J and, past its diagonal block, W_IJ^T v_I, as
+        (v^T W)^T: 1.8x faster than W v at n = 4000, m = 7 (two cores)."""
+        out = np.zeros(v.shape)
+        for rows, panel in self._walk():
+            out[rows] += (v[rows.start:].T @ panel.T).T
+            out[rows.stop:] += (v[rows].T @ panel[:, len(panel):]).T
+        return out
 
     def panels(self):
-        """W's upper triangle, as (rows, W[rows, rows.start:]) per block."""
-        for rows in row_blocks(self.n):
-            yield rows, self.w[rows, rows.start:]
+        """W's upper triangle, as (rows, W[rows, rows.start:]) per row block
+        of `row_blocks`: views of the panels, valid until the next panel."""
+        for rows, panel in self._walk():
+            for block in _slices(rows.start, rows.stop, self._height):
+                top = block.start - rows.start
+                yield block, panel[top:block.stop - rows.start, top:]
 
     def w_diagonal(self):
-        """The diagonal of W, as an n-vector."""
-        return np.diagonal(self.w)
+        """The diagonal of W, as an n-vector: the transform of the kernel
+        factors' row-wise products."""
+        return self._diagonal
 
     def apply(self, y, product=None):
         """T @ y for an n x m array. W D_c^-1 y is also written into
@@ -261,56 +287,32 @@ class TransitionOperator:
         return out
 
     def submatrix(self, rows, cols=None):
-        """Dense T[rows][:, cols] for index arrays; `cols` defaults to
-        `rows`."""
-        if cols is None:
-            cols = rows
-        t = self.w[np.ix_(rows, cols)]
-        t /= self.col[cols]
-        t *= ((1.0 - self.epsilon) / self.row[rows])[:, None]
+        """Dense T[rows][:, cols] for boolean masks, gathered from the kept
+        panels; `cols` defaults to `rows`. The panel W[I, I.start:] gives
+        W[i, j] for i in I and j from I.start on, and W[j, i] for j in I
+        and i past I; a block W[rows, rows] is symmetric, so its lower part
+        is copied from its upper part."""
+        if not self.gathers:
+            raise ValueError("a streamed operator holds no W to gather")
+        r = np.flatnonzero(rows)
+        c = r if cols is None else np.flatnonzero(cols)
+        t = np.empty((len(r), len(c)))
+        step = max(1, _GATHER_ENTRIES // self.n)
+        for panel_rows, panel in self._walk():
+            s = panel_rows.start
+            a, b = np.searchsorted(r, (s, panel_rows.stop))
+            e, f = np.searchsorted(c, (s, panel_rows.stop))
+            for k in _slices(a, b, step):
+                t[k, e:] = panel.take(r[k] - s, 0).take(c[e:] - s, 1)
+            if cols is None:
+                t[b:, a:b] = t[a:b, b:].T
+            else:
+                for k in _slices(e, f, step):
+                    t[b:, k] = panel.take(c[k] - s, 0).take(r[b:] - s, 1).T
+        t /= self.col[c]
+        t *= ((1.0 - self.epsilon) / self.row[r])[:, None]
         t += self.epsilon / self.n
         return t
-
-
-class StreamedOperator(TransitionOperator):
-    """The operator of raw_weights(x, params) without an n x n array, from
-    the weight kernel's factors and transform alone. Each pass recomputes
-    W's panels into one buffer, valid until the next panel or product; a
-    product uses each panel W_IJ twice, for W_IJ v_J and W_IJ^T v_I. Its
-    diagonal is the transform of the factors' row-wise products."""
-
-    gathers = False
-
-    def __init__(self, x, params):
-        self._left, self._right, self._transform = _weight_kernel(x, params)
-        self._buf = np.empty(row_blocks(self.n)[0].stop * self.n)
-        self._diagonal = self._transform(
-            np.einsum("ij,ij->i", self._left, self._right))
-        super().__init__(None, params.epsilon)
-
-    @property
-    def n(self):
-        return len(self._left)
-
-    def panels(self):
-        for rows in row_blocks(self.n):
-            c = self.n - rows.start  # W's last c columns
-            panel = self._buf[:(rows.stop - rows.start) * c].reshape(-1, c)
-            np.matmul(self._left[rows], self._right[rows.start:].T, out=panel)
-            yield rows, self._transform(panel)
-
-    def w_product(self, v):
-        out = np.zeros(v.shape)
-        for rows, panel in self.panels():
-            out[rows] += (v[rows.start:].T @ panel.T).T
-            out[rows.stop:] += (v[rows].T @ panel[:, len(panel):]).T
-        return out
-
-    def w_diagonal(self):
-        return self._diagonal
-
-    def submatrix(self, rows, cols=None):
-        raise ValueError("a streamed operator holds no W to gather")
 
 
 def build_transition(store, params, labeled_mask):
@@ -323,4 +325,4 @@ def build_transition(store, params, labeled_mask):
     if np.shape(labeled_mask) != (len(store),):
         raise ValueError("labeled mask length mismatch")
     x = store.vectors if params.kernel == EUCLIDEAN_RBF else store.unit_vectors
-    return TransitionOperator(raw_weights(x, params), params.epsilon)
+    return TransitionOperator(x, params)

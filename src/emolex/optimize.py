@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
-                    PropagationParams, StreamedOperator, TransitionOperator,
-                    build_transition, integer, is_real, logistic, raw_weights,
-                    real)
+                    PropagationParams, TransitionOperator, build_transition,
+                    integer, is_real, logistic, real)
 from .lexicon import init_label_matrix
 from .solver import (MAX_ITER, TOL, ConvergenceError, check_seed_split,
                      check_solver_options, solve)
@@ -127,13 +126,13 @@ def _logit(p):
     return math.log(p) - math.log1p(-p)
 
 
-def _held(unit, alpha, b, epsilon, weights=None):
-    """The held operator at (alpha, b, epsilon) on `unit`, W written into
-    the n x n buffer `weights` when given. A degenerate graph means the
-    descent diverged: a GradientError, which _descend halves the rate on."""
-    w = raw_weights(unit, PropagationParams(alpha=alpha, b=b), out=weights)
+def _held(unit, alpha, b, epsilon):
+    """The operator at (alpha, b, epsilon) on `unit`, its panels kept. A
+    degenerate graph means the descent diverged: a GradientError, which
+    _descend halves the rate on."""
     try:
-        return TransitionOperator(w, epsilon)
+        return TransitionOperator(unit, PropagationParams(
+            alpha=alpha, b=b, epsilon=epsilon))
     except NumericalDegeneracyError as exc:
         raise GradientError(str(exc)) from exc
 
@@ -142,7 +141,7 @@ def _forward_backward(tm, unit, labeled, y, alpha, unroll_steps):
     """Mean entropy H/u of the u unlabeled rows after K unrolled
     propagation sweeps, and its analytic gradient.
 
-    `tm`, held or streamed, is the graph on the unit vectors `unit`, and
+    `tm`, kept or streamed, is the graph on the unit vectors `unit`, and
     `y` holds label rows in the same node order; W is read only through
     `tm`. The rows where `labeled` is true are clamped to `y`, the others
     start uniform. Returns (H/u, {"alpha", "b", "eps_logit"}) with the
@@ -300,8 +299,8 @@ def _descend(store, label_matrix, batches, steps, config):
 
     The parameters are an (alpha, b, eps_logit) triple that no step
     modifies in place. Each batch (an index into the vocabulary) takes
-    `steps` descent steps on its own subgraph, every step writing its
-    weights into one buffer per batch size. A step diverges when the entropy
+    `steps` descent steps on its own subgraph, each on its own operator,
+    freed before the next step builds one. A step diverges when the entropy
     or a gradient is non-finite, the graph is degenerate, epsilon rounds to
     0 or 1, or alpha or b overflows; the batch is then retried from its
     start at half the rate, up to three halvings in the whole descent. Only
@@ -314,11 +313,8 @@ def _descend(store, label_matrix, batches, steps, config):
     trace = OptTrace()
     lr = config.learning_rate
     halvings = 0
-    weights = None
     for batch in batches:
         unit = store.unit_vectors[batch]
-        if weights is None or len(weights) != len(unit):
-            weights = np.empty((len(unit), len(unit)))
         labeled = label_matrix.labeled_mask[batch]
         y = label_matrix.rows[batch]
         while True:
@@ -327,9 +323,9 @@ def _descend(store, label_matrix, batches, steps, config):
                 for _ in range(steps):
                     alpha, b, eps_logit = current
                     epsilon = _epsilon(eps_logit)
-                    tm = _held(unit, alpha, b, epsilon, weights)
-                    h, grads = _forward_backward(tm, unit, labeled, y, alpha,
-                                                 config.unroll_steps)
+                    h, grads = _forward_backward(
+                        _held(unit, alpha, b, epsilon), unit, labeled, y,
+                        alpha, config.unroll_steps)
                     if not math.isfinite(h):
                         raise GradientError("entropy diverged")
                     if h < best[0]:
@@ -350,12 +346,12 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _accepted(label_matrix, operator, *args, tol=TOL, max_iter=MAX_ITER):
-    """Raise GradientError when `operator(*args)` fails or CG refuses
-    `label_matrix` on it or does not certify it. CG runs whichever solver is
-    set, since it gathers no u x u block: the fit's peak stays one n x n W."""
+def _accepted(label_matrix, build, tol=TOL, max_iter=MAX_ITER):
+    """Raise GradientError when `build()`, which makes the operator, fails
+    or CG refuses `label_matrix` on it or does not certify it. CG runs
+    whichever solver is set, since it gathers no u x u block beside W."""
     try:
-        solve(operator(*args), label_matrix, "cg", tol, max_iter)
+        solve(build(), label_matrix, "cg", tol, max_iter)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
@@ -378,8 +374,8 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     trace.params_epoch = epoch
     params = _params(best)
     labeled = label_matrix.labeled_mask
-    _accepted(label_matrix, build_transition, store, params, labeled,
-              tol=tol, max_iter=max_iter)
+    _accepted(label_matrix, lambda: build_transition(store, params, labeled),
+              tol, max_iter)
     return params, trace
 
 
@@ -430,6 +426,6 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _accepted(label_matrix, StreamedOperator, store.unit_vectors, params,
-              tol=tol, max_iter=max_iter)
+    _accepted(label_matrix, lambda: TransitionOperator(
+        store.unit_vectors, params, keep=False), tol, max_iter)
     return params, trace

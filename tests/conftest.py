@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from emolex import EmbeddingStore, EmotionSet, SeedLexicon, Vocabulary
+from emolex.graph import _weight_kernel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -18,6 +19,47 @@ def make_store(vectors, words=None):
     if words is None:
         words = ["w%d" % i for i in range(vectors.shape[0])]
     return EmbeddingStore(Vocabulary(words), vectors)
+
+
+def dense_weights(x, params):
+    """W over the rows of `x` as one n x n array, from one GEMM of the weight
+    kernel's factors: the dense reference for the operator's panels."""
+    left, right, transform = _weight_kernel(x, params)
+    return transform(left @ right.T)
+
+
+def kept_weights(tm):
+    """The n x n W of an operator, rebuilt from its panels and their
+    mirror, so the diagonal blocks come from the panels alone."""
+    w = np.empty((tm.n, tm.n))
+    for rows, panel in tm.panels():
+        w[rows, rows.start:] = panel
+        w[rows.stop:, rows] = panel[:, len(panel):].T
+    return w
+
+
+class DenseOperator:
+    """The transition operator of an n x n W with T formed whole: the
+    reference for the panel operator in the solvers and the fit."""
+
+    def __init__(self, w, epsilon):
+        self.w, self.epsilon, self.n = w, epsilon, len(w)
+        self.col = w.sum(axis=0)
+        self.row = (w / self.col).sum(axis=1)
+        self.t = ((1.0 - epsilon) * w / self.col / self.row[:, None]
+                  + epsilon / self.n)
+
+    def apply(self, y):
+        return self.t @ y
+
+    def apply_transpose(self, y):
+        return self.t.T @ y
+
+    def w_product(self, v):
+        return self.w @ v
+
+    def w_diagonal(self):
+        return np.diagonal(self.w)
 
 
 def two_cluster_store(n_per_cluster, dim=10, separation=6.0, seed=0,

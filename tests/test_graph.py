@@ -7,11 +7,13 @@ import pytest
 
 import emolex.graph as graph
 from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
-                          PropagationParams, StreamedOperator,
-                          TransitionOperator, build_transition, edge_weight,
-                          logistic, raw_weights)
+                          PropagationParams, TransitionOperator,
+                          build_transition, edge_weight, logistic)
+from emolex.optimize import _forward_backward
+from emolex.lexicon import LabelMatrix
+from emolex.solver import solve
 
-from conftest import make_store
+from conftest import DenseOperator, dense_weights, kept_weights, make_store
 
 
 def cos_pair(c):
@@ -193,12 +195,13 @@ class TestBuildTransition:
         for mask in ([True, False, False, False, False], [True] * 5,
                      [False] * 5):
             b = build_transition(store, params, mask)
-            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(kept_weights(a), kept_weights(b))
             assert np.array_equal(a.col, b.col)
             assert np.array_equal(a.row, b.row)
+        w = kept_weights(a)
         for i in range(5):
             for j in range(5):
-                assert a.w[i, j] == pytest.approx(
+                assert w[i, j] == pytest.approx(
                     edge_weight(store.vectors[i], store.vectors[j], params),
                     rel=1e-12)
 
@@ -209,12 +212,34 @@ class TestBuildTransition:
         tm = build_transition(store, params, [True] + [False] * 6)
         t = dense(tm)
         assert np.allclose(tm.apply_transpose(np.eye(7)), t.T, atol=1e-15)
-        index = np.array([1, 4, 5])
+        index = np.isin(np.arange(7), [1, 4, 5])
         assert np.allclose(tm.submatrix(index), t[np.ix_(index, index)],
                            atol=1e-15)
-        cols = np.array([0, 6])
+        cols = np.isin(np.arange(7), [0, 6])
         assert np.allclose(tm.submatrix(index, cols), t[np.ix_(index, cols)],
                            atol=1e-15)
+
+    # Every block is gathered from the kept panels and their mirror, across
+    # 6-row panels and 2-row takes: each entry is the panel's own, bit for
+    # bit, normalized as T is.
+    @pytest.mark.parametrize("cols", [None, "complement", "random"])
+    def test_submatrix_gathers_across_panels(self, monkeypatch, cols):
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 3 * 40)  # 3 rows
+        monkeypatch.setattr(graph, "_PANEL_BLOCKS", 2)
+        monkeypatch.setattr(graph, "_GATHER_ENTRIES", 2 * 40)
+        rng = np.random.default_rng(24)
+        store = make_store(rng.normal(size=(40, 5)))
+        params = PropagationParams(alpha=3.0, b=-1.0, epsilon=0.1)
+        tm = TransitionOperator(store.unit_vectors, params)
+        rows = rng.random(40) < 0.6
+        other = {None: rows, "complement": ~rows,
+                 "random": rng.random(40) < 0.3}[cols]
+        expected = kept_weights(tm)[np.ix_(rows, other)]
+        expected /= tm.col[other]
+        expected *= (0.9 / tm.row[rows])[:, None]
+        expected += 0.1 / 40
+        assert np.array_equal(tm.submatrix(rows, None if cols is None
+                                           else other), expected)
 
     # W is symmetric, so its column sums are taken as the product W 1, and
     # T y as (y^T W)^T: both agree with the dense forms to rounding.
@@ -224,9 +249,10 @@ class TestBuildTransition:
         params = PropagationParams(alpha=np.linspace(1.0, 5.0, 5), b=-2.0,
                                    epsilon=0.1)
         tm = build_transition(store, params, [True] * 6 + [False] * 54)
-        col = tm.w.sum(axis=0)
+        w = dense_weights(store.unit_vectors, params)
+        col = w.sum(axis=0)
         assert np.max(np.abs(tm.col - col) / col) <= 1e-14
-        t = 0.9 * tm.w / col / (tm.w / col).sum(axis=1)[:, None] + 0.1 / 60
+        t = 0.9 * w / col / (w / col).sum(axis=1)[:, None] + 0.1 / 60
         y = rng.random((60, 4))
         assert np.allclose(tm.apply(y), t @ y, rtol=1e-14, atol=0)
 
@@ -235,15 +261,17 @@ class TestBuildTransition:
         store = make_store(rng.normal(size=(7, 4)))
         params = PropagationParams(alpha=3.0, b=-1.0, epsilon=0.2)
         tm = build_transition(store, params, [True] + [False] * 6)
+        w = dense_weights(store.unit_vectors, params)
         y = rng.random((7, 3))
         product = np.full((7, 3), np.nan)
         assert np.array_equal(tm.apply(y, product=product), tm.apply(y))
-        assert np.allclose(product, tm.w @ (y / tm.col[:, None]), rtol=1e-14)
+        assert np.allclose(product, w @ (y / tm.col[:, None]), rtol=1e-14)
         assert np.array_equal(tm.apply_transpose(y, product=product),
                               tm.apply_transpose(y))
-        assert np.allclose(product, tm.w.T @ (y * (0.8 / tm.row)[:, None]),
+        assert np.allclose(product, w.T @ (y * (0.8 / tm.row)[:, None]),
                            rtol=1e-14)
 
+    # One panel of all 9 rows, or panels of two 2-row blocks each.
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(8)
         store = make_store(rng.normal(size=(9, 4)))
@@ -251,17 +279,18 @@ class TestBuildTransition:
                 (store.unit_vectors,
                  PropagationParams(alpha=np.linspace(0.5, 2.0, 4), b=-0.2)),
                 (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.5))):
-            full = raw_weights(x, params)
+            full = kept_weights(TransitionOperator(x, params))
             monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 18)  # 2 rows a block
-            blocked = raw_weights(x, params)
+            monkeypatch.setattr(graph, "_PANEL_BLOCKS", 2)
+            assert len(graph.row_blocks(9)) == 5
+            blocked = kept_weights(TransitionOperator(x, params))
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
-    # The streamed operator recomputes W block by block for every product;
-    # the held one normalizes the dense W of one GEMM. Their sums and
-    # products agree to rounding at any block size, and on this instance
-    # (d = 5) each panel is the held W's block bit for bit; at d = 100
-    # OpenBLAS can round a panel's entries apart from the whole GEMM's.
+    # The streamed operator recomputes each panel on every pass, the kept
+    # one builds it once, by the same code: their panels, sums and products
+    # are equal bit for bit at any block size, and agree with the dense W of
+    # one GEMM to rounding.
     @pytest.mark.parametrize("block_entries,n_blocks", [(None, 1), (1200, 134)])
     def test_streamed_mass_matches_operator(self, monkeypatch, block_entries,
                                             n_blocks):
@@ -278,24 +307,29 @@ class TestBuildTransition:
                  PropagationParams(alpha=np.linspace(0.5, 6.0, 5), b=-1.0)),
                 (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF,
                                                   sigma=2.5, epsilon=0.1))):
-            held = TransitionOperator(raw_weights(x, params), params.epsilon)
-            streamed = StreamedOperator(x, params)
+            held = TransitionOperator(x, params)
+            streamed = TransitionOperator(x, params, keep=False)
+            dense_tm = DenseOperator(dense_weights(x, params), params.epsilon)
             assert streamed.n == held.n == 400
-            for rows, panel in streamed.panels():
-                assert np.array_equal(panel, held.w[rows, rows.start:])
+            for (rows, panel), (kept_rows, kept) in zip(streamed.panels(),
+                                                        held.panels()):
+                assert rows == kept_rows and np.array_equal(panel, kept)
             for name in ("col", "row"):
-                expected = getattr(held, name)
+                expected = getattr(dense_tm, name)
                 got = getattr(streamed, name)
+                assert np.array_equal(got, getattr(held, name))
                 assert np.max(np.abs(got - expected) / expected) <= 1e-14
             for name in ("apply", "apply_transpose"):
-                expected = getattr(held, name)(y)
+                expected = getattr(dense_tm, name)(y)
                 got = getattr(streamed, name)(y)
+                assert np.array_equal(got, getattr(held, name)(y))
                 assert np.max(np.abs(got - expected) / expected) <= 1e-14
 
-    # At d = 100 a panel's own GEMM rounds apart from the whole one's: on
-    # this instance 13 of the 16 panels differ from the held W's blocks, by
-    # at most 2.7e-15 relative (alpha 8), 1.9e-15 (alpha 7.3) and 6.0e-16
-    # (RBF).
+    # At d = 100 OpenBLAS rounds a panel's own GEMM apart from the whole
+    # one's, so kept and streamed panels are equal bit for bit only because
+    # one method builds both, and so is everything computed from them. They
+    # agree with the dense W of one GEMM to rounding, and the W they hold is
+    # exactly symmetric: each diagonal block mirrors its upper triangle.
     @pytest.mark.parametrize("params", [
         PropagationParams(alpha=8.0, b=-4.0),
         PropagationParams(alpha=7.3, b=-4.0),
@@ -303,26 +337,49 @@ class TestBuildTransition:
         ids=["alpha-8", "alpha-7.3", "rbf"])
     def test_streamed_panels_match_held_at_d100(self, params):
         rng = np.random.default_rng(7)
-        x = make_store(rng.normal(size=(2000, 100))).unit_vectors
-        held = raw_weights(x, params)
+        n = 2000
+        x = make_store(rng.normal(size=(n, 100))).unit_vectors
+        held = TransitionOperator(x, params)
+        streamed = TransitionOperator(x, params, keep=False)
+        dense_w = dense_weights(x, params)
         n_blocks = 0
-        for rows, panel in StreamedOperator(x, params).panels():
-            assert np.allclose(panel, held[rows, rows.start:], rtol=1e-14,
+        for (rows, panel), (kept_rows, kept) in zip(streamed.panels(),
+                                                    held.panels()):
+            assert rows == kept_rows and np.array_equal(panel, kept)
+            assert np.allclose(panel, dense_w[rows, rows.start:], rtol=1e-14,
                                atol=0)
             n_blocks += 1
         assert n_blocks == 16
+        w = kept_weights(held)
+        assert np.array_equal(w, w.T)
+        v = rng.random((n, 7))
+        for arg in (v, v[:, 0]):
+            assert np.array_equal(held.w_product(arg), streamed.w_product(arg))
+        for name in ("col", "row"):
+            assert np.array_equal(getattr(held, name), getattr(streamed, name))
+        assert np.array_equal(held.w_diagonal(), streamed.w_diagonal())
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, 200, replace=False)] = True
+        y = np.full((n, 6), 1.0 / 6)
+        y[mask] = np.eye(6)[rng.integers(0, 6, size=200)]
+        lm = LabelMatrix(y, mask)
+        (kept_lm, kept_report), (streamed_lm, report) = (
+            solve(held, lm, "cg"), solve(streamed, lm, "cg"))
+        assert np.array_equal(kept_lm.rows, streamed_lm.rows)
+        assert kept_report == report
+        assert (_forward_backward(held, x, mask, y, 1.0, 2)
+                == _forward_backward(streamed, x, mask, y, 1.0, 2))
 
     def test_underflowed_graph_refused_alike(self):
         rng = np.random.default_rng(17)
         x = make_store(rng.normal(size=(12, 4))).unit_vectors
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         message = "zero or non-finite column mass"
-        with pytest.raises(NumericalDegeneracyError, match=message):
-            TransitionOperator(raw_weights(x, params), params.epsilon)
-        with pytest.raises(NumericalDegeneracyError, match=message):
-            StreamedOperator(x, params)
+        for keep in (True, False):
+            with pytest.raises(NumericalDegeneracyError, match=message):
+                TransitionOperator(x, params, keep=keep)
 
-    # The streamed operator holds one block buffer and n-vectors, never an
+    # The streamed operator holds one panel buffer and n-vectors, never an
     # n x n array.
     def test_streamed_operator_allocates_less_than_one_n2(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -332,21 +389,11 @@ class TestBuildTransition:
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 400 * 25)  # 25 rows
         tracemalloc.start()
         try:
-            StreamedOperator(x, params).apply(y)
+            TransitionOperator(x, params, keep=False).apply(y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 400 * 400 * 8
-
-    def test_weights_written_into_out(self):
-        rng = np.random.default_rng(9)
-        store = make_store(rng.normal(size=(7, 3)))
-        for x, params in (
-                (store.unit_vectors, PropagationParams(alpha=2.0, b=-0.5)),
-                (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.5))):
-            buf = np.full((7, 7), np.nan)
-            assert raw_weights(x, params, out=buf) is buf
-            assert np.array_equal(buf, raw_weights(x, params))
 
     # W = f(L R^T) of the kernel's two factors matches the per-pair formula
     # entry by entry. Under euclidean-rbf the factors' |x|^2 terms cancel to
@@ -370,8 +417,8 @@ class TestBuildTransition:
              else store.unit_vectors)
         expected = [[edge_weight(a, b, params) for b in vectors]
                     for a in vectors]
-        np.testing.assert_allclose(raw_weights(x, params), expected,
-                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kept_weights(TransitionOperator(x, params)),
+                                   expected, rtol=1e-13, atol=0)
 
 
 class TestSmoothing:
@@ -436,23 +483,26 @@ class TestLogistic:
         assert logistic(out, out=out) is out
         assert np.array_equal(out, plain)
 
-    # The weight kernel runs in place on the GEMM's output: its only
-    # temporaries are the scaled vectors, far less than one row block.
+    # The weight kernel runs in place on each panel's GEMM output: beside
+    # the kept panels, the build's only temporaries are the kernel's factors
+    # and n-vectors, far less than one row block.
     def test_weights_allocate_less_than_a_block(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 4))
         x /= np.linalg.norm(x, axis=1)[:, None]
         params = PropagationParams(alpha=3.0, b=-1.0)
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 300 * 50)  # 50 rows
-        buf = np.empty((300, 300))
+        monkeypatch.setattr(graph, "_PANEL_BLOCKS", 2)  # 100-row panels
         tracemalloc.start()
         try:
-            raw_weights(x, params, out=buf)
+            tm = TransitionOperator(x, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 300 * 8
-        assert np.array_equal(buf, raw_weights(x, params))
+        kept = sum(100 * (300 - start) * 8 for start in (0, 100, 200))
+        assert peak < kept + 50 * 300 * 8
+        np.testing.assert_allclose(kept_weights(tm), dense_weights(x, params),
+                                   rtol=1e-14, atol=0)
 
     # Above z = -709.78 the tail keeps its relative precision; below it
     # exp(-z) overflows and the weight is exactly 0.

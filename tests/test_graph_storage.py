@@ -1,10 +1,10 @@
 """W's layout and storage are graph.py's alone: the modules that use the
-graph read W only through the operator's methods, never through its `w`
-array or the row blocks W is built and walked in. The rule that accepts a
-system is solver.py's alone: the fit ends in `solve`, not in its own copy
-of the condition check. The weight kernel's arithmetic is
-`graph._weight_kernel`'s alone: the streamed operator uses its factors and
-transform, and branches on no kernel of its own. The solvers split the
+graph read W only through the operator's methods, never through its kept
+panels, its buffer, its walk over the panels or the row blocks W is built
+and walked in. The rule that accepts a system is solver.py's alone: the fit
+ends in `solve`, not in its own copy of the condition check. The weight
+kernel's arithmetic is `graph._weight_kernel`'s alone: the operator uses its
+factors and transform, and branches on no kernel of its own. The solvers split the
 seeds from the rest by the label matrix's mask alone, never by index
 arrays made from it."""
 
@@ -16,8 +16,10 @@ import pytest
 PACKAGE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
     "emolex")
-# W's array on the operator, and the blocks W is built and walked in.
-STORAGE = ("w", "row_blocks")
+# W's panels, their rows and buffer on the operator, the walk and build of
+# a panel, and the blocks W is built and walked in.
+STORAGE = ("_kept", "_rows", "_height", "_buf", "_walk", "_panel",
+           "row_blocks")
 # The check by which the solvers accept a system before they solve it.
 ACCEPTANCE = ("condition", "_opening_product")
 # The kernels, and the parameters that choose and shape them.
@@ -41,8 +43,8 @@ def imports(tree, names):
 
 
 def storage_reads(module):
-    """(line, what) for each `.w` or `row_blocks` attribute and each import
-    of `row_blocks` in the package module `module`."""
+    """(line, what) for each STORAGE attribute and each import of a
+    STORAGE name in the package module `module`."""
     tree = parse(module)
     found = [(node.lineno, "." + node.attr) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in STORAGE]
@@ -59,7 +61,8 @@ def test_reads_w_only_through_the_operator(module):
 # The check finds the reads where they belong.
 def test_graph_reads_its_own_storage():
     found = {what for _, what in storage_reads("graph.py")}
-    assert found == {".w"}
+    assert found == {"._kept", "._rows", "._height", "._buf", "._walk",
+                     "._panel"}
 
 
 def test_fit_accepts_only_through_solve():
@@ -73,7 +76,7 @@ def test_finds_an_acceptance_import():
     assert imports(tree, ACCEPTANCE) == [(1, "condition")]
 
 
-def kernel_reads(tree, name="StreamedOperator"):
+def kernel_reads(tree, name="TransitionOperator"):
     """(line, what) for each kernel constant named and each `.kernel`,
     `.alpha`, `.b` or `.sigma` read in the body of class `name`."""
     body = next(node for node in ast.walk(tree)
@@ -86,7 +89,7 @@ def kernel_reads(tree, name="StreamedOperator"):
     return sorted(found)
 
 
-def test_streamed_operator_has_no_kernel_branch():
+def test_operator_has_no_kernel_branch():
     assert kernel_reads(parse("graph.py")) == []
 
 
@@ -94,7 +97,7 @@ def test_streamed_operator_has_no_kernel_branch():
 # worked out its own diagonal.
 def test_finds_a_kernel_branch():
     tree = ast.parse("""
-class StreamedOperator(TransitionOperator):
+class TransitionOperator:
     def __init__(self, x, params):
         self._diagonal = (
             np.ones(len(x)) if params.kernel == EUCLIDEAN_RBF

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,15 +11,15 @@ from emolex import (EmotionSet, PropagationParams, SeedLexicon,
                     cross_validate, entropy, entropy_gradient, expand,
                     fit_batched, fit_full, init_label_matrix,
                     label_prop_expander)
-from emolex.graph import (StreamedOperator, TransitionOperator, logistic,
-                          raw_weights, row_blocks)
+from emolex.graph import TransitionOperator, logistic, row_blocks
 from emolex.lexicon import LabelMatrix
 from emolex.optimize import (GradientError, OptimizerConfig, _accepted,
                              _forward_backward, _held, _sample_batch)
 
 from conftest import (REFUSED_FIT_INIT, UNCERTIFIED_FIT_RATE,
-                      UNCERTIFIED_FIT_SEED, make_store, refused_fit_instance,
-                      two_cluster_seed, two_cluster_store)
+                      UNCERTIFIED_FIT_SEED, DenseOperator, dense_weights,
+                      make_store, refused_fit_instance, two_cluster_seed,
+                      two_cluster_store)
 
 
 def count_steps(monkeypatch):
@@ -187,7 +188,7 @@ def dense_forward_backward(unit, labeled, y, alpha, b, epsilon, steps):
     reduction."""
     n = len(y)
     w = logistic((unit * alpha) @ unit.T + b)
-    tm = TransitionOperator(w, epsilon)
+    tm = DenseOperator(w, epsilon)
     iterates, g_iterates = sweeps(tm, labeled, y, steps)
     y_final = iterates[-1][~labeled]
     # dH/dT = sum_t dH/dY_t Y_{t-1}^T
@@ -292,8 +293,8 @@ class TestBlockedReduction:
         alpha, b, epsilon, steps = 3.0, 0.0, 0.1, 4
         _, grads = held_forward_backward(unit, labeled, y, alpha, b,
                                          epsilon, steps)
-        w = raw_weights(unit, PropagationParams(alpha=alpha, b=b))
-        tm = TransitionOperator(w, epsilon)
+        w = dense_weights(unit, PropagationParams(alpha=alpha, b=b))
+        tm = DenseOperator(w, epsilon)
         ref = longdouble_reduction(unit, w, epsilon,
                                    *sweeps(tm, labeled, y, steps), alpha)
         u = np.sum(~labeled)
@@ -306,28 +307,16 @@ class TestBlockedReduction:
         alpha, b, epsilon, steps = 2.5, -1.0, 0.05, 4
         h, _ = held_forward_backward(unit, labeled, y, alpha, b, epsilon,
                                      steps)
-        tm = TransitionOperator(
-            raw_weights(unit, PropagationParams(alpha=alpha, b=b)), epsilon)
+        tm = _held(unit, alpha, b, epsilon)
         iterates, _ = sweeps(tm, labeled, y, steps)
         y_u = iterates[-1][~labeled]
         assert h == entropy(y_u) * (1.0 / len(y_u))
 
-    def test_weights_written_into_buffer(self):
-        store, _, lm = small_instance(n=12)
-        args = (store.unit_vectors, lm.labeled_mask, lm.rows, 1.5, 3)
-        buf = np.full((12, 12), np.nan)
-        h, grads = _forward_backward(
-            _held(store.unit_vectors, 1.5, -0.4, 0.2, buf), *args)
-        assert np.array_equal(buf, logistic(1.5 * store.unit_vectors
-                                            @ store.unit_vectors.T - 0.4))
-        assert (h, grads) == _forward_backward(
-            _held(store.unit_vectors, 1.5, -0.4, 0.2), *args)
-
 
 class TestStreamedStep:
     # The step on the streamed operator, whose panels serve both its W
-    # products and the gradient pass, is the held step to rounding: in one
-    # panel, and in 7-row panels whose last is a single row.
+    # products and the gradient pass, is the kept step bit for bit: in one
+    # row block, and in 7-row blocks whose last is a single row.
     @pytest.mark.parametrize("block_entries, last",
                              [(1100 * 1100, slice(0, 1100)),
                               (7 * 1100, slice(1099, 1100))],
@@ -339,17 +328,18 @@ class TestStreamedStep:
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", block_entries)
         assert row_blocks(1100)[-1] == last
         args = (unit, labeled, y, alpha, 4)
-        streamed = StreamedOperator(
-            unit, PropagationParams(alpha=alpha, b=-1.0, epsilon=0.05))
+        streamed = TransitionOperator(
+            unit, PropagationParams(alpha=alpha, b=-1.0, epsilon=0.05),
+            keep=False)
         h, grads = _forward_backward(streamed, *args)
         h_ref, ref = _forward_backward(_held(unit, alpha, -1.0, 0.05), *args)
-        assert h == pytest.approx(h_ref, rel=1e-14, abs=0)
+        assert h == h_ref
         assert np.shape(grads["alpha"]) == np.shape(alpha)
         for name in ("alpha", "b", "eps_logit"):
-            assert np.allclose(grads[name], ref[name], rtol=1e-12, atol=0)
+            assert np.array_equal(grads[name], ref[name])
 
-    # A streamed step holds row panels and n x 3(Km + 2) arrays, never an
-    # n x n one.
+    # A streamed step holds one 32-row panel and n x 3(Km + 2) arrays,
+    # never an n x n one.
     def test_step_allocates_less_than_one_n2(self, monkeypatch):
         n, m = 600, 6
         rng = np.random.default_rng(21)
@@ -360,11 +350,12 @@ class TestStreamedStep:
         y = np.full((n, m), 1.0 / m)
         y[labeled] = np.eye(m)[rng.integers(0, m, size=60)]
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 32 * n)
+        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
         params = PropagationParams(alpha=2.5, b=-1.0, epsilon=0.05)
         tracemalloc.start()
         try:
-            _forward_backward(StreamedOperator(unit, params), unit, labeled,
-                              y, 2.5, 10)
+            _forward_backward(TransitionOperator(unit, params, keep=False),
+                              unit, labeled, y, 2.5, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -372,6 +363,24 @@ class TestStreamedStep:
 
 
 class TestFitFull:
+    # Each step's operator is freed before the next step builds its own, so
+    # the descent never holds two graphs.
+    def test_steps_hold_one_operator(self, ekman, monkeypatch):
+        built = []
+        held = emolex.optimize._held
+
+        def tracking(*args):
+            assert [ref() for ref in built] == [None] * len(built)
+            tm = held(*args)
+            built.append(weakref.ref(tm))
+            return tm
+        monkeypatch.setattr(emolex.optimize, "_held", tracking)
+        store = two_cluster_store(15, dim=8, separation=4.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 3)
+        fit_full(store, seed, OptimizerConfig(mode="full", learning_rate=0.05,
+                                              epochs=4))
+        assert len(built) == 4
+
     def test_improves_on_zero_init(self, ekman):
         store = two_cluster_store(15, dim=8, separation=4.0, seed=5)
         seed = two_cluster_seed(store, ekman, 3)
@@ -648,8 +657,9 @@ class TestFitBatched:
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         with pytest.raises(GradientError, match="graph that expand refuses: "
                            "zero or non-finite column mass"):
-            _accepted(LabelMatrix(rows, np.arange(12) < 3), StreamedOperator,
-                      store.unit_vectors, params)
+            _accepted(LabelMatrix(rows, np.arange(12) < 3),
+                      lambda: TransitionOperator(store.unit_vectors, params,
+                                                 keep=False))
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)

@@ -11,11 +11,11 @@ from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
                     propagate_iterative)
 import emolex.graph
 from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
-                          StreamedOperator, TransitionOperator,
-                          build_transition, raw_weights)
+                          TransitionOperator, build_transition)
 from emolex.solver import MAX_CONDITION, expand_folds, solve
 
-from conftest import make_store, two_cluster_seed, two_cluster_store
+from conftest import (DenseOperator, dense_weights, make_store,
+                      two_cluster_seed, two_cluster_store)
 
 
 def half_transition():
@@ -370,11 +370,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="unknown solver"):
             solve(tm, lm, "gmres")
 
-    # Row 1 sends no mass to the seed row 0 at epsilon 0, so no error bound
-    # holds for any solver.
+    # Row 1 sends no mass to the seed row 0 at epsilon 0 (W = I: the
+    # orthogonal pair's weight underflows to 0), so no error bound holds for
+    # any solver.
     @pytest.mark.parametrize("solver", ["closed", "iterative", "cg"])
     def test_zero_labeled_mass_refused(self, solver):
-        tm = TransitionOperator(np.eye(2), 0.0)
+        tm = TransitionOperator(np.eye(2), PropagationParams(alpha=1000.0,
+                                                             b=-800.0))
+        assert np.array_equal(tm.apply(np.eye(2)), np.eye(2))
         lm = LabelMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), [True, False])
         with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
             solve(tm, lm, solver)
@@ -525,8 +528,8 @@ class TestCG:
 
 
 def streamed_instance(kernel_params):
-    """A held and a streamed operator of one graph on 300 words, and a
-    label matrix with 30 seeds."""
+    """The operator of a dense W and a streamed operator of one graph on 300
+    words, and a label matrix with 30 seeds."""
     rng = np.random.default_rng(31)
     store = make_store(rng.normal(size=(300, 8)))
     x = store.vectors if kernel_params.get("kernel") else store.unit_vectors
@@ -535,8 +538,9 @@ def streamed_instance(kernel_params):
     mask[rng.choice(300, size=30, replace=False)] = True
     rows = np.full((300, 6), 1.0 / 6)
     rows[mask] = np.eye(6)[rng.integers(0, 6, size=30)]
-    held = TransitionOperator(raw_weights(x, params), params.epsilon)
-    return held, StreamedOperator(x, params), LabelMatrix(rows, mask)
+    held = DenseOperator(dense_weights(x, params), params.epsilon)
+    return (held, TransitionOperator(x, params, keep=False),
+            LabelMatrix(rows, mask))
 
 
 class TestStreamed:
@@ -581,6 +585,33 @@ class TestStreamed:
         for (fold, _), (expected, _) in zip(
                 solved, propagate_folds(held, lm, folds, "cg")):
             assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
+
+
+class TestMemoryOrder:
+    # The solvers build their work arrays C-ordered whatever the memory order
+    # of the label matrix's rows, so the rows and reports are the same bits
+    # for C-ordered, F-ordered and column-sliced rows, on a kept and on a
+    # streamed operator (which the closed form cannot gather from).
+    @pytest.mark.parametrize("solver, keep", [
+        (solver, keep) for solver in solver_module.SOLVERS
+        for keep in (True, False) if (solver, keep) != ("closed", False)])
+    def test_results_independent_of_layout(self, solver, keep):
+        rng = np.random.default_rng(41)
+        store = make_store(rng.normal(size=(300, 8)))
+        params = PropagationParams(alpha=6.0, b=-2.0, epsilon=0.02)
+        tm = TransitionOperator(store.unit_vectors, params, keep=keep)
+        mask = np.zeros(300, dtype=bool)
+        mask[rng.choice(300, size=30, replace=False)] = True
+        rows = np.full((300, 6), 1.0 / 6)
+        rows[mask] = np.eye(6)[rng.integers(0, 6, size=30)]
+        layouts = [rows, np.asfortranarray(rows), np.hstack([rows, rows])[:, 6:]]
+        assert layouts[1].flags.f_contiguous
+        assert not layouts[2].flags.c_contiguous
+        (expected, report), *others = [solve(tm, LabelMatrix(r, mask), solver)
+                                       for r in layouts]
+        for solved, other_report in others:
+            assert np.array_equal(solved.rows, expected.rows)
+            assert other_report == report
 
 
 class TestPartition:

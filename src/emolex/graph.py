@@ -17,6 +17,10 @@ _BLOCK_ENTRIES = 1 << 18
 # run CG alike; at n = 2000, 8 keep 0.75 n^2 where 16 keep all of W.
 _PANEL_BLOCKS = 8
 
+# Bytes of W's panels kept, in order; the rest are recomputed on each pass.
+# 4 GiB, half of an 8 GB machine, keeps every panel up to n = 32,736.
+_KEEP_BYTES = 1 << 32
+
 # A gather takes kept panel rows this many entries at a time: temporaries of
 # at most 128 KB gathered W_uu at n = 2000 in 10 ms, against 19 ms for whole
 # row blocks and 14 ms from one n x n W (2 vCPU, bench malloc settings).
@@ -203,26 +207,29 @@ class TransitionOperator:
     with W the weight kernel of `params` and eps its epsilon.
 
     T is applied from its factors, never stored. W is stored at most once,
-    as its upper-triangle panels W[I, I.start:]: kept when `keep` is true,
-    so that `submatrix` can gather (`gathers`), and otherwise recomputed
-    into one buffer on each pass. One method, `_panel`, builds a panel in
-    both modes, so they agree bit for bit; it mirrors the panel's diagonal
-    block, so W is exactly symmetric and `col`, W 1, is both its column and
-    its row sums. `row` is the row sums of W D_c^-1. W is read only by
-    `w_product`, `panels`, `w_diagonal` and `submatrix`. Nothing depends on
-    which words are labeled: one operator serves every seed split.
+    as its upper-triangle panels W[I, I.start:], kept in order while their
+    bytes sum to at most `_KEEP_BYTES` and past that recomputed into one
+    buffer on each pass; `submatrix` gathers only when all are kept
+    (`gathers`). One method, `_panel`, builds a panel either way, so the two
+    agree bit for bit; it mirrors the panel's diagonal block, so W is
+    exactly symmetric and `col`, W 1, is both its column and its row sums.
+    `row` is the row sums of W D_c^-1 and `diagonal` W's diagonal. W is read
+    only by `w_product`, `panels` and `submatrix`. Nothing depends on which
+    words are labeled: one operator serves every seed split.
     """
 
-    def __init__(self, x, params, keep=True):
+    def __init__(self, x, params):
         self._left, self._right, self._transform = _weight_kernel(x, params)
-        self.n, self.epsilon, self.gathers = len(x), params.epsilon, keep
+        self.n, self.epsilon = len(x), params.epsilon
         self._height = row_blocks(self.n)[0].stop  # rows per row block
         self._rows = _slices(0, self.n, _PANEL_BLOCKS * self._height)
-        if keep:
-            self._kept = [self._panel(rows) for rows in self._rows]
-        else:
+        sizes = [(r.stop - r.start) * (self.n - r.start) for r in self._rows]
+        self._kept = [self._panel(rows) for rows, size in zip(
+            self._rows, np.cumsum(sizes)) if 8 * size <= _KEEP_BYTES]
+        self.gathers = len(self._kept) == len(self._rows)
+        if not self.gathers:
             self._buf = np.empty((self._rows[0].stop, self.n))
-        self._diagonal = self._transform(
+        self.diagonal = self._transform(
             np.einsum("ij,ij->i", self._left, self._right))
         self.col = _checked(self.w_product(np.ones(self.n)), "column")
         self.row = _checked(self.w_product(1.0 / self.col), "row")
@@ -240,7 +247,7 @@ class TransitionOperator:
         """(rows, W[rows, rows.start:]) per panel: the kept one, or one
         recomputed into the buffer, valid until the next."""
         for k, rows in enumerate(self._rows):
-            yield rows, (self._kept[k] if self.gathers else self._panel(
+            yield rows, (self._kept[k] if k < len(self._kept) else self._panel(
                 rows, self._buf[:rows.stop - rows.start, rows.start:]))
 
     def w_product(self, v):
@@ -260,11 +267,6 @@ class TransitionOperator:
             for block in _slices(rows.start, rows.stop, self._height):
                 top = block.start - rows.start
                 yield block, panel[top:block.stop - rows.start, top:]
-
-    def w_diagonal(self):
-        """The diagonal of W, as an n-vector: the transform of the kernel
-        factors' row-wise products."""
-        return self._diagonal
 
     def apply(self, y, product=None):
         """T @ y for an n x m array. W D_c^-1 y is also written into
@@ -293,7 +295,7 @@ class TransitionOperator:
         and i past I; a block W[rows, rows] is symmetric, so its lower part
         is copied from its upper part."""
         if not self.gathers:
-            raise ValueError("a streamed operator holds no W to gather")
+            raise ValueError("W is not kept whole, so it cannot be gathered")
         r = np.flatnonzero(rows)
         c = r if cols is None else np.flatnonzero(cols)
         t = np.empty((len(r), len(c)))

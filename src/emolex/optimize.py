@@ -127,9 +127,8 @@ def _logit(p):
 
 
 def _held(unit, alpha, b, epsilon):
-    """The operator at (alpha, b, epsilon) on `unit`, its panels kept. A
-    degenerate graph means the descent diverged: a GradientError, which
-    _descend halves the rate on."""
+    """The operator at (alpha, b, epsilon) on `unit`; a degenerate graph is
+    a divergence, a GradientError, which _descend halves the rate on."""
     try:
         return TransitionOperator(unit, PropagationParams(
             alpha=alpha, b=b, epsilon=epsilon))
@@ -141,8 +140,8 @@ def _forward_backward(tm, unit, labeled, y, alpha, unroll_steps):
     """Mean entropy H/u of the u unlabeled rows after K unrolled
     propagation sweeps, and its analytic gradient.
 
-    `tm`, kept or streamed, is the graph on the unit vectors `unit`, and
-    `y` holds label rows in the same node order; W is read only through
+    `tm` is the graph on the unit vectors `unit`, whatever panels it keeps,
+    and `y` holds label rows in the same node order; W is read only through
     `tm`. The rows where `labeled` is true are clamped to `y`, the others
     start uniform. Returns (H/u, {"alpha", "b", "eps_logit"}) with the
     gradients of the shape of `alpha`, which is read for nothing else. The
@@ -346,12 +345,13 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _accepted(label_matrix, build, tol=TOL, max_iter=MAX_ITER):
-    """Raise GradientError when `build()`, which makes the operator, fails
-    or CG refuses `label_matrix` on it or does not certify it. CG runs
-    whichever solver is set, since it gathers no u x u block beside W."""
+def _accepted(store, params, label_matrix, tol, max_iter):
+    """Raise GradientError when the graph `expand` builds at `params` is
+    degenerate, or CG refuses `label_matrix` on it or does not certify it.
+    CG runs whichever solver is set, since it gathers no u x u block."""
     try:
-        solve(build(), label_matrix, "cg", tol, max_iter)
+        solve(build_transition(store, params, label_matrix.labeled_mask),
+              label_matrix, "cg", tol, max_iter)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
@@ -373,9 +373,7 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
                                        config.epochs, config)
     trace.params_epoch = epoch
     params = _params(best)
-    labeled = label_matrix.labeled_mask
-    _accepted(label_matrix, lambda: build_transition(store, params, labeled),
-              tol, max_iter)
+    _accepted(store, params, label_matrix, tol, max_iter)
     return params, trace
 
 
@@ -407,8 +405,8 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     and each seed class's share of its seeds, builds only its own
     submatrix, and takes config.epochs_per_batch descent steps on the
     shared parameters. The last iterate is returned: entropies of different
-    subgraphs do not rank parameters. It ends in `_accepted`, `expand`'s
-    CG solve at (tol, max_iter), on the full graph, streamed.
+    subgraphs do not rank parameters. It ends as `fit_full` does, in
+    `_accepted`.
     """
     check_solver_options(tol, max_iter)
     if config.batch_size >= len(store):
@@ -426,6 +424,5 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _accepted(label_matrix, lambda: TransitionOperator(
-        store.unit_vectors, params, keep=False), tol, max_iter)
+    _accepted(store, params, label_matrix, tol, max_iter)
     return params, trace

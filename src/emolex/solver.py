@@ -240,7 +240,7 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     b = np.empty((n, m + 1))
     b[:, :m], b[:, m] = rhs, 1.0
     b *= (row * unlabeled)[:, None]
-    precondition = np.divide(1.0, row * col - keep * tm.w_diagonal(),
+    precondition = np.divide(1.0, row * col - keep * tm.diagonal,
                              out=np.zeros(n), where=unlabeled)[:, None]
 
     def apply_a(p):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import emolex.graph as graph
 from emolex import EmbeddingStore, EmotionSet, SeedLexicon, Vocabulary
 from emolex.graph import _weight_kernel
 
@@ -38,12 +39,24 @@ def kept_weights(tm):
     return w
 
 
+def keep_panels(monkeypatch, n, kept=0):
+    """Set `graph._KEEP_BYTES` through `monkeypatch` so that an operator on
+    n rows keeps its first `kept` panels and recomputes the others, at the
+    block and panel sizes in force; returns that budget in bytes."""
+    step = graph._PANEL_BLOCKS * graph.row_blocks(n)[0].stop
+    budget = sum(8 * (min(start + step, n) - start) * (n - start)
+                 for start in range(0, min(kept * step, n), step))
+    monkeypatch.setattr(graph, "_KEEP_BYTES", budget)
+    return budget
+
+
 class DenseOperator:
     """The transition operator of an n x n W with T formed whole: the
     reference for the panel operator in the solvers and the fit."""
 
     def __init__(self, w, epsilon):
         self.w, self.epsilon, self.n = w, epsilon, len(w)
+        self.diagonal = np.diagonal(w)
         self.col = w.sum(axis=0)
         self.row = (w / self.col).sum(axis=1)
         self.t = ((1.0 - epsilon) * w / self.col / self.row[:, None]
@@ -57,9 +70,6 @@ class DenseOperator:
 
     def w_product(self, v):
         return self.w @ v
-
-    def w_diagonal(self):
-        return np.diagonal(self.w)
 
 
 def two_cluster_store(n_per_cluster, dim=10, separation=6.0, seed=0,

@@ -13,7 +13,8 @@ from emolex.optimize import _forward_backward
 from emolex.lexicon import LabelMatrix
 from emolex.solver import solve
 
-from conftest import DenseOperator, dense_weights, kept_weights, make_store
+from conftest import (DenseOperator, dense_weights, keep_panels, kept_weights,
+                      make_store)
 
 
 def cos_pair(c):
@@ -287,10 +288,10 @@ class TestBuildTransition:
             monkeypatch.undo()
             assert np.array_equal(full, blocked)
 
-    # The streamed operator recomputes each panel on every pass, the kept
-    # one builds it once, by the same code: their panels, sums and products
-    # are equal bit for bit at any block size, and agree with the dense W of
-    # one GEMM to rounding.
+    # An operator under a zero budget recomputes each panel on every pass,
+    # the kept one builds it once, by the same code: their panels, sums and
+    # products are equal bit for bit at any block size, and agree with the
+    # dense W of one GEMM to rounding.
     @pytest.mark.parametrize("block_entries,n_blocks", [(None, 1), (1200, 134)])
     def test_streamed_mass_matches_operator(self, monkeypatch, block_entries,
                                             n_blocks):
@@ -308,7 +309,9 @@ class TestBuildTransition:
                 (store.vectors, PropagationParams(kernel=EUCLIDEAN_RBF,
                                                   sigma=2.5, epsilon=0.1))):
             held = TransitionOperator(x, params)
-            streamed = TransitionOperator(x, params, keep=False)
+            with monkeypatch.context() as patch:
+                keep_panels(patch, 400)
+                streamed = TransitionOperator(x, params)
             dense_tm = DenseOperator(dense_weights(x, params), params.epsilon)
             assert streamed.n == held.n == 400
             for (rows, panel), (kept_rows, kept) in zip(streamed.panels(),
@@ -326,8 +329,9 @@ class TestBuildTransition:
                 assert np.max(np.abs(got - expected) / expected) <= 1e-14
 
     # At d = 100 OpenBLAS rounds a panel's own GEMM apart from the whole
-    # one's, so kept and streamed panels are equal bit for bit only because
-    # one method builds both, and so is everything computed from them. They
+    # one's, so kept and recomputed panels are equal bit for bit only because
+    # one method builds both, and so is everything computed from them, under
+    # a budget that keeps none of the two panels or only the first. They
     # agree with the dense W of one GEMM to rounding, and the W they hold is
     # exactly symmetric: each diagonal block mirrors its upper triangle.
     @pytest.mark.parametrize("params", [
@@ -335,17 +339,15 @@ class TestBuildTransition:
         PropagationParams(alpha=7.3, b=-4.0),
         PropagationParams(kernel=EUCLIDEAN_RBF, sigma=1.3)],
         ids=["alpha-8", "alpha-7.3", "rbf"])
-    def test_streamed_panels_match_held_at_d100(self, params):
+    def test_streamed_panels_match_held_at_d100(self, monkeypatch, params):
         rng = np.random.default_rng(7)
         n = 2000
         x = make_store(rng.normal(size=(n, 100))).unit_vectors
         held = TransitionOperator(x, params)
-        streamed = TransitionOperator(x, params, keep=False)
+        assert held.gathers and len(held._kept) == 2
         dense_w = dense_weights(x, params)
         n_blocks = 0
-        for (rows, panel), (kept_rows, kept) in zip(streamed.panels(),
-                                                    held.panels()):
-            assert rows == kept_rows and np.array_equal(panel, kept)
+        for rows, panel in held.panels():
             assert np.allclose(panel, dense_w[rows, rows.start:], rtol=1e-14,
                                atol=0)
             n_blocks += 1
@@ -353,47 +355,63 @@ class TestBuildTransition:
         w = kept_weights(held)
         assert np.array_equal(w, w.T)
         v = rng.random((n, 7))
-        for arg in (v, v[:, 0]):
-            assert np.array_equal(held.w_product(arg), streamed.w_product(arg))
-        for name in ("col", "row"):
-            assert np.array_equal(getattr(held, name), getattr(streamed, name))
-        assert np.array_equal(held.w_diagonal(), streamed.w_diagonal())
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, 200, replace=False)] = True
         y = np.full((n, 6), 1.0 / 6)
         y[mask] = np.eye(6)[rng.integers(0, 6, size=200)]
         lm = LabelMatrix(y, mask)
-        (kept_lm, kept_report), (streamed_lm, report) = (
-            solve(held, lm, "cg"), solve(streamed, lm, "cg"))
-        assert np.array_equal(kept_lm.rows, streamed_lm.rows)
-        assert kept_report == report
-        assert (_forward_backward(held, x, mask, y, 1.0, 2)
-                == _forward_backward(streamed, x, mask, y, 1.0, 2))
+        kept_lm, kept_report = solve(held, lm, "cg")
+        step = _forward_backward(held, x, mask, y, 1.0, 2)
+        for kept in (0, 1):
+            with monkeypatch.context() as patch:
+                keep_panels(patch, n, kept)
+                streamed = TransitionOperator(x, params)
+            assert len(streamed._kept) == kept and not streamed.gathers
+            for (rows, panel), (kept_rows, kept_panel) in zip(
+                    streamed.panels(), held.panels()):
+                assert rows == kept_rows and np.array_equal(panel, kept_panel)
+            for arg in (v, v[:, 0]):
+                assert np.array_equal(held.w_product(arg),
+                                      streamed.w_product(arg))
+            for name in ("col", "row", "diagonal"):
+                assert np.array_equal(getattr(held, name),
+                                      getattr(streamed, name))
+            streamed_lm, report = solve(streamed, lm, "cg")
+            assert np.array_equal(kept_lm.rows, streamed_lm.rows)
+            assert kept_report == report
+            assert _forward_backward(streamed, x, mask, y, 1.0, 2) == step
 
-    def test_underflowed_graph_refused_alike(self):
+    def test_underflowed_graph_refused_alike(self, monkeypatch):
         rng = np.random.default_rng(17)
         x = make_store(rng.normal(size=(12, 4))).unit_vectors
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         message = "zero or non-finite column mass"
-        for keep in (True, False):
+        for kept in (1, 0):
+            keep_panels(monkeypatch, 12, kept)
             with pytest.raises(NumericalDegeneracyError, match=message):
-                TransitionOperator(x, params, keep=keep)
+                TransitionOperator(x, params)
 
-    # The streamed operator holds one panel buffer and n-vectors, never an
-    # n x n array.
+    # An operator holds the panels its budget keeps, one panel buffer, and
+    # n x (d + m) arrays and numpy's fixed ufunc buffer (within 100
+    # n-vectors), never an n x n array: under a zero budget, and under one
+    # that keeps 4 of its 8 panels of 50 rows.
     def test_streamed_operator_allocates_less_than_one_n2(self, monkeypatch):
         rng = np.random.default_rng(19)
         x = make_store(rng.normal(size=(400, 5))).unit_vectors
         params = PropagationParams(alpha=4.0, b=-1.5, epsilon=0.05)
         y = rng.random((400, 6))
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 400 * 25)  # 25 rows
-        tracemalloc.start()
-        try:
-            TransitionOperator(x, params, keep=False).apply(y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 400 * 400 * 8
+        monkeypatch.setattr(graph, "_PANEL_BLOCKS", 2)
+        for kept in (0, 4):
+            budget = keep_panels(monkeypatch, 400, kept)
+            tracemalloc.start()
+            try:
+                TransitionOperator(x, params).apply(y)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < budget + 50 * 400 * 8 + 100 * 400 * 8
+            assert peak < 400 * 400 * 8
 
     # W = f(L R^T) of the kernel's two factors matches the per-pair formula
     # entry by entry. Under euclidean-rbf the factors' |x|^2 terms cancel to

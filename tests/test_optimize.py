@@ -15,11 +15,12 @@ from emolex.graph import TransitionOperator, logistic, row_blocks
 from emolex.lexicon import LabelMatrix
 from emolex.optimize import (GradientError, OptimizerConfig, _accepted,
                              _forward_backward, _held, _sample_batch)
+from emolex.solver import MAX_ITER, TOL
 
 from conftest import (REFUSED_FIT_INIT, UNCERTIFIED_FIT_RATE,
                       UNCERTIFIED_FIT_SEED, DenseOperator, dense_weights,
-                      make_store, refused_fit_instance, two_cluster_seed,
-                      two_cluster_store)
+                      keep_panels, make_store, refused_fit_instance,
+                      two_cluster_seed, two_cluster_store)
 
 
 def count_steps(monkeypatch):
@@ -314,9 +315,10 @@ class TestBlockedReduction:
 
 
 class TestStreamedStep:
-    # The step on the streamed operator, whose panels serve both its W
-    # products and the gradient pass, is the kept step bit for bit: in one
-    # row block, and in 7-row blocks whose last is a single row.
+    # The step on an operator that keeps no panel, whose recomputed panels
+    # serve both its W products and the gradient pass, is the kept step bit
+    # for bit: in one row block, and in 7-row blocks whose last is a single
+    # row.
     @pytest.mark.parametrize("block_entries, last",
                              [(1100 * 1100, slice(0, 1100)),
                               (7 * 1100, slice(1099, 1100))],
@@ -328,18 +330,16 @@ class TestStreamedStep:
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", block_entries)
         assert row_blocks(1100)[-1] == last
         args = (unit, labeled, y, alpha, 4)
-        streamed = TransitionOperator(
-            unit, PropagationParams(alpha=alpha, b=-1.0, epsilon=0.05),
-            keep=False)
-        h, grads = _forward_backward(streamed, *args)
         h_ref, ref = _forward_backward(_held(unit, alpha, -1.0, 0.05), *args)
+        keep_panels(monkeypatch, 1100)
+        h, grads = _forward_backward(_held(unit, alpha, -1.0, 0.05), *args)
         assert h == h_ref
         assert np.shape(grads["alpha"]) == np.shape(alpha)
         for name in ("alpha", "b", "eps_logit"):
             assert np.array_equal(grads[name], ref[name])
 
-    # A streamed step holds one 32-row panel and n x 3(Km + 2) arrays,
-    # never an n x n one.
+    # A step that keeps no panel holds one 32-row panel buffer and
+    # n x 3(Km + 2) arrays, never an n x n one.
     def test_step_allocates_less_than_one_n2(self, monkeypatch):
         n, m = 600, 6
         rng = np.random.default_rng(21)
@@ -351,10 +351,11 @@ class TestStreamedStep:
         y[labeled] = np.eye(m)[rng.integers(0, m, size=60)]
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 32 * n)
         monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
+        keep_panels(monkeypatch, n)
         params = PropagationParams(alpha=2.5, b=-1.0, epsilon=0.05)
         tracemalloc.start()
         try:
-            _forward_backward(TransitionOperator(unit, params, keep=False),
+            _forward_backward(TransitionOperator(unit, params),
                               unit, labeled, y, 2.5, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -380,6 +381,30 @@ class TestFitFull:
         fit_full(store, seed, OptimizerConfig(mode="full", learning_rate=0.05,
                                               epochs=4))
         assert len(built) == 4
+
+    # Under a budget that keeps 1 of its 4 panels, every step and the
+    # acceptance solve recompute the other 3, and the fit returns the same
+    # bits as with every panel kept.
+    def test_partly_kept_fit_matches_kept(self, ekman, monkeypatch):
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 10 * 80)
+        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 2)
+        store = two_cluster_store(40, dim=6, separation=4.0, seed=5)
+        seed = two_cluster_seed(store, ekman, 6)
+        config = OptimizerConfig(mode="full", learning_rate=0.05, epochs=4)
+        expected, expected_trace = fit_full(store, seed, config)
+        gathers = []
+        held = emolex.optimize._held
+
+        def tracking(*args):
+            tm = held(*args)
+            gathers.append(tm.gathers)
+            return tm
+        monkeypatch.setattr(emolex.optimize, "_held", tracking)
+        keep_panels(monkeypatch, 80, 1)
+        params, trace = fit_full(store, seed, config)
+        assert gathers == [False] * 4
+        assert params.to_dict() == expected.to_dict()
+        assert trace == expected_trace
 
     def test_improves_on_zero_init(self, ekman):
         store = two_cluster_store(15, dim=8, separation=4.0, seed=5)
@@ -648,18 +673,19 @@ class TestFitBatched:
         with pytest.raises(GradientError, match="epsilon rounds to 0"):
             fit_batched(store, seed, config)
 
-    # At b = -800 every weight underflows to 0: the full-graph check on the
-    # streamed operator refuses with the operator's own message.
-    def test_zero_mass_is_expand_refusal(self, ekman):
+    # At b = -800 every weight underflows to 0: the full-graph check refuses
+    # with the operator's own message, whatever panels it keeps.
+    def test_zero_mass_is_expand_refusal(self, ekman, monkeypatch):
         store = two_cluster_store(6, dim=4, seed=8)
         rows = np.full((12, 6), 1.0 / 6)
         rows[:3] = np.eye(6)[:3]
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
-        with pytest.raises(GradientError, match="graph that expand refuses: "
-                           "zero or non-finite column mass"):
-            _accepted(LabelMatrix(rows, np.arange(12) < 3),
-                      lambda: TransitionOperator(store.unit_vectors, params,
-                                                 keep=False))
+        for kept in (1, 0):
+            keep_panels(monkeypatch, 12, kept)
+            with pytest.raises(GradientError, match="graph that expand "
+                               "refuses: zero or non-finite column mass"):
+                _accepted(store, params, LabelMatrix(rows, np.arange(12) < 3),
+                          TOL, MAX_ITER)
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)

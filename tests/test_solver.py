@@ -14,7 +14,7 @@ from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
                           TransitionOperator, build_transition)
 from emolex.solver import MAX_CONDITION, expand_folds, solve
 
-from conftest import (DenseOperator, dense_weights, make_store,
+from conftest import (DenseOperator, dense_weights, keep_panels, make_store,
                       two_cluster_seed, two_cluster_store)
 
 
@@ -527,9 +527,10 @@ class TestCG:
         assert report.method == "cg" and report.converged
 
 
-def streamed_instance(kernel_params):
-    """The operator of a dense W and a streamed operator of one graph on 300
-    words, and a label matrix with 30 seeds."""
+def streamed_instance(monkeypatch, kernel_params, kept=0):
+    """The operator of a dense W, and an operator of the same graph on 300
+    words that keeps `kept` of its two 150-row panels, and a label matrix
+    with 30 seeds."""
     rng = np.random.default_rng(31)
     store = make_store(rng.normal(size=(300, 8)))
     x = store.vectors if kernel_params.get("kernel") else store.unit_vectors
@@ -539,22 +540,25 @@ def streamed_instance(kernel_params):
     rows = np.full((300, 6), 1.0 / 6)
     rows[mask] = np.eye(6)[rng.integers(0, 6, size=30)]
     held = DenseOperator(dense_weights(x, params), params.epsilon)
-    return (held, TransitionOperator(x, params, keep=False),
-            LabelMatrix(rows, mask))
+    with monkeypatch.context() as patch:
+        patch.setattr(emolex.graph, "_BLOCK_ENTRIES", 150 * 300)
+        patch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
+        keep_panels(patch, 300, kept)
+        tm = TransitionOperator(x, params)
+    return held, tm, LabelMatrix(rows, mask)
 
 
 class TestStreamed:
-    # The streamed operator's diagonal comes from the vectors alone, so CG
-    # runs on it as on the held operator.
+    # The diagonal comes from the vectors alone, so CG runs on an operator
+    # that keeps no panel as on the held operator.
     @pytest.mark.parametrize("kernel_params", [
         {"alpha": 6.0, "b": -2.0},
         {"alpha": np.linspace(1.0, 8.0, 8), "b": -3.0},
         {"kernel": EUCLIDEAN_RBF, "sigma": 1.5}],
         ids=["scalar", "vector", "rbf"])
     def test_cg_matches_held(self, monkeypatch, kernel_params):
-        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 40 * 300)
-        held, streamed, lm = streamed_instance(kernel_params)
-        assert np.allclose(streamed.w_diagonal(), held.w_diagonal(),
+        held, streamed, lm = streamed_instance(monkeypatch, kernel_params)
+        assert np.allclose(streamed.diagonal, held.diagonal,
                            rtol=1e-14, atol=0)
         tol = 1e-8
         expected, _ = propagate_cg(held, lm, tol=tol)
@@ -562,44 +566,56 @@ class TestStreamed:
         assert report.converged
         assert np.max(np.abs(solved.rows - expected.rows)) <= 2 * tol
 
-    def test_closed_form_refused(self):
-        _, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
-        with pytest.raises(ValueError, match="^a streamed operator holds no "
-                                             "W to gather"):
-            solve(streamed, lm, "closed")
+    # Each case runs on an operator that keeps none of its two panels, and
+    # on one that keeps the first.
+    def test_closed_form_refused(self, monkeypatch):
+        for kept in (0, 1):
+            _, streamed, lm = streamed_instance(
+                monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
+            with pytest.raises(ValueError, match="^W is not kept whole, so "
+                                                 "it cannot be gathered$"):
+                solve(streamed, lm, "closed")
 
-    # "auto" takes CG on an operator that holds no W, whatever the size of
-    # the system; it used to take the closed form and be refused.
-    def test_auto_solves_by_cg(self):
-        held, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
-        solved, report = solve(streamed, lm)
-        assert report.method == "cg"
-        expected, _ = solve(held, lm, "cg")
-        assert np.max(np.abs(solved.rows - expected.rows)) <= 2e-6
+    # "auto" takes CG on an operator that does not keep every panel,
+    # whatever the size of the system; it used to take the closed form and
+    # be refused.
+    def test_auto_solves_by_cg(self, monkeypatch):
+        for kept in (0, 1):
+            held, streamed, lm = streamed_instance(
+                monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
+            solved, report = solve(streamed, lm)
+            assert report.method == "cg"
+            expected, _ = solve(held, lm, "cg")
+            assert np.max(np.abs(solved.rows - expected.rows)) <= 2e-6
 
-    def test_auto_folds_by_cg(self):
-        held, streamed, lm = streamed_instance({"alpha": 6.0, "b": -2.0})
-        folds = np.array_split(np.flatnonzero(lm.labeled_mask), 3)
-        solved = propagate_folds(streamed, lm, folds)
-        assert [report.method for _, report in solved] == ["cg"] * 3
-        for (fold, _), (expected, _) in zip(
-                solved, propagate_folds(held, lm, folds, "cg")):
-            assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
+    def test_auto_folds_by_cg(self, monkeypatch):
+        for kept in (0, 1):
+            held, streamed, lm = streamed_instance(
+                monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
+            folds = np.array_split(np.flatnonzero(lm.labeled_mask), 3)
+            solved = propagate_folds(streamed, lm, folds)
+            assert [report.method for _, report in solved] == ["cg"] * 3
+            for (fold, _), (expected, _) in zip(
+                    solved, propagate_folds(held, lm, folds, "cg")):
+                assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
 
 
 class TestMemoryOrder:
     # The solvers build their work arrays C-ordered whatever the memory order
     # of the label matrix's rows, so the rows and reports are the same bits
-    # for C-ordered, F-ordered and column-sliced rows, on a kept and on a
-    # streamed operator (which the closed form cannot gather from).
+    # for C-ordered, F-ordered and column-sliced rows, on an operator that
+    # keeps its panels and on one that keeps none (which the closed form
+    # cannot gather from).
     @pytest.mark.parametrize("solver, keep", [
         (solver, keep) for solver in solver_module.SOLVERS
         for keep in (True, False) if (solver, keep) != ("closed", False)])
-    def test_results_independent_of_layout(self, solver, keep):
+    def test_results_independent_of_layout(self, monkeypatch, solver, keep):
         rng = np.random.default_rng(41)
         store = make_store(rng.normal(size=(300, 8)))
         params = PropagationParams(alpha=6.0, b=-2.0, epsilon=0.02)
-        tm = TransitionOperator(store.unit_vectors, params, keep=keep)
+        if not keep:
+            keep_panels(monkeypatch, 300)
+        tm = TransitionOperator(store.unit_vectors, params)
         mask = np.zeros(300, dtype=bool)
         mask[rng.choice(300, size=30, replace=False)] = True
         rows = np.full((300, 6), 1.0 / 6)
@@ -671,6 +687,30 @@ class TestMonotoneEpsilon:
 
 
 class TestExpand:
+    # Under a budget that keeps 1 of its 4 panels, expand and every fold of
+    # expand_folds return the same bits as with every panel kept.
+    @pytest.mark.parametrize("solver", ["cg", "iterative"])
+    def test_partly_kept_matches_kept(self, ekman, monkeypatch, solver):
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 10 * 80)
+        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 2)
+        store = two_cluster_store(40, dim=6, separation=5.0, seed=4)
+        seed = two_cluster_seed(store, ekman, 6)
+        params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
+        folds = [["c0_%d" % i, "c1_%d" % i] for i in range(3)]
+
+        def run():
+            result = expand(store, seed, params, solver=solver)
+            return result, expand_folds(store, seed, params, folds,
+                                        solver=solver)
+        (expected, expected_folds) = run()
+        keep_panels(monkeypatch, 80, 1)
+        result, solved_folds = run()
+        assert np.array_equal(result.distributions, expected.distributions)
+        assert result.report == expected.report
+        assert len(solved_folds) == 3
+        for rows, expected_rows in zip(solved_folds, expected_folds):
+            assert np.array_equal(rows, expected_rows)
+
     def test_two_cluster_argmax(self, ekman):
         store = two_cluster_store(10, dim=6, separation=5.0, seed=4)
         seed = two_cluster_seed(store, ekman, 2)

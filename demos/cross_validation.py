@@ -37,7 +37,7 @@ def main():
         baseline_expander("uniform"),
         baseline_expander("majority", class_counts),
         baseline_expander("prior", class_counts),
-        label_prop_expander(params, solver="closed"),
+        label_prop_expander(params),
     ]
     print("%-22s %12s %12s" % ("expander", "mean KL", "pooled KL"))
     print("-" * 48)

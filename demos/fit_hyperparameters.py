@@ -31,7 +31,7 @@ def instance(n_per_cluster=50, dim=6, rng_seed=10):
 
 
 def report(tag, params, store, seed):
-    result = expand(store, seed, params, solver="closed")
+    result = expand(store, seed, params)
     h = entropy(result.distributions[~result.labeled_mask])
     alpha = float(np.mean(params.alpha))
     print("%-8s alpha=%7.3f  b=%7.3f  epsilon=%.4f  unlabeled entropy=%8.3f"

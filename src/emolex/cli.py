@@ -19,7 +19,7 @@ from .lexicon import (EKMAN_SIX, EmotionSet, load_seed_lexicon,
                       write_lexicon_json, write_lexicon_tsv)
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
-from .solver import MAX_ITER, SOLVERS, TOL, check_solver_options, expand
+from .solver import MAX_ITER, TOL, check_solver_options, expand
 
 
 class ConfigError(ValueError):
@@ -30,8 +30,8 @@ class ConfigError(ValueError):
 # several commands, so each command accepts all of them.
 CONFIG_KEYS = frozenset({
     "embeddings", "seed_lexicon", "emotions", "out", "params", "params_file",
-    "batch_params", "batch_params_file", "kernel", "solver", "tol",
-    "max_iter", "fit", "mode", "seed", "k_folds", "class_counts", "corpus"})
+    "batch_params", "batch_params_file", "kernel", "tol", "max_iter", "fit",
+    "mode", "seed", "k_folds", "class_counts", "corpus"})
 # The keys that name a file, a directory or the kernel.
 STRING_KEYS = ("out", "embeddings", "seed_lexicon", "corpus", "params_file",
                "batch_params_file", "kernel")
@@ -168,7 +168,7 @@ def _kernel_name(short):
 
 
 def _solver_options(cfg):
-    options = {"solver": cfg.get("solver", "auto"), "tol": cfg.get("tol", TOL),
+    options = {"tol": cfg.get("tol", TOL),
                "max_iter": cfg.get("max_iter", MAX_ITER)}
     check_solver_options(**options)
     return options
@@ -204,8 +204,7 @@ def cmd_optimize(cfg):
     out = cfg.out_dir()
     store, seed = _load_inputs(cfg)
     fit = fit_batched if config.mode == "batch" else fit_full
-    params, trace = fit(store, seed, config, tol=options["tol"],
-                        max_iter=options["max_iter"])
+    params, trace = fit(store, seed, config, **options)
     _write_json(os.path.join(out, "params.json"), params.to_dict())
     _replace(os.path.join(out, "trace.csv"), trace.to_csv)
     _write_json(os.path.join(out, "optimize_meta.json"),
@@ -304,12 +303,11 @@ def cmd_baseline(cfg):
 # The config overrides, and which of them each command reads.
 FLAGS = {"seed": {"type": int, "help": "override the run rng seed"},
          "out": {"help": "override the output directory"},
-         "solver": {"choices": SOLVERS},
          "kernel": {"choices": ["cosine", "euclidean"]},
          "mode": {"choices": ["full", "batch"]}}
-COMMANDS = {"expand": (cmd_expand, ("out", "solver", "kernel")),
+COMMANDS = {"expand": (cmd_expand, ("out", "kernel")),
             "optimize": (cmd_optimize, ("seed", "out", "mode")),
-            "evaluate": (cmd_evaluate, ("seed", "out", "solver", "kernel")),
+            "evaluate": (cmd_evaluate, ("seed", "out", "kernel")),
             "stats": (cmd_stats, ("out",)),
             "baseline": (cmd_baseline, ("out",))}
 

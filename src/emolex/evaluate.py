@@ -78,7 +78,7 @@ class EvalReport:
         return asdict(self)
 
 
-def label_prop_expander(params, solver="auto", tol=TOL, max_iter=MAX_ITER):
+def label_prop_expander(params, tol=TOL, max_iter=MAX_ITER):
     """Expander running label propagation with fixed parameters.
 
     Each run is `expand_folds`: one graph operator serves every fold of the
@@ -87,8 +87,8 @@ def label_prop_expander(params, solver="auto", tol=TOL, max_iter=MAX_ITER):
     or ConvergenceError, its message prefixed "fold <f>: ".
     """
     def run(store, seed, folds):
-        return expand_folds(store, seed, params, folds, solver=solver,
-                            tol=tol, max_iter=max_iter)
+        return expand_folds(store, seed, params, folds, tol=tol,
+                            max_iter=max_iter)
     run.label = "label-propagation"
     run.params = params.to_dict()
     return run

@@ -228,7 +228,7 @@ class TransitionOperator:
             self._rows, np.cumsum(sizes)) if 8 * size <= _KEEP_BYTES]
         self.gathers = len(self._kept) == len(self._rows)
         if not self.gathers:
-            self._buf = np.empty((self._rows[0].stop, self.n))
+            self._buf = np.empty(self._rows[0].stop * self.n)
         self.diagonal = self._transform(
             np.einsum("ij,ij->i", self._left, self._right))
         self.col = _checked(self.w_product(np.ones(self.n)), "column")
@@ -245,10 +245,12 @@ class TransitionOperator:
 
     def _walk(self):
         """(rows, W[rows, rows.start:]) per panel: the kept one, or one
-        recomputed into the buffer, valid until the next."""
+        recomputed into a contiguous view of the buffer, valid until the
+        next."""
         for k, rows in enumerate(self._rows):
+            shape = (rows.stop - rows.start, self.n - rows.start)
             yield rows, (self._kept[k] if k < len(self._kept) else self._panel(
-                rows, self._buf[:rows.stop - rows.start, rows.start:]))
+                rows, self._buf[:shape[0] * shape[1]].reshape(shape)))
 
     def w_product(self, v):
         """W v for an n-vector or an n x m array, C-ordered. Each panel

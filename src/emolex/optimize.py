@@ -18,7 +18,7 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     integer, is_real, logistic, real)
 from .lexicon import init_label_matrix
 from .solver import (MAX_ITER, TOL, ConvergenceError, check_seed_split,
-                     check_solver_options, solve)
+                     check_solver_options, propagate_cg)
 
 
 class GradientError(RuntimeError):
@@ -348,10 +348,10 @@ def _descend(store, label_matrix, batches, steps, config):
 def _accepted(store, params, label_matrix, tol, max_iter):
     """Raise GradientError when the graph `expand` builds at `params` is
     degenerate, or CG refuses `label_matrix` on it or does not certify it.
-    CG runs whichever solver is set, since it gathers no u x u block."""
+    CG runs at every size, since it gathers no u x u block."""
     try:
-        solve(build_transition(store, params, label_matrix.labeled_mask),
-              label_matrix, "cg", tol, max_iter)
+        propagate_cg(build_transition(store, params, label_matrix.labeled_mask),
+                     label_matrix, tol, max_iter)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
@@ -363,8 +363,8 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
     the lowest-entropy iterate; the trace's `params_epoch` is its row. It
-    ends in `_accepted`, `expand`'s CG solve at (tol, max_iter), on the
-    graph `expand` builds once the descent has freed its own.
+    ends in `_accepted`, a CG solve at (tol, max_iter), on the graph
+    `expand` builds once the descent has freed its own.
     """
     check_solver_options(tol, max_iter)
     label_matrix, _ = init_label_matrix(store.vocab, seed)

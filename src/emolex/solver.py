@@ -9,10 +9,7 @@ import numpy as np
 from .graph import NumericalDegeneracyError, build_transition, integer, real
 from .lexicon import LabelMatrix, init_label_matrix
 
-# The names `solve` accepts for its `solver` argument.
-SOLVERS = ("iterative", "closed", "cg", "auto")
-
-# Closed form is auto-selected below this many unlabeled nodes; above it the
+# `solve` takes the closed form up to this many unlabeled nodes; above it the
 # u x u factorization becomes the expensive path.
 CLOSED_FORM_MAX_UNLABELED = 2000
 
@@ -104,11 +101,9 @@ def _certified(method, iterations, residual, mass, cond_bound, tol):
                        cond_bound)
 
 
-def check_solver_options(tol, max_iter, solver="auto"):
-    """Refuse a solver outside SOLVERS, a tol that is not a positive and
-    finite number, or a max_iter that is not an integer of at least 1."""
-    if solver not in SOLVERS:
-        raise ValueError("unknown solver %r" % (solver,))
+def check_solver_options(tol, max_iter):
+    """Refuse a tol that is not a positive and finite number, or a max_iter
+    that is not an integer of at least 1."""
     if not real("tol", tol) > 0:
         raise ValueError("tol must be positive")
     if tol == np.inf:
@@ -123,11 +118,11 @@ def check_seed_split(label_matrix):
         raise ValueError("need at least one labeled and one unlabeled node")
 
 
-def _check_inputs(label_matrix, tol, max_iter=1, solver="auto"):
+def _check_inputs(label_matrix, tol, max_iter=1):
     """The input contract of every solve, which every entry point checks
     before any work: `check_seed_split`, then `check_solver_options`."""
     check_seed_split(label_matrix)
-    check_solver_options(tol, max_iter, solver)
+    check_solver_options(tol, max_iter)
 
 
 def propagate_iterative(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
@@ -299,28 +294,23 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     return LabelMatrix(y, labeled), report
 
 
-def choose_solver(solver, tm, n_unlabeled):
-    """The solver `solve` runs for `solver` on `tm` with `n_unlabeled`
-    unlabeled rows: "auto" is the closed form up to CLOSED_FORM_MAX_UNLABELED
-    of them, conjugate gradients above it or where `tm.gathers` is false."""
-    if solver == "auto":
-        return ("closed" if tm.gathers
-                and n_unlabeled <= CLOSED_FORM_MAX_UNLABELED else "cg")
-    return solver
+def _closed(tm, n_unlabeled):
+    """Whether `solve` takes the closed form on `tm` with `n_unlabeled`
+    unlabeled rows: up to CLOSED_FORM_MAX_UNLABELED of them, where `tm`
+    can gather T_uu; conjugate gradients otherwise."""
+    return tm.gathers and n_unlabeled <= CLOSED_FORM_MAX_UNLABELED
 
 
-def solve(tm, label_matrix, solver="auto", tol=TOL, max_iter=MAX_ITER):
+def solve(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
 
-    `solver` is "iterative", "closed", "cg", or "auto" (`choose_solver`).
-    The options are checked first, whichever solver runs.
+    The closed form runs where `_closed` holds, conjugate gradients
+    otherwise; both certify their result within tol. The options are
+    checked first, whichever solver runs.
     """
-    check_solver_options(tol, max_iter, solver)
-    solver = choose_solver(solver, tm, tm.n - label_matrix.n_labeled)
-    if solver == "closed":
+    check_solver_options(tol, max_iter)
+    if _closed(tm, tm.n - label_matrix.n_labeled):
         return propagate_closed_form(tm, label_matrix, tol=tol)
-    if solver == "iterative":
-        return propagate_iterative(tm, label_matrix, tol=tol, max_iter=max_iter)
     return propagate_cg(tm, label_matrix, tol=tol, max_iter=max_iter)
 
 
@@ -380,8 +370,7 @@ def _factorized_folds(tm, label_matrix, set_up, checks, tol):
     return solved
 
 
-def propagate_folds(tm, label_matrix, folds, solver="auto", tol=TOL,
-                    max_iter=MAX_ITER):
+def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     """Every fold of a cross-validation, solved on the one operator `tm`;
     returns [(LabelMatrix, SolveReport), ...], one pair per fold in fold
     order, and [] when there are no folds.
@@ -389,21 +378,21 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=TOL,
     `label_matrix` labels all seeds L; each fold is an index array of the
     seed rows H it hides, and trains on the rest, S = L \\ H. A fold is the
     system of an expansion without the seeds H: its hidden rows start at
-    uniform 1/m, as unlabeled rows do in `init_label_matrix`. When `solver`
-    is the closed form for the largest fold (as `solve` decides), all folds
+    uniform 1/m, as unlabeled rows do in `init_label_matrix`. When `solve`
+    would take the closed form for the largest fold (`_closed`), all folds
     come from one factorization (`_factorized_folds`); otherwise each fold
-    is `solve(tm, fold, solver, tol, max_iter)`, so under "auto" each fold
-    takes the solver of its own size. Either way every fold is certified
-    as its solver certifies a solve. Every fold is checked before any is
-    solved, under every solver: a fold that hides an unlabeled row, fails
-    the solvers' input contract or whose system `condition` refuses
+    is `solve(tm, fold, tol, max_iter)`, so each fold takes the solver of
+    its own size. Either way every fold is certified as its solver
+    certifies a solve. Every fold is checked before any is solved, on
+    either path: a fold that hides an unlabeled row, fails the solvers'
+    input contract or whose system `condition` refuses
     (NumericalDegeneracyError) raises before any solve. The first fold not
     certified (ConvergenceError) raises at once. A fold's error has its
     message prefixed "fold <f>: ".
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
-    check_solver_options(tol, max_iter, solver)
+    check_solver_options(tol, max_iter)
     set_up = []
     for f, hidden in enumerate(folds):
         hidden = np.asarray(hidden, dtype=np.intp)
@@ -424,9 +413,9 @@ def propagate_folds(tm, label_matrix, folds, solver="auto", tol=TOL,
     checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
               for f, (_, fold) in enumerate(set_up)]
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
-    if choose_solver(solver, tm, largest) == "closed":
+    if _closed(tm, largest):
         return _factorized_folds(tm, label_matrix, set_up, checks, tol)
-    return [_as_fold(f, solve, tm, fold, solver, tol, max_iter)
+    return [_as_fold(f, solve, tm, fold, tol, max_iter)
             for f, (_, fold) in enumerate(set_up)]
 
 
@@ -453,26 +442,25 @@ class ExpansionResult:
                 "seed_tokens_missing": self.seed_tokens_missing}
 
 
-def expand(store, seed, params, *, solver="auto", tol=TOL, max_iter=MAX_ITER):
+def expand(store, seed, params, *, tol=TOL, max_iter=MAX_ITER):
     """End-to-end expansion: init Y, build the transition operator, solve,
     and return the distributions of every vocabulary word in vocabulary order.
 
     The emotion set is the seed lexicon's. Seed rows pass through unchanged.
-    `solver` is passed to `solve`, which raises ConvergenceError when the
-    solve does not certify its result within tol.
+    `solve` raises ConvergenceError when it does not certify its result
+    within tol.
     """
     label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
-    _check_inputs(label_matrix, tol, max_iter, solver)
+    _check_inputs(label_matrix, tol, max_iter)
     tm = build_transition(store, params, label_matrix.labeled_mask)
-    solved, report = solve(tm, label_matrix, solver, tol, max_iter)
+    solved, report = solve(tm, label_matrix, tol, max_iter)
     return ExpansionResult(store.vocab, seed.emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)
 
 
-def expand_folds(store, seed, params, folds, *, solver="auto", tol=TOL,
-                 max_iter=MAX_ITER):
+def expand_folds(store, seed, params, folds, *, tol=TOL, max_iter=MAX_ITER):
     """The folds of a cross-validation of `expand`: for each list of
     held-out seed tokens in `folds`, returns, in order, the distributions
     `expand` returns for the seed without those tokens. All folds share one
@@ -484,7 +472,7 @@ def expand_folds(store, seed, params, folds, *, solver="auto", tol=TOL,
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
-    check_solver_options(tol, max_iter, solver)
+    check_solver_options(tol, max_iter)
     tm = build_transition(store, params, label_matrix.labeled_mask)
     return [solved.rows for solved, _ in
-            propagate_folds(tm, label_matrix, hidden, solver, tol, max_iter)]
+            propagate_folds(tm, label_matrix, hidden, tol, max_iter)]

@@ -52,7 +52,10 @@ def keep_panels(monkeypatch, n, kept=0):
 
 class DenseOperator:
     """The transition operator of an n x n W with T formed whole: the
-    reference for the panel operator in the solvers and the fit."""
+    reference for the panel operator in the solvers and the fit. It gathers
+    no block, so `solve` takes CG on it."""
+
+    gathers = False
 
     def __init__(self, w, epsilon):
         self.w, self.epsilon, self.n = w, epsilon, len(w)

@@ -100,8 +100,8 @@ def test_criterion_4_batch_approximates_full():
         float(full_params.alpha), rel=0.1)
     assert batch_params.b == pytest.approx(full_params.b, rel=0.1)
 
-    full_result = expand(store, seed, full_params, solver="closed")
-    batch_result = expand(store, seed, batch_params, solver="closed")
+    full_result = expand(store, seed, full_params)
+    batch_result = expand(store, seed, batch_params)
     unlabeled = ~full_result.labeled_mask
     full_argmax = np.argmax(full_result.distributions[unlabeled], axis=1)
     batch_argmax = np.argmax(batch_result.distributions[unlabeled], axis=1)
@@ -113,7 +113,7 @@ def test_criterion_5_cluster_recovery():
     store = two_cluster_store(100, dim=10, separation=4.0, seed=42)
     seed = two_cluster_seed(store, ekman, 5)  # 10 of 200 nodes = 5%
     params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
-    result = expand(store, seed, params, solver="closed")
+    result = expand(store, seed, params)
     correct = 0
     total = 0
     for cluster, label in enumerate(("joy", "anger")):

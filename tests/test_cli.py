@@ -72,33 +72,20 @@ class TestExpand:
         assert report["solve"]["converged"]
         assert report["solve"]["error_bound"] <= 1e-6
 
-    def test_cg_solver_flag(self, tmp_path):
-        def rows(out):
-            lines = read(out, "expanded_lexicon.tsv").strip().split("\n")
-            return [line.split("\t") for line in lines[1:]]
-
-        config = write_config(tmp_path, params=PARAMS)
-        assert main(["expand", "--config", config]) == 0
-        other = str(tmp_path / "cg")
-        assert main(["expand", "--config", config, "--out", other,
-                     "--solver", "cg"]) == 0
-        report = json.loads(read(other, "expand_report.json"))
-        assert report["solve"]["method"] == "cg"
-        assert report["solve"]["converged"]
-        for closed, cg in zip(rows(str(tmp_path / "out")), rows(other),
-                              strict=True):
-            assert cg[0] == closed[0] and cg[-1] == closed[-1]
-            assert [float(v) for v in cg[1:-1]] == pytest.approx(
-                [float(v) for v in closed[1:-1]], abs=1e-6)
-
-    @pytest.mark.parametrize("solver", ["iterative", "cg"])
-    def test_unconverged_solve_fails_without_artifacts(self, tmp_path, capsys,
-                                                       solver):
-        config = write_config(tmp_path, params=PARAMS, solver=solver,
-                              max_iter=1)
+    # CG stops at max_iter 1; the closed form cannot reach a tol below its
+    # rounding.
+    @pytest.mark.parametrize("method, options", [
+        ("closed-form", {"tol": 1e-300}), ("cg", {"max_iter": 1})],
+        ids=["closed", "cg"])
+    def test_unconverged_solve_fails_without_artifacts(
+            self, tmp_path, capsys, monkeypatch, method, options):
+        if method == "cg":
+            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+        config = write_config(tmp_path, params=PARAMS, **options)
         assert main(["expand", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceError"
+        assert err["message"].startswith("%s solve did not converge" % method)
         assert "error bound" in err["message"]
         assert not (tmp_path / "out").exists()
 
@@ -175,7 +162,7 @@ class TestExpand:
 
     # NaN compares false with 0, so `tol <= 0` lets it through to the solve.
     def test_nan_tol_refused_without_artifacts(self, tmp_path, capsys):
-        config = write_config(tmp_path, params=PARAMS, solver="cg", tol=NAN)
+        config = write_config(tmp_path, params=PARAMS, tol=NAN)
         assert main(["expand", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
@@ -275,15 +262,15 @@ class TestOptimize:
             "is not positive definite; consider epsilon smoothing")
         assert not (tmp_path / "out").exists()
 
-    # The fit's acceptance solve runs at the config's tol and max_iter, and
-    # CG whatever its solver; the fit used to read none of the three and
-    # exit 0 here, with a params.json that `emolex expand` refuses.
+    # The fit's acceptance solve runs CG at the config's tol and max_iter;
+    # the fit used to read neither and exit 0 here, with a params.json that
+    # `emolex expand` refuses.
     @pytest.mark.parametrize("mode", ["full", "batch"])
     def test_uncertified_at_config_tol_fails_without_artifacts(
             self, tmp_path, capsys, mode):
         config = write_config(tmp_path, fit={
             "mode": mode, "epochs": 2, "batch_size": 6, "num_batches": 2,
-            "learning_rate": 0.1}, tol=1e-300, max_iter=1, solver="iterative")
+            "learning_rate": 0.1}, tol=1e-300, max_iter=1)
         assert main(["optimize", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GradientError"
@@ -416,16 +403,17 @@ class TestEvaluate:
         config = write_config(tmp_path, params=PARAMS,
                               batch_params_file=str(batch_file),
                               corpus=data_path("mini_corpus.tsv"),
-                              k_folds=3, solver="iterative", tol=1e-9,
-                              max_iter=5000)
+                              k_folds=3, tol=1e-9, max_iter=5000)
         assert main(["evaluate", "--config", config]) == 0
-        options = {"solver": "iterative", "tol": 1e-9, "max_iter": 5000}
+        options = {"tol": 1e-9, "max_iter": 5000}
         assert calls == [(6.0, options), (5.0, options)]
 
-    def test_unconverged_fold_fails_without_artifacts(self, tmp_path, capsys):
+    def test_unconverged_fold_fails_without_artifacts(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         config = write_config(tmp_path, params=PARAMS,
                               corpus=data_path("mini_corpus.tsv"),
-                              k_folds=3, solver="iterative", max_iter=1)
+                              k_folds=3, max_iter=1)
         assert main(["evaluate", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceError"
@@ -594,13 +582,14 @@ class TestBaseline:
 
 
 class TestFlags:
+    # No command takes --solver: which solver runs is not the user's choice.
     FLAG_VALUES = {"--seed": "3", "--out": "o", "--solver": "cg",
                    "--kernel": "euclidean", "--mode": "batch"}
 
     @pytest.mark.parametrize("command, flags", [
-        ("expand", ["--out", "--solver", "--kernel"]),
+        ("expand", ["--out", "--kernel"]),
         ("optimize", ["--seed", "--out", "--mode"]),
-        ("evaluate", ["--seed", "--out", "--solver", "--kernel"]),
+        ("evaluate", ["--seed", "--out", "--kernel"]),
         ("stats", ["--out"]),
         ("baseline", ["--out"]),
     ])
@@ -650,23 +639,18 @@ class TestConfigChecks:
         return err["message"]
 
     # A misspelt key is refused, not dropped: dropped, this config would run
-    # the default solver at tol 1e-6.
+    # at tol 1e-6. "solver" is no key either: the code picks the solver.
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch,
                                  command):
         message = self.refused(tmp_path, capsys, monkeypatch, command,
                                params=PARAMS, tols=1e-30, max_iter=1,
-                               solvr="iterative")
+                               solvr="cg")
         assert message == "unknown config keys: 'solvr', 'tols'"
-
-    # A value is refused by the function that takes it, with the message a
-    # library call gets: a ValueError, before any input is read.
-    @pytest.mark.parametrize("command", ["expand", "evaluate"])
-    def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
-                                    command):
+        run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
         message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               "ValueError", params=PARAMS, solver="gmres")
-        assert message == "unknown solver 'gmres'"
+                               solver="cg", **run)
+        assert message == "unknown config keys: 'solver'"
 
     # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.
     # The message names the parameter of the function that takes the value.
@@ -707,8 +691,7 @@ class TestConfigChecks:
     # max_iter. It used to read none of them and fit at tol -1.
     @pytest.mark.parametrize("key, value, message", [
         ("tol", -1, "tol must be positive"),
-        ("max_iter", 0, "max_iter must be at least 1"),
-        ("solver", "lu", "unknown solver 'lu'")])
+        ("max_iter", 0, "max_iter must be at least 1")])
     def test_optimize_refuses_bad_solver_option(self, tmp_path, capsys,
                                                 monkeypatch, key, value,
                                                 message):
@@ -978,7 +961,7 @@ class TestConfigChecks:
     # integer config, byte for byte.
     @pytest.mark.parametrize("command, run", [
         ("evaluate", {"params": PARAMS, "k_folds": 3, "seed": 1,
-                      "max_iter": 1000, "solver": "iterative"}),
+                      "max_iter": 1000}),
         ("optimize", {"fit": dict(FIT, mode="batch", batch_size=6,
                                   num_batches=2), "seed": 7})])
     def test_integral_floats_give_identical_artifacts(self, tmp_path, command,
@@ -1023,7 +1006,7 @@ class TestFiniteArtifacts:
             encoding="utf-8")
         config = write_config(tmp_path, embeddings=str(vectors),
                               seed_lexicon=str(seed), params=PARAMS,
-                              solver="iterative", max_iter=0)
+                              max_iter=0)
         assert main(["expand", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "max_iter must be at least 1"

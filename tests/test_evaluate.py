@@ -216,8 +216,7 @@ class TestCrossValidate:
         store = two_cluster_store(8, dim=4, seed=4)
         seed = two_cluster_seed(store, ekman, 5)
         params = PropagationParams(alpha=4.0, b=-1.0, epsilon=0.05)
-        report = cross_validate(store, seed,
-                                label_prop_expander(params, solver="closed"),
+        report = cross_validate(store, seed, label_prop_expander(params),
                                 k=5, rng_seed=3)
         assert report.overall == pytest.approx(np.mean(report.per_fold),
                                                abs=1e-12)
@@ -225,15 +224,16 @@ class TestCrossValidate:
         assert report.method == "label-propagation"
 
     # An integral float is read as its int, so the report is the integer
-    # call's; k 3.0 used to fail in the fold slicing with a TypeError.
-    def test_integral_float_options_read_as_int(self, ekman):
+    # call's; k 3.0 used to fail in the fold slicing with a TypeError. The
+    # folds take CG, which counts its iterations against max_iter.
+    def test_integral_float_options_read_as_int(self, ekman, monkeypatch):
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         store = two_cluster_store(8, dim=4, seed=4)
         seed = two_cluster_seed(store, ekman, 5)
         params = PropagationParams(alpha=4.0, b=-1.0, epsilon=0.05)
 
         def report(k, rng_seed, max_iter):
-            expander = label_prop_expander(params, solver="iterative",
-                                           max_iter=max_iter)
+            expander = label_prop_expander(params, max_iter=max_iter)
             return cross_validate(store, seed, expander, k=k,
                                   rng_seed=rng_seed).to_dict()
         floats = report(3.0, 7.0, 1000.0)
@@ -244,8 +244,7 @@ class TestCrossValidate:
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
         seed = two_cluster_seed(store, ekman, 8)
         params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
-        lp = cross_validate(store, seed,
-                            label_prop_expander(params, solver="closed"),
+        lp = cross_validate(store, seed, label_prop_expander(params),
                             k=4, rng_seed=0)
         uni = cross_validate(store, seed, baseline_expander("uniform"),
                              k=4, rng_seed=0)
@@ -262,7 +261,7 @@ class TestCrossValidate:
             builds.append(args)
             return build(*args, **kwargs)
         monkeypatch.setattr(solver_module, "build_transition", counting_build)
-        expander = label_prop_expander(params, solver="closed")
+        expander = label_prop_expander(params)
         report = cross_validate(store, seed, expander, k=10, rng_seed=0)
         assert len(builds) == 1
 
@@ -270,8 +269,7 @@ class TestCrossValidate:
         eligible = sorted(seed.entries)
         per_fold = []
         for held_out in make_folds(eligible, 10, 0):
-            result = expand(store, without(seed, held_out), params,
-                            solver="closed")
+            result = expand(store, without(seed, held_out), params)
             per_fold.append(float(np.mean(
                 [kl_divergence(seed.distribution(t), result.distribution(t))
                  for t in held_out])))
@@ -302,10 +300,12 @@ class TestCrossValidate:
         assert np.max(np.abs(np.subtract(report.per_fold, per_fold))) <= 1e-12
 
     # The expander returns every fold's array, so its graph operator is
-    # freed before the first fold is scored.
+    # freed before the first fold is scored, whichever solver the folds take.
     @pytest.mark.parametrize("solver", ["closed", "cg"])
     def test_operator_freed_when_expander_returns(self, ekman, monkeypatch,
                                                   solver):
+        if solver == "cg":
+            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
         seed = two_cluster_seed(store, ekman, 10)
         params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
@@ -318,15 +318,16 @@ class TestCrossValidate:
             return tm
         monkeypatch.setattr(solver_module, "build_transition", tracking_build)
         folds = make_folds(sorted(seed.entries), 10, 0)
-        arrays = label_prop_expander(params, solver=solver)(store, seed, folds)
+        arrays = label_prop_expander(params)(store, seed, folds)
         assert len(built) == 1 and built[0]() is None
         assert len(arrays) == 10
 
-    def test_unconverged_fold_fails(self, ekman):
+    def test_unconverged_fold_fails(self, ekman, monkeypatch):
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
         seed = two_cluster_seed(store, ekman, 8)
         params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
-        expander = label_prop_expander(params, solver="iterative", max_iter=1)
+        expander = label_prop_expander(params, max_iter=1)
         with pytest.raises(RuntimeError, match="fold 0") as err:
             cross_validate(store, seed, expander, k=4, rng_seed=0)
         assert isinstance(err.value.__cause__, ConvergenceError)
@@ -405,8 +406,7 @@ class TestFactorizedFolds:
         monkeypatch.setattr(module, name, counting)
         return calls
 
-    @pytest.mark.parametrize("solver", ["closed", "auto"])
-    def test_one_gather_and_one_factorization(self, monkeypatch, solver):
+    def test_one_gather_and_one_factorization(self, monkeypatch):
         # u = 30 exceeds every other block: l = 20 seeds, |H| = 2.
         store, seed, ekman, params = self.setup_run(n_per_cluster=25)
         u = len(store) - len(seed.entries)
@@ -419,9 +419,8 @@ class TestFactorizedFolds:
             return block
         monkeypatch.setattr(TransitionOperator, "submatrix", counting_gather)
         solves = self.count_calls(monkeypatch, np.linalg, "solve")
-        cross_validate(store, seed,
-                       label_prop_expander(params, solver=solver),
-                       k=10, rng_seed=0)
+        cross_validate(store, seed, label_prop_expander(params), k=10,
+                       rng_seed=0)
         assert [s for s in gathers if s[0] == s[1] and s[0] >= u] == [(u, u)]
         shapes = [a.shape for a, _ in solves]
         assert [s for s in shapes if s[0] >= u] == [(u, u)]
@@ -481,23 +480,23 @@ class TestFactorizedFolds:
                            k=10, rng_seed=0)
         assert isinstance(err.value.__cause__, ConvergenceError)
 
-    @pytest.mark.parametrize("solver", ["cg", "iterative"])
+    # Above the threshold each fold takes CG on the run's operator.
+    @pytest.mark.parametrize("solver", ["cg"])
     def test_iterating_solvers_expand_each_fold(self, monkeypatch, solver):
         store, seed, ekman, params = self.setup_run()
+        closed = cross_validate(store, seed, label_prop_expander(params),
+                                k=10, rng_seed=0)
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         builds = self.count_calls(monkeypatch, solver_module,
                                   "build_transition")
         expands = self.count_calls(monkeypatch, evaluate_module, "expand")
         per_fold = self.count_calls(monkeypatch, solver_module,
                                     "propagate_" + solver)
         solves = self.count_calls(monkeypatch, np.linalg, "solve")
-        report = cross_validate(store, seed,
-                                label_prop_expander(params, solver=solver),
+        report = cross_validate(store, seed, label_prop_expander(params),
                                 k=10, rng_seed=0)
         assert (len(builds), len(expands), len(per_fold)) == (1, 0, 10)
         assert solves == []
-        closed = cross_validate(store, seed,
-                                label_prop_expander(params, solver="closed"),
-                                k=10, rng_seed=0)
         assert np.allclose(report.per_fold, closed.per_fold, atol=1e-5)
 
     def test_auto_split_follows_threshold(self, monkeypatch):
@@ -524,24 +523,22 @@ class TestPerFoldSolves:
     """Folds that do not take the factorization: each is the expansion of
     the seeds without its held-out tokens, solved on the run's operator."""
 
-    # A leak of the held-out labels into the start of the iterative sweep
-    # shows at the loose tol. Under "auto" the threshold is the unlabeled
-    # count of the all-seeds system, so every fold, which hides at least
-    # one seed more, takes CG.
-    @pytest.mark.parametrize("solver, tol", [
-        ("cg", 1e-6), ("iterative", 1e-2), ("iterative", 1e-6),
-        ("auto", 1e-6)])
+    # The threshold is the unlabeled count of the all-seeds system, so every
+    # fold, which hides at least one seed more, takes CG, as does its
+    # expansion. A leak of the held-out labels into the start of the solve
+    # would show at the loose tol.
+    @pytest.mark.parametrize("solver, tol", [("cg", 1e-6), ("cg", 1e-2)])
     def test_fold_is_expand_without_its_seeds(self, monkeypatch, solver, tol):
         store, seed, ekman, params = TestFactorizedFolds.setup_run()
         monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED",
                             len(store) - len(seed.entries))
         folds = make_folds(sorted(seed.entries), 10, 0)
-        expander = label_prop_expander(params, solver=solver, tol=tol)
+        expander = label_prop_expander(params, tol=tol)
         arrays = list(expander(store, seed, folds))
         assert len(arrays) == len(folds)
         for held_out, array in zip(folds, arrays):
-            expected = expand(store, without(seed, held_out), params,
-                              solver=solver, tol=tol)
+            expected = expand(store, without(seed, held_out), params, tol=tol)
+            assert expected.report.method == solver
             assert np.array_equal(array, expected.distributions)
 
     def test_auto_split_across_unequal_folds(self, monkeypatch):

@@ -11,7 +11,7 @@ from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
                           build_transition, edge_weight, logistic)
 from emolex.optimize import _forward_backward
 from emolex.lexicon import LabelMatrix
-from emolex.solver import solve
+from emolex.solver import propagate_cg
 
 from conftest import (DenseOperator, dense_weights, keep_panels, kept_weights,
                       make_store)
@@ -360,7 +360,7 @@ class TestBuildTransition:
         y = np.full((n, 6), 1.0 / 6)
         y[mask] = np.eye(6)[rng.integers(0, 6, size=200)]
         lm = LabelMatrix(y, mask)
-        kept_lm, kept_report = solve(held, lm, "cg")
+        kept_lm, kept_report = propagate_cg(held, lm)
         step = _forward_backward(held, x, mask, y, 1.0, 2)
         for kept in (0, 1):
             with monkeypatch.context() as patch:
@@ -376,7 +376,7 @@ class TestBuildTransition:
             for name in ("col", "row", "diagonal"):
                 assert np.array_equal(getattr(held, name),
                                       getattr(streamed, name))
-            streamed_lm, report = solve(streamed, lm, "cg")
+            streamed_lm, report = propagate_cg(streamed, lm)
             assert np.array_equal(kept_lm.rows, streamed_lm.rows)
             assert kept_report == report
             assert _forward_backward(streamed, x, mask, y, 1.0, 2) == step

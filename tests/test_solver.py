@@ -273,23 +273,25 @@ class TestFolds:
             propagate_folds(tm, lm, folds, tol=float("nan"))
 
     # The factorization has no iterations to bound, but a max_iter of 0 is
-    # refused under it as under the solvers that iterate.
-    @pytest.mark.parametrize("solver", ["auto", "closed", "cg", "iterative"])
+    # refused under it as on the per-fold path, where each fold takes CG.
+    @pytest.mark.parametrize("solver", ["closed", "cg"])
     def test_zero_iterations_refused_under_every_solver(self, monkeypatch,
                                                         solver):
         tm, lm, folds = fold_instance(0.01, 4, 8)
+        if solver == "cg":
+            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
 
         def no_solve(*args):
             raise AssertionError("a fold was solved")
         monkeypatch.setattr(solver_module, "_factorized_folds", no_solve)
         monkeypatch.setattr(solver_module, "solve", no_solve)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            propagate_folds(tm, lm, folds, solver=solver, max_iter=0)
+            propagate_folds(tm, lm, folds, max_iter=0)
 
     # The solver options are refused before the n x n build, as in `expand`.
     # The seed split is not: an all-seeded vocabulary still cross-validates.
     @pytest.mark.parametrize("options, message", [
-        ({"solver": "gmres"}, "unknown solver 'gmres'"),
+        ({"tol": float("inf")}, "tol must be finite"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": 0}, "max_iter must be at least 1")])
     def test_expand_folds_refused_before_graph_build(self, monkeypatch, ekman,
@@ -326,10 +328,12 @@ class TestFolds:
 
     # Every fold's condition is checked before the factorization or the
     # first per-fold solve, so a refused fold 2 raises before any system is
-    # solved, under every solver.
-    @pytest.mark.parametrize("solver", ["closed", "auto", "cg", "iterative"])
+    # solved, on either path.
+    @pytest.mark.parametrize("solver", ["closed", "cg"])
     def test_refused_fold_raised_before_factorization(self, monkeypatch,
                                                        solver):
+        if solver == "cg":
+            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         # A seed in the far cluster too: only hiding it leaves that cluster
         # without mass onto the seeds.
         tm, lm = ill_conditioned_instance()
@@ -352,8 +356,7 @@ class TestFolds:
             counting(solver_module, name)
         with pytest.raises(NumericalDegeneracyError,
                            match="^fold 2: .*ill-conditioned") as err:
-            propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1], [4]],
-                            solver=solver)
+            propagate_folds(tm, LabelMatrix(rows, mask), [[0], [1], [4]])
         assert isinstance(err.value.__cause__, NumericalDegeneracyError)
         assert solves == []
 
@@ -365,11 +368,6 @@ class TestSolve:
         monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
         assert solve(tm, lm)[1].method == "cg"
 
-    def test_unknown_solver(self):
-        tm, lm = two_node_instance()
-        with pytest.raises(ValueError, match="unknown solver"):
-            solve(tm, lm, "gmres")
-
     # Row 1 sends no mass to the seed row 0 at epsilon 0 (W = I: the
     # orthogonal pair's weight underflows to 0), so no error bound holds for
     # any solver.
@@ -380,7 +378,7 @@ class TestSolve:
         assert np.array_equal(tm.apply(np.eye(2)), np.eye(2))
         lm = LabelMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), [True, False])
         with pytest.raises(NumericalDegeneracyError, match="ill-conditioned"):
-            solve(tm, lm, solver)
+            SOLVERS[solver](tm, lm)
 
 
 class TestInputContract:
@@ -574,9 +572,9 @@ class TestStreamed:
                 monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
             with pytest.raises(ValueError, match="^W is not kept whole, so "
                                                  "it cannot be gathered$"):
-                solve(streamed, lm, "closed")
+                propagate_closed_form(streamed, lm)
 
-    # "auto" takes CG on an operator that does not keep every panel,
+    # `solve` takes CG on an operator that does not keep every panel,
     # whatever the size of the system; it used to take the closed form and
     # be refused.
     def test_auto_solves_by_cg(self, monkeypatch):
@@ -585,7 +583,7 @@ class TestStreamed:
                 monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
             solved, report = solve(streamed, lm)
             assert report.method == "cg"
-            expected, _ = solve(held, lm, "cg")
+            expected, _ = propagate_cg(held, lm)
             assert np.max(np.abs(solved.rows - expected.rows)) <= 2e-6
 
     def test_auto_folds_by_cg(self, monkeypatch):
@@ -595,8 +593,9 @@ class TestStreamed:
             folds = np.array_split(np.flatnonzero(lm.labeled_mask), 3)
             solved = propagate_folds(streamed, lm, folds)
             assert [report.method for _, report in solved] == ["cg"] * 3
+            # The dense reference gathers nothing either, so it folds by CG.
             for (fold, _), (expected, _) in zip(
-                    solved, propagate_folds(held, lm, folds, "cg")):
+                    solved, propagate_folds(held, lm, folds)):
                 assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
 
 
@@ -605,9 +604,12 @@ class TestMemoryOrder:
     # of the label matrix's rows, so the rows and reports are the same bits
     # for C-ordered, F-ordered and column-sliced rows, on an operator that
     # keeps its panels and on one that keeps none (which the closed form
-    # cannot gather from).
+    # cannot gather from). "auto" is `solve`, which takes the closed form on
+    # the first and CG on the second; "folds" is `propagate_folds`, from the
+    # factorization on the first and by CG per fold on the second.
     @pytest.mark.parametrize("solver, keep", [
-        (solver, keep) for solver in solver_module.SOLVERS
+        (solver, keep) for solver in ("iterative", "closed", "cg", "auto",
+                                      "folds")
         for keep in (True, False) if (solver, keep) != ("closed", False)])
     def test_results_independent_of_layout(self, monkeypatch, solver, keep):
         rng = np.random.default_rng(41)
@@ -623,8 +625,10 @@ class TestMemoryOrder:
         layouts = [rows, np.asfortranarray(rows), np.hstack([rows, rows])[:, 6:]]
         assert layouts[1].flags.f_contiguous
         assert not layouts[2].flags.c_contiguous
-        (expected, report), *others = [solve(tm, LabelMatrix(r, mask), solver)
-                                       for r in layouts]
+        (expected, report), *others = [
+            SOLVERS[solver](tm, LabelMatrix(r, mask)) for r in layouts]
+        if solver in ("auto", "folds"):
+            assert report.method == ("closed-form" if keep else "cg")
         for solved, other_report in others:
             assert np.array_equal(solved.rows, expected.rows)
             assert other_report == report
@@ -660,11 +664,10 @@ class TestPermutationInvariance:
         seed = SeedLexicon(entries, emotions)
         params = PropagationParams(alpha=2.0, b=-0.5, epsilon=0.05)
 
-        base = expand(make_store(vectors, words), seed, params,
-                      solver="closed")
+        base = expand(make_store(vectors, words), seed, params)
         perm = [0, 1, 5, 7, 2, 6, 3, 4]  # labeled rows stay in front
         store2 = make_store(vectors[perm], [words[p] for p in perm])
-        permuted = expand(store2, seed, params, solver="closed")
+        permuted = expand(store2, seed, params)
         for w in words:
             assert np.allclose(base.distribution(w), permuted.distribution(w),
                                atol=1e-12)
@@ -679,7 +682,7 @@ class TestMonotoneEpsilon:
         tv_prev = None
         for eps in (0.0, 0.3, 0.6, 0.9):
             params = PropagationParams(alpha=4.0, b=0.0, epsilon=eps)
-            result = expand(store, seed, params, solver="closed")
+            result = expand(store, seed, params)
             tv = 0.5 * np.abs(result.distribution("w2") - label_mean).sum()
             if tv_prev is not None:
                 assert tv <= tv_prev + 1e-12
@@ -688,9 +691,11 @@ class TestMonotoneEpsilon:
 
 class TestExpand:
     # Under a budget that keeps 1 of its 4 panels, expand and every fold of
-    # expand_folds return the same bits as with every panel kept.
-    @pytest.mark.parametrize("solver", ["cg", "iterative"])
+    # expand_folds return the same bits as with every panel kept. The
+    # threshold sends the kept operator to CG too.
+    @pytest.mark.parametrize("solver", ["cg"])
     def test_partly_kept_matches_kept(self, ekman, monkeypatch, solver):
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 10 * 80)
         monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 2)
         store = two_cluster_store(40, dim=6, separation=5.0, seed=4)
@@ -699,14 +704,14 @@ class TestExpand:
         folds = [["c0_%d" % i, "c1_%d" % i] for i in range(3)]
 
         def run():
-            result = expand(store, seed, params, solver=solver)
-            return result, expand_folds(store, seed, params, folds,
-                                        solver=solver)
+            result = expand(store, seed, params)
+            return result, expand_folds(store, seed, params, folds)
         (expected, expected_folds) = run()
         keep_panels(monkeypatch, 80, 1)
         result, solved_folds = run()
         assert np.array_equal(result.distributions, expected.distributions)
         assert result.report == expected.report
+        assert result.report.method == solver
         assert len(solved_folds) == 3
         for rows, expected_rows in zip(solved_folds, expected_folds):
             assert np.array_equal(rows, expected_rows)
@@ -715,7 +720,7 @@ class TestExpand:
         store = two_cluster_store(10, dim=6, separation=5.0, seed=4)
         seed = two_cluster_seed(store, ekman, 2)
         params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
-        result = expand(store, seed, params, solver="closed")
+        result = expand(store, seed, params)
         for i in range(10):
             assert result.argmax_label("c0_%d" % i) == "joy"
             assert result.argmax_label("c1_%d" % i) == "anger"
@@ -730,8 +735,7 @@ class TestExpand:
         with pytest.raises(ValueError, match="unlabeled"):
             expand(store, seed, params)
         with pytest.raises(ValueError):
-            expand(store, seed, params, solver="cg", tol=-1,
-                   max_iter=0)
+            expand(store, seed, params, tol=-1, max_iter=0)
 
     # The seed split and the solver options are refused before the n x n
     # build: max_iter 0 too, although `auto` takes the closed form here.
@@ -739,8 +743,7 @@ class TestExpand:
         ("xy", {}, "need at least one labeled and one unlabeled node"),
         ("x", {"tol": 0.0}, "tol must be positive"),
         ("x", {"tol": float("inf")}, "tol must be finite"),
-        ("x", {"max_iter": 0}, "max_iter must be at least 1"),
-        ("x", {"solver": "gmres"}, "unknown solver 'gmres'")])
+        ("x", {"max_iter": 0}, "max_iter must be at least 1")])
     def test_refused_before_graph_build(self, monkeypatch, seeded, options,
                                         message):
         def no_build(*args):
@@ -760,7 +763,7 @@ class TestExpand:
         store = make_store(vectors)
         seed = SeedLexicon({"w0": [1, 0], "w1": [0, 1]}, emotions)
         params = PropagationParams(alpha=2.0, b=0.0, epsilon=0.0)
-        result = expand(store, seed, params, solver="closed")
+        result = expand(store, seed, params)
         assert np.allclose(result.distributions[2:], 0.5, atol=1e-9)
 
     def test_no_seed_in_vocab_is_error(self):
@@ -784,9 +787,9 @@ class TestExpand:
         store = make_store([[1.0, 0.0], [0.5, 0.5]], ["x", "y"])
         seed = SeedLexicon({"x": [1, 0]}, emotions)
         params = PropagationParams(alpha=1.0, b=0.0, epsilon=0.1)
-        result = expand(store, seed, params, solver="iterative")
+        result = expand(store, seed, params)
         sidecar = result.sidecar()
-        assert sidecar["solve"]["method"] == "iterative"
+        assert sidecar["solve"]["method"] == "closed-form"
         mass = sidecar["solve"]["min_labeled_mass"]
         assert sidecar["solve"]["cond_bound"] == (2.0 - mass) / mass
         assert sidecar["params"]["epsilon"] == 0.1

@@ -72,6 +72,31 @@ class TestExpand:
         assert report["solve"]["converged"]
         assert report["solve"]["error_bound"] <= 1e-6
 
+    # --solver is a usage error: CG runs when the unlabeled count passes
+    # CLOSED_FORM_MAX_UNLABELED, and its rows agree with the closed form's.
+    def test_cg_solver_flag(self, tmp_path, monkeypatch):
+        def rows(out):
+            lines = read(out, "expanded_lexicon.tsv").strip().split("\n")
+            return [line.split("\t") for line in lines[1:]]
+
+        config = write_config(tmp_path, params=PARAMS)
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--config", config, "--solver", "cg"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+        assert main(["expand", "--config", config]) == 0
+        other = str(tmp_path / "cg")
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+        assert main(["expand", "--config", config, "--out", other]) == 0
+        report = json.loads(read(other, "expand_report.json"))
+        assert report["solve"]["method"] == "cg"
+        assert report["solve"]["converged"]
+        for closed, cg in zip(rows(str(tmp_path / "out")), rows(other),
+                              strict=True):
+            assert cg[0] == closed[0] and cg[-1] == closed[-1]
+            assert [float(v) for v in cg[1:-1]] == pytest.approx(
+                [float(v) for v in closed[1:-1]], abs=1e-6)
+
     # CG stops at max_iter 1; the closed form cannot reach a tol below its
     # rounding.
     @pytest.mark.parametrize("method, options", [
@@ -639,7 +664,7 @@ class TestConfigChecks:
         return err["message"]
 
     # A misspelt key is refused, not dropped: dropped, this config would run
-    # at tol 1e-6. "solver" is no key either: the code picks the solver.
+    # at tol 1e-6.
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch,
                                  command):
@@ -647,9 +672,15 @@ class TestConfigChecks:
                                params=PARAMS, tols=1e-30, max_iter=1,
                                solvr="cg")
         assert message == "unknown config keys: 'solvr', 'tols'"
+
+    # "solver" is no key either: the code picks the solver, so a config
+    # that names one is refused like a misspelt key.
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
+                                    command):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
         message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               solver="cg", **run)
+                               solver="gmres", **run)
         assert message == "unknown config keys: 'solver'"
 
     # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.

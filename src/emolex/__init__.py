@@ -10,7 +10,7 @@ from .graph import (PropagationParams, TransitionOperator, build_transition,
                     edge_weight)
 from .solver import (ConvergenceError, ExpansionResult, SolveReport, expand,
                      propagate_cg, propagate_closed_form, propagate_folds,
-                     propagate_iterative, solve)
+                     propagate_iterative)
 from .optimize import (OptimizerConfig, OptTrace, entropy, entropy_gradient,
                        fit_batched, fit_full)
 from .evaluate import (EvalReport, baseline_expander, corpus_lexicon_stats,
@@ -31,6 +31,6 @@ __all__ = [
     "fit_full", "init_label_matrix", "kl_divergence", "label_prop_expander",
     "load_corpus", "load_embeddings", "load_seed_lexicon", "make_folds",
     "micro_prf", "propagate_cg", "propagate_closed_form", "propagate_folds",
-    "propagate_iterative", "seed_to_distribution", "solve",
+    "propagate_iterative", "seed_to_distribution",
     "write_lexicon_json", "write_lexicon_tsv",
 ]

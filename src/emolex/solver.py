@@ -9,8 +9,8 @@ import numpy as np
 from .graph import NumericalDegeneracyError, build_transition, integer, real
 from .lexicon import LabelMatrix, init_label_matrix
 
-# `solve` takes the closed form up to this many unlabeled nodes; above it the
-# u x u factorization becomes the expensive path.
+# `propagate_folds` factors all folds at once up to this many unlabeled rows
+# in its largest fold; above it the u x u factorization costs too much.
 CLOSED_FORM_MAX_UNLABELED = 2000
 
 # Every solver refuses (I - T_uu) when the bound on its infinity-norm
@@ -294,26 +294,6 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     return LabelMatrix(y, labeled), report
 
 
-def _closed(tm, n_unlabeled):
-    """Whether `solve` takes the closed form on `tm` with `n_unlabeled`
-    unlabeled rows: up to CLOSED_FORM_MAX_UNLABELED of them, where `tm`
-    can gather T_uu; conjugate gradients otherwise."""
-    return tm.gathers and n_unlabeled <= CLOSED_FORM_MAX_UNLABELED
-
-
-def solve(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
-    """Propagate `label_matrix` on `tm`; returns (LabelMatrix, SolveReport).
-
-    The closed form runs where `_closed` holds, conjugate gradients
-    otherwise; both certify their result within tol. The options are
-    checked first, whichever solver runs.
-    """
-    check_solver_options(tol, max_iter)
-    if _closed(tm, tm.n - label_matrix.n_labeled):
-        return propagate_closed_form(tm, label_matrix, tol=tol)
-    return propagate_cg(tm, label_matrix, tol=tol, max_iter=max_iter)
-
-
 def _as_fold(f, call, *args):
     """call(*args), with a refused or uncertified solve raised as fold f's:
     the same error type, its message prefixed "fold f: ", chained from it."""
@@ -378,14 +358,14 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     `label_matrix` labels all seeds L; each fold is an index array of the
     seed rows H it hides, and trains on the rest, S = L \\ H. A fold is the
     system of an expansion without the seeds H: its hidden rows start at
-    uniform 1/m, as unlabeled rows do in `init_label_matrix`. When `solve`
-    would take the closed form for the largest fold (`_closed`), all folds
-    come from one factorization (`_factorized_folds`); otherwise each fold
-    is `solve(tm, fold, tol, max_iter)`, so each fold takes the solver of
-    its own size. Either way every fold is certified as its solver
-    certifies a solve. Every fold is checked before any is solved, on
-    either path: a fold that hides an unlabeled row, fails the solvers'
-    input contract or whose system `condition` refuses
+    uniform 1/m, as unlabeled rows do in `init_label_matrix`. Where `tm`
+    gathers T_uu and the largest fold has at most CLOSED_FORM_MAX_UNLABELED
+    unlabeled rows, all folds come from one factorization
+    (`_factorized_folds`); otherwise each fold is
+    `propagate_cg(tm, fold, tol, max_iter)`, as `expand` solves it. Either
+    way every fold is certified within tol. Every fold is checked before
+    any is solved, on either path: a fold that hides an unlabeled row,
+    fails the solvers' input contract or whose system `condition` refuses
     (NumericalDegeneracyError) raises before any solve. The first fold not
     certified (ConvergenceError) raises at once. A fold's error has its
     message prefixed "fold <f>: ".
@@ -413,9 +393,9 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
               for f, (_, fold) in enumerate(set_up)]
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
-    if _closed(tm, largest):
+    if tm.gathers and largest <= CLOSED_FORM_MAX_UNLABELED:
         return _factorized_folds(tm, label_matrix, set_up, checks, tol)
-    return [_as_fold(f, solve, tm, fold, tol, max_iter)
+    return [_as_fold(f, propagate_cg, tm, fold, tol, max_iter)
             for f, (_, fold) in enumerate(set_up)]
 
 
@@ -443,19 +423,20 @@ class ExpansionResult:
 
 
 def expand(store, seed, params, *, tol=TOL, max_iter=MAX_ITER):
-    """End-to-end expansion: init Y, build the transition operator, solve,
-    and return the distributions of every vocabulary word in vocabulary order.
+    """End-to-end expansion: init Y, build the transition operator, solve
+    it by conjugate gradients (`propagate_cg`) at every size, and return the
+    distributions of every vocabulary word in vocabulary order.
 
     The emotion set is the seed lexicon's. Seed rows pass through unchanged.
-    `solve` raises ConvergenceError when it does not certify its result
-    within tol.
+    Raises ConvergenceError when the solve does not certify its result
+    within tol; the digits are the caller's, through tol.
     """
     label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
     _check_inputs(label_matrix, tol, max_iter)
     tm = build_transition(store, params, label_matrix.labeled_mask)
-    solved, report = solve(tm, label_matrix, tol, max_iter)
+    solved, report = propagate_cg(tm, label_matrix, tol, max_iter)
     return ExpansionResult(store.vocab, seed.emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)
 

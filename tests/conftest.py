@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import emolex.graph as graph
-from emolex import EmbeddingStore, EmotionSet, SeedLexicon, Vocabulary
+from emolex import (EmbeddingStore, EmotionSet, PropagationParams,
+                    SeedLexicon, Vocabulary)
 from emolex.graph import _weight_kernel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -53,7 +54,7 @@ def keep_panels(monkeypatch, n, kept=0):
 class DenseOperator:
     """The transition operator of an n x n W with T formed whole: the
     reference for the panel operator in the solvers and the fit. It gathers
-    no block, so `solve` takes CG on it."""
+    no block, so `propagate_folds` folds by CG on it."""
 
     gathers = False
 
@@ -73,6 +74,27 @@ class DenseOperator:
 
     def w_product(self, v):
         return self.w @ v
+
+
+# The kernel parameters of the benchmark's workloads.
+MIXTURE_PARAMS = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.02)
+
+
+def mixture_instance(n, emotions, seed=7):
+    """A store and seed lexicon like the benchmark's: n words in d = 100
+    drawn from one Gaussian component per emotion around equal-norm
+    centers, a tenth of them seeded with their component's emotion."""
+    rng = np.random.default_rng(seed)
+    m, dim = len(emotions), 100
+    centers = rng.normal(size=(m, dim))
+    centers *= np.sqrt(dim) / np.linalg.norm(centers, axis=1)[:, None]
+    component = rng.permutation(np.arange(n) % m)
+    store = make_store(centers[component] + rng.normal(size=(n, dim)))
+    flags = np.eye(m, dtype=np.int64)
+    seeded = rng.choice(n, size=n // 10, replace=False)
+    seed = SeedLexicon({"w%d" % i: flags[component[i]] for i in seeded},
+                       emotions)
+    return store, seed
 
 
 def two_cluster_store(n_per_cluster, dim=10, separation=6.0, seed=0,

@@ -8,7 +8,9 @@ import pytest
 
 import emolex.cli as cli
 import emolex.solver as solver_module
-from emolex import EmotionSet, evaluate as ev
+from emolex import (EmotionSet, PropagationParams, build_transition,
+                    evaluate as ev, init_label_matrix, load_embeddings,
+                    load_seed_lexicon, propagate_closed_form)
 from emolex.cli import RunConfig, _write_json, build_parser, main
 
 from conftest import (REFUSED_FIT_INIT, UNCERTIFIED_FIT_RATE,
@@ -66,51 +68,52 @@ class TestExpand:
         assert len(lines) == 1 + 10  # header + one row per vocabulary word
         report = json.loads(read(out, "expand_report.json"))
         assert report["params"]["alpha"] == 6.0
-        assert report["solve"]["method"] == "closed-form"
+        assert report["solve"]["method"] == "cg"
         assert 0.0 < report["solve"]["min_labeled_mass"] <= 1.0
         assert 1.0 <= report["solve"]["cond_bound"] <= 1e12
         assert report["solve"]["converged"]
         assert report["solve"]["error_bound"] <= 1e-6
 
-    # --solver is a usage error: CG runs when the unlabeled count passes
-    # CLOSED_FORM_MAX_UNLABELED, and its rows agree with the closed form's.
-    def test_cg_solver_flag(self, tmp_path, monkeypatch):
-        def rows(out):
-            lines = read(out, "expanded_lexicon.tsv").strip().split("\n")
-            return [line.split("\t") for line in lines[1:]]
-
+    # --solver is a usage error: expand always runs CG, and its rows agree
+    # with the closed form's.
+    def test_cg_solver_flag(self, tmp_path):
         config = write_config(tmp_path, params=PARAMS)
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--config", config, "--solver", "cg"])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
         assert main(["expand", "--config", config]) == 0
-        other = str(tmp_path / "cg")
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
-        assert main(["expand", "--config", config, "--out", other]) == 0
-        report = json.loads(read(other, "expand_report.json"))
+        out = str(tmp_path / "out")
+        report = json.loads(read(out, "expand_report.json"))
         assert report["solve"]["method"] == "cg"
         assert report["solve"]["converged"]
-        for closed, cg in zip(rows(str(tmp_path / "out")), rows(other),
-                              strict=True):
-            assert cg[0] == closed[0] and cg[-1] == closed[-1]
-            assert [float(v) for v in cg[1:-1]] == pytest.approx(
-                [float(v) for v in closed[1:-1]], abs=1e-6)
+        store = load_embeddings(data_path("mini_vectors.txt"))
+        label_matrix, _ = init_label_matrix(store.vocab, load_seed_lexicon(
+            data_path("mini_nrc.tsv"), EmotionSet()))
+        closed, _ = propagate_closed_form(build_transition(
+            store, PropagationParams.from_dict(PARAMS),
+            label_matrix.labeled_mask), label_matrix)
+        lines = read(out, "expanded_lexicon.tsv").strip().split("\n")[1:]
+        assert len(lines) == len(store.vocab)
+        for line in lines:
+            token, *values, _ = line.split("\t")
+            assert [float(v) for v in values] == pytest.approx(
+                closed.rows[store.vocab.index[token]], abs=1e-6)
 
-    # CG stops at max_iter 1; the closed form cannot reach a tol below its
-    # rounding.
-    @pytest.mark.parametrize("method, options", [
-        ("closed-form", {"tol": 1e-300}), ("cg", {"max_iter": 1})],
-        ids=["closed", "cg"])
+    # CG stops at max_iter 1. The closed form, which only the factorized
+    # folds of `evaluate` run, cannot reach a tol below its rounding.
+    @pytest.mark.parametrize("command, prefix, options", [
+        ("evaluate", "fold 0: closed-form",
+         {"tol": 1e-300, "corpus": data_path("mini_corpus.tsv"),
+          "k_folds": 3}),
+        ("expand", "cg", {"max_iter": 1})], ids=["closed", "cg"])
     def test_unconverged_solve_fails_without_artifacts(
-            self, tmp_path, capsys, monkeypatch, method, options):
-        if method == "cg":
-            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+            self, tmp_path, capsys, command, prefix, options):
         config = write_config(tmp_path, params=PARAMS, **options)
-        assert main(["expand", "--config", config]) == 1
+        assert main([command, "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceError"
-        assert err["message"].startswith("%s solve did not converge" % method)
+        assert err["message"].startswith("%s solve did not converge" % prefix)
         assert "error bound" in err["message"]
         assert not (tmp_path / "out").exists()
 
@@ -704,7 +707,7 @@ class TestConfigChecks:
 
     # The solver options are refused as every solve refuses them, before
     # any input is read. Else JSON true would run at tol 1.0, Infinity at
-    # no tol at all, and max_iter 0 whenever auto takes the closed form.
+    # no tol at all, and max_iter 0 whenever the folds take the closed form.
     @pytest.mark.parametrize("command", ["expand", "evaluate"])
     @pytest.mark.parametrize("key, value, error, message", [
         ("tol", True, "ValueError", "tol must be a number, not True"),

@@ -566,8 +566,8 @@ class TestFitFull:
             fit_full(store, seed, config)
 
     # The fit's acceptance solve is CG, which gathers no u x u block. The
-    # closed form that `auto` picks at this size would gather T_uu beside
-    # the held graph, past the fit's peak of about 1.3 n^2.
+    # closed form would gather T_uu beside the held graph, past the fit's
+    # peak of about 1.3 n^2.
     def test_acceptance_gathers_no_unlabeled_block(self, ekman, monkeypatch):
         def refuse(self, *index):
             raise AssertionError("u x u block gathered")

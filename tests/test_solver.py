@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from emolex import (ConvergenceError, EmotionSet, LabelMatrix,
 import emolex.graph
 from emolex.graph import (EUCLIDEAN_RBF, NumericalDegeneracyError,
                           TransitionOperator, build_transition)
-from emolex.solver import MAX_CONDITION, expand_folds, solve
+from emolex.solver import MAX_CONDITION, expand_folds
 
-from conftest import (DenseOperator, dense_weights, keep_panels, make_store,
+from conftest import (MIXTURE_PARAMS, DenseOperator, dense_weights,
+                      keep_panels, make_store, mixture_instance,
                       two_cluster_seed, two_cluster_store)
 
 
@@ -284,7 +286,7 @@ class TestFolds:
         def no_solve(*args):
             raise AssertionError("a fold was solved")
         monkeypatch.setattr(solver_module, "_factorized_folds", no_solve)
-        monkeypatch.setattr(solver_module, "solve", no_solve)
+        monkeypatch.setattr(solver_module, "propagate_cg", no_solve)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             propagate_folds(tm, lm, folds, max_iter=0)
 
@@ -362,11 +364,19 @@ class TestFolds:
 
 
 class TestSolve:
-    def test_auto_switches_on_unlabeled_count(self, monkeypatch):
-        tm, lm = random_instance(np.random.default_rng(8), 12, 3)
-        assert solve(tm, lm)[1].method == "closed-form"
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
-        assert solve(tm, lm)[1].method == "cg"
+    # A single expansion is a CG solve at every size: the closed form's
+    # threshold on unlabeled rows applies only to cross-validation folds.
+    def test_auto_switches_on_unlabeled_count(self, ekman):
+        threshold = solver_module.CLOSED_FORM_MAX_UNLABELED
+        rng = np.random.default_rng(8)
+        for n_unlabeled in (threshold, threshold + 1):
+            store = make_store(rng.normal(size=(n_unlabeled + 2, 8)))
+            seed = SeedLexicon({"w0": [1, 0, 0, 0, 0, 0],
+                                "w1": [0, 0, 1, 0, 0, 0]}, ekman)
+            result = expand(store, seed, PropagationParams(
+                alpha=6.0, b=-2.0, epsilon=0.02))
+            assert result.report.method == "cg"
+            assert result.report.error_bound <= 1e-6
 
     # Row 1 sends no mass to the seed row 0 at epsilon 0 (W = I: the
     # orthogonal pair's weight underflows to 0), so no error bound holds for
@@ -425,8 +435,9 @@ def first_fold(tm, label_matrix):
     return propagate_folds(tm, label_matrix, [hidden])[0]
 
 
+# "auto" is the solve of `expand`, which runs CG at every size.
 SOLVERS = {"iterative": propagate_iterative, "closed": propagate_closed_form,
-           "cg": propagate_cg, "auto": solve, "folds": first_fold}
+           "cg": propagate_cg, "auto": propagate_cg, "folds": first_fold}
 
 
 class TestSolveContract:
@@ -477,6 +488,16 @@ class TestCG:
             solved, report = propagate_cg(tm, lm, tol=1e-9)
             assert report.converged
             assert np.max(np.abs(closed.rows - solved.rows)) <= 1e-8
+        # Benchmark-like mixtures on both sides of the closed form's
+        # threshold: at tol 1e-12, CG gives the closed form's digits.
+        for n in (1000, 2200):
+            store, seed = mixture_instance(n, EmotionSet())
+            lm, _ = init_label_matrix(store.vocab, seed)
+            tm = build_transition(store, MIXTURE_PARAMS, lm.labeled_mask)
+            closed, _ = propagate_closed_form(tm, lm, tol=1e-12)
+            solved, report = propagate_cg(tm, lm, tol=1e-12)
+            assert report.error_bound <= 1e-12
+            assert np.max(np.abs(closed.rows - solved.rows)) <= 1e-12
 
     @pytest.mark.parametrize("n_labeled", [4, 40])
     def test_error_within_bound_within_tol(self, n_labeled):
@@ -519,9 +540,8 @@ class TestCG:
         def refuse(self, index):
             raise AssertionError("u x u block gathered")
         monkeypatch.setattr(TransitionOperator, "submatrix", refuse)
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 8)
         tm, lm = random_instance(np.random.default_rng(13), 40, 4)
-        solved, report = solve(tm, lm)
+        solved, report = propagate_cg(tm, lm)
         assert report.method == "cg" and report.converged
 
 
@@ -574,17 +594,21 @@ class TestStreamed:
                                                  "it cannot be gathered$"):
                 propagate_closed_form(streamed, lm)
 
-    # `solve` takes CG on an operator that does not keep every panel,
-    # whatever the size of the system; it used to take the closed form and
-    # be refused.
-    def test_auto_solves_by_cg(self, monkeypatch):
+    # `expand` takes CG on an operator that does not keep every panel, as
+    # on one that does; it used to take the closed form and be refused.
+    def test_auto_solves_by_cg(self, monkeypatch, ekman):
+        store = two_cluster_store(150, dim=6, separation=3.0, seed=31)
+        seed = two_cluster_seed(store, ekman, 10)
+        params = PropagationParams(alpha=6.0, b=-2.0, epsilon=0.02)
+        expected = expand(store, seed, params)
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 150 * 300)
+        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
         for kept in (0, 1):
-            held, streamed, lm = streamed_instance(
-                monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
-            solved, report = solve(streamed, lm)
-            assert report.method == "cg"
-            expected, _ = propagate_cg(held, lm)
-            assert np.max(np.abs(solved.rows - expected.rows)) <= 2e-6
+            keep_panels(monkeypatch, 300, kept)
+            result = expand(store, seed, params)
+            assert result.report.method == "cg"
+            assert np.max(np.abs(result.distributions
+                                 - expected.distributions)) <= 2e-6
 
     def test_auto_folds_by_cg(self, monkeypatch):
         for kept in (0, 1):
@@ -604,9 +628,9 @@ class TestMemoryOrder:
     # of the label matrix's rows, so the rows and reports are the same bits
     # for C-ordered, F-ordered and column-sliced rows, on an operator that
     # keeps its panels and on one that keeps none (which the closed form
-    # cannot gather from). "auto" is `solve`, which takes the closed form on
-    # the first and CG on the second; "folds" is `propagate_folds`, from the
-    # factorization on the first and by CG per fold on the second.
+    # cannot gather from). "auto" is the CG solve of `expand` on both;
+    # "folds" is `propagate_folds`, from the factorization on the first and
+    # by CG per fold on the second.
     @pytest.mark.parametrize("solver, keep", [
         (solver, keep) for solver in ("iterative", "closed", "cg", "auto",
                                       "folds")
@@ -627,7 +651,9 @@ class TestMemoryOrder:
         assert not layouts[2].flags.c_contiguous
         (expected, report), *others = [
             SOLVERS[solver](tm, LabelMatrix(r, mask)) for r in layouts]
-        if solver in ("auto", "folds"):
+        if solver == "auto":
+            assert report.method == "cg"
+        if solver == "folds":
             assert report.method == ("closed-form" if keep else "cg")
         for solved, other_report in others:
             assert np.array_equal(solved.rows, expected.rows)
@@ -738,7 +764,7 @@ class TestExpand:
             expand(store, seed, params, tol=-1, max_iter=0)
 
     # The seed split and the solver options are refused before the n x n
-    # build: max_iter 0 too, although `auto` takes the closed form here.
+    # build.
     @pytest.mark.parametrize("seeded, options, message", [
         ("xy", {}, "need at least one labeled and one unlabeled node"),
         ("x", {"tol": 0.0}, "tol must be positive"),
@@ -782,6 +808,20 @@ class TestExpand:
         with pytest.raises(TypeError):
             expand(store, seed, ekman, params)
 
+    # One expansion holds the operator's panels, about n^2 / 2, and CG's
+    # n x 7 arrays. The closed form used to gather T_uu beside them and
+    # copy it into `np.linalg.solve`, about 2 n^2 on this input.
+    def test_peak_below_one_and_a_half_n2(self, ekman):
+        n = 1200
+        store, seed = mixture_instance(n, ekman)
+        tracemalloc.start()
+        try:
+            expand(store, seed, MIXTURE_PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_sidecar_contents(self):
         emotions = EmotionSet(("a", "b"))
         store = make_store([[1.0, 0.0], [0.5, 0.5]], ["x", "y"])
@@ -789,7 +829,7 @@ class TestExpand:
         params = PropagationParams(alpha=1.0, b=0.0, epsilon=0.1)
         result = expand(store, seed, params)
         sidecar = result.sidecar()
-        assert sidecar["solve"]["method"] == "closed-form"
+        assert sidecar["solve"]["method"] == "cg"
         mass = sidecar["solve"]["min_labeled_mass"]
         assert sidecar["solve"]["cond_bound"] == (2.0 - mass) / mass
         assert sidecar["params"]["epsilon"] == 0.1
@@ -814,7 +854,7 @@ class TestOptionTypes:
         tm = build_transition(store, params, label_matrix.labeled_mask)
         if entry == "propagate_folds":
             return propagate_folds(tm, label_matrix, [[0]], **options)
-        return solve(tm, label_matrix, **options)
+        return propagate_cg(tm, label_matrix, **options)
 
     @pytest.mark.parametrize("entry, key, value", [
         (entry, key, value)

@@ -595,7 +595,7 @@ class TestStreamed:
                 propagate_closed_form(streamed, lm)
 
     # `expand` takes CG on an operator that does not keep every panel, as
-    # on one that does; it used to take the closed form and be refused.
+    # on one that does, and the closed form could not gather from it.
     def test_auto_solves_by_cg(self, monkeypatch, ekman):
         store = two_cluster_store(150, dim=6, separation=3.0, seed=31)
         seed = two_cluster_seed(store, ekman, 10)

@@ -30,11 +30,11 @@ class ConfigError(ValueError):
 # several commands, so each command accepts all of them.
 CONFIG_KEYS = frozenset({
     "embeddings", "seed_lexicon", "emotions", "out", "params", "params_file",
-    "batch_params", "batch_params_file", "kernel", "tol", "max_iter", "fit",
-    "mode", "seed", "k_folds", "class_counts", "corpus"})
-# The keys that name a file, a directory or the kernel.
+    "batch_params", "batch_params_file", "tol", "max_iter", "fit", "seed",
+    "k_folds", "class_counts", "corpus"})
+# The keys that name a file or a directory.
 STRING_KEYS = ("out", "embeddings", "seed_lexicon", "corpus", "params_file",
-               "batch_params_file", "kernel")
+               "batch_params_file")
 
 
 def _replace(path, write):
@@ -142,29 +142,22 @@ class RunConfig:
 
     def propagation_params(self, key="params"):
         """The params row at `key`, inline or parsed from the file at
-        `key`_file, under the configured kernel when one is set."""
+        `key`_file."""
         if key == "params" and not self._has_params():
             raise ConfigError("fixed 'params' or a 'params_file' is required")
         raw = self.data.get(key)
         if key + "_file" in self.data:
             with open(self.require_path(key + "_file"), encoding="utf-8") as fh:
                 raw = _object(key + "_file", json.load(fh))
-        if "kernel" in self.data:
-            raw = dict(raw, kernel=_kernel_name(self.data["kernel"]))
         return PropagationParams.from_dict(raw)
 
     def optimizer_config(self):
         if self._has_params() or "fit" not in self.data:
             raise ConfigError("a 'fit' request is required")
         fit = dict(self.data["fit"])
-        for key, name in (("mode", "mode"), ("seed", "rng_seed")):
-            if key in self.data:
-                fit[name] = self.data[key]
+        if "seed" in self.data:
+            fit["rng_seed"] = self.data["seed"]
         return OptimizerConfig.from_dict(fit)
-
-
-def _kernel_name(short):
-    return {"cosine": "cosine-logistic", "euclidean": "euclidean-rbf"}.get(short, short)
 
 
 def _solver_options(cfg):
@@ -302,12 +295,10 @@ def cmd_baseline(cfg):
 
 # The config overrides, and which of them each command reads.
 FLAGS = {"seed": {"type": int, "help": "override the run rng seed"},
-         "out": {"help": "override the output directory"},
-         "kernel": {"choices": ["cosine", "euclidean"]},
-         "mode": {"choices": ["full", "batch"]}}
-COMMANDS = {"expand": (cmd_expand, ("out", "kernel")),
-            "optimize": (cmd_optimize, ("seed", "out", "mode")),
-            "evaluate": (cmd_evaluate, ("seed", "out", "kernel")),
+         "out": {"help": "override the output directory"}}
+COMMANDS = {"expand": (cmd_expand, ("out",)),
+            "optimize": (cmd_optimize, ("seed", "out")),
+            "evaluate": (cmd_evaluate, ("seed", "out")),
             "stats": (cmd_stats, ("out",)),
             "baseline": (cmd_baseline, ("out",))}
 

@@ -14,11 +14,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
-                    PropagationParams, TransitionOperator, build_transition,
-                    integer, is_real, logistic, real)
+                    PropagationParams, TransitionOperator, integer, is_real,
+                    logistic, real)
 from .lexicon import init_label_matrix
 from .solver import (MAX_ITER, TOL, ConvergenceError, check_seed_split,
-                     check_solver_options, propagate_cg)
+                     check_solver_options, expand)
 
 
 class GradientError(RuntimeError):
@@ -345,13 +345,12 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _accepted(store, params, label_matrix, tol, max_iter):
-    """Raise GradientError when the graph `expand` builds at `params` is
-    degenerate, or CG refuses `label_matrix` on it or does not certify it.
-    CG runs at every size, since it gathers no u x u block."""
+def _accepted(store, seed, params, tol, max_iter):
+    """Raise GradientError when `expand` refuses `seed` at `params`: its
+    graph is degenerate, or its solve at (tol, max_iter) is refused or not
+    certified."""
     try:
-        propagate_cg(build_transition(store, params, label_matrix.labeled_mask),
-                     label_matrix, tol, max_iter)
+        expand(store, seed, params, tol=tol, max_iter=max_iter)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
@@ -363,8 +362,8 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
     the lowest-entropy iterate; the trace's `params_epoch` is its row. It
-    ends in `_accepted`, a CG solve at (tol, max_iter), on the graph
-    `expand` builds once the descent has freed its own.
+    ends in `_accepted`: `expand`'s own build and solve at (tol, max_iter),
+    once the descent has freed its graph.
     """
     check_solver_options(tol, max_iter)
     label_matrix, _ = init_label_matrix(store.vocab, seed)
@@ -373,7 +372,7 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
                                        config.epochs, config)
     trace.params_epoch = epoch
     params = _params(best)
-    _accepted(store, params, label_matrix, tol, max_iter)
+    _accepted(store, seed, params, tol, max_iter)
     return params, trace
 
 
@@ -406,7 +405,7 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     submatrix, and takes config.epochs_per_batch descent steps on the
     shared parameters. The last iterate is returned: entropies of different
     subgraphs do not rank parameters. It ends as `fit_full` does, in
-    `_accepted`.
+    `_accepted`, `expand`'s own build and solve.
     """
     check_solver_options(tol, max_iter)
     if config.batch_size >= len(store):
@@ -424,5 +423,5 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _accepted(store, params, label_matrix, tol, max_iter)
+    _accepted(store, seed, params, tol, max_iter)
     return params, trace

@@ -174,14 +174,12 @@ class TestExpand:
     # The RBF kernel ignores alpha and b, and the sidecar is built before
     # the first write, so a sidecar failure cannot leave a lexicon behind.
     def test_rbf_ignores_alpha_and_b(self, tmp_path):
-        rbf = {"epsilon": 0.1, "sigma": 1.5}
+        rbf = {"kernel": "euclidean-rbf", "epsilon": 0.1, "sigma": 1.5}
         config = write_config(tmp_path, params=dict(rbf, alpha=6.0, b=-2.0))
-        assert main(["expand", "--config", config, "--kernel",
-                     "euclidean"]) == 0
+        assert main(["expand", "--config", config]) == 0
         plain = write_config(tmp_path, name="plain.json", params=rbf,
                              out=str(tmp_path / "plain"))
-        assert main(["expand", "--config", plain, "--kernel",
-                     "euclidean"]) == 0
+        assert main(["expand", "--config", plain]) == 0
         for name in ("expanded_lexicon.tsv", "expanded_lexicon.json"):
             assert (read(str(tmp_path / "out"), name, "rb")
                     == read(str(tmp_path / "plain"), name, "rb"))
@@ -234,17 +232,11 @@ class TestOptimize:
         assert params["b"] == float(row[4])
         assert params["epsilon"] == float(row[5])
 
-    # The mode comes from the fit request, the top-level "mode" key or the
-    # --mode flag; either of the last two overrides fit.mode.
-    @pytest.mark.parametrize("source", ["fit", "key", "flag"])
-    def test_batch_mode_echoes_config(self, tmp_path, source):
-        fit = {"mode": "batch" if source == "fit" else "full",
-               "batch_size": 6, "num_batches": 4, "epochs_per_batch": 3,
-               "learning_rate": 0.1}
-        mode = {"mode": "batch"} if source == "key" else {}
-        config = write_config(tmp_path, fit=fit, seed=11, **mode)
-        flag = ["--mode", "batch"] if source == "flag" else []
-        assert main(["optimize", "--config", config] + flag) == 0
+    def test_batch_mode_echoes_config(self, tmp_path):
+        fit = {"mode": "batch", "batch_size": 6, "num_batches": 4,
+               "epochs_per_batch": 3, "learning_rate": 0.1}
+        config = write_config(tmp_path, fit=fit, seed=11)
+        assert main(["optimize", "--config", config]) == 0
         meta = json.loads(read(str(tmp_path / "out"), "optimize_meta.json"))
         assert meta["optimizer"]["mode"] == "batch"
         assert meta["params_epoch"] is None
@@ -479,36 +471,31 @@ class TestEvaluate:
         assert len(built) == 2
 
     def test_rbf_ignores_alpha_and_b(self, tmp_path):
-        config = write_config(tmp_path, params={"alpha": 6.0, "b": -2.0,
+        config = write_config(tmp_path, params={"kernel": "euclidean-rbf",
+                                                "alpha": 6.0, "b": -2.0,
                                                 "epsilon": 0.1, "sigma": 1.5},
                               corpus=data_path("mini_corpus.tsv"), k_folds=3)
-        assert main(["evaluate", "--config", config, "--kernel",
-                     "euclidean"]) == 0
+        assert main(["evaluate", "--config", config]) == 0
         report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
         assert report["rows"][-1]["params"]["kernel"] == "euclidean-rbf"
 
-    # The kernel flag reaches every propagation row, batch_params too.
-    def test_kernel_flag_sets_both_rows(self, tmp_path):
-        rbf = {"epsilon": 0.1, "sigma": 1.5}
-        config = write_config(tmp_path, params=rbf,
-                              batch_params=dict(rbf, sigma=2.0),
+    # Each propagation row is scored under the kernel it names.
+    def test_each_row_keeps_its_kernel(self, tmp_path):
+        config = write_config(tmp_path, params=PARAMS,
+                              batch_params={"kernel": "euclidean-rbf",
+                                            "epsilon": 0.1, "sigma": 2.0},
                               corpus=data_path("mini_corpus.tsv"), k_folds=3)
-        assert main(["evaluate", "--config", config, "--kernel",
-                     "euclidean"]) == 0
+        assert main(["evaluate", "--config", config]) == 0
         report = json.loads(read(str(tmp_path / "out"), "eval_report.json"))
         assert [row["params"]["kernel"] for row in report["rows"][3:]] == [
-            "euclidean-rbf", "euclidean-rbf"]
+            "cosine-logistic", "euclidean-rbf"]
 
-    # It used to score this batch row under cosine-logistic, next to a
-    # euclidean-rbf params row in the same report.
-    def test_kernel_flag_refuses_batch_row_without_sigma(self, tmp_path,
-                                                         capsys):
-        config = write_config(tmp_path, params={"epsilon": 0.1, "sigma": 1.5},
-                              batch_params={"alpha": 5.0, "b": -2.0,
+    def test_rbf_batch_row_without_sigma_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, params=PARAMS,
+                              batch_params={"kernel": "euclidean-rbf",
                                             "epsilon": 0.05},
                               corpus=data_path("mini_corpus.tsv"), k_folds=3)
-        assert main(["evaluate", "--config", config, "--kernel",
-                     "euclidean"]) == 1
+        assert main(["evaluate", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "euclidean-rbf "
                        "kernel requires positive sigma"}
@@ -610,14 +597,15 @@ class TestBaseline:
 
 
 class TestFlags:
-    # No command takes --solver: which solver runs is not the user's choice.
+    # No command takes --solver, --kernel or --mode: the code picks the
+    # solver, a params row names its kernel and a fit request its mode.
     FLAG_VALUES = {"--seed": "3", "--out": "o", "--solver": "cg",
                    "--kernel": "euclidean", "--mode": "batch"}
 
     @pytest.mark.parametrize("command, flags", [
-        ("expand", ["--out", "--kernel"]),
-        ("optimize", ["--seed", "--out", "--mode"]),
-        ("evaluate", ["--seed", "--out", "--kernel"]),
+        ("expand", ["--out"]),
+        ("optimize", ["--seed", "--out"]),
+        ("evaluate", ["--seed", "--out"]),
         ("stats", ["--out"]),
         ("baseline", ["--out"]),
     ])
@@ -676,15 +664,19 @@ class TestConfigChecks:
                                solvr="cg")
         assert message == "unknown config keys: 'solvr', 'tols'"
 
-    # "solver" is no key either: the code picks the solver, so a config
-    # that names one is refused like a misspelt key.
+    # "solver", "kernel" and "mode" are no keys either: the code picks the
+    # solver, a params row names its kernel and a fit request its mode, so
+    # a config that names one at the top level is refused like a misspelt
+    # key.
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
                                     command):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
-        message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               solver="gmres", **run)
-        assert message == "unknown config keys: 'solver'"
+        for key, value in (("solver", "gmres"), ("kernel", "euclidean"),
+                           ("mode", "batch")):
+            message = self.refused(tmp_path, capsys, monkeypatch, command,
+                                   **run, **{key: value})
+            assert message == "unknown config keys: %r" % key
 
     # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.
     # The message names the parameter of the function that takes the value.
@@ -916,8 +908,8 @@ class TestConfigChecks:
          "emotion set must be non-empty"),
         ("stats", {"emotions": ""},
          "emotions must be a list of names, not ''"),
-        ("expand", {"params": PARAMS, "kernel": ""}, "unknown kernel ''"),
-        ("optimize", {"fit": FIT, "mode": ""},
+        ("expand", {"params": dict(PARAMS, kernel="")}, "unknown kernel ''"),
+        ("optimize", {"fit": dict(FIT, mode="")},
          "mode must be 'full' or 'batch'"),
         ("evaluate", {"params": PARAMS, "batch_params": {}},
          "cosine-logistic kernel requires alpha and b")],
@@ -942,11 +934,10 @@ class TestConfigChecks:
             "error": "ConfigError",
             "message": "a config file must hold a JSON object, not [1]"}
 
-    # A path or a kernel name of another JSON type used to fail with
-    # Python's own text.
+    # A path of another JSON type used to fail with Python's own text.
     @pytest.mark.parametrize("command, key, value", [
         ("expand", "out", 5), ("optimize", "seed_lexicon", ["x"]),
-        ("expand", "kernel", ["x"]), ("stats", "corpus", 1.5),
+        ("evaluate", "corpus", ["x"]), ("stats", "corpus", 1.5),
         ("evaluate", "params_file", {"a": 1}),
         ("evaluate", "batch_params_file", True),
         ("stats", "embeddings", [])])

@@ -12,7 +12,6 @@ from emolex import (EmotionSet, PropagationParams, SeedLexicon,
                     fit_batched, fit_full, init_label_matrix,
                     label_prop_expander)
 from emolex.graph import TransitionOperator, logistic, row_blocks
-from emolex.lexicon import LabelMatrix
 from emolex.optimize import (GradientError, OptimizerConfig, _accepted,
                              _forward_backward, _held, _sample_batch)
 from emolex.solver import MAX_ITER, TOL
@@ -677,15 +676,14 @@ class TestFitBatched:
     # with the operator's own message, whatever panels it keeps.
     def test_zero_mass_is_expand_refusal(self, ekman, monkeypatch):
         store = two_cluster_store(6, dim=4, seed=8)
-        rows = np.full((12, 6), 1.0 / 6)
-        rows[:3] = np.eye(6)[:3]
+        seed = SeedLexicon({store.vocab.words[i]: np.eye(6, dtype=int)[i]
+                            for i in range(3)}, ekman)
         params = PropagationParams(alpha=3.0, b=-800.0, epsilon=0.1)
         for kept in (1, 0):
             keep_panels(monkeypatch, 12, kept)
             with pytest.raises(GradientError, match="graph that expand "
                                "refuses: zero or non-finite column mass"):
-                _accepted(store, params, LabelMatrix(rows, np.arange(12) < 3),
-                          TOL, MAX_ITER)
+                _accepted(store, seed, params, TOL, MAX_ITER)
 
     def test_divergence_gives_up_after_three_halvings(self, ekman):
         store = two_cluster_store(20, dim=5, separation=3.0, seed=8)

@@ -31,7 +31,8 @@ def kl_divergence(gold, predicted):
     if gold.shape != predicted.shape:
         raise ValueError("distribution length mismatch")
     for dist in (gold, predicted):
-        if np.any(dist < 0) or np.any(abs(dist.sum(axis=-1) - 1.0) > 1e-6):
+        if not (np.all(dist >= 0)
+                and np.all(abs(dist.sum(axis=-1) - 1.0) <= 1e-6)):
             raise ValueError("inputs must be probability distributions")
     ratio = np.divide(gold, np.maximum(predicted, PREDICTION_FLOOR),
                       out=np.ones_like(gold), where=gold > 0)

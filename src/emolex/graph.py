@@ -21,7 +21,7 @@ _PANEL_BLOCKS = 8
 # 4 GiB, half of an 8 GB machine, keeps every panel up to n = 32,736.
 _KEEP_BYTES = 1 << 32
 
-# A gather takes kept panel rows this many entries at a time: temporaries of
+# A gather takes panel rows this many entries at a time: temporaries of
 # at most 128 KB gathered W_uu at n = 2000 in 10 ms, against 19 ms for whole
 # row blocks and 14 ms from one n x n W (2 vCPU, bench malloc settings).
 _GATHER_ENTRIES = 1 << 14
@@ -209,10 +209,10 @@ class TransitionOperator:
     T is applied from its factors, never stored. W is stored at most once,
     as its upper-triangle panels W[I, I.start:], kept in order while their
     bytes sum to at most `_KEEP_BYTES` and past that recomputed into one
-    buffer on each pass; `submatrix` gathers only when all are kept
-    (`gathers`). One method, `_panel`, builds a panel either way, so the two
-    agree bit for bit; it mirrors the panel's diagonal block, so W is
-    exactly symmetric and `col`, W 1, is both its column and its row sums.
+    buffer on each pass. One method, `_panel`, builds a panel either way,
+    so the two agree bit for bit and the budget changes only speed and
+    memory; it mirrors the panel's diagonal block, so W is exactly
+    symmetric and `col`, W 1, is both its column and its row sums.
     `row` is the row sums of W D_c^-1 and `diagonal` W's diagonal. W is read
     only by `w_product`, `panels` and `submatrix`. Nothing depends on which
     words are labeled: one operator serves every seed split.
@@ -226,8 +226,7 @@ class TransitionOperator:
         sizes = [(r.stop - r.start) * (self.n - r.start) for r in self._rows]
         self._kept = [self._panel(rows) for rows, size in zip(
             self._rows, np.cumsum(sizes)) if 8 * size <= _KEEP_BYTES]
-        self.gathers = len(self._kept) == len(self._rows)
-        if not self.gathers:
+        if len(self._kept) < len(self._rows):
             self._buf = np.empty(self._rows[0].stop * self.n)
         self.diagonal = self._transform(
             np.einsum("ij,ij->i", self._left, self._right))
@@ -291,13 +290,11 @@ class TransitionOperator:
         return out
 
     def submatrix(self, rows, cols=None):
-        """Dense T[rows][:, cols] for boolean masks, gathered from the kept
-        panels; `cols` defaults to `rows`. The panel W[I, I.start:] gives
-        W[i, j] for i in I and j from I.start on, and W[j, i] for j in I
-        and i past I; a block W[rows, rows] is symmetric, so its lower part
-        is copied from its upper part."""
-        if not self.gathers:
-            raise ValueError("W is not kept whole, so it cannot be gathered")
+        """Dense T[rows][:, cols] for boolean masks, gathered from the
+        panels, kept or recomputed; `cols` defaults to `rows`. The panel
+        W[I, I.start:] gives W[i, j] for i in I and j from I.start on, and
+        W[j, i] for j in I and i past I; a block W[rows, rows] is symmetric,
+        so its lower part is copied from its upper part."""
         r = np.flatnonzero(rows)
         c = r if cols is None else np.flatnonzero(cols)
         t = np.empty((len(r), len(c)))

@@ -377,17 +377,15 @@ def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
 
 
 def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total,
-                  classes=None):
+                  classes):
     """Sorted batch indices preserving the global labeled fraction and each
     seed class's share of the seeds, `classes[i]` being the class of
-    `labeled_idx[i]` (one class when None), by largest remainders: seeds
-    drawn at random bias the batch gradients away from the full one."""
+    `labeled_idx[i]`, by largest remainders: seeds drawn at random bias the
+    batch gradients away from the full one."""
     n_lab = math.ceil(batch_size * len(labeled_idx) / total)
     n_unl = batch_size - n_lab
     if n_lab < 1 or n_unl < 1:
         raise ValueError("batch has no labeled or no unlabeled nodes")
-    if classes is None:
-        classes = np.zeros(len(labeled_idx), dtype=np.intp)
     quota = n_lab * np.bincount(classes) / len(labeled_idx)
     counts = np.floor(quota).astype(np.intp)
     counts[np.argsort(counts - quota, kind="stable")[:n_lab - counts.sum()]] += 1

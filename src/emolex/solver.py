@@ -358,17 +358,17 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     `label_matrix` labels all seeds L; each fold is an index array of the
     seed rows H it hides, and trains on the rest, S = L \\ H. A fold is the
     system of an expansion without the seeds H: its hidden rows start at
-    uniform 1/m, as unlabeled rows do in `init_label_matrix`. Where `tm`
-    gathers T_uu and the largest fold has at most CLOSED_FORM_MAX_UNLABELED
-    unlabeled rows, all folds come from one factorization
-    (`_factorized_folds`); otherwise each fold is
-    `propagate_cg(tm, fold, tol, max_iter)`, as `expand` solves it. Either
-    way every fold is certified within tol. Every fold is checked before
-    any is solved, on either path: a fold that hides an unlabeled row,
-    fails the solvers' input contract or whose system `condition` refuses
-    (NumericalDegeneracyError) raises before any solve. The first fold not
-    certified (ConvergenceError) raises at once. A fold's error has its
-    message prefixed "fold <f>: ".
+    uniform 1/m, as unlabeled rows do in `init_label_matrix`. Where the
+    largest fold has at most CLOSED_FORM_MAX_UNLABELED unlabeled rows, all
+    folds come from one factorization (`_factorized_folds`); otherwise each
+    fold is `propagate_cg(tm, fold, tol, max_iter)`, as `expand` solves it.
+    How much of W the operator keeps changes neither the path nor the
+    bits. Either way every fold is certified within tol. Every fold is
+    checked before any is solved, on either path: a fold that hides an
+    unlabeled row, fails the solvers' input contract or whose system
+    `condition` refuses (NumericalDegeneracyError) raises before any solve.
+    The first fold not certified (ConvergenceError) raises at once. A
+    fold's error has its message prefixed "fold <f>: ".
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
@@ -393,7 +393,7 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     checks = [_as_fold(f, condition, np.min(masses[~fold.labeled_mask, f]))
               for f, (_, fold) in enumerate(set_up)]
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
-    if tm.gathers and largest <= CLOSED_FORM_MAX_UNLABELED:
+    if largest <= CLOSED_FORM_MAX_UNLABELED:
         return _factorized_folds(tm, label_matrix, set_up, checks, tol)
     return [_as_fold(f, propagate_cg, tm, fold, tol, max_iter)
             for f, (_, fold) in enumerate(set_up)]

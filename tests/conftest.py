@@ -53,10 +53,8 @@ def keep_panels(monkeypatch, n, kept=0):
 
 class DenseOperator:
     """The transition operator of an n x n W with T formed whole: the
-    reference for the panel operator in the solvers and the fit. It gathers
-    no block, so `propagate_folds` folds by CG on it."""
-
-    gathers = False
+    reference for the panel operator in the solvers and the fit, on which
+    `propagate_folds` takes the same paths."""
 
     def __init__(self, w, epsilon):
         self.w, self.epsilon, self.n = w, epsilon, len(w)
@@ -74,6 +72,9 @@ class DenseOperator:
 
     def w_product(self, v):
         return self.w @ v
+
+    def submatrix(self, rows, cols=None):
+        return self.t[np.ix_(rows, rows if cols is None else cols)]
 
 
 # The kernel parameters of the benchmark's workloads.

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import emolex.cli as cli
+import emolex.graph as graph
 import emolex.solver as solver_module
 from emolex import (EmotionSet, PropagationParams, build_transition,
                     evaluate as ev, init_label_matrix, load_embeddings,
@@ -469,6 +470,24 @@ class TestEvaluate:
                               corpus=data_path("mini_corpus.tsv"), k_folds=3)
         assert main(["evaluate", "--config", config]) == 0
         assert len(built) == 2
+
+    # How much of W is kept changes only speed and memory: under a budget
+    # that keeps no panel the folds still come from one factorization, and
+    # the report and table are the bytes of a run that keeps every panel.
+    def test_artifacts_independent_of_kept_panels(self, tmp_path,
+                                                  monkeypatch):
+        artifacts = []
+        for budget in (graph._KEEP_BYTES, 0):
+            monkeypatch.setattr(graph, "_KEEP_BYTES", budget)
+            out = str(tmp_path / ("out%d" % budget))
+            config = write_config(tmp_path, params=PARAMS,
+                                  batch_params=dict(PARAMS, alpha=5.0),
+                                  corpus=data_path("mini_corpus.tsv"),
+                                  k_folds=3, out=out)
+            assert main(["evaluate", "--config", config]) == 0
+            artifacts.append([read(out, name, "rb") for name in
+                              ("eval_report.json", "eval_table.txt")])
+        assert artifacts[0] == artifacts[1]
 
     def test_rbf_ignores_alpha_and_b(self, tmp_path):
         config = write_config(tmp_path, params={"kernel": "euclidean-rbf",

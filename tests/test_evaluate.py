@@ -51,6 +51,20 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [1.5, -0.5])
 
+    # Every comparison with NaN is false, so a check for entries that fail
+    # the bounds passed a NaN component, and the KL came out NaN.
+    @pytest.mark.parametrize("side", ["gold", "predicted"])
+    def test_nan_component_rejected(self, side):
+        pair = {"gold": [0.5, 0.5], "predicted": [0.5, 0.5]}
+        pair[side] = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="^inputs must be probability "
+                                             "distributions$"):
+            kl_divergence(pair["gold"], pair["predicted"])
+        stacked = {key: np.full((3, 2), 0.5) for key in pair}
+        stacked[side][1] = pair[side]
+        with pytest.raises(ValueError, match="probability distributions"):
+            kl_divergence(stacked["gold"], stacked["predicted"])
+
     @pytest.mark.parametrize("m", [6, 12])
     def test_rows_match_single_calls_bit_for_bit(self, m):
         rng = np.random.default_rng(1)

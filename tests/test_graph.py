@@ -220,9 +220,10 @@ class TestBuildTransition:
         assert np.allclose(tm.submatrix(index, cols), t[np.ix_(index, cols)],
                            atol=1e-15)
 
-    # Every block is gathered from the kept panels and their mirror, across
-    # 6-row panels and 2-row takes: each entry is the panel's own, bit for
-    # bit, normalized as T is.
+    # Every block is gathered from the panels and their mirror, across 6-row
+    # panels and 2-row takes: each entry is the panel's own, bit for bit,
+    # normalized as T is, whether the operator keeps all 7 panels, the first
+    # 3 or none.
     @pytest.mark.parametrize("cols", [None, "complement", "random"])
     def test_submatrix_gathers_across_panels(self, monkeypatch, cols):
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 3 * 40)  # 3 rows
@@ -232,6 +233,7 @@ class TestBuildTransition:
         store = make_store(rng.normal(size=(40, 5)))
         params = PropagationParams(alpha=3.0, b=-1.0, epsilon=0.1)
         tm = TransitionOperator(store.unit_vectors, params)
+        assert len(tm._kept) == 7
         rows = rng.random(40) < 0.6
         other = {None: rows, "complement": ~rows,
                  "random": rng.random(40) < 0.3}[cols]
@@ -239,8 +241,12 @@ class TestBuildTransition:
         expected /= tm.col[other]
         expected *= (0.9 / tm.row[rows])[:, None]
         expected += 0.1 / 40
-        assert np.array_equal(tm.submatrix(rows, None if cols is None
-                                           else other), expected)
+        for kept in (7, 3, 0):
+            keep_panels(monkeypatch, 40, kept)
+            tm = TransitionOperator(store.unit_vectors, params)
+            assert len(tm._kept) == kept
+            assert np.array_equal(tm.submatrix(rows, None if cols is None
+                                               else other), expected)
 
     # W is symmetric, so its column sums are taken as the product W 1, and
     # T y as (y^T W)^T: both agree with the dense forms to rounding.
@@ -344,7 +350,7 @@ class TestBuildTransition:
         n = 2000
         x = make_store(rng.normal(size=(n, 100))).unit_vectors
         held = TransitionOperator(x, params)
-        assert held.gathers and len(held._kept) == 2
+        assert len(held._kept) == 2
         dense_w = dense_weights(x, params)
         n_blocks = 0
         for rows, panel in held.panels():
@@ -366,7 +372,7 @@ class TestBuildTransition:
             with monkeypatch.context() as patch:
                 keep_panels(patch, n, kept)
                 streamed = TransitionOperator(x, params)
-            assert len(streamed._kept) == kept and not streamed.gathers
+            assert len(streamed._kept) == kept
             for (rows, panel), (kept_rows, kept_panel) in zip(
                     streamed.panels(), held.panels()):
                 assert rows == kept_rows and np.array_equal(panel, kept_panel)

@@ -1,7 +1,9 @@
 """W's layout and storage are graph.py's alone: the modules that use the
 graph read W only through the operator's methods, never through its kept
 panels, its buffer, its walk over the panels, the row blocks W is built
-and walked in or the byte budget that decides which panels are kept. The rule that accepts a system is solver.py's alone: the fit
+and walked in or the byte budget that decides which panels are kept, and
+none branches on what is kept. The rule that accepts a system is
+solver.py's alone: the fit
 ends in `propagate_cg`, not in its own copy of the condition check. The weight
 kernel's arithmetic is `graph._weight_kernel`'s alone: the operator uses its
 factors and transform, and branches on no kernel of its own. The solvers split the
@@ -17,10 +19,10 @@ PACKAGE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
     "emolex")
 # W's panels, their rows and buffer on the operator, the walk and build of
-# a panel, the blocks W is built and walked in, and the budget of kept
-# panels.
+# a panel, the blocks W is built and walked in, the budget of kept panels,
+# and the flag by which the fold path once followed that budget.
 STORAGE = ("_kept", "_rows", "_height", "_buf", "_walk", "_panel",
-           "row_blocks", "_KEEP_BYTES")
+           "row_blocks", "_KEEP_BYTES", "gathers")
 # The check by which the solvers accept a system before they solve it.
 ACCEPTANCE = ("condition", "_opening_product")
 # The kernels, and the parameters that choose and shape them.

@@ -391,17 +391,17 @@ class TestFitFull:
         seed = two_cluster_seed(store, ekman, 6)
         config = OptimizerConfig(mode="full", learning_rate=0.05, epochs=4)
         expected, expected_trace = fit_full(store, seed, config)
-        gathers = []
+        kept = []
         held = emolex.optimize._held
 
         def tracking(*args):
             tm = held(*args)
-            gathers.append(tm.gathers)
+            kept.append(len(tm._kept))
             return tm
         monkeypatch.setattr(emolex.optimize, "_held", tracking)
         keep_panels(monkeypatch, 80, 1)
         params, trace = fit_full(store, seed, config)
-        assert gathers == [False] * 4
+        assert kept == [1] * 4
         assert params.to_dict() == expected.to_dict()
         assert trace == expected_trace
 
@@ -594,7 +594,8 @@ class TestFitBatched:
         rng = np.random.default_rng(0)
         labeled = np.arange(3000)
         unlabeled = np.arange(3000, 30000)
-        batch = _sample_batch(rng, labeled, unlabeled, 5000, 30000)
+        batch = _sample_batch(rng, labeled, unlabeled, 5000, 30000,
+                              np.zeros(len(labeled), dtype=np.intp))
         assert np.isin(batch, labeled).sum() == 500
         assert len(batch) == 5000
 
@@ -603,7 +604,8 @@ class TestFitBatched:
         labeled = np.arange(137)
         unlabeled = np.arange(137, 1000)
         for _ in range(10):
-            batch = _sample_batch(rng, labeled, unlabeled, 200, 1000)
+            batch = _sample_batch(rng, labeled, unlabeled, 200, 1000,
+                                  np.zeros(len(labeled), dtype=np.intp))
             n_lab = np.isin(batch, labeled).sum()
             exact = 200 * 137 / 1000
             assert abs(n_lab - exact) <= 1

@@ -584,40 +584,31 @@ class TestStreamed:
         assert report.converged
         assert np.max(np.abs(solved.rows - expected.rows)) <= 2 * tol
 
-    # Each case runs on an operator that keeps none of its two panels, and
-    # on one that keeps the first.
-    def test_closed_form_refused(self, monkeypatch):
-        for kept in (0, 1):
-            _, streamed, lm = streamed_instance(
-                monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
-            with pytest.raises(ValueError, match="^W is not kept whole, so "
-                                                 "it cannot be gathered$"):
-                propagate_closed_form(streamed, lm)
+    # The closed form gathers T_uu from recomputed panels as from kept ones,
+    # so an operator that keeps none of its two panels, or only the first,
+    # gives the rows and report of one that keeps both.
+    def test_closed_form_matches_kept(self, monkeypatch):
+        kernel_params = {"alpha": 6.0, "b": -2.0}
+        _, kept, lm = streamed_instance(monkeypatch, kernel_params, 2)
+        expected, expected_report = propagate_closed_form(kept, lm)
+        for n_kept in (0, 1):
+            _, streamed, _ = streamed_instance(monkeypatch, kernel_params,
+                                               n_kept)
+            assert len(streamed._kept) == n_kept
+            solved, report = propagate_closed_form(streamed, lm)
+            assert np.array_equal(solved.rows, expected.rows)
+            assert report == expected_report
 
-    # `expand` takes CG on an operator that does not keep every panel, as
-    # on one that does, and the closed form could not gather from it.
-    def test_auto_solves_by_cg(self, monkeypatch, ekman):
-        store = two_cluster_store(150, dim=6, separation=3.0, seed=31)
-        seed = two_cluster_seed(store, ekman, 10)
-        params = PropagationParams(alpha=6.0, b=-2.0, epsilon=0.02)
-        expected = expand(store, seed, params)
-        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 150 * 300)
-        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
-        for kept in (0, 1):
-            keep_panels(monkeypatch, 300, kept)
-            result = expand(store, seed, params)
-            assert result.report.method == "cg"
-            assert np.max(np.abs(result.distributions
-                                 - expected.distributions)) <= 2e-6
-
+    # The threshold sends every fold to CG, on the dense reference as on
+    # the operators that keep none or the first of their two panels.
     def test_auto_folds_by_cg(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         for kept in (0, 1):
             held, streamed, lm = streamed_instance(
                 monkeypatch, {"alpha": 6.0, "b": -2.0}, kept)
             folds = np.array_split(np.flatnonzero(lm.labeled_mask), 3)
             solved = propagate_folds(streamed, lm, folds)
             assert [report.method for _, report in solved] == ["cg"] * 3
-            # The dense reference gathers nothing either, so it folds by CG.
             for (fold, _), (expected, _) in zip(
                     solved, propagate_folds(held, lm, folds)):
                 assert np.max(np.abs(fold.rows - expected.rows)) <= 2e-6
@@ -627,14 +618,13 @@ class TestMemoryOrder:
     # The solvers build their work arrays C-ordered whatever the memory order
     # of the label matrix's rows, so the rows and reports are the same bits
     # for C-ordered, F-ordered and column-sliced rows, on an operator that
-    # keeps its panels and on one that keeps none (which the closed form
-    # cannot gather from). "auto" is the CG solve of `expand` on both;
-    # "folds" is `propagate_folds`, from the factorization on the first and
-    # by CG per fold on the second.
+    # keeps its panels and on one that keeps none. "auto" is the CG solve of
+    # `expand` on both; "folds" is `propagate_folds`, from the factorization
+    # on both.
     @pytest.mark.parametrize("solver, keep", [
         (solver, keep) for solver in ("iterative", "closed", "cg", "auto",
                                       "folds")
-        for keep in (True, False) if (solver, keep) != ("closed", False)])
+        for keep in (True, False)])
     def test_results_independent_of_layout(self, monkeypatch, solver, keep):
         rng = np.random.default_rng(41)
         store = make_store(rng.normal(size=(300, 8)))
@@ -654,7 +644,7 @@ class TestMemoryOrder:
         if solver == "auto":
             assert report.method == "cg"
         if solver == "folds":
-            assert report.method == ("closed-form" if keep else "cg")
+            assert report.method == "closed-form"
         for solved, other_report in others:
             assert np.array_equal(solved.rows, expected.rows)
             assert other_report == report
@@ -716,31 +706,44 @@ class TestMonotoneEpsilon:
 
 
 class TestExpand:
-    # Under a budget that keeps 1 of its 4 panels, expand and every fold of
-    # expand_folds return the same bits as with every panel kept. The
-    # threshold sends the kept operator to CG too.
-    @pytest.mark.parametrize("solver", ["cg"])
+    # Under a budget that keeps none or 1 of its 4 panels, expand and every
+    # fold of expand_folds return the same bits and reports as with every
+    # panel kept, on either fold path: "cg" patches the threshold to send
+    # the folds to CG, "closed-form" factorizes them.
+    @pytest.mark.parametrize("solver", ["cg", "closed-form"])
     def test_partly_kept_matches_kept(self, ekman, monkeypatch, solver):
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+        if solver == "cg":
+            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
         monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 10 * 80)
         monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 2)
         store = two_cluster_store(40, dim=6, separation=5.0, seed=4)
         seed = two_cluster_seed(store, ekman, 6)
         params = PropagationParams(alpha=10.0, b=-5.0, epsilon=0.01)
         folds = [["c0_%d" % i, "c1_%d" % i] for i in range(3)]
+        fold_reports = []
+        folded = solver_module.propagate_folds
+
+        def recording(*args):
+            solved = folded(*args)
+            fold_reports.append([report for _, report in solved])
+            return solved
+        monkeypatch.setattr(solver_module, "propagate_folds", recording)
 
         def run():
             result = expand(store, seed, params)
             return result, expand_folds(store, seed, params, folds)
         (expected, expected_folds) = run()
-        keep_panels(monkeypatch, 80, 1)
-        result, solved_folds = run()
-        assert np.array_equal(result.distributions, expected.distributions)
-        assert result.report == expected.report
-        assert result.report.method == solver
-        assert len(solved_folds) == 3
-        for rows, expected_rows in zip(solved_folds, expected_folds):
-            assert np.array_equal(rows, expected_rows)
+        assert [r.method for r in fold_reports[0]] == [solver] * 3
+        for kept in (0, 1):
+            keep_panels(monkeypatch, 80, kept)
+            result, solved_folds = run()
+            assert np.array_equal(result.distributions, expected.distributions)
+            assert result.report == expected.report
+            assert result.report.method == "cg"
+            assert fold_reports[-1] == fold_reports[0]
+            assert len(solved_folds) == 3
+            for rows, expected_rows in zip(solved_folds, expected_folds):
+                assert np.array_equal(rows, expected_rows)
 
     def test_two_cluster_argmax(self, ekman):
         store = two_cluster_store(10, dim=6, separation=5.0, seed=4)

@@ -3,10 +3,10 @@ graph read W only through the operator's methods, never through its kept
 panels, its buffer, its walk over the panels, the row blocks W is built
 and walked in or the byte budget that decides which panels are kept, and
 none branches on what is kept. The rule that accepts a system is
-solver.py's alone: the fit
-ends in `propagate_cg`, not in its own copy of the condition check. The weight
-kernel's arithmetic is `graph._weight_kernel`'s alone: the operator uses its
-factors and transform, and branches on no kernel of its own. The solvers split the
+solver.py's alone: the fit ends in `propagate_cg`, not in its own copy of
+the condition check. The weight kernel's arithmetic is
+`graph._weight_kernel`'s alone: the operator uses its factors and
+transform, and branches on no kernel of its own. The solvers split the
 seeds from the rest by the label matrix's mask alone, never by index
 arrays made from it."""
 

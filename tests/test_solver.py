@@ -599,6 +599,22 @@ class TestStreamed:
             assert np.array_equal(solved.rows, expected.rows)
             assert report == expected_report
 
+    # `expand` takes CG on an operator that does not keep every panel, as
+    # on one that does.
+    def test_auto_solves_by_cg(self, monkeypatch, ekman):
+        store = two_cluster_store(150, dim=6, separation=3.0, seed=31)
+        seed = two_cluster_seed(store, ekman, 10)
+        params = PropagationParams(alpha=6.0, b=-2.0, epsilon=0.02)
+        expected = expand(store, seed, params)
+        monkeypatch.setattr(emolex.graph, "_BLOCK_ENTRIES", 150 * 300)
+        monkeypatch.setattr(emolex.graph, "_PANEL_BLOCKS", 1)
+        for kept in (0, 1):
+            keep_panels(monkeypatch, 300, kept)
+            result = expand(store, seed, params)
+            assert result.report.method == "cg"
+            assert np.max(np.abs(result.distributions
+                                 - expected.distributions)) <= 2e-6
+
     # The threshold sends every fold to CG, on the dense reference as on
     # the operators that keep none or the first of their two panels.
     def test_auto_folds_by_cg(self, monkeypatch):

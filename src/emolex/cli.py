@@ -19,7 +19,7 @@ from .lexicon import (EKMAN_SIX, EmotionSet, load_seed_lexicon,
                       write_lexicon_json, write_lexicon_tsv)
 from .embeddings import load_embeddings
 from .optimize import OptimizerConfig, fit_batched, fit_full
-from .solver import MAX_ITER, TOL, check_solver_options, expand
+from .solver import TOL, check_solver_options, expand
 
 
 class ConfigError(ValueError):
@@ -30,8 +30,8 @@ class ConfigError(ValueError):
 # several commands, so each command accepts all of them.
 CONFIG_KEYS = frozenset({
     "embeddings", "seed_lexicon", "emotions", "out", "params", "params_file",
-    "batch_params", "batch_params_file", "tol", "max_iter", "fit", "seed",
-    "k_folds", "class_counts", "corpus"})
+    "batch_params", "batch_params_file", "tol", "fit", "seed", "k_folds",
+    "class_counts", "corpus"})
 # The keys that name a file or a directory.
 STRING_KEYS = ("out", "embeddings", "seed_lexicon", "corpus", "params_file",
                "batch_params_file")
@@ -161,8 +161,7 @@ class RunConfig:
 
 
 def _solver_options(cfg):
-    options = {"tol": cfg.get("tol", TOL),
-               "max_iter": cfg.get("max_iter", MAX_ITER)}
+    options = {"tol": cfg.get("tol", TOL)}
     check_solver_options(**options)
     return options
 

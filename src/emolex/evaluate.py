@@ -9,7 +9,7 @@ import numpy as np
 from .embeddings import FormatError
 from .graph import integer, real
 # `expand` is not called here; the bench hooks it until it reads a run log.
-from .solver import MAX_ITER, TOL, expand, expand_folds
+from .solver import TOL, expand, expand_folds
 
 PREDICTION_FLOOR = 1e-12
 
@@ -79,7 +79,7 @@ class EvalReport:
         return asdict(self)
 
 
-def label_prop_expander(params, tol=TOL, max_iter=MAX_ITER):
+def label_prop_expander(params, tol=TOL):
     """Expander running label propagation with fixed parameters.
 
     Each run is `expand_folds`: one graph operator serves every fold of the
@@ -88,8 +88,7 @@ def label_prop_expander(params, tol=TOL, max_iter=MAX_ITER):
     or ConvergenceError, its message prefixed "fold <f>: ".
     """
     def run(store, seed, folds):
-        return expand_folds(store, seed, params, folds, tol=tol,
-                            max_iter=max_iter)
+        return expand_folds(store, seed, params, folds, tol=tol)
     run.label = "label-propagation"
     run.params = params.to_dict()
     return run

@@ -17,7 +17,7 @@ from .graph import (COSINE_LOGISTIC, NumericalDegeneracyError,
                     PropagationParams, TransitionOperator, integer, is_real,
                     logistic, real)
 from .lexicon import init_label_matrix
-from .solver import (MAX_ITER, TOL, ConvergenceError, check_seed_split,
+from .solver import (TOL, ConvergenceError, check_seed_split,
                      check_solver_options, expand)
 
 
@@ -345,34 +345,33 @@ def _descend(store, label_matrix, batches, steps, config):
     return state, best[1:], trace
 
 
-def _accepted(store, seed, params, tol, max_iter):
+def _accepted(store, seed, params, tol):
     """Raise GradientError when `expand` refuses `seed` at `params`: its
-    graph is degenerate, or its solve at (tol, max_iter) is refused or not
-    certified."""
+    graph is degenerate, or its solve at tol is refused or not certified."""
     try:
-        expand(store, seed, params, tol=tol, max_iter=max_iter)
+        expand(store, seed, params, tol=tol)
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         raise GradientError("fitted parameters give a graph that expand "
                             "refuses: %s" % exc) from exc
 
 
-def fit_full(store, seed, config, tol=TOL, max_iter=MAX_ITER):
+def fit_full(store, seed, config, tol=TOL):
     """Plain gradient descent on the full-graph unrolled entropy.
 
     One batch of the whole vocabulary taking config.epochs steps, so a
     divergence restarts the fit from config.init at half the rate. Returns
     the lowest-entropy iterate; the trace's `params_epoch` is its row. It
-    ends in `_accepted`: `expand`'s own build and solve at (tol, max_iter),
-    once the descent has freed its graph.
+    ends in `_accepted`: `expand`'s own build and solve at tol, once the
+    descent has freed its graph.
     """
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol)
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     check_seed_split(label_matrix)
     _, (epoch, best), trace = _descend(store, label_matrix, [slice(None)],
                                        config.epochs, config)
     trace.params_epoch = epoch
     params = _params(best)
-    _accepted(store, seed, params, tol, max_iter)
+    _accepted(store, seed, params, tol)
     return params, trace
 
 
@@ -395,7 +394,7 @@ def _sample_batch(rng, labeled_idx, unlabeled_idx, batch_size, total,
     return np.sort(np.concatenate(lab + [unl]))
 
 
-def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
+def fit_batched(store, seed, config, tol=TOL):
     """Shared-parameter descent over random vocabulary subsamples.
 
     Each batch fixes the labeled/unlabeled proportion of the full graph
@@ -405,7 +404,7 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     subgraphs do not rank parameters. It ends as `fit_full` does, in
     `_accepted`, `expand`'s own build and solve.
     """
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol)
     if config.batch_size >= len(store):
         raise ValueError("batch_size must be smaller than the vocabulary")
     label_matrix, _ = init_label_matrix(store.vocab, seed)
@@ -421,5 +420,5 @@ def fit_batched(store, seed, config, tol=TOL, max_iter=MAX_ITER):
     state, _, trace = _descend(store, label_matrix, batches,
                                config.epochs_per_batch, config)
     params = _params(state)
-    _accepted(store, seed, params, tol, max_iter)
+    _accepted(store, seed, params, tol)
     return params, trace

@@ -17,7 +17,7 @@ CLOSED_FORM_MAX_UNLABELED = 2000
 # condition number exceeds this.
 MAX_CONDITION = 1e12
 
-# Every solve's default tol and max_iter.
+# Every solve's default tol, and the most iterations CG runs.
 TOL, MAX_ITER = 1e-6, 1000
 
 
@@ -101,15 +101,12 @@ def _certified(method, iterations, residual, mass, cond_bound, tol):
                        cond_bound)
 
 
-def check_solver_options(tol, max_iter):
-    """Refuse a tol that is not a positive and finite number, or a max_iter
-    that is not an integer of at least 1."""
+def check_solver_options(tol):
+    """Refuse a tol that is not a positive and finite number."""
     if not real("tol", tol) > 0:
         raise ValueError("tol must be positive")
     if tol == np.inf:
         raise ValueError("tol must be finite")
-    if integer("max_iter", max_iter) < 1:
-        raise ValueError("max_iter must be at least 1")
 
 
 def check_seed_split(label_matrix):
@@ -118,11 +115,11 @@ def check_seed_split(label_matrix):
         raise ValueError("need at least one labeled and one unlabeled node")
 
 
-def _check_inputs(label_matrix, tol, max_iter=1):
+def _check_inputs(label_matrix, tol):
     """The input contract of every solve, which every entry point checks
     before any work: `check_seed_split`, then `check_solver_options`."""
     check_seed_split(label_matrix)
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol)
 
 
 def propagate_iterative(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
@@ -135,9 +132,11 @@ def propagate_iterative(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     that is at most tol. Rows are re-normalized each sweep to cap
     floating-point drift (a guard, not an algorithm change). Labeled rows
     are returned bit-equal to the input. Raises ConvergenceError when
-    max_iter sweeps leave the error bound above tol.
+    max_iter sweeps, at least 1, leave the error bound above tol.
     """
-    _check_inputs(label_matrix, tol, max_iter)
+    _check_inputs(label_matrix, tol)
+    if integer("max_iter", max_iter) < 1:
+        raise ValueError("max_iter must be at least 1")
     labeled = label_matrix.labeled_mask
     y = label_matrix.rows
     seeds = y[labeled]
@@ -200,7 +199,7 @@ def propagate_closed_form(tm, label_matrix, tol=TOL):
     return LabelMatrix(y, labeled), report
 
 
-def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
+def propagate_cg(tm, label_matrix, tol=TOL):
     """Solve (I - T_uu) Y_U = T_ul Y_L by Jacobi-preconditioned conjugate
     gradients, without gathering T_uu.
 
@@ -218,10 +217,12 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     The recurrence residuals give a cheap estimate of ||(I - T_uu) y - rhs||;
     once that estimate divided by min m (see `condition`) is within tol,
     the rows are clipped at 0 and re-normalized, and one true product with
-    T confirms the bound; raises ConvergenceError when max_iter iterations
-    end without that confirmation.
+    T confirms the bound. `condition` makes A positive definite, so
+    p^T A p <= 0 on a live column is CG's rounding floor. The solve stops
+    there or after MAX_ITER iterations, and raises ConvergenceError unless
+    its settled rows are certified within tol.
     """
-    _check_inputs(label_matrix, tol, max_iter)
+    _check_inputs(label_matrix, tol)
     labeled = label_matrix.labeled_mask
     unlabeled = ~labeled
     y = label_matrix.rows.copy()
@@ -265,13 +266,13 @@ def propagate_cg(tm, label_matrix, tol=TOL, max_iter=MAX_ITER):
     rz = np.einsum("ij,ij->j", res, z)
     iterations = 0
     residual = None
-    while iterations < max_iter:
+    y_u = np.ones((n, m))  # uniform rows until the first step
+    while iterations < MAX_ITER:
         q = apply_a(p)
         pq = np.einsum("ij,ij->j", p, q)
         live = rz > 0
         if np.any(pq[live] <= 0):
-            raise NumericalDegeneracyError(
-                "(I - T_uu) is not positive definite; consider epsilon smoothing")
+            break
         step = np.divide(rz, pq, out=np.zeros_like(rz), where=live)
         x += step * p
         res -= step * q
@@ -350,7 +351,7 @@ def _factorized_folds(tm, label_matrix, set_up, checks, tol):
     return solved
 
 
-def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
+def propagate_folds(tm, label_matrix, folds, tol=TOL):
     """Every fold of a cross-validation, solved on the one operator `tm`;
     returns [(LabelMatrix, SolveReport), ...], one pair per fold in fold
     order, and [] when there are no folds.
@@ -361,7 +362,7 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     uniform 1/m, as unlabeled rows do in `init_label_matrix`. Where the
     largest fold has at most CLOSED_FORM_MAX_UNLABELED unlabeled rows, all
     folds come from one factorization (`_factorized_folds`); otherwise each
-    fold is `propagate_cg(tm, fold, tol, max_iter)`, as `expand` solves it.
+    fold is `propagate_cg(tm, fold, tol)`, as `expand` solves it.
     How much of W the operator keeps changes neither the path nor the
     bits. Either way every fold is certified within tol. Every fold is
     checked before any is solved, on either path: a fold that hides an
@@ -372,7 +373,7 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     """
     labeled = label_matrix.labeled_mask
     m = label_matrix.rows.shape[1]
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol)
     set_up = []
     for f, hidden in enumerate(folds):
         hidden = np.asarray(hidden, dtype=np.intp)
@@ -395,7 +396,7 @@ def propagate_folds(tm, label_matrix, folds, tol=TOL, max_iter=MAX_ITER):
     largest = tm.n - min(fold.n_labeled for _, fold in set_up)
     if largest <= CLOSED_FORM_MAX_UNLABELED:
         return _factorized_folds(tm, label_matrix, set_up, checks, tol)
-    return [_as_fold(f, propagate_cg, tm, fold, tol, max_iter)
+    return [_as_fold(f, propagate_cg, tm, fold, tol)
             for f, (_, fold) in enumerate(set_up)]
 
 
@@ -422,7 +423,7 @@ class ExpansionResult:
                 "seed_tokens_missing": self.seed_tokens_missing}
 
 
-def expand(store, seed, params, *, tol=TOL, max_iter=MAX_ITER):
+def expand(store, seed, params, *, tol=TOL):
     """End-to-end expansion: init Y, build the transition operator, solve
     it by conjugate gradients (`propagate_cg`) at every size, and return the
     distributions of every vocabulary word in vocabulary order.
@@ -434,14 +435,14 @@ def expand(store, seed, params, *, tol=TOL, max_iter=MAX_ITER):
     label_matrix, missing = init_label_matrix(store.vocab, seed)
     if label_matrix.n_labeled == 0:
         raise ValueError("no seed token is present in the vocabulary")
-    _check_inputs(label_matrix, tol, max_iter)
+    _check_inputs(label_matrix, tol)
     tm = build_transition(store, params, label_matrix.labeled_mask)
-    solved, report = propagate_cg(tm, label_matrix, tol, max_iter)
+    solved, report = propagate_cg(tm, label_matrix, tol)
     return ExpansionResult(store.vocab, seed.emotions, solved.rows,
                            solved.labeled_mask, params, report, missing)
 
 
-def expand_folds(store, seed, params, folds, *, tol=TOL, max_iter=MAX_ITER):
+def expand_folds(store, seed, params, folds, *, tol=TOL):
     """The folds of a cross-validation of `expand`: for each list of
     held-out seed tokens in `folds`, returns, in order, the distributions
     `expand` returns for the seed without those tokens. All folds share one
@@ -453,7 +454,7 @@ def expand_folds(store, seed, params, folds, *, tol=TOL, max_iter=MAX_ITER):
     """
     label_matrix, _ = init_label_matrix(store.vocab, seed)
     hidden = [[store.vocab.index[t] for t in held_out] for held_out in folds]
-    check_solver_options(tol, max_iter)
+    check_solver_options(tol)
     tm = build_transition(store, params, label_matrix.labeled_mask)
     return [solved.rows for solved, _ in
-            propagate_folds(tm, label_matrix, hidden, tol, max_iter)]
+            propagate_folds(tm, label_matrix, hidden, tol)]

@@ -101,13 +101,14 @@ class TestExpand:
             assert [float(v) for v in values] == pytest.approx(
                 closed.rows[store.vocab.index[token]], abs=1e-6)
 
-    # CG stops at max_iter 1. The closed form, which only the factorized
-    # folds of `evaluate` run, cannot reach a tol below its rounding.
+    # Neither solver reaches a tol below its rounding: CG stops at its
+    # rounding floor, and the closed form, which only the factorized folds
+    # of `evaluate` run, rounds once.
     @pytest.mark.parametrize("command, prefix, options", [
         ("evaluate", "fold 0: closed-form",
          {"tol": 1e-300, "corpus": data_path("mini_corpus.tsv"),
           "k_folds": 3}),
-        ("expand", "cg", {"max_iter": 1})], ids=["closed", "cg"])
+        ("expand", "cg", {"tol": 1e-300})], ids=["closed", "cg"])
     def test_unconverged_solve_fails_without_artifacts(
             self, tmp_path, capsys, command, prefix, options):
         config = write_config(tmp_path, params=PARAMS, **options)
@@ -279,19 +280,20 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GradientError"
         assert err["message"] == (
-            "fitted parameters give a graph that expand refuses: (I - T_uu) "
-            "is not positive definite; consider epsilon smoothing")
+            "fitted parameters give a graph that expand refuses: cg solve did "
+            "not converge in 116 iterations: error bound 0.000165 exceeds tol "
+            "1e-06")
         assert not (tmp_path / "out").exists()
 
-    # The fit's acceptance solve runs CG at the config's tol and max_iter;
-    # the fit used to read neither and exit 0 here, with a params.json that
-    # `emolex expand` refuses.
+    # The fit's acceptance solve runs CG at the config's tol; the fit used
+    # to ignore it and exit 0 here, with a params.json that `emolex expand`
+    # refuses.
     @pytest.mark.parametrize("mode", ["full", "batch"])
     def test_uncertified_at_config_tol_fails_without_artifacts(
             self, tmp_path, capsys, mode):
         config = write_config(tmp_path, fit={
             "mode": mode, "epochs": 2, "batch_size": 6, "num_batches": 2,
-            "learning_rate": 0.1}, tol=1e-300, max_iter=1)
+            "learning_rate": 0.1}, tol=1e-300)
         assert main(["optimize", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GradientError"
@@ -424,17 +426,17 @@ class TestEvaluate:
         config = write_config(tmp_path, params=PARAMS,
                               batch_params_file=str(batch_file),
                               corpus=data_path("mini_corpus.tsv"),
-                              k_folds=3, tol=1e-9, max_iter=5000)
+                              k_folds=3, tol=1e-9)
         assert main(["evaluate", "--config", config]) == 0
-        options = {"tol": 1e-9, "max_iter": 5000}
+        options = {"tol": 1e-9}
         assert calls == [(6.0, options), (5.0, options)]
 
     def test_unconverged_fold_fails_without_artifacts(self, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+        monkeypatch.setattr(solver_module, "MAX_ITER", 1)
         config = write_config(tmp_path, params=PARAMS,
-                              corpus=data_path("mini_corpus.tsv"),
-                              k_folds=3, max_iter=1)
+                              corpus=data_path("mini_corpus.tsv"), k_folds=3)
         assert main(["evaluate", "--config", config]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceError"
@@ -679,20 +681,19 @@ class TestConfigChecks:
     def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch,
                                  command):
         message = self.refused(tmp_path, capsys, monkeypatch, command,
-                               params=PARAMS, tols=1e-30, max_iter=1,
-                               solvr="cg")
+                               params=PARAMS, tols=1e-30, solvr="cg")
         assert message == "unknown config keys: 'solvr', 'tols'"
 
-    # "solver", "kernel" and "mode" are no keys either: the code picks the
-    # solver, a params row names its kernel and a fit request its mode, so
-    # a config that names one at the top level is refused like a misspelt
-    # key.
+    # "solver", "kernel", "mode" and "max_iter" are no keys either: the code
+    # picks the solver, a params row names its kernel and a fit request its
+    # mode, and tol alone ends a solve, so a config that names one at the
+    # top level is refused like a misspelt key.
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_unknown_solver_refused(self, tmp_path, capsys, monkeypatch,
                                     command):
         run = {"fit": self.FIT} if command == "optimize" else {"params": PARAMS}
         for key, value in (("solver", "gmres"), ("kernel", "euclidean"),
-                           ("mode", "batch")):
+                           ("mode", "batch"), ("max_iter", 1)):
             message = self.refused(tmp_path, capsys, monkeypatch, command,
                                    **run, **{key: value})
             assert message == "unknown config keys: %r" % key
@@ -700,11 +701,11 @@ class TestConfigChecks:
     # Refused, not truncated: k_folds 2.7 would run 2 folds, JSON true 1.
     # The message names the parameter of the function that takes the value.
     @pytest.mark.parametrize("command, key, value", [
-        ("expand", "max_iter", 2.9), ("expand", "max_iter", True),
-        ("evaluate", "max_iter", 2.9), ("evaluate", "k_folds", 2.7),
+        ("evaluate", "seed", 2.9), ("evaluate", "seed", True),
+        ("optimize", "seed", 2.9), ("evaluate", "k_folds", 2.7),
         ("evaluate", "k_folds", True), ("evaluate", "seed", 1.5),
         ("optimize", "seed", 1.5), ("optimize", "seed", False),
-        ("expand", "max_iter", "10"), ("expand", "max_iter", {"a": 1}),
+        ("evaluate", "seed", "10"), ("evaluate", "seed", {"a": 1}),
         ("evaluate", "k_folds", "3"), ("evaluate", "k_folds", None),
         ("evaluate", "seed", [1]), ("optimize", "seed", [1]),
         ("optimize", "seed", None)])
@@ -716,27 +717,25 @@ class TestConfigChecks:
         name = {"k_folds": "k", "seed": "rng_seed"}.get(key, key)
         assert message == "%s must be an integer, not %r" % (name, value)
 
-    # The solver options are refused as every solve refuses them, before
-    # any input is read. Else JSON true would run at tol 1.0, Infinity at
-    # no tol at all, and max_iter 0 whenever the folds take the closed form.
+    # The solver option is refused as every solve refuses it, before any
+    # input is read. Else JSON true would run at tol 1.0 and Infinity at no
+    # tol at all.
     @pytest.mark.parametrize("command", ["expand", "evaluate"])
     @pytest.mark.parametrize("key, value, error, message", [
         ("tol", True, "ValueError", "tol must be a number, not True"),
         ("tol", "1e-6", "ValueError", "tol must be a number, not '1e-6'"),
         ("tol", float("inf"), "ValueError", "tol must be finite"),
         ("tol", 0, "ValueError", "tol must be positive"),
-        ("tol", NAN, "ValueError", "tol must be positive"),
-        ("max_iter", 0, "ValueError", "max_iter must be at least 1")])
+        ("tol", NAN, "ValueError", "tol must be positive")])
     def test_bad_solver_option_refused(self, tmp_path, capsys, monkeypatch,
                                        command, key, value, error, message):
         assert self.refused(tmp_path, capsys, monkeypatch, command, error,
                             params=PARAMS, **{key: value}) == message
 
-    # optimize refuses them alike: its acceptance solve runs at that tol and
-    # max_iter. It used to read none of them and fit at tol -1.
+    # optimize refuses it alike: its acceptance solve runs at that tol. It
+    # used to ignore it and fit at tol -1.
     @pytest.mark.parametrize("key, value, message", [
-        ("tol", -1, "tol must be positive"),
-        ("max_iter", 0, "max_iter must be at least 1")])
+        ("tol", -1, "tol must be positive")])
     def test_optimize_refuses_bad_solver_option(self, tmp_path, capsys,
                                                 monkeypatch, key, value,
                                                 message):
@@ -1004,8 +1003,7 @@ class TestConfigChecks:
     # An integral float is read as its int: the artifacts are those of the
     # integer config, byte for byte.
     @pytest.mark.parametrize("command, run", [
-        ("evaluate", {"params": PARAMS, "k_folds": 3, "seed": 1,
-                      "max_iter": 1000}),
+        ("evaluate", {"params": PARAMS, "k_folds": 3, "seed": 1}),
         ("optimize", {"fit": dict(FIT, mode="batch", batch_size=6,
                                   num_batches=2), "seed": 7})])
     def test_integral_floats_give_identical_artifacts(self, tmp_path, command,
@@ -1037,21 +1035,3 @@ class TestFiniteArtifacts:
         with pytest.raises(ValueError):
             _write_json(path, {"bound": float("inf")})
         assert not os.path.exists(path)
-
-    # The seed's six flags are all set, so every row starts uniform: a solve
-    # of zero sweeps would leave a zero residual and count as converged.
-    def test_zero_iterations_refused_without_artifacts(self, tmp_path, capsys):
-        vectors = tmp_path / "vectors.txt"
-        vectors.write_text("4 2\na 1 0\nb 0 1\nc 1 1\nd 1 -1\n",
-                           encoding="utf-8")
-        seed = tmp_path / "seed.tsv"
-        seed.write_text("".join("a\t%s\t1\n" % e for e in (
-            "anger", "disgust", "fear", "joy", "sadness", "surprise")),
-            encoding="utf-8")
-        config = write_config(tmp_path, embeddings=str(vectors),
-                              seed_lexicon=str(seed), params=PARAMS,
-                              max_iter=0)
-        assert main(["expand", "--config", config]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["message"] == "max_iter must be at least 1"
-        assert not (tmp_path / "out").exists()

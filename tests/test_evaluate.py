@@ -238,20 +238,17 @@ class TestCrossValidate:
         assert report.method == "label-propagation"
 
     # An integral float is read as its int, so the report is the integer
-    # call's; k 3.0 used to fail in the fold slicing with a TypeError. The
-    # folds take CG, which counts its iterations against max_iter.
-    def test_integral_float_options_read_as_int(self, ekman, monkeypatch):
-        monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+    # call's; k 3.0 used to fail in the fold slicing with a TypeError.
+    def test_integral_float_options_read_as_int(self, ekman):
         store = two_cluster_store(8, dim=4, seed=4)
         seed = two_cluster_seed(store, ekman, 5)
         params = PropagationParams(alpha=4.0, b=-1.0, epsilon=0.05)
 
-        def report(k, rng_seed, max_iter):
-            expander = label_prop_expander(params, max_iter=max_iter)
-            return cross_validate(store, seed, expander, k=k,
-                                  rng_seed=rng_seed).to_dict()
-        floats = report(3.0, 7.0, 1000.0)
-        assert floats == report(3, 7, 1000)
+        def report(k, rng_seed):
+            return cross_validate(store, seed, label_prop_expander(params),
+                                  k=k, rng_seed=rng_seed).to_dict()
+        floats = report(3.0, 7.0)
+        assert floats == report(3, 7)
         assert type(floats["k"]) is int and type(floats["rng_seed"]) is int
 
     def test_label_prop_beats_uniform_on_clusters(self, ekman):
@@ -339,10 +336,11 @@ class TestCrossValidate:
 
     def test_unconverged_fold_fails(self, ekman, monkeypatch):
         monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
+        monkeypatch.setattr(solver_module, "MAX_ITER", 1)
         store = two_cluster_store(15, dim=6, separation=5.0, seed=5)
         seed = two_cluster_seed(store, ekman, 8)
         params = PropagationParams(alpha=8.0, b=-4.0, epsilon=0.01)
-        expander = label_prop_expander(params, max_iter=1)
+        expander = label_prop_expander(params)
         with pytest.raises(RuntimeError, match="fold 0") as err:
             cross_validate(store, seed, expander, k=4, rng_seed=0)
         assert isinstance(err.value.__cause__, ConvergenceError)

@@ -274,28 +274,11 @@ class TestFolds:
         with pytest.raises(ValueError, match="tol must be positive"):
             propagate_folds(tm, lm, folds, tol=float("nan"))
 
-    # The factorization has no iterations to bound, but a max_iter of 0 is
-    # refused under it as on the per-fold path, where each fold takes CG.
-    @pytest.mark.parametrize("solver", ["closed", "cg"])
-    def test_zero_iterations_refused_under_every_solver(self, monkeypatch,
-                                                        solver):
-        tm, lm, folds = fold_instance(0.01, 4, 8)
-        if solver == "cg":
-            monkeypatch.setattr(solver_module, "CLOSED_FORM_MAX_UNLABELED", 0)
-
-        def no_solve(*args):
-            raise AssertionError("a fold was solved")
-        monkeypatch.setattr(solver_module, "_factorized_folds", no_solve)
-        monkeypatch.setattr(solver_module, "propagate_cg", no_solve)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            propagate_folds(tm, lm, folds, max_iter=0)
-
     # The solver options are refused before the n x n build, as in `expand`.
     # The seed split is not: an all-seeded vocabulary still cross-validates.
     @pytest.mark.parametrize("options, message", [
         ({"tol": float("inf")}, "tol must be finite"),
-        ({"tol": 0.0}, "tol must be positive"),
-        ({"max_iter": 0}, "max_iter must be at least 1")])
+        ({"tol": 0.0}, "tol must be positive")])
     def test_expand_folds_refused_before_graph_build(self, monkeypatch, ekman,
                                                      options, message):
         def no_build(*args):
@@ -415,7 +398,9 @@ class TestInputContract:
         with pytest.raises(ValueError, match="tol must be finite"):
             solve(tm, lm, tol=float("inf"))
 
-    @pytest.mark.parametrize("solve", [propagate_iterative, propagate_cg])
+    # Only the reference sweep takes max_iter; CG stops at its rounding
+    # floor or after solver.MAX_ITER iterations.
+    @pytest.mark.parametrize("solve", [propagate_iterative])
     def test_zero_iterations_refused(self, solve):
         tm, lm = two_node_instance()
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
@@ -529,12 +514,53 @@ class TestCG:
         assert np.all(solved.rows[:, 2] == 0.0)
         assert np.max(np.abs(closed.rows - solved.rows)) <= 1e-10
 
-    def test_non_convergence_flagged(self):
+    def test_non_convergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_ITER", 1)
         tm, lm = random_instance(np.random.default_rng(12), 200, 2)
         with pytest.raises(ConvergenceError,
                            match="cg solve did not converge in 1 iterations: "
                                  "error bound .* exceeds tol 1e-06"):
-            propagate_cg(tm, lm, tol=1e-6, max_iter=1)
+            propagate_cg(tm, lm, tol=1e-6)
+
+    # A breakdown at the first step leaves only the uniform rows, which are
+    # settled and checked like any iterate; MAX_ITER 0 stops at that point.
+    def test_no_step_settles_uniform_rows(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_ITER", 0)
+        tm, lm = random_instance(np.random.default_rng(12), 200, 2)
+        with pytest.raises(ConvergenceError, match="in 0 iterations: error "
+                                                   "bound [0-9.e-]+ exceeds"):
+            propagate_cg(tm, lm)
+
+    # No caller caps CG's iterations: benchmark-like mixtures are certified
+    # in 11, 25 and 33 iterations, up to condition bound 2e7.
+    @pytest.mark.parametrize("alpha, b, epsilon", [
+        (8.0, -4.0, 0.02), (50.0, -40.0, 1e-3), (50.0, -40.0, 0.0)])
+    def test_certified_in_few_iterations(self, alpha, b, epsilon):
+        store, seed = mixture_instance(400, EmotionSet())
+        lm, _ = init_label_matrix(store.vocab, seed)
+        params = PropagationParams(alpha=alpha, b=b, epsilon=epsilon)
+        tm = build_transition(store, params, lm.labeled_mask)
+        _, report = propagate_cg(tm, lm, tol=1e-6)
+        assert report.iterations <= 60
+
+    # `condition` makes (I - T_uu) positive definite, so p^T A p <= 0 is
+    # CG's rounding floor. It used to be refused as "not positive definite;
+    # consider epsilon smoothing", though the threshold graph certifies at
+    # tol 1e-6.
+    @pytest.mark.parametrize("n, alpha, b, epsilon, tol", [
+        (400, 8.0, -4.0, 0.02, 1e-14), (200, 50.0, -40.0, 0.0, 1e-8)])
+    def test_rounding_floor_is_not_certified(self, n, alpha, b, epsilon, tol):
+        store, seed = mixture_instance(n, EmotionSet())
+        lm, _ = init_label_matrix(store.vocab, seed)
+        params = PropagationParams(alpha=alpha, b=b, epsilon=epsilon)
+        tm = build_transition(store, params, lm.labeled_mask)
+        with pytest.raises(ConvergenceError,
+                           match="^cg solve did not converge in [0-9]+ "
+                                 "iterations: error bound .* exceeds tol %g$"
+                                 % tol):
+            propagate_cg(tm, lm, tol=tol)
+        _, report = propagate_cg(tm, lm, tol=1e-6)
+        assert report.converged
 
     def test_no_unlabeled_gather(self, monkeypatch):
         def refuse(self, index):
@@ -780,15 +806,14 @@ class TestExpand:
         with pytest.raises(ValueError, match="unlabeled"):
             expand(store, seed, params)
         with pytest.raises(ValueError):
-            expand(store, seed, params, tol=-1, max_iter=0)
+            expand(store, seed, params, tol=-1)
 
     # The seed split and the solver options are refused before the n x n
     # build.
     @pytest.mark.parametrize("seeded, options, message", [
         ("xy", {}, "need at least one labeled and one unlabeled node"),
         ("x", {"tol": 0.0}, "tol must be positive"),
-        ("x", {"tol": float("inf")}, "tol must be finite"),
-        ("x", {"max_iter": 0}, "max_iter must be at least 1")])
+        ("x", {"tol": float("inf")}, "tol must be finite")])
     def test_refused_before_graph_build(self, monkeypatch, seeded, options,
                                         message):
         def no_build(*args):
@@ -873,13 +898,15 @@ class TestOptionTypes:
         tm = build_transition(store, params, label_matrix.labeled_mask)
         if entry == "propagate_folds":
             return propagate_folds(tm, label_matrix, [[0]], **options)
-        return propagate_cg(tm, label_matrix, **options)
+        # Only the reference sweep takes max_iter.
+        solve = propagate_iterative if "max_iter" in options else propagate_cg
+        return solve(tm, label_matrix, **options)
 
     @pytest.mark.parametrize("entry, key, value", [
         (entry, key, value)
         for entry in ("expand", "expand_folds", "propagate_folds", "solve")
-        for key, value in (("tol", True), ("tol", "1e-6"),
-                           ("max_iter", 2.5), ("max_iter", True))] + [
+        for key, value in (("tol", True), ("tol", "1e-6"))] + [
+        ("solve", "max_iter", 2.5), ("solve", "max_iter", True)] + [
         ("cross_validate", key, value)
         for key, value in (("k", 3.5), ("k", True),
                            ("rng_seed", 1.5), ("rng_seed", True))])
